@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .algebras import (
     AlgebraHandle,
     Element,
-    SpinVector,
     algebra_from_descriptor,
     algebra_to_descriptor,
     build_direct_sum,
@@ -31,7 +30,6 @@ from .reports import CheckReport, ResidualCheck
 __all__ = [
     "AlgebraHandle",
     "Element",
-    "SpinVector",
     "Tolerance",
     "CheckReport",
     "ResidualCheck",

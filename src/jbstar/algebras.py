@@ -1,14 +1,17 @@
 """Concrete finite-dimensional JB*-algebra models.
 
-Three model kinds are provided: the full complex matrix algebra with the
-Jordan product (whose self-adjoint part is the hermitian matrices), spin
-factors over a complex n-space with componentwise conjugation, and finite
-direct sums of models.  A fourth, derived kind carries Peirce-2 algebras of
-tripotents; it is constructed by :mod:`jbstar.peirce`.
+Each model kind is a subclass of :class:`AlgebraHandle`: the full complex
+matrix algebra with the Jordan product (whose self-adjoint part is the
+hermitian matrices), spin factors over a complex n-space with componentwise
+conjugation, and finite direct sums of models.  A fourth, derived model
+carries Peirce-2 algebras of tripotents; it is constructed by
+:mod:`jbstar.peirce`.
 
-Every element is a complex coordinate vector over the model's fixed basis,
-tagged with the algebra identity.  Handles are immutable and operations are
-pure, so values are safe to share between workers.
+A model owns its unit, product, involution, norm, multiplication matrix,
+trace, canonical projections, centre and descriptor form.  Every element is
+a complex coordinate vector over the model's fixed basis, tagged with the
+algebra identity.  Handles are immutable and operations are pure, so values
+are safe to share between workers.
 """
 
 from __future__ import annotations
@@ -18,13 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlgebraMismatch, EmptyParts, SizeOutOfRange
+from .errors import AlgebraMismatch, EmptyParts, PreconditionFailed, SizeOutOfRange
 from .kernel import Tolerance, operator_norm
 
 __all__ = [
     "AlgebraHandle",
+    "HermitianMatrixAlgebra",
+    "SpinFactor",
+    "DirectSum",
+    "Peirce2Algebra",
     "Element",
-    "SpinVector",
     "build_hermitian_matrix_algebra",
     "build_spin_factor",
     "build_direct_sum",
@@ -32,7 +38,6 @@ __all__ = [
     "involution",
     "jbstar_norm",
     "random_element",
-    "element",
     "element_to_json",
     "element_from_json",
     "algebra_from_descriptor",
@@ -79,58 +84,30 @@ class Element:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class SpinVector:
-    """Split of a spin-factor element into its unit coefficient and H-part."""
-
-    lam: complex
-    hpart: np.ndarray
-
-    @classmethod
-    def from_element(cls, a: Element) -> "SpinVector":
-        return cls(complex(a.coords[0]), np.asarray(a.coords[1:]))
-
-    def is_self_adjoint(self, tol: Tolerance = Tolerance()) -> bool:
-        # self-adjoint iff the unit coefficient is real and the H-part is
-        # purely imaginary componentwise (an H^- element)
-        return (
-            abs(self.lam.imag) <= tol.abs_eps
-            and float(np.max(np.abs(self.hpart.real), initial=0.0)) <= tol.abs_eps
-        )
-
-
 class AlgebraHandle:
-    """Immutable descriptor of a concrete JB*-algebra model.
+    """Immutable JB*-algebra model; one subclass per model kind.
 
-    The handle owns the product, involution and norm for its kind; every
-    other module works through these three plus the unit.
+    Subclasses supply the coordinate formulas ``_prod``, ``_inv`` and
+    ``_norm`` and the unit; every other module works through these, the
+    multiplication matrix, the trace, the canonical projections and the
+    centre.  The generic multiplication matrix and centre defined here are
+    exact for any model; the concrete models replace them by closed forms.
     """
 
-    def __init__(self, kind, dim, tol, ident, *, n=None, parts=None, payload=None):
-        self.kind = kind
+    kind: str | None = None
+    n: int | None = None
+    parts: tuple | None = None
+    # samplers.default_oc_sampler strategy for operator-commuting pairs
+    oc_strategy = "same_generator"
+
+    def __init__(self, dim: int, tol: Tolerance, ident: str, unit: np.ndarray):
         self.dim = dim
         self.tol = tol
         self.id = ident
-        self.n = n
-        self.parts = tuple(parts) if parts is not None else None
-        self._payload = payload or {}
-        if self.parts is not None:
-            offs = np.cumsum([0] + [p.dim for p in self.parts])
-            self._slices = [slice(int(offs[i]), int(offs[i + 1])) for i in range(len(self.parts))]
-        u = np.zeros(dim, dtype=complex)
-        if kind == "hermitian_matrix":
-            u = np.eye(n, dtype=complex).ravel()
-        elif kind == "spin":
-            u[0] = 1.0
-        elif kind == "direct_sum":
-            u = np.concatenate([p.unit.coords for p in self.parts])
-        elif kind == "peirce2":
-            u = self._payload["unit_sub"]
-        else:
-            raise ValueError(f"unknown algebra kind {kind!r}")
-        self._unit = Element(self.id, u)
-
-    # -- carrier ----------------------------------------------------------
+        self._unit = Element(ident, unit)
+        # (non-sum summand, coordinate slice) pairs; a direct sum lists its
+        # summands, never itself
+        self.summands = ((self, slice(0, dim)),)
 
     @property
     def unit(self) -> Element:
@@ -150,53 +127,6 @@ class AlgebraHandle:
     def zero(self) -> Element:
         return Element(self.id, np.zeros(self.dim, dtype=complex))
 
-    # -- coordinate-level operations --------------------------------------
-
-    def _prod(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if self.kind == "hermitian_matrix":
-            a = x.reshape(self.n, self.n)
-            b = y.reshape(self.n, self.n)
-            return (0.5 * (a @ b + b @ a)).ravel()
-        if self.kind == "spin":
-            # x o y = <x|1> y + <y|1> x - <x|conj(y)> 1, inner product linear
-            # in the first slot and conjugate-linear in the second; the
-            # bilinear form is averaged over both operand orders so the
-            # product commutes bit-exactly despite FMA in complex multiply
-            out = x[0] * y + y[0] * x
-            out[0] -= 0.5 * (np.sum(x * y) + np.sum(y * x))
-            return out
-        if self.kind == "direct_sum":
-            return np.concatenate(
-                [p._prod(x[s], y[s]) for p, s in zip(self.parts, self._slices)]
-            )
-        amb, e, B = self._payload["ambient"], self._payload["e"], self._payload["embed"]
-        return B.conj().T @ amb._triple(B @ x, e, B @ y)
-
-    def _inv(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "hermitian_matrix":
-            return x.reshape(self.n, self.n).conj().T.ravel()
-        if self.kind == "spin":
-            out = -np.conj(x)
-            out[0] += 2.0 * np.conj(x[0])
-            return out
-        if self.kind == "direct_sum":
-            return np.concatenate([p._inv(x[s]) for p, s in zip(self.parts, self._slices)])
-        amb, e, B = self._payload["ambient"], self._payload["e"], self._payload["embed"]
-        return B.conj().T @ amb._triple(e, B @ x, e)
-
-    def _norm(self, x: np.ndarray) -> float:
-        if self.kind == "hermitian_matrix":
-            return operator_norm(x.reshape(self.n, self.n))
-        if self.kind == "spin":
-            n2sq = float(np.sum(np.abs(x) ** 2))
-            inner = np.sum(x * x)  # <x|conj(x)>
-            val = max(n2sq * n2sq - abs(inner) ** 2, 0.0)
-            return float(np.sqrt(n2sq + np.sqrt(val)))
-        if self.kind == "direct_sum":
-            return max(p._norm(x[s]) for p, s in zip(self.parts, self._slices))
-        amb, B = self._payload["ambient"], self._payload["embed"]
-        return amb._norm(B @ x)
-
     def _triple(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         """{x,y,z} = (x o y*) o z + (z o y*) o x - (x o z) o y*."""
         ys = self._inv(y)
@@ -204,56 +134,271 @@ class AlgebraHandle:
             self._prod(x, z), ys
         )
 
+    def _mult_matrix(self, x: np.ndarray) -> np.ndarray:
+        """Matrix of y -> x o y in the algebra basis."""
+        cols = [self._prod(x, e) for e in np.eye(self.dim, dtype=complex)]
+        return np.stack(cols, axis=1)
+
+    def trace(self, x: np.ndarray) -> float:
+        raise PreconditionFailed(f"no trace defined on {self.id}")
+
+    def canonical_projections(self) -> list[Element]:
+        return []
+
+    def center_basis(self) -> list[Element]:
+        """Centre as the joint kernel of z -> [M_z, M_{e_k}] over the basis.
+
+        The normal equations of the stacked system have order d^5; the
+        kernel vectors are split into self-adjoint parts.
+        """
+        d = self.dim
+        eye = np.eye(d, dtype=complex)
+        mults = [self._mult_matrix(eye[j]) for j in range(d)]
+        gram = np.zeros((d, d), dtype=complex)
+        for k in range(d):
+            mk = mults[k]
+            cols = np.stack([(mj @ mk - mk @ mj).ravel() for mj in mults], axis=1)
+            gram += cols.conj().T @ cols
+        vals, vecs = np.linalg.eigh(gram)
+        thr = max(vals[-1], 1.0) * 1e-12
+        halves = []
+        for j in range(d):
+            if vals[j] <= thr:
+                z, zs = vecs[:, j], self._inv(vecs[:, j])
+                halves += [0.5 * (z + zs), -0.5j * (z - zs)]
+        return self._central_basis(halves)
+
+    def _central_basis(self, vectors) -> list[Element]:
+        """Gram-Schmidt over the normalised unit followed by ``vectors``
+        (central and self-adjoint), dropping dependent ones."""
+        out: list[np.ndarray] = []
+        for v in [self._unit.coords / np.linalg.norm(self._unit.coords), *vectors]:
+            for q in out:
+                v = v - np.vdot(q, v) * q
+            nv = np.linalg.norm(v)
+            if nv > 1e-8:
+                out.append(v / nv)
+        return [Element(self.id, v) for v in out]
+
+    @classmethod
+    def from_descriptor(cls, doc: dict, tol: Tolerance) -> "AlgebraHandle":
+        n = doc.get("n")
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"{cls.kind} descriptor needs an integer 'n', got {n!r}")
+        return cls(n, tol)
+
+    def to_descriptor(self) -> dict:
+        return {"kind": self.kind, "n": self.n}
+
     def __repr__(self):
-        return f"AlgebraHandle({self.id}, dim={self.dim})"
+        return f"{type(self).__name__}({self.id}, dim={self.dim})"
 
 
-# -- builders --------------------------------------------------------------
-
-
-def build_hermitian_matrix_algebra(n: int, tol: Tolerance = Tolerance()) -> AlgebraHandle:
-    """Full matrix algebra M_n(C) with Jordan product (ab+ba)/2.
+class HermitianMatrixAlgebra(AlgebraHandle):
+    """Full matrix algebra M_n(C) with Jordan product (ab+ba)/2, 1 <= n <= 12.
 
     The basis is the matrix units E_jk in row-major order, so coordinates
     reshape directly to the matrix.
     """
-    if not (1 <= n <= 12):
-        raise SizeOutOfRange(f"hermitian_matrix size must be in [1, 12], got {n}")
-    return AlgebraHandle("hermitian_matrix", n * n, tol, f"hermitian_matrix({n})", n=n)
+
+    kind = "hermitian_matrix"
+
+    def __init__(self, n: int, tol: Tolerance = Tolerance()):
+        if not (1 <= n <= 12):
+            raise SizeOutOfRange(f"hermitian_matrix size must be in [1, 12], got {n}")
+        self.n = n
+        super().__init__(n * n, tol, f"hermitian_matrix({n})", np.eye(n, dtype=complex).ravel())
+
+    def _prod(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        a = x.reshape(self.n, self.n)
+        b = y.reshape(self.n, self.n)
+        return (0.5 * (a @ b + b @ a)).ravel()
+
+    def _inv(self, x: np.ndarray) -> np.ndarray:
+        return x.reshape(self.n, self.n).conj().T.ravel()
+
+    def _norm(self, x: np.ndarray) -> float:
+        return operator_norm(x.reshape(self.n, self.n))
+
+    def _mult_matrix(self, x: np.ndarray) -> np.ndarray:
+        m = x.reshape(self.n, self.n)
+        eye = np.eye(self.n, dtype=complex)
+        # row-major vec: vec(MX) = (M kron I) vec(X), vec(XM) = (I kron M^T) vec(X)
+        return 0.5 * (np.kron(m, eye) + np.kron(eye, m.T))
+
+    def trace(self, x: np.ndarray) -> float:
+        return float(np.trace(x.reshape(self.n, self.n)).real)
+
+    def canonical_projections(self) -> list[Element]:
+        """Diagonal matrix units and the rank-one sum/phase projections
+        onto (e_j + e_k)/sqrt 2 and (e_j + i e_k)/sqrt 2."""
+        n, eye = self.n, np.eye(self.n, dtype=complex)
+        vs = [(1.0, eye[j]) for j in range(n)]
+        pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+        vs += [(0.5, eye[j] + ph * eye[k]) for j, k in pairs for ph in (1.0, 1.0j)]
+        return [self.element((c * np.outer(v, v.conj())).ravel()) for c, v in vs]
+
+    def center_basis(self) -> list[Element]:
+        return self._central_basis([])  # a factor: the centre is C 1
 
 
-def build_spin_factor(n: int, tol: Tolerance = Tolerance()) -> AlgebraHandle:
+class SpinFactor(AlgebraHandle):
     """Spin factor on C^n with componentwise conjugation and unit e_0.
 
     Needs n >= 3 so that H^- = {(0, i t_2, ..., i t_n) : t real} has real
     dimension at least 2.
     """
-    if n < 3:
-        raise SizeOutOfRange(f"spin factor needs n >= 3, got {n}")
-    return AlgebraHandle("spin", n, tol, f"spin({n})", n=n)
+
+    kind = "spin"
+    oc_strategy = "spin_line"
+
+    def __init__(self, n: int, tol: Tolerance = Tolerance()):
+        if n < 3:
+            raise SizeOutOfRange(f"spin factor needs n >= 3, got {n}")
+        self.n = n
+        unit = np.zeros(n, dtype=complex)
+        unit[0] = 1.0
+        super().__init__(n, tol, f"spin({n})", unit)
+
+    def _prod(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # x o y = <x|1> y + <y|1> x - <x|conj(y)> 1, inner product linear
+        # in the first slot and conjugate-linear in the second; the
+        # bilinear form is averaged over both operand orders so the
+        # product commutes bit-exactly despite FMA in complex multiply
+        out = x[0] * y + y[0] * x
+        out[0] -= 0.5 * (np.sum(x * y) + np.sum(y * x))
+        return out
+
+    def _inv(self, x: np.ndarray) -> np.ndarray:
+        out = -np.conj(x)
+        out[0] += 2.0 * np.conj(x[0])
+        return out
+
+    def _norm(self, x: np.ndarray) -> float:
+        n2sq = float(np.sum(np.abs(x) ** 2))
+        inner = np.sum(x * x)  # <x|conj(x)>
+        val = max(n2sq * n2sq - abs(inner) ** 2, 0.0)
+        return float(np.sqrt(n2sq + np.sqrt(val)))
+
+    def _mult_matrix(self, x: np.ndarray) -> np.ndarray:
+        e0 = np.zeros(self.dim, dtype=complex)
+        e0[0] = 1.0
+        return x[0] * np.eye(self.dim, dtype=complex) + np.outer(x, e0) - np.outer(e0, x)
+
+    def trace(self, x: np.ndarray) -> float:
+        return float(x[0].real)
+
+    def canonical_projections(self) -> list[Element]:
+        """The projections (1 +/- b)/2 along each H^- axis b."""
+        d, u = self.dim, self.unit.coords
+        b = 1j * np.eye(d, dtype=complex)
+        return [self.element(0.5 * (u + sg * b[i])) for i in range(1, d) for sg in (1.0, -1.0)]
+
+    def center_basis(self) -> list[Element]:
+        return self._central_basis([])  # a factor: the centre is C 1
 
 
-def build_direct_sum(parts) -> AlgebraHandle:
-    """Componentwise direct sum; norm is the max over parts."""
-    parts = list(parts)
-    if not parts:
-        raise EmptyParts("direct sum needs at least one part")
-    dim = sum(p.dim for p in parts)
-    ident = "direct_sum[" + ",".join(p.id for p in parts) + "]"
-    return AlgebraHandle("direct_sum", dim, parts[0].tol, ident, parts=parts)
+class DirectSum(AlgebraHandle):
+    """Componentwise direct sum; the norm is the max over the summands.
+
+    Every operation runs blockwise over ``summands``, the non-sum summands
+    (nested sums flattened) with their coordinate slices.
+    """
+
+    kind = "direct_sum"
+
+    def __init__(self, parts):
+        parts = tuple(parts)
+        if not parts:
+            raise EmptyParts("direct sum needs at least one part")
+        leaves = [leaf for p in parts for leaf, _ in p.summands]
+        offs = np.cumsum([0] + [p.dim for p in leaves])
+        self.parts = parts
+        ident = "direct_sum[" + ",".join(p.id for p in parts) + "]"
+        unit = np.concatenate([p.unit.coords for p in parts])
+        super().__init__(int(offs[-1]), parts[0].tol, ident, unit)
+        self.summands = tuple((p, slice(int(a), int(b))) for p, a, b in zip(leaves, offs, offs[1:]))
+
+    def _prod(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.concatenate([p._prod(x[s], y[s]) for p, s in self.summands])
+
+    def _inv(self, x: np.ndarray) -> np.ndarray:
+        return np.concatenate([p._inv(x[s]) for p, s in self.summands])
+
+    def _norm(self, x: np.ndarray) -> float:
+        return max(p._norm(x[s]) for p, s in self.summands)
+
+    def _mult_matrix(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for p, s in self.summands:
+            out[s, s] = p._mult_matrix(x[s])
+        return out
+
+    def trace(self, x: np.ndarray) -> float:
+        return sum(p.trace(x[s]) for p, s in self.summands)
+
+    def _embedded(self, per_summand) -> list[np.ndarray]:
+        """The elements ``per_summand(p)`` of every summand p, zero-padded."""
+        pads = [(p, (s.start, self.dim - s.stop)) for p, s in self.summands]
+        return [np.pad(a.coords, pad) for p, pad in pads for a in per_summand(p)]
+
+    def canonical_projections(self) -> list[Element]:
+        embedded = self._embedded(lambda p: p.canonical_projections())
+        return [self.element(c) for c in embedded] + [self.unit]
+
+    def center_basis(self) -> list[Element]:
+        # the centre of a direct sum is the direct sum of the centres
+        return self._central_basis(self._embedded(lambda p: p.center_basis()))
+
+    @classmethod
+    def from_descriptor(cls, doc: dict, tol: Tolerance) -> "DirectSum":
+        parts = doc.get("parts")
+        if not isinstance(parts, list):
+            raise ValueError(f"direct_sum descriptor needs a list 'parts', got {parts!r}")
+        return cls([algebra_from_descriptor(p, tol) for p in parts])
+
+    def to_descriptor(self) -> dict:
+        return {"kind": self.kind, "parts": [p.to_descriptor() for p in self.parts]}
 
 
-def _peirce2_handle(ambient: AlgebraHandle, e_coords: np.ndarray, embed: np.ndarray) -> AlgebraHandle:
-    """Internal constructor used by jbstar.peirce for Peirce-2 algebras."""
-    tag = hashlib.sha1(np.ascontiguousarray(e_coords).tobytes()).hexdigest()[:12]
-    unit_sub = embed.conj().T @ e_coords
-    return AlgebraHandle(
-        "peirce2",
-        embed.shape[1],
-        ambient.tol,
-        f"peirce2[{ambient.id};{tag}]",
-        payload={"ambient": ambient, "e": e_coords, "embed": embed, "unit_sub": unit_sub},
-    )
+class Peirce2Algebra(AlgebraHandle):
+    """Peirce-2 space of a tripotent e in an ambient model, with product
+    {x,e,y} and involution {e,x,e}, carried by the isometric embedding
+    ``embed`` (columns spanning the range of P2(e)).
+
+    Built by jbstar.peirce.peirce2_algebra; its centre is the generic one.
+    """
+
+    kind = "peirce2"
+
+    def __init__(self, ambient: AlgebraHandle, e: np.ndarray, embed: np.ndarray):
+        tag = hashlib.sha1(np.ascontiguousarray(e).tobytes()).hexdigest()[:12]
+        self.ambient = ambient
+        self.e = e
+        self.embed = embed
+        unit = embed.conj().T @ e
+        super().__init__(embed.shape[1], ambient.tol, f"peirce2[{ambient.id};{tag}]", unit)
+
+    def _prod(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        B = self.embed
+        return B.conj().T @ self.ambient._triple(B @ x, self.e, B @ y)
+
+    def _inv(self, x: np.ndarray) -> np.ndarray:
+        B = self.embed
+        return B.conj().T @ self.ambient._triple(self.e, B @ x, self.e)
+
+    def _norm(self, x: np.ndarray) -> float:
+        return self.ambient._norm(self.embed @ x)
+
+    def to_descriptor(self) -> dict:
+        raise ValueError(f"algebra kind {self.kind!r} has no descriptor form")
+
+
+# -- builders: the model constructors under their public names ---------------
+
+build_hermitian_matrix_algebra = HermitianMatrixAlgebra
+build_spin_factor = SpinFactor
+build_direct_sum = DirectSum
 
 
 # -- element operations -----------------------------------------------------
@@ -275,10 +420,6 @@ def involution(A: AlgebraHandle, a: Element) -> Element:
 
 def jbstar_norm(A: AlgebraHandle, a: Element) -> float:
     return A._norm(_owned(A, a))
-
-
-def element(A: AlgebraHandle, coords) -> Element:
-    return A.element(coords)
 
 
 def random_element(A: AlgebraHandle, seed: int, flavor: str = "general") -> Element:
@@ -308,11 +449,7 @@ def _random(A: AlgebraHandle, rng: np.random.Generator, flavor: str = "general")
         bits = rng.integers(0, 2, size=m)
         if m >= 2 and (bits.sum() == 0 or bits.sum() == m):
             bits[int(rng.integers(0, m))] ^= 1
-        p = A.zero()
-        for take, (_, idem) in zip(bits, dec.pairs):
-            if take:
-                p = p + idem
-        return p
+        return sum((idem for take, (_, idem) in zip(bits, dec.pairs) if take), A.zero())
     if flavor == "unitary":
         scale = rng.uniform(0.3, 2.2)
         return calculus.exp_i(A, scale * sa, 1.0)
@@ -360,10 +497,7 @@ def sa_coords(A: AlgebraHandle, a: Element, basis: list[Element] | None = None) 
 
 def sa_from_coords(A: AlgebraHandle, rho, basis: list[Element] | None = None) -> Element:
     basis = basis if basis is not None else selfadjoint_basis(A)
-    out = A.zero()
-    for c, b in zip(np.asarray(rho, dtype=float), basis):
-        out = out + float(c) * b
-    return out
+    return sum((float(c) * b for c, b in zip(np.asarray(rho, dtype=float), basis)), A.zero())
 
 
 # -- JSON interfaces ---------------------------------------------------------
@@ -378,21 +512,20 @@ def element_from_json(A: AlgebraHandle, doc: dict) -> Element:
     return A.element(coords)
 
 
+_MODELS = {cls.kind: cls for cls in (HermitianMatrixAlgebra, SpinFactor, DirectSum)}
+
+
 def algebra_from_descriptor(doc: dict, tol: Tolerance = Tolerance()) -> AlgebraHandle:
-    """Build a handle from the JSON descriptor format used by the CLI."""
-    kind = doc.get("kind")
-    if kind == "hermitian_matrix":
-        return build_hermitian_matrix_algebra(int(doc["n"]), tol)
-    if kind == "spin":
-        return build_spin_factor(int(doc["n"]), tol)
-    if kind == "direct_sum":
-        return build_direct_sum([algebra_from_descriptor(p, tol) for p in doc["parts"]])
-    raise ValueError(f"unknown algebra descriptor kind {kind!r}")
+    """Build a handle from the JSON descriptor format used by the CLI.
+
+    Raises ValueError on a malformed descriptor, and SizeOutOfRange or
+    EmptyParts on one that names no buildable algebra.
+    """
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if not isinstance(kind, str) or kind not in _MODELS:
+        raise ValueError(f"unknown algebra descriptor kind {kind!r}")
+    return _MODELS[kind].from_descriptor(doc, tol)
 
 
 def algebra_to_descriptor(A: AlgebraHandle) -> dict:
-    if A.kind in ("hermitian_matrix", "spin"):
-        return {"kind": A.kind, "n": A.n}
-    if A.kind == "direct_sum":
-        return {"kind": "direct_sum", "parts": [algebra_to_descriptor(p) for p in A.parts]}
-    raise ValueError(f"algebra kind {A.kind!r} has no descriptor form")
+    return A.to_descriptor()

@@ -52,40 +52,21 @@ class SpectralDecomposition:
     def eigenvalues(self) -> list[float]:
         return [lam for lam, _ in self.pairs]
 
-    @property
-    def idempotents(self) -> list[Element]:
-        return [e for _, e in self.pairs]
+
+def _self_adjoint_defect(A: AlgebraHandle, a: Element) -> tuple[float, float]:
+    """(||a* - a||, threshold) for the self-adjointness test."""
+    dev = jbstar_norm(A, involution(A, a) - a)
+    return dev, A.tol.abs_eps * (1.0 + jbstar_norm(A, a))
 
 
 def is_self_adjoint(A: AlgebraHandle, a: Element) -> bool:
-    dev = jbstar_norm(A, involution(A, a) - a)
-    return dev <= A.tol.abs_eps * (1.0 + jbstar_norm(A, a))
+    dev, thr = _self_adjoint_defect(A, a)
+    return dev <= thr
 
 
 def mult_operator(A: AlgebraHandle, a: Element) -> np.ndarray:
     """Matrix of x -> a o x in the algebra basis."""
-    x = _owned(A, a)
-    return _mult_matrix(A, x)
-
-
-def _mult_matrix(A: AlgebraHandle, x: np.ndarray) -> np.ndarray:
-    if A.kind == "hermitian_matrix":
-        m = x.reshape(A.n, A.n)
-        eye = np.eye(A.n, dtype=complex)
-        # row-major vec: vec(MX) = (M kron I) vec(X), vec(XM) = (I kron M^T) vec(X)
-        return 0.5 * (np.kron(m, eye) + np.kron(eye, m.T))
-    if A.kind == "spin":
-        e0 = np.zeros(A.dim, dtype=complex)
-        e0[0] = 1.0
-        return x[0] * np.eye(A.dim, dtype=complex) + np.outer(x, e0) - np.outer(e0, x)
-    if A.kind == "direct_sum":
-        blocks = [_mult_matrix(p, x[s]) for p, s in zip(A.parts, A._slices)]
-        out = np.zeros((A.dim, A.dim), dtype=complex)
-        for s, blk in zip(A._slices, blocks):
-            out[s, s] = blk
-        return out
-    cols = [A._prod(x, e) for e in np.eye(A.dim, dtype=complex)]
-    return np.stack(cols, axis=1)
+    return A._mult_matrix(_owned(A, a))
 
 
 def u_operator(A: AlgebraHandle, a: Element, b: Element) -> Element:
@@ -114,6 +95,17 @@ def u_operator_bilinear(A: AlgebraHandle, a: Element, b: Element, c: Element) ->
     )
 
 
+def _axiom_defects(A: AlgebraHandle, a: Element, b: Element) -> tuple[float, float, float, float]:
+    """Jordan-identity defect ||(a o b) o b^2 - (a o b^2) o b||, JB*-axiom
+    defect | ||U_a(a*)|| - ||a||^3 |, ||a|| and ||b|| of a sampled pair."""
+    na, nb = jbstar_norm(A, a), jbstar_norm(A, b)
+    b2 = jordan_product(A, b, b)
+    lhs = jordan_product(A, jordan_product(A, a, b), b2)
+    rhs = jordan_product(A, jordan_product(A, a, b2), b)
+    ua = u_operator(A, a, involution(A, a))
+    return jbstar_norm(A, lhs - rhs), abs(jbstar_norm(A, ua) - na**3), na, nb
+
+
 def triple_product(A: AlgebraHandle, x: Element, y: Element, z: Element) -> Element:
     """{x,y,z} = (x o y*) o z + (z o y*) o x - (x o z) o y*."""
     return Element(A.id, A._triple(_owned(A, x), _owned(A, y), _owned(A, z)))
@@ -136,50 +128,13 @@ def operator_commutes(A: AlgebraHandle, a: Element, b: Element) -> ResidualCheck
 
 
 def center_basis(A: AlgebraHandle) -> list[Element]:
-    """Orthonormal basis of the centre, computed as a joint commutator kernel.
+    """Orthonormal self-adjoint basis of the centre, the normalized unit first.
 
-    The first basis vector is always the normalized unit.
+    Closed form on the concrete models: C 1 for matrix algebras and spin
+    factors, the span of the summand centres for direct sums.  Peirce-2
+    algebras use the generic joint-commutator kernel.
     """
-    d = A.dim
-    eye = np.eye(d, dtype=complex)
-    mults = [_mult_matrix(A, eye[j]) for j in range(d)]
-    # normal equations of the stacked linear system [M_z, M_{e_k}] = 0 for all k
-    gram = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        mk = mults[k]
-        cols = np.stack([(mj @ mk - mk @ mj).ravel() for mj in mults], axis=1)
-        gram += cols.conj().T @ cols
-    vals, vecs = np.linalg.eigh(gram)
-    thr = max(vals[-1], 1.0) * 1e-12
-    kernel = [vecs[:, j] for j in range(d) if vals[j] <= thr]
-    u0 = A.unit.coords / np.linalg.norm(A.unit.coords)
-    out = [u0]
-    for v in kernel:
-        w = v.copy()
-        for q in out:
-            w = w - np.vdot(q, w) * q
-        nw = np.linalg.norm(w)
-        if nw > 1e-8:
-            out.append(w / nw)
-    return [Element(A.id, v) for v in out]
-
-
-def central_selfadjoint_basis(A: AlgebraHandle) -> list[Element]:
-    """Real orthonormal basis of the self-adjoint part of the centre."""
-    cand = []
-    for z in center_basis(A):
-        zs = involution(A, z)
-        cand.append(0.5 * (z + zs))
-        cand.append((-0.5j) * (z - zs))
-    out: list[np.ndarray] = []
-    for c in cand:
-        v = c.coords.copy()
-        for q in out:
-            v = v - np.vdot(q, v) * q
-        nv = np.linalg.norm(v)
-        if nv > 1e-8:
-            out.append(v / nv)
-    return [Element(A.id, v) for v in out]
+    return A.center_basis()
 
 
 def is_invertible(A: AlgebraHandle, a: Element) -> Element | None:
@@ -297,8 +252,8 @@ def _abelian_decomposition(A: AlgebraHandle, x: np.ndarray, real_nodes: bool):
 
 
 def _require_self_adjoint(A: AlgebraHandle, a: Element):
-    dev = jbstar_norm(A, involution(A, a) - a)
-    if dev > A.tol.abs_eps * (1.0 + jbstar_norm(A, a)):
+    dev, thr = _self_adjoint_defect(A, a)
+    if dev > thr:
         raise NotSelfAdjoint(f"deviation from self-adjointness {dev:.3e}")
 
 
@@ -330,10 +285,7 @@ def functional_calculus(A: AlgebraHandle, a: Element, f) -> Element:
 
 
 def exp_from_decomposition(A: AlgebraHandle, dec: SpectralDecomposition, t: float) -> Element:
-    out = A.zero()
-    for lam, e in dec.pairs:
-        out = out + np.exp(1j * lam * t) * e
-    return out
+    return sum((np.exp(1j * lam * t) * e for lam, e in dec.pairs), A.zero())
 
 
 def exp_i(A: AlgebraHandle, h: Element, t: float) -> Element:

@@ -14,20 +14,22 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import __version__
 from .algebras import (
     AlgebraHandle,
+    SpinFactor,
     _random,
+    build_spin_factor,
     algebra_from_descriptor,
     involution,
     jbstar_norm,
     jordan_product,
 )
-from .calculus import u_operator
+from .calculus import _axiom_defects
 from .errors import JBStarError, TypeI2Present
 from .kernel import Tolerance
 from .measures import verify_linearity_theorem, vectorize_map
@@ -89,27 +91,11 @@ class RunConfig:
     exploratory: bool = False
 
     def tolerance(self) -> Tolerance:
-        base = Tolerance()
-        return Tolerance(
-            abs_eps=self.abs_eps if self.abs_eps is not None else base.abs_eps,
-            rel_eps=self.rel_eps if self.rel_eps is not None else base.rel_eps,
-            cluster_eps=self.cluster_eps if self.cluster_eps is not None else base.cluster_eps,
-        )
+        names = ("abs_eps", "rel_eps", "cluster_eps")
+        return Tolerance(**{k: getattr(self, k) for k in names if getattr(self, k) is not None})
 
     def echo(self) -> dict:
-        return {
-            "command": self.command,
-            "algebra_path": self.algebra_path,
-            "map_path": self.map_path,
-            "trials": self.trials,
-            "seed": self.seed,
-            "abs_eps": self.abs_eps,
-            "rel_eps": self.rel_eps,
-            "cluster_eps": self.cluster_eps,
-            "epsilon": self.epsilon,
-            "spin_dim": self.spin_dim,
-            "exploratory": self.exploratory,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "out_path"}
 
 
 class UsageError(Exception):
@@ -125,13 +111,22 @@ def _load_json(path: str) -> dict:
 
 
 def _need_algebra(config: RunConfig) -> AlgebraHandle:
-    if config.command == "counterexample" and config.algebra_path is None:
-        from .algebras import build_spin_factor
+    try:
+        tol = config.tolerance()
+        if config.command == "counterexample" and config.algebra_path is None:
+            return build_spin_factor(config.spin_dim, tol)
+        if config.algebra_path is None:
+            raise UsageError(f"suite {config.command!r} needs --algebra")
+        return algebra_from_descriptor(_load_json(config.algebra_path), tol)
+    except (JBStarError, ValueError) as exc:
+        raise UsageError(f"{type(exc).__name__}: {exc}") from exc
 
-        return build_spin_factor(config.spin_dim, config.tolerance())
-    if config.algebra_path is None:
-        raise UsageError(f"suite {config.command!r} needs --algebra")
-    return algebra_from_descriptor(_load_json(config.algebra_path), config.tolerance())
+
+def _check_writable(path: str) -> None:
+    """Fail before a suite runs when its report could not be written."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+        raise UsageError(f"cannot write the report to {path}")
 
 
 def _need_map(config: RunConfig, A: AlgebraHandle) -> MapUnderTest:
@@ -149,13 +144,9 @@ def _suite_axioms(A: AlgebraHandle, trials: int, seed: int) -> list[CheckReport]
     for _ in range(trials):
         a = _random(A, rng)
         b = _random(A, rng)
-        na, nb = jbstar_norm(A, a), jbstar_norm(A, b)
-        b2 = jordan_product(A, b, b)
-        lhs = jordan_product(A, jordan_product(A, a, b), b2)
-        rhs = jordan_product(A, jordan_product(A, a, b2), b)
-        jid = max(jid, jbstar_norm(A, lhs - rhs) / ((1.0 + na) * (1.0 + nb) ** 3))
-        ua = u_operator(A, a, involution(A, a))
-        axiom = max(axiom, abs(jbstar_norm(A, ua) - na**3) / (1.0 + na**3))
+        jd, ad, na, nb = _axiom_defects(A, a, b)
+        jid = max(jid, jd / ((1.0 + na) * (1.0 + nb) ** 3))
+        axiom = max(axiom, ad / (1.0 + na**3))
         isom = max(isom, abs(jbstar_norm(A, involution(A, a)) - na) / (1.0 + na))
     return [
         CheckReport(f"jordan-identity[{A.id}]", jid <= 1e-8, trials, jid),
@@ -190,10 +181,6 @@ def _suite_symmetric_difference(A: AlgebraHandle, trials: int, seed: int) -> lis
     return [CheckReport(f"symmetric-difference[{A.id}]", worst <= 1e-8, done, worst)]
 
 
-def _suite_peirce(A: AlgebraHandle, trials: int, seed: int) -> list[CheckReport]:
-    return [peirce_invariants_check(A, max(trials // 10, 5), seed)]
-
-
 def _suite_kaup(A: AlgebraHandle, trials: int, seed: int) -> list[CheckReport]:
     rng = np.random.default_rng(seed)
     tripotents = [A.unit] + [sample_tripotent(A, rng) for _ in range(2)]
@@ -202,8 +189,15 @@ def _suite_kaup(A: AlgebraHandle, trials: int, seed: int) -> list[CheckReport]:
     return [merge_reports(f"kaup-identity[{A.id}]", reports)]
 
 
+def _suite_preserver(m: MapUnderTest, trials: int, seed: int) -> list[CheckReport]:
+    return [
+        check_piecewise_hom_on_unitaries(m, min(trials, 50), seed),
+        check_generator_properties(m, min(max(trials // 10, 5), 20), seed),
+    ]
+
+
 def _suite_counterexample(config: RunConfig, A: AlgebraHandle) -> list[CheckReport]:
-    if A.kind != "spin":
+    if not isinstance(A, SpinFactor):
         raise UsageError("the counterexample suite needs a spin algebra")
     cx = build_spin_counterexample(A.n, config.epsilon)
     rep = verify_counterexample(cx, trials=config.trials, seed=config.seed)
@@ -304,36 +298,24 @@ def run(config: RunConfig) -> tuple[dict, int]:
     trials, seed = config.trials, config.seed
     if trials < 1:
         raise UsageError("--trials must be >= 1")
-    if cmd == "axioms":
-        checks = _suite_axioms(A, trials, seed)
-    elif cmd == "oc-equivalences":
-        checks = [oc_unitary_equivalences_check(A, trials, seed, adversarial=max(trials // 4, 5))]
-    elif cmd == "unitary-piecewise":
-        checks = [oc_unitary_product_check(A, trials, seed)]
-    elif cmd == "circle-inequality":
-        checks = [circle_inequality_check(A, trials, seed)]
-    elif cmd == "peirce":
-        checks = _suite_peirce(A, trials, seed)
-    elif cmd == "kaup":
-        checks = _suite_kaup(A, trials, seed)
-    elif cmd == "preserver":
-        m = _need_map(config, A)
-        checks = [
-            check_piecewise_hom_on_unitaries(m, min(trials, 50), seed),
-            check_generator_properties(m, min(max(trials // 10, 5), 20), seed),
-        ]
-    elif cmd == "factor-dichotomy":
-        checks = _suite_factor_dichotomy(A, _need_map(config, A), trials, seed)
-    elif cmd == "structure-recovery":
-        checks = _suite_structure_recovery(A, _need_map(config, A), trials, seed)
-    elif cmd == "counterexample":
-        checks = _suite_counterexample(config, A)
-    elif cmd == "linearity":
-        checks = _suite_linearity(A, _need_map(config, A), trials, seed, config.exploratory)
-    elif cmd == "symmetric-difference":
-        checks = _suite_symmetric_difference(A, trials, seed)
-    else:  # pragma: no cover
-        raise UsageError(f"suite {cmd!r} not wired")
+    m = lambda: _need_map(config, A)  # only the suites that take a map load one
+    suites = {
+        "axioms": lambda: _suite_axioms(A, trials, seed),
+        "oc-equivalences": lambda: [
+            oc_unitary_equivalences_check(A, trials, seed, adversarial=max(trials // 4, 5))
+        ],
+        "unitary-piecewise": lambda: [oc_unitary_product_check(A, trials, seed)],
+        "circle-inequality": lambda: [circle_inequality_check(A, trials, seed)],
+        "peirce": lambda: [peirce_invariants_check(A, max(trials // 10, 5), seed)],
+        "kaup": lambda: _suite_kaup(A, trials, seed),
+        "preserver": lambda: _suite_preserver(m(), trials, seed),
+        "factor-dichotomy": lambda: _suite_factor_dichotomy(A, m(), trials, seed),
+        "structure-recovery": lambda: _suite_structure_recovery(A, m(), trials, seed),
+        "counterexample": lambda: _suite_counterexample(config, A),
+        "linearity": lambda: _suite_linearity(A, m(), trials, seed, config.exploratory),
+        "symmetric-difference": lambda: _suite_symmetric_difference(A, trials, seed),
+    }
+    checks = suites[cmd]()
     verdict = "pass" if all(c.passed for c in checks if not c.expected_fail) else "fail"
     document = {
         "schema": 1,
@@ -391,35 +373,25 @@ def main(argv=None) -> int:
         for name, desc in list_suites():
             print(f"{name:20s} {desc}")
         return 0
-    config = RunConfig(
-        command=args.command,
-        algebra_path=args.algebra_path,
-        map_path=args.map_path,
-        trials=args.trials,
-        seed=args.seed,
-        abs_eps=args.abs_eps,
-        rel_eps=args.rel_eps,
-        cluster_eps=args.cluster_eps,
-        out_path=args.out_path,
-        epsilon=getattr(args, "epsilon", 0.3),
-        spin_dim=getattr(args, "spin_dim", 3),
-        exploratory=getattr(args, "exploratory", False),
-    )
+    config = RunConfig(**{f.name: getattr(args, f.name, f.default) for f in fields(RunConfig)})
     try:
+        if config.out_path:
+            _check_writable(config.out_path)
         document, status = run(config)
+        if config.out_path:
+            try:
+                with open(config.out_path, "w", encoding="utf-8") as fh:
+                    json.dump(document, fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+            except OSError as exc:
+                raise UsageError(f"cannot write the report to {config.out_path}: {exc}") from exc
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (JBStarError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if config.out_path:
-        with open(config.out_path, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _print_human(document, sys.stderr)
-    else:
-        _print_human(document, sys.stdout)
+    _print_human(document, sys.stderr if config.out_path else sys.stdout)
     return status
 
 

@@ -6,14 +6,6 @@ class JBStarError(Exception):
 
 
 # numeric kernel
-class NotHermitian(JBStarError):
-    pass
-
-
-class NoConvergence(JBStarError):
-    pass
-
-
 class DegenerateInput(JBStarError):
     pass
 

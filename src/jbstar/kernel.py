@@ -2,8 +2,8 @@
 
 Everything downstream (algebra models, spectral machinery, harnesses) goes
 through this module for matrix work.  Matrices are plain 2-D complex
-``numpy`` arrays; the helpers here add the contract checks (hermiticity,
-rank, finiteness) that the rest of the package relies on.
+``numpy`` arrays; the helpers here add the contract checks (rank,
+finiteness) that the rest of the package relies on.
 """
 
 from __future__ import annotations
@@ -12,18 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, NoConvergence, NotHermitian, RankDeficient
+from .errors import DegenerateInput, RankDeficient
 
 __all__ = [
     "Tolerance",
     "as_complex_matrix",
-    "hermitian_eig",
     "operator_norm",
     "real_roots",
     "solve_least_squares",
-    "matrix_to_json",
-    "matrix_from_json",
-    "close",
 ]
 
 
@@ -46,43 +42,14 @@ class Tolerance:
                 raise ValueError(f"{name} must lie strictly in (0, 1e-2), got {v}")
 
 
-def close(x: float, y: float, tol: Tolerance) -> bool:
-    """Combined absolute/relative scalar comparison."""
-    return abs(x - y) <= tol.abs_eps + tol.rel_eps * max(abs(x), abs(y))
-
-
-def as_complex_matrix(m, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Coerce to a finite 2-D complex array, optionally checking its shape."""
+def as_complex_matrix(m) -> np.ndarray:
+    """Coerce to a finite 2-D complex array."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if rows is not None and a.shape[0] != rows:
-        raise ValueError(f"expected {rows} rows, got {a.shape[0]}")
-    if cols is not None and a.shape[1] != cols:
-        raise ValueError(f"expected {cols} cols, got {a.shape[1]}")
     if not np.all(np.isfinite(a.view(float))):
         raise ValueError("matrix entries must be finite")
     return a
-
-
-def hermitian_eig(m, tol: Tolerance = Tolerance()) -> list[tuple[float, np.ndarray]]:
-    """Eigenpairs of a hermitian matrix, eigenvalues ascending.
-
-    Raises NotHermitian when the input fails the hermiticity precondition
-    and NoConvergence if the backend iteration gives up.
-    """
-    a = as_complex_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise NotHermitian("matrix is not square")
-    scale = operator_norm(a)
-    dev = operator_norm(a - a.conj().T)
-    if dev > tol.abs_eps * (1.0 + scale):
-        raise NotHermitian(f"deviation from hermiticity {dev:.3e} exceeds tolerance")
-    try:
-        vals, vecs = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
-        raise NoConvergence(str(exc)) from exc
-    return [(float(vals[j]), vecs[:, j].copy()) for j in range(a.shape[0])]
 
 
 def operator_norm(m) -> float:
@@ -157,21 +124,3 @@ def solve_least_squares(a, b, tol: Tolerance = Tolerance()) -> tuple[np.ndarray,
     x, *_ = np.linalg.lstsq(am, bm, rcond=None)
     residual = float(np.linalg.norm(am @ x - bm))
     return (x[:, 0] if squeeze else x), residual
-
-
-def matrix_to_json(m) -> dict:
-    """Serialize a matrix in the element-style [[re, im], ...] format."""
-    a = as_complex_matrix(m)
-    return {
-        "rows": int(a.shape[0]),
-        "cols": int(a.shape[1]),
-        "entries": [[float(z.real), float(z.imag)] for z in a.ravel()],
-    }
-
-
-def matrix_from_json(doc: dict) -> np.ndarray:
-    rows, cols = int(doc["rows"]), int(doc["cols"])
-    entries = [complex(re, im) for re, im in doc["entries"]]
-    if len(entries) != rows * cols:
-        raise ValueError("entries length does not match rows*cols")
-    return as_complex_matrix(np.array(entries, dtype=complex).reshape(rows, cols))

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .kernel import solve_least_squares
 from .reports import CheckReport
-from .samplers import oc_pair_sampler, orthogonal_projection_pair
+from .samplers import default_oc_sampler, orthogonal_projection_pair
 
 __all__ = [
     "ProjectionMeasure",
@@ -83,7 +83,7 @@ def is_spin_summand(A: AlgebraHandle, samples: int = 10, seed: int = 7) -> bool:
     a o a in span{a, 1}.  This catches spin factors and the 2x2 hermitian
     model (whose self-adjoint part is a 4-dimensional spin factor) alike.
     """
-    if A.kind == "direct_sum":
+    if A.summands[0][0] is not A:
         raise ValueError("pass a single summand; use spin_summands for sums")
     if len(selfadjoint_basis(A)) < 3:
         return False
@@ -100,12 +100,7 @@ def is_spin_summand(A: AlgebraHandle, samples: int = 10, seed: int = 7) -> bool:
 
 def spin_summands(A: AlgebraHandle) -> list[str]:
     """Ids of direct summands flagged as spin (type I2)."""
-    if A.kind == "direct_sum":
-        out = []
-        for p in A.parts:
-            out.extend(spin_summands(p))
-        return out
-    return [A.id] if is_spin_summand(A) else []
+    return [p.id for p, _ in A.summands if is_spin_summand(p)]
 
 
 def vectorize_map(fn: Callable[[Element], Element], target: AlgebraHandle):
@@ -124,37 +119,10 @@ def canonical_projections(A: AlgebraHandle) -> list[Element]:
 
     Matrix models contribute the diagonal and rank-one sum/phase
     projections derived from matrix units; spin factors the projections
-    (1 +/- b)/2 along each H^- axis.
+    (1 +/- b)/2 along each H^- axis; direct sums those of their summands
+    and the unit.
     """
-    out: list[Element] = []
-    if A.kind == "hermitian_matrix":
-        n = A.n
-        for j in range(n):
-            m = np.zeros((n, n), dtype=complex)
-            m[j, j] = 1.0
-            out.append(A.element(m.ravel()))
-        for j in range(n):
-            for k in range(j + 1, n):
-                for phase in (1.0, 1.0j):
-                    v = np.zeros(n, dtype=complex)
-                    v[j] = 1.0
-                    v[k] = phase
-                    m = 0.5 * np.outer(v, v.conj())
-                    out.append(A.element(m.ravel()))
-    elif A.kind == "spin":
-        for i in range(1, A.dim):
-            b = np.zeros(A.dim, dtype=complex)
-            b[i] = 1.0j
-            for sign in (1.0, -1.0):
-                out.append(A.element(0.5 * (A.unit.coords + sign * b)))
-    elif A.kind == "direct_sum":
-        for part, s in zip(A.parts, A._slices):
-            for p in canonical_projections(part):
-                c = np.zeros(A.dim, dtype=complex)
-                c[s] = p.coords
-                out.append(A.element(c))
-        out.append(A.unit)
-    return out
+    return A.canonical_projections()
 
 
 def measure_from_map(
@@ -240,7 +208,7 @@ def verify_linearity_theorem(
     if flagged and theorem_grade:
         raise TypeI2Present(f"spin summands present: {flagged}")
     rng = np.random.default_rng(seed)
-    sampler = oc_pair_sampler(A, "spin_line" if A.kind == "spin" else "same_generator")
+    sampler = default_oc_sampler(A)
     oc_dev = 0.0
     for _ in range(min(trials, 50)):
         a, b = sampler(rng)
@@ -266,9 +234,8 @@ def verify_linearity_theorem(
     for _ in range(trials):
         a = _random(A, rng, "self_adjoint")
         dec = spectral_decomposition(A, a)
-        total = np.zeros_like(np.asarray(mu.eval(A.unit), dtype=float))
-        for lam, p in dec.pairs:
-            total = total + lam * np.asarray(f(p), dtype=float)
+        zero = np.zeros_like(np.asarray(mu.eval(A.unit), dtype=float))
+        total = sum((lam * np.asarray(f(p), dtype=float) for lam, p in dec.pairs), zero)
         fa = np.asarray(f(a), dtype=float)
         scale = 1.0 + jbstar_norm(A, a)
         spectral_dev = max(spectral_dev, _xnorm(fa - total) / scale)

@@ -12,16 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import (
-    AlgebraHandle,
-    Element,
-    _peirce2_handle,
-    _random,
-    involution,
-    jbstar_norm,
-    jordan_product,
-)
-from .calculus import spectral_decomposition, u_operator
+from .algebras import AlgebraHandle, Element, Peirce2Algebra, _random, jbstar_norm
+from .calculus import _axiom_defects, spectral_decomposition
 from .errors import NotTripotent, VerificationFailed
 from .kernel import operator_norm
 from .reports import CheckReport, ResidualCheck
@@ -41,12 +33,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PeirceSystem:
-    """Tripotent with its three Peirce projections as operator matrices."""
+    """Tripotent with its three Peirce projections as operator matrices.
+
+    ``residual`` is the largest defect of the Peirce identities checked when
+    the system was built.
+    """
 
     e: Element
     p2: np.ndarray
     p1: np.ndarray
     p0: np.ndarray
+    residual: float
 
 
 def is_tripotent(A: AlgebraHandle, e: Element) -> ResidualCheck:
@@ -71,8 +68,9 @@ def _lqe(A: AlgebraHandle, e: Element):
 def peirce_system(A: AlgebraHandle, e: Element) -> PeirceSystem:
     """Peirce projections from the polynomial expressions in L(e,e).
 
-    P2 = L(2L - I), P1 = 4L(I - L), P0 = (I - L)(I - 2L); the partition and
-    idempotency identities are verified before returning.
+    P2 = L(2L - I), P1 = 4L(I - L), P0 = (I - L)(I - 2L); the partition,
+    idempotency and mutual orthogonality (all six orders) identities,
+    P2 e = e and P2 = Q(e)^2 are verified before returning.
     """
     chk = is_tripotent(A, e)
     if not chk:
@@ -82,23 +80,16 @@ def peirce_system(A: AlgebraHandle, e: Element) -> PeirceSystem:
     p2 = lee @ (2.0 * lee - eye)
     p1 = 4.0 * (lee @ (eye - lee))
     p0 = (eye - lee) @ (eye - 2.0 * lee)
-    sys = PeirceSystem(e, p2, p1, p0)
-    scale = 1.0 + operator_norm(lee) ** 2
-    checks = [
-        operator_norm(p2 + p1 + p0 - eye),
-        operator_norm(p2 @ p2 - p2),
-        operator_norm(p1 @ p1 - p1),
-        operator_norm(p0 @ p0 - p0),
-        operator_norm(p2 @ p1),
-        operator_norm(p2 @ p0),
-        operator_norm(p1 @ p0),
-        A._norm(p2 @ e.coords - e.coords),
-        operator_norm(p2 - mq @ np.conj(mq)),
-    ]
+    projs = (p2, p1, p0)
+    checks = [operator_norm(p2 + p1 + p0 - eye)]
+    checks += [operator_norm(p @ p - p) for p in projs]
+    checks += [operator_norm(projs[i] @ projs[j]) for i in range(3) for j in range(3) if i != j]
+    checks.append(A._norm(p2 @ e.coords - e.coords))
+    checks.append(operator_norm(p2 - mq @ np.conj(mq)))
     worst = max(checks)
-    if worst > 1e-7 * scale:
+    if worst > 1e-7 * (1.0 + operator_norm(lee) ** 2):
         raise VerificationFailed(f"Peirce projection identities violated (residual {worst:.3e})")
-    return sys
+    return PeirceSystem(e, p2, p1, p0, worst)
 
 
 def peirce2_algebra(A: AlgebraHandle, e: Element) -> AlgebraHandle:
@@ -115,39 +106,27 @@ def peirce2_algebra(A: AlgebraHandle, e: Element) -> AlgebraHandle:
     if rank == 0:
         raise NotTripotent("Peirce-2 range of the zero tripotent is trivial")
     embed = u[:, :rank]
-    sub = _peirce2_handle(A, e.coords, embed)
+    sub = Peirce2Algebra(A, e.coords, embed)
     rng = np.random.default_rng(20_624)
     for _ in range(6):
-        a = _random(sub, rng)
-        b = _random(sub, rng)
-        b2 = jordan_product(sub, b, b)
-        jid = jbstar_norm(
-            sub,
-            jordan_product(sub, jordan_product(sub, a, b), b2)
-            - jordan_product(sub, jordan_product(sub, a, b2), b),
-        )
-        axiom = abs(
-            jbstar_norm(sub, u_operator(sub, a, involution(sub, a))) - jbstar_norm(sub, a) ** 3
-        )
-        na, nb = jbstar_norm(sub, a), jbstar_norm(sub, b)
+        jid, axiom, na, nb = _axiom_defects(sub, _random(sub, rng), _random(sub, rng))
         if jid > 1e-7 * (1.0 + na) * (1.0 + nb) ** 3 or axiom > 1e-6 * (1.0 + na**3):
             raise VerificationFailed("derived Peirce-2 algebra failed its axiom spot checks")
     return sub
 
 
-def peirce2_embed(sub: AlgebraHandle, x: Element) -> Element:
+def peirce2_embed(sub: Peirce2Algebra, x: Element) -> Element:
     """Ambient element corresponding to a Peirce-2 coordinate vector."""
-    if sub.kind != "peirce2":
+    if not isinstance(sub, Peirce2Algebra):
         raise ValueError("not a Peirce-2 algebra handle")
-    amb = sub._payload["ambient"]
-    return Element(amb.id, sub._payload["embed"] @ x.coords)
+    return Element(sub.ambient.id, sub.embed @ x.coords)
 
 
-def peirce2_project(sub: AlgebraHandle, y: Element) -> Element:
+def peirce2_project(sub: Peirce2Algebra, y: Element) -> Element:
     """Peirce-2 coordinates of an ambient element (orthogonal projection)."""
-    if sub.kind != "peirce2":
+    if not isinstance(sub, Peirce2Algebra):
         raise ValueError("not a Peirce-2 algebra handle")
-    return Element(sub.id, sub._payload["embed"].conj().T @ y.coords)
+    return Element(sub.id, sub.embed.conj().T @ y.coords)
 
 
 def sample_tripotent(A: AlgebraHandle, rng: np.random.Generator) -> Element:
@@ -160,32 +139,15 @@ def sample_tripotent(A: AlgebraHandle, rng: np.random.Generator) -> Element:
     signs = rng.choice([-1.0, 0.0, 1.0], size=len(dec.pairs))
     if not np.any(signs):
         signs[int(rng.integers(0, len(signs)))] = 1.0
-    e = A.zero()
-    for sg, (_, idem) in zip(signs, dec.pairs):
-        if sg:
-            e = e + float(sg) * idem
-    return e
+    return sum((float(sg) * idem for sg, (_, idem) in zip(signs, dec.pairs) if sg), A.zero())
 
 
 def peirce_invariants_check(A: AlgebraHandle, trials: int, seed: int) -> CheckReport:
-    """Partition/idempotency/orthogonality residuals over random tripotents."""
+    """Largest Peirce-identity residual (peirce_system) over random tripotents."""
     rng = np.random.default_rng(seed)
-    eye = np.eye(A.dim, dtype=complex)
     worst = 0.0
     for _ in range(trials):
-        e = sample_tripotent(A, rng)
-        sys = peirce_system(A, e)
-        projs = (sys.p2, sys.p1, sys.p0)
-        rs = [operator_norm(sys.p2 + sys.p1 + sys.p0 - eye)]
-        rs += [operator_norm(p @ p - p) for p in projs]
-        rs += [
-            operator_norm(projs[i] @ projs[j])
-            for i in range(3)
-            for j in range(3)
-            if i != j
-        ]
-        rs.append(A._norm(sys.p2 @ e.coords - e.coords))
-        worst = max(worst, max(rs))
+        worst = max(worst, peirce_system(A, sample_tripotent(A, rng)).residual)
     thr = 1e-8
     return CheckReport(
         name=f"peirce-invariants[{A.id}]",
@@ -212,7 +174,7 @@ def kaup_identity_check(A: AlgebraHandle, e: Element, trials: int, seed: int) ->
         ambient = A._triple(xs[0].coords, xs[1].coords, xs[2].coords)
         subs = [peirce2_project(sub, x) for x in xs]
         inner = sub._triple(subs[0].coords, subs[1].coords, subs[2].coords)
-        back = sub._payload["embed"] @ inner
+        back = sub.embed @ inner
         scale = np.prod([1.0 + jbstar_norm(A, x) for x in xs])
         worst = max(worst, A._norm(ambient - back) / scale)
     thr = 1e-7

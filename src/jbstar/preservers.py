@@ -24,6 +24,8 @@ import numpy as np
 from .algebras import (
     AlgebraHandle,
     Element,
+    HermitianMatrixAlgebra,
+    SpinFactor,
     _random,
     element_from_json,
     involution,
@@ -32,7 +34,6 @@ from .algebras import (
 )
 from .calculus import (
     center_basis,
-    central_selfadjoint_basis,
     exp_i,
     is_self_adjoint,
     is_invertible,
@@ -51,7 +52,7 @@ from .errors import (
 )
 from .peirce import is_tripotent, peirce2_algebra, peirce2_embed, peirce2_project
 from .reports import CheckReport
-from .samplers import commuting_projection_pair, oc_pair_sampler
+from .samplers import commuting_projection_pair, default_oc_sampler, oc_pair_sampler
 from .unitary import is_symmetry, is_unitary, unitary_log
 
 __all__ = [
@@ -59,7 +60,6 @@ __all__ = [
     "StructureRecovery",
     "SpinCounterexample",
     "DichotomyResult",
-    "default_oc_sampler",
     "check_oc_additive",
     "check_oc_quadratic",
     "check_piecewise_hom_on_unitaries",
@@ -122,12 +122,6 @@ class DichotomyResult:
     witness: dict | None = None
 
 
-def default_oc_sampler(A: AlgebraHandle):
-    """Strategy suited to the model: spin lines for spin factors, common
-    generator polynomials elsewhere."""
-    return oc_pair_sampler(A, "spin_line" if A.kind == "spin" else "same_generator")
-
-
 def _draw_oc_pair(m: MapUnderTest, sampler, rng) -> tuple[Element, Element]:
     a, b = sampler(rng)
     chk = operator_commutes(m.source, a, b)
@@ -138,31 +132,41 @@ def _draw_oc_pair(m: MapUnderTest, sampler, rng) -> tuple[Element, Element]:
     return a, b
 
 
-def check_oc_additive(
-    m: MapUnderTest, sampler=None, trials: int = 200, seed: int = 0, pass_tol: float = 1e-7
-) -> CheckReport:
-    """Additivity on operator-commuting self-adjoint pairs."""
+def _oc_pair_check(name, m: MapUnderTest, sampler, trials, seed, pass_tol, residual, **details):
+    """Worst normalized residual over operator-commuting pairs, where
+    ``residual(a, b)`` returns (raw residual, scale)."""
     sampler = sampler or default_oc_sampler(m.source)
     rng = np.random.default_rng(seed)
     worst = worst_raw = 0.0
     witness = None
     for _ in range(trials):
         a, b = _draw_oc_pair(m, sampler, rng)
-        r = jbstar_norm(m.target, m(a + b) - m(a) - m(b))
-        scale = 1.0 + jbstar_norm(m.source, a) + jbstar_norm(m.source, b)
+        r, scale = residual(a, b)
         worst_raw = max(worst_raw, r)
         if r / scale > worst:
             worst = r / scale
             if worst > pass_tol:
                 witness = {"a": a.coords.tolist(), "b": b.coords.tolist(), "residual": r}
     return CheckReport(
-        name=f"oc-additive[{m.label}]",
+        name=f"{name}[{m.label}]",
         passed=worst <= pass_tol,
         trials=trials,
         max_residual=worst,
         witness=witness,
-        details={"max_raw_residual": worst_raw, "pass_tol": pass_tol},
+        details={"max_raw_residual": worst_raw, "pass_tol": pass_tol, **details},
     )
+
+
+def check_oc_additive(
+    m: MapUnderTest, sampler=None, trials: int = 200, seed: int = 0, pass_tol: float = 1e-7
+) -> CheckReport:
+    """Additivity on operator-commuting self-adjoint pairs."""
+
+    def residual(a, b):
+        r = jbstar_norm(m.target, m(a + b) - m(a) - m(b))
+        return r, 1.0 + jbstar_norm(m.source, a) + jbstar_norm(m.source, b)
+
+    return _oc_pair_check("oc-additive", m, sampler, trials, seed, pass_tol, residual)
 
 
 def check_oc_quadratic(
@@ -178,12 +182,8 @@ def check_oc_quadratic(
     ``starred`` switches to the triple-product variant used for
     full-algebra maps: Phi(U_a(b*)) = U_{Phi(a)}(Phi(b)*).
     """
-    sampler = sampler or default_oc_sampler(m.source)
-    rng = np.random.default_rng(seed)
-    worst = worst_raw = 0.0
-    witness = None
-    for _ in range(trials):
-        a, b = _draw_oc_pair(m, sampler, rng)
+
+    def residual(a, b):
         if starred:
             lhs = m(u_operator(m.source, a, involution(m.source, b)))
             rhs = u_operator(m.target, m(a), involution(m.target, m(b)))
@@ -191,19 +191,10 @@ def check_oc_quadratic(
             lhs = m(u_operator(m.source, a, b))
             rhs = u_operator(m.target, m(a), m(b))
         r = jbstar_norm(m.target, lhs - rhs)
-        scale = (1.0 + jbstar_norm(m.source, a)) ** 2 * (1.0 + jbstar_norm(m.source, b))
-        worst_raw = max(worst_raw, r)
-        if r / scale > worst:
-            worst = r / scale
-            if worst > pass_tol:
-                witness = {"a": a.coords.tolist(), "b": b.coords.tolist(), "residual": r}
-    return CheckReport(
-        name=f"oc-quadratic[{m.label}]",
-        passed=worst <= pass_tol,
-        trials=trials,
-        max_residual=worst,
-        witness=witness,
-        details={"max_raw_residual": worst_raw, "pass_tol": pass_tol, "starred": starred},
+        return r, (1.0 + jbstar_norm(m.source, a)) ** 2 * (1.0 + jbstar_norm(m.source, b))
+
+    return _oc_pair_check(
+        "oc-quadratic", m, sampler, trials, seed, pass_tol, residual, starred=starred
     )
 
 
@@ -578,13 +569,11 @@ def build_spin_counterexample(n: int, epsilon: float, seed: int = 0) -> SpinCoun
     additive; Phi is therefore additive and quadratic on operator-commuting
     pairs while failing global additivity.
     """
-    from .algebras import build_spin_factor
-
     if n < 3:
         raise ParamOutOfRange(f"need n >= 3, got {n}")
     if not (0.0 < epsilon < 0.5):
         raise ParamOutOfRange(f"epsilon must lie in (0, 0.5), got {epsilon}")
-    V = build_spin_factor(n)
+    V = SpinFactor(n)
 
     def _split(a: Element) -> tuple[float, np.ndarray]:
         if not is_self_adjoint(V, a):
@@ -692,15 +681,13 @@ def check_central_preservation(
     a0 = _random(src, rng, "unitary")
     if jbstar_norm(src, m.inverse(m(a0)) - a0) > 1e-6 * (1.0 + jbstar_norm(src, a0)):
         raise PreconditionFailed("supplied inverse fails the round trip")
-    zbasis = central_selfadjoint_basis(src)
+    zbasis = center_basis(src)
     worst = 0.0
     witness = None
     for _ in range(trials):
         # central unitary -> central unitary
         coeffs = rng.standard_normal(len(zbasis))
-        z = src.zero()
-        for cf, zb in zip(coeffs, zbasis):
-            z = z + float(cf) * zb
+        z = sum((float(cf) * zb for cf, zb in zip(coeffs, zbasis)), src.zero())
         uz = exp_i(src, z, 1.0)
         fu = m(uz)
         r = 0.0
@@ -781,33 +768,34 @@ def check_i_unit_image(m: MapUnderTest, trials: int = 20, seed: int = 0) -> Chec
 # -- JSON map descriptors -----------------------------------------------------
 
 
+def _blockwise_eval(A: AlgebraHandle, act, name: str):
+    """Map applying ``act(part, coords)`` on each summand, all of which must
+    be hermitian-matrix algebras."""
+
+    def f(a: Element) -> Element:
+        out = np.empty(A.dim, dtype=complex)
+        for p, s in A.summands:
+            if not isinstance(p, HermitianMatrixAlgebra):
+                raise PreconditionFailed(f"{name} needs hermitian-matrix (sums) algebras")
+            out[s] = act(p, a.coords[s], s)
+        return Element(A.id, out)
+
+    return f
+
+
 def _conjugation_eval(A: AlgebraHandle, w: Element, adjoint: bool):
     """x -> W X W* per hermitian-matrix part (W* X W when adjoint)."""
 
-    def act(handle: AlgebraHandle, coords: np.ndarray, wc: np.ndarray) -> np.ndarray:
-        if handle.kind == "hermitian_matrix":
-            W = wc.reshape(handle.n, handle.n)
-            X = coords.reshape(handle.n, handle.n)
-            out = W.conj().T @ X @ W if adjoint else W @ X @ W.conj().T
-            return out.ravel()
-        if handle.kind == "direct_sum":
-            return np.concatenate(
-                [act(p, coords[s], wc[s]) for p, s in zip(handle.parts, handle._slices)]
-            )
-        raise PreconditionFailed("theta_conjugation needs hermitian-matrix (sums) algebras")
+    def act(p: HermitianMatrixAlgebra, coords: np.ndarray, s: slice) -> np.ndarray:
+        W = w.coords[s].reshape(p.n, p.n)
+        X = coords.reshape(p.n, p.n)
+        return (W.conj().T @ X @ W if adjoint else W @ X @ W.conj().T).ravel()
 
-    return lambda a: Element(A.id, act(A, a.coords, w.coords))
+    return _blockwise_eval(A, act, "theta_conjugation")
 
 
 def _transpose_eval(A: AlgebraHandle):
-    def act(handle: AlgebraHandle, coords: np.ndarray) -> np.ndarray:
-        if handle.kind == "hermitian_matrix":
-            return coords.reshape(handle.n, handle.n).T.ravel()
-        if handle.kind == "direct_sum":
-            return np.concatenate([act(p, coords[s]) for p, s in zip(handle.parts, handle._slices)])
-        raise PreconditionFailed("transpose needs hermitian-matrix (sums) algebras")
-
-    return lambda a: Element(A.id, act(A, a.coords))
+    return _blockwise_eval(A, lambda p, coords, s: coords.reshape(p.n, p.n).T.ravel(), "transpose")
 
 
 def map_from_descriptor(
@@ -858,7 +846,7 @@ def map_from_descriptor(
         label = "composition(" + ",".join(mp.label for mp in maps) + ")"
         return MapUnderTest(source, tgt, f, label=label, inverse=inverse)
     if kind == "spin_counterexample":
-        if source.kind != "spin":
+        if not isinstance(source, SpinFactor):
             raise PreconditionFailed("spin_counterexample needs a spin source algebra")
         return build_spin_counterexample(source.n, float(desc["epsilon"])).map
     if kind == "exp_form":
@@ -882,15 +870,5 @@ def _beta_from_descriptor(desc: dict, source: AlgebraHandle, target: AlgebraHand
         return lambda a: target.zero()
     if kind == "scaled_trace":
         scale = float(desc["scale"])
-
-        def tr(handle: AlgebraHandle, coords: np.ndarray) -> float:
-            if handle.kind == "hermitian_matrix":
-                return float(np.trace(coords.reshape(handle.n, handle.n)).real)
-            if handle.kind == "spin":
-                return float(coords[0].real)
-            if handle.kind == "direct_sum":
-                return sum(tr(p, coords[s]) for p, s in zip(handle.parts, handle._slices))
-            raise PreconditionFailed("scaled_trace undefined for this algebra kind")
-
-        return lambda a: (scale * tr(source, a.coords)) * target.unit
+        return lambda a: (scale * source.trace(a.coords)) * target.unit
     raise ValueError(f"unknown beta descriptor kind {kind!r}")

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebras import AlgebraHandle, Element, _random, jordan_product
-from .calculus import central_selfadjoint_basis, operator_commutes, spectral_decomposition
+from .algebras import AlgebraHandle, Element, HermitianMatrixAlgebra, _random, jordan_product
+from .calculus import center_basis, operator_commutes, spectral_decomposition
 
 __all__ = [
     "oc_pair_sampler",
+    "default_oc_sampler",
     "same_generator_pair",
     "spin_line_pair",
     "diagonal_pair",
@@ -29,7 +30,7 @@ def same_generator_pair(A: AlgebraHandle, rng: np.random.Generator) -> tuple[Ele
     a = _random(A, rng, "self_adjoint")
     c1, c2 = rng.standard_normal(2)
     b = float(c1) * a + float(c2) * jordan_product(A, a, a)
-    for z in central_selfadjoint_basis(A):
+    for z in center_basis(A):
         b = b + float(rng.standard_normal()) * z
     return a, b
 
@@ -43,7 +44,7 @@ def spin_line_pair(A: AlgebraHandle, rng: np.random.Generator) -> tuple[Element,
 
 def diagonal_pair(A: AlgebraHandle, rng: np.random.Generator) -> tuple[Element, Element]:
     """Commuting real diagonal matrices (hermitian-matrix model only)."""
-    if A.kind != "hermitian_matrix":
+    if not isinstance(A, HermitianMatrixAlgebra):
         raise ValueError("diagonal strategy needs a hermitian_matrix algebra")
     da = np.diag(rng.standard_normal(A.n)).astype(complex)
     db = np.diag(rng.standard_normal(A.n)).astype(complex)
@@ -61,6 +62,12 @@ def oc_pair_sampler(A: AlgebraHandle, strategy: str = "same_generator"):
     """Callable rng -> (a, b) drawing operator-commuting self-adjoint pairs."""
     fn = _STRATEGIES[strategy]
     return lambda rng: fn(A, rng)
+
+
+def default_oc_sampler(A: AlgebraHandle):
+    """The model's own strategy: spin lines for spin factors, common
+    generator polynomials elsewhere."""
+    return oc_pair_sampler(A, A.oc_strategy)
 
 
 def noncommuting_pair(
@@ -90,13 +97,8 @@ def orthogonal_projection_pair(
     cut = int(rng.integers(1, m))
     rest = idx[cut:]
     qn = int(rng.integers(1, rest.size + 1))
-    p = A.zero()
-    q = A.zero()
-    for i in idx[:cut]:
-        p = p + dec.pairs[i][1]
-    for i in rest[:qn]:
-        q = q + dec.pairs[i][1]
-    return p, q
+    p = sum((dec.pairs[i][1] for i in idx[:cut]), A.zero())
+    return p, sum((dec.pairs[i][1] for i in rest[:qn]), A.zero())
 
 
 def commuting_projection_pair(
@@ -110,11 +112,5 @@ def commuting_projection_pair(
         return None
     bits_p = rng.integers(0, 2, size=m)
     bits_q = rng.integers(0, 2, size=m)
-    p = A.zero()
-    q = A.zero()
-    for bp, bq, (_, e) in zip(bits_p, bits_q, dec.pairs):
-        if bp:
-            p = p + e
-        if bq:
-            q = q + e
-    return p, q
+    p = sum((e for bp, (_, e) in zip(bits_p, dec.pairs) if bp), A.zero())
+    return p, sum((e for bq, (_, e) in zip(bits_q, dec.pairs) if bq), A.zero())

@@ -107,10 +107,7 @@ def unitary_power(A: AlgebraHandle, u: Element, n: int) -> Element:
     """u^n through the spectral decomposition (stays in the generated
     associative subalgebra)."""
     nodes, idems, _ = _unitary_decomposition(A, u)
-    out = A.zero()
-    for z, e in zip(nodes, idems):
-        out = out + (z / abs(z)) ** n * e
-    return out
+    return sum(((z / abs(z)) ** n * e for z, e in zip(nodes, idems)), A.zero())
 
 
 def oc_unitary_product_check(A: AlgebraHandle, trials: int, seed: int) -> CheckReport:
@@ -142,12 +139,6 @@ def oc_unitary_product_check(A: AlgebraHandle, trials: int, seed: int) -> CheckR
     )
 
 
-def _paired_exponentials(A, dech, deck, t, s):
-    u = exp_from_decomposition(A, dech, t)
-    v = exp_from_decomposition(A, deck, s)
-    return u, v
-
-
 def oc_unitary_equivalences_check(
     A: AlgebraHandle, trials: int, seed: int, adversarial: int = 0
 ) -> CheckReport:
@@ -176,11 +167,13 @@ def oc_unitary_equivalences_check(
         residual = 0.0
         # (a) + (b): commutation of exponentials, including with the star
         for t in grid:
-            u, v = _paired_exponentials(A, dech, deck, t, t)
+            u = exp_from_decomposition(A, dech, t)
+            v = exp_from_decomposition(A, deck, t)
             residual = max(residual, operator_commutes(A, u, v).residual)
             residual = max(residual, operator_commutes(A, u, involution(A, v)).residual)
         # (c): associativity inside the generated subalgebra
-        u1, v1 = _paired_exponentials(A, dech, deck, 1.0, 1.0)
+        u1 = exp_from_decomposition(A, dech, 1.0)
+        v1 = exp_from_decomposition(A, deck, 1.0)
         words = [u1, v1, jordan_product(A, u1, v1), jordan_product(A, u1, u1)]
         for i in range(len(words)):
             for j in range(len(words)):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jbstar.algebras import (
+    AlgebraHandle,
     build_direct_sum,
     build_hermitian_matrix_algebra,
     build_spin_factor,
@@ -15,11 +16,11 @@ from jbstar.algebras import (
 from jbstar.calculus import (
     associator,
     center_basis,
-    central_selfadjoint_basis,
     exp_i,
     functional_calculus,
     is_invertible,
     is_positive,
+    is_self_adjoint,
     jordan_spectrum,
     mult_operator,
     operator_commutes,
@@ -31,6 +32,7 @@ from jbstar.calculus import (
 )
 from jbstar.errors import NotSelfAdjoint
 from jbstar.kernel import operator_norm
+from jbstar.peirce import peirce2_algebra
 
 import oracles
 
@@ -231,8 +233,43 @@ def test_center_basis():
         assert len(basis) == dim
         unit_dir = A.unit.coords / np.linalg.norm(A.unit.coords)
         assert np.allclose(basis[0].coords, unit_dir)
-    assert len(central_selfadjoint_basis(SUM)) == 2
+        gram = np.array([[np.vdot(y.coords, z.coords) for z in basis] for y in basis])
+        assert np.allclose(gram, np.eye(dim))
+        assert all(is_self_adjoint(A, z) for z in basis)
 
+
+CENTRE_MODELS = [build_hermitian_matrix_algebra(n) for n in range(1, 5)]
+CENTRE_MODELS += [build_spin_factor(n) for n in range(3, 6)]
+CENTRE_MODELS += [
+    build_direct_sum([H3, S3]),
+    build_direct_sum([build_hermitian_matrix_algebra(1), build_hermitian_matrix_algebra(1)]),
+    build_direct_sum([build_direct_sum([H2, S3]), build_hermitian_matrix_algebra(1)]),
+]
+
+
+def _projector(basis):
+    B = np.stack([z.coords for z in basis], axis=1)
+    return B @ B.conj().T
+
+
+@pytest.mark.parametrize("A", CENTRE_MODELS, ids=lambda A: A.id)
+def test_closed_form_centre_matches_kernel_oracle(A):
+    # the base-class route: joint kernel of z -> [M_z, M_{e_k}] over the basis
+    oracle = AlgebraHandle.center_basis(A)
+    got = center_basis(A)
+    assert len(got) == len(oracle) == len(A.summands)
+    assert operator_norm(_projector(got) - _projector(oracle)) <= 1e-12
+
+
+def test_concrete_centres_skip_the_kernel_route(monkeypatch):
+    def refuse(A):
+        raise AssertionError(f"generic centre computed for {A.id}")
+
+    monkeypatch.setattr(AlgebraHandle, "center_basis", refuse)
+    for A in CENTRE_MODELS:
+        center_basis(A)
+    with pytest.raises(AssertionError):
+        center_basis(peirce2_algebra(H2, H2.unit))
 
 def test_is_invertible():
     assert np.allclose(is_invertible(H2, H2.unit).coords, H2.unit.coords)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import jbstar.cli as cli
 from jbstar.cli import RunConfig, list_suites, main, run
 
 
@@ -130,3 +131,31 @@ def test_expected_fail_does_not_flip_verdict(files):
     controls = [c for c in doc["checks"] if c["expected_fail"]]
     assert controls and not controls[0]["passed"]
     assert doc["verdict"] == "pass" and status == 0
+
+
+H2 = {"kind": "hermitian_matrix", "n": 2}
+BAD_INPUTS = {
+    "spin-without-n": ({"kind": "spin"}, []),
+    "sum-without-parts": ({"kind": "direct_sum"}, []),
+    "non-integer-n": ({"kind": "spin", "n": "x"}, []),
+    "matrix-too-large": ({"kind": "hermitian_matrix", "n": 20}, []),
+    "abs-eps-out-of-range": (H2, ["--abs-eps", "0.5"]),
+    "out-in-missing-dir": (H2, ["--out", "{dir}/missing/report.json"]),
+    "out-is-a-directory": (H2, ["--out", "{dir}"]),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_is_usage_error(case, tmp_path, capsys, monkeypatch):
+    desc, extra = BAD_INPUTS[case]
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps(desc))
+    argv = ["axioms", "--algebra", str(alg), "--trials", "1"]
+    argv += [a.format(dir=tmp_path) for a in extra]
+    ran = []
+    monkeypatch.setattr(cli, "run", lambda cfg: ran.append(cfg) or run(cfg))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    if "--out" in extra:
+        assert not ran  # refused before the suite ran

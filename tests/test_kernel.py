@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
-from jbstar.errors import DegenerateInput, NotHermitian, RankDeficient
+from jbstar.errors import DegenerateInput, RankDeficient
 from jbstar.kernel import (
     Tolerance,
-    hermitian_eig,
-    matrix_from_json,
-    matrix_to_json,
     operator_norm,
     real_roots,
     solve_least_squares,
@@ -19,44 +16,6 @@ def test_tolerance_validation():
         Tolerance(abs_eps=0.0)
     with pytest.raises(ValueError):
         Tolerance(cluster_eps=0.5)
-
-
-def test_hermitian_eig_identity():
-    pairs = hermitian_eig(np.eye(3))
-    assert [round(v, 12) for v, _ in pairs] == [1.0, 1.0, 1.0]
-
-
-def test_hermitian_eig_diagonal():
-    pairs = hermitian_eig(np.diag([2.0, -1.0]))
-    assert np.allclose([v for v, _ in pairs], [-1.0, 2.0])
-
-
-def test_hermitian_eig_offdiagonal():
-    # characteristic polynomial lambda^2 - 1 by hand
-    pairs = hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose([v for v, _ in pairs], [-1.0, 1.0])
-
-
-def test_hermitian_eig_rejects_nonhermitian():
-    with pytest.raises(NotHermitian):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(NotHermitian):
-        hermitian_eig(np.ones((2, 3)))
-
-
-def test_hermitian_eig_reconstruction_and_orthonormality():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        n = int(rng.integers(1, 9))
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        m = 0.5 * (g + g.conj().T)
-        pairs = hermitian_eig(m)
-        V = np.stack([v for _, v in pairs], axis=1)
-        lam = np.array([v for v, _ in pairs])
-        assert operator_norm(V.conj().T @ V - np.eye(n)) <= 1e-10
-        recon = (V * lam) @ V.conj().T
-        assert operator_norm(m - recon) <= 1e-8 * (1.0 + operator_norm(m))
-        assert list(lam) == sorted(lam)
 
 
 def test_operator_norm_basics():
@@ -130,10 +89,3 @@ def test_solve_least_squares_normal_equations_case():
 def test_solve_least_squares_rank_deficient():
     with pytest.raises(RankDeficient):
         solve_least_squares(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2))
-
-
-def test_matrix_json_roundtrip():
-    m = np.array([[1.0 + 2j, 0.0], [3.0, -1j]])
-    doc = matrix_to_json(m)
-    assert doc["rows"] == 2 and doc["cols"] == 2
-    assert np.array_equal(matrix_from_json(doc), m)

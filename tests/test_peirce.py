@@ -90,6 +90,7 @@ def test_unitary_peirce2_is_identity():
         u = random_element(A, 4, "unitary")
         sys = peirce_system(A, u)
         assert operator_norm(sys.p2 - np.eye(A.dim)) <= 1e-8
+        assert 0.0 <= sys.residual <= 1e-8
 
 
 def test_peirce2_algebra_unit_tripotent():
