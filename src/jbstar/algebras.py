@@ -56,10 +56,9 @@ class Element:
     coords: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coords, dtype=complex)
-        if not np.all(np.isfinite(c.view(float))):
+        c = np.array(self.coords, dtype=complex)
+        if not np.isfinite(c).all():
             raise ValueError("element coordinates must be finite")
-        c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coords", c)
 
@@ -445,11 +444,11 @@ def _random(A: AlgebraHandle, rng: np.random.Generator, flavor: str = "general")
 
     if flavor == "projection":
         dec = calculus.spectral_decomposition(A, sa)
-        m = len(dec.pairs)
+        m = dec.values.size
         bits = rng.integers(0, 2, size=m)
         if m >= 2 and (bits.sum() == 0 or bits.sum() == m):
             bits[int(rng.integers(0, m))] ^= 1
-        return sum((idem for take, (_, idem) in zip(bits, dec.pairs) if take), A.zero())
+        return Element(A.id, bits @ dec.idempotents)
     if flavor == "unitary":
         scale = rng.uniform(0.3, 2.2)
         return calculus.exp_i(A, scale * sa, 1.0)

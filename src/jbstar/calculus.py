@@ -2,11 +2,13 @@
 
 Multiplication operators, U-operators, triple products, associators,
 operator commutativity, centre, invertibility, Jordan spectrum, and the
-functional calculus built on it.  The spectral route goes through the
-minimal polynomial of Jordan powers (powers of a single element are
-unambiguous by power associativity), so it is the same code for every
-algebra model; the associative eigendecomposition only ever appears as an
-independent oracle in the tests.
+functional calculus built on it.  The spectral route is a Krylov
+compression: Arnoldi from the unit, on x -> a o x, spans the associative
+subalgebra C(1, a) (powers of a single element are unambiguous by power
+associativity), and the compression of L_a to that span is diagonalised by
+a small dense eigensolver.  It is the same code for every algebra model;
+the associative eigendecomposition of a matrix model only ever appears as
+an independent oracle in the tests.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebras import AlgebraHandle, Element, _owned, involution, jbstar_norm, jordan_product
-from .errors import IllConditioned, NotSelfAdjoint, VerificationFailed
-from .kernel import operator_norm, real_roots
+from .errors import NotSelfAdjoint, VerificationFailed
+from .kernel import operator_norm
 from .reports import ResidualCheck
 
 __all__ = [
@@ -43,14 +45,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Pairs (eigenvalue, idempotent) with the reconstruction residual."""
+    """Distinct eigenvalues, ascending, their idempotents as the rows of a
+    read-only (m, dim) coordinate array, and the reconstruction residual."""
 
-    pairs: tuple
+    algebra_id: str
+    values: np.ndarray
+    idempotents: np.ndarray
     residual: float
 
     @property
+    def pairs(self) -> tuple:
+        """(eigenvalue, idempotent element) pairs."""
+        return tuple(
+            (float(lam), Element(self.algebra_id, e)) for lam, e in zip(self.values, self.idempotents)
+        )
+
+    @property
     def eigenvalues(self) -> list[float]:
-        return [lam for lam, _ in self.pairs]
+        return [float(lam) for lam in self.values]
 
 
 def _self_adjoint_defect(A: AlgebraHandle, a: Element) -> tuple[float, float]:
@@ -160,95 +172,73 @@ def is_invertible(A: AlgebraHandle, a: Element) -> Element | None:
     return b
 
 
-# -- minimal polynomial machinery -------------------------------------------
-
-
-def _jordan_powers(A: AlgebraHandle, x: np.ndarray, count: int) -> list[np.ndarray]:
-    powers = [A.unit.coords.astype(complex), x]
-    for _ in range(2, count + 1):
-        powers.append(A._prod(powers[-1], x))
-    return powers
-
-
-def _minimal_dependence(A: AlgebraHandle, x: np.ndarray) -> np.ndarray:
-    """Ascending coefficients of the monic minimal polynomial of x.
-
-    Finds the first Jordan power lying in the span of the lower ones, with
-    rank decisions at abs_eps times the scale of the power matrix.
-    """
-    powers = _jordan_powers(A, x, A.dim)
-    for k in range(1, A.dim + 1):
-        P = np.stack(powers[:k], axis=1)
-        t = powers[k]
-        scale = np.linalg.norm(P) + np.linalg.norm(t)
-        c, *_ = np.linalg.lstsq(P, t, rcond=None)
-        resid = np.linalg.norm(P @ c - t)
-        if resid <= A.tol.abs_eps * scale:
-            return np.concatenate([-c, [1.0]])
-    # the powers 1, x, ..., x^dim always admit a dependence in dimension dim
-    P = np.stack(powers[: A.dim], axis=1)
-    c, *_ = np.linalg.lstsq(P, powers[A.dim], rcond=None)
-    return np.concatenate([-c, [1.0]])
-
-
-def _cluster_complex(nodes: np.ndarray, eps: float) -> list[complex]:
-    """Single-linkage clustering of complex nodes closer than eps."""
-    nodes = list(nodes)
-    parent = list(range(len(nodes)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            if abs(nodes[i] - nodes[j]) <= eps:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[complex]] = {}
-    for i, z in enumerate(nodes):
-        groups.setdefault(find(i), []).append(z)
-    return sorted((complex(np.mean(g)) for g in groups.values()), key=lambda z: (z.real, z.imag))
+# -- Krylov compression -----------------------------------------------------
 
 
 def _abelian_decomposition(A: AlgebraHandle, x: np.ndarray, real_nodes: bool):
-    """Spectral nodes and idempotents of a single power-associative element.
+    """Distinct spectral nodes, their idempotents (rows) and the
+    reconstruction residual of a self-adjoint element (real nodes) or a
+    unitary (nodes on the circle).
 
-    Works for self-adjoint elements (real nodes) and unitaries (nodes on the
-    circle); both generate an associative subalgebra in which Lagrange
-    interpolation at the minimal-polynomial roots yields the idempotents.
+    Arnoldi from the normalised unit, on y -> x o y with classical
+    Gram-Schmidt run twice, spans C(1, x); it stops when the new direction
+    falls to rounding level (64 eps dim).  Both kinds of element act
+    normally on C(1, x), so the compression H of L_x to that span goes to
+    ``eigh`` (after a hermitian check) or to ``eig`` (its vectors
+    re-orthonormalised), and an eigenvector v yields the idempotent
+    <v, 1> v.  Nodes of the heavy eigenvectors, those not almost orthogonal
+    to 1, that lie closer than cluster_eps are merged by single linkage; a
+    cluster's node is the |<v, 1>|^2-weighted mean and its idempotent the
+    sum.  Eigenvectors almost orthogonal to 1 are directions outside
+    C(1, x) that rounding let in; they are dropped unless they lie that
+    close to a heavy node, where their vectors mix with its vector.
     """
+    d = A.dim
     scale = max(A._norm(x), 1.0)
     xn = x / scale
-    coeffs = _minimal_dependence(A, xn)
+    norm1 = np.linalg.norm(A.unit.coords)
+    Q = np.empty((d, d), dtype=complex)  # orthonormal rows
+    XQ = np.empty((d, d), dtype=complex)  # x o q for every row q of Q
+    Q[0] = A.unit.coords / norm1
+    stop = 64.0 * np.finfo(float).eps * d
+    for k in range(1, d + 1):
+        XQ[k - 1] = A._prod(xn, Q[k - 1])
+        if k == d:
+            break
+        Qk = Q[:k]
+        w = XQ[k - 1] - Qk.T @ (Qk.conj() @ XQ[k - 1])
+        w -= Qk.T @ (Qk.conj() @ w)
+        beta = np.linalg.norm(w)
+        if beta <= stop:
+            break
+        Q[k] = w / beta
+    Q, XQ = Q[:k], XQ[:k]
+    H = Q.conj() @ XQ.T
     if real_nodes:
-        imag_max = float(np.max(np.abs(coeffs.imag)))
-        if imag_max > 1e-6 * (1.0 + float(np.max(np.abs(coeffs)))):
-            raise NotSelfAdjoint("minimal polynomial is not real")
-        nodes = [complex(r) for r in real_roots(coeffs.real, A.tol)]
-        if not nodes:
-            raise IllConditioned("no real roots found for a self-adjoint element")
+        if np.max(np.abs(H - H.conj().T)) > 1e-6 * (1.0 + np.max(np.abs(H))):
+            raise NotSelfAdjoint("compression of L_a to C(1, a) is not hermitian")
+        nodes, V = np.linalg.eigh(H)
     else:
-        raw = np.roots(coeffs[::-1])
-        eps = A.tol.cluster_eps * (1.0 + float(np.max(np.abs(raw), initial=0.0)))
-        nodes = _cluster_complex(raw, eps)
-    gap_thr = A.tol.cluster_eps * (1.0 + max(abs(z) for z in nodes))
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            if abs(nodes[i] - nodes[j]) < gap_thr:
-                raise IllConditioned("spectrum points remain within cluster_eps after merging")
-    powers = _jordan_powers(A, xn, max(len(nodes) - 1, 1))
-    idems = []
-    for i, lam in enumerate(nodes):
-        others = [nodes[j] for j in range(len(nodes)) if j != i]
-        poly = np.polynomial.polynomial.polyfromroots(others)
-        denom = np.prod([lam - mu for mu in others]) if others else 1.0
-        vec = sum(c * p for c, p in zip(poly, powers))
-        idems.append(np.asarray(vec, dtype=complex) / denom)
-    recon = sum(lam * e for lam, e in zip(nodes, idems))
-    residual = float(A._norm(np.asarray(recon) * scale - x))
-    return [z * scale for z in nodes], [Element(A.id, e) for e in idems], residual
+        nodes, V = np.linalg.eig(H)
+        # H is normal, but eig's vectors for close nodes need not be orthogonal
+        V = np.linalg.qr(V)[0]
+    weights = norm1 * V[0].conj()  # <v, 1>, as 1 = norm1 q_0 and q_0 is row 0 of Q
+    mass = np.abs(weights) ** 2
+    nodes = nodes * scale
+    heavy = np.flatnonzero(mass > A.tol.abs_eps * norm1**2)
+    gap = A.tol.cluster_eps * (1.0 + np.max(np.abs(nodes[heavy])))
+    near = np.abs(nodes[heavy, None] - nodes[None, heavy]) <= gap
+    for _ in range(heavy.size.bit_length() if near.sum() > heavy.size else 0):
+        near = (near.astype(float) @ near) > 0  # transitive closure: single linkage
+    clusters = near[near.argmax(axis=1) == np.arange(heavy.size)]  # rows of first members
+    dist = np.abs(nodes[:, None] - nodes[None, heavy])
+    member = (clusters[:, dist.argmin(axis=1)] & (dist.min(axis=1) <= gap)).astype(float)
+    nodes = (member @ (mass * nodes)) / (member @ mass)
+    idems = member @ (weights[:, None] * (V.T @ Q))
+    order = np.argsort(nodes)
+    nodes, idems = nodes[order], idems[order]
+    residual = float(A._norm(nodes @ idems - x))
+    return nodes, idems, residual
 
 
 def _require_self_adjoint(A: AlgebraHandle, a: Element):
@@ -258,34 +248,29 @@ def _require_self_adjoint(A: AlgebraHandle, a: Element):
 
 
 def jordan_spectrum(A: AlgebraHandle, a: Element) -> list[float]:
-    """Real roots of the Jordan minimal polynomial of a self-adjoint element."""
-    _require_self_adjoint(A, a)
-    nodes, _, _ = _abelian_decomposition(A, _owned(A, a), real_nodes=True)
-    return sorted(z.real for z in nodes)
+    """Distinct eigenvalues, ascending, of a self-adjoint element."""
+    return spectral_decomposition(A, a).eigenvalues
 
 
 def spectral_decomposition(A: AlgebraHandle, a: Element) -> SpectralDecomposition:
-    """Eigenvalue/idempotent pairs via Lagrange polynomials in Jordan powers."""
+    """Eigenvalues and idempotents by Krylov compression onto C(1, a)."""
     _require_self_adjoint(A, a)
     nodes, idems, residual = _abelian_decomposition(A, _owned(A, a), real_nodes=True)
-    pairs = sorted(zip((z.real for z in nodes), idems), key=lambda p: p[0])
-    return SpectralDecomposition(tuple(pairs), residual)
+    idems.flags.writeable = False
+    return SpectralDecomposition(A.id, nodes, idems, residual)
 
 
 def functional_calculus(A: AlgebraHandle, a: Element, f) -> Element:
     """Sum of f(eigenvalue) times idempotent over the spectral decomposition."""
     dec = spectral_decomposition(A, a)
-    out = A.zero()
-    for lam, e in dec.pairs:
-        val = complex(f(lam))
-        if not (np.isfinite(val.real) and np.isfinite(val.imag)):
-            raise ValueError(f"function value not finite at spectrum point {lam}")
-        out = out + val * e
-    return out
+    vals = np.array([complex(f(lam)) for lam in dec.eigenvalues])
+    if not np.isfinite(vals).all():
+        raise ValueError(f"function value not finite on the spectrum {dec.eigenvalues}")
+    return Element(A.id, vals @ dec.idempotents)
 
 
 def exp_from_decomposition(A: AlgebraHandle, dec: SpectralDecomposition, t: float) -> Element:
-    return sum((np.exp(1j * lam * t) * e for lam, e in dec.pairs), A.zero())
+    return Element(A.id, np.exp(1j * t * dec.values) @ dec.idempotents)
 
 
 def exp_i(A: AlgebraHandle, h: Element, t: float) -> Element:

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -110,16 +111,23 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _need_algebra(config: RunConfig) -> AlgebraHandle:
+@contextmanager
+def _usage_errors():
+    """Report a malformed or out-of-range input as a usage error."""
     try:
+        yield
+    except (JBStarError, ValueError) as exc:
+        raise UsageError(f"{type(exc).__name__}: {exc}") from exc
+
+
+def _need_algebra(config: RunConfig) -> AlgebraHandle:
+    with _usage_errors():
         tol = config.tolerance()
         if config.command == "counterexample" and config.algebra_path is None:
             return build_spin_factor(config.spin_dim, tol)
         if config.algebra_path is None:
             raise UsageError(f"suite {config.command!r} needs --algebra")
         return algebra_from_descriptor(_load_json(config.algebra_path), tol)
-    except (JBStarError, ValueError) as exc:
-        raise UsageError(f"{type(exc).__name__}: {exc}") from exc
 
 
 def _check_writable(path: str) -> None:
@@ -132,7 +140,8 @@ def _check_writable(path: str) -> None:
 def _need_map(config: RunConfig, A: AlgebraHandle) -> MapUnderTest:
     if config.map_path is None:
         raise UsageError(f"suite {config.command!r} needs --map")
-    return map_from_descriptor(_load_json(config.map_path), A)
+    with _usage_errors():
+        return map_from_descriptor(_load_json(config.map_path), A)
 
 
 # -- suite bodies ------------------------------------------------------------
@@ -199,7 +208,8 @@ def _suite_preserver(m: MapUnderTest, trials: int, seed: int) -> list[CheckRepor
 def _suite_counterexample(config: RunConfig, A: AlgebraHandle) -> list[CheckReport]:
     if not isinstance(A, SpinFactor):
         raise UsageError("the counterexample suite needs a spin algebra")
-    cx = build_spin_counterexample(A.n, config.epsilon)
+    with _usage_errors():  # --epsilon out of range, before the suite runs
+        cx = build_spin_counterexample(A.n, config.epsilon)
     rep = verify_counterexample(cx, trials=config.trials, seed=config.seed)
     gap = rep.details["witness_gap"]
     control = CheckReport(

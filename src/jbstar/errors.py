@@ -32,10 +32,6 @@ class NotSelfAdjoint(JBStarError):
     pass
 
 
-class IllConditioned(JBStarError):
-    pass
-
-
 class VerificationFailed(JBStarError):
     pass
 

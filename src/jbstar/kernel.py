@@ -27,8 +27,8 @@ __all__ = [
 class Tolerance:
     """Comparison thresholds used throughout the package.
 
-    ``cluster_eps`` controls merging of nearly coincident eigenvalues and
-    polynomial roots before idempotents are interpolated.
+    ``cluster_eps`` controls merging of nearly coincident eigenvalues (their
+    idempotents are summed) and of polynomial roots.
     """
 
     abs_eps: float = 1e-9

@@ -234,8 +234,7 @@ def verify_linearity_theorem(
     for _ in range(trials):
         a = _random(A, rng, "self_adjoint")
         dec = spectral_decomposition(A, a)
-        zero = np.zeros_like(np.asarray(mu.eval(A.unit), dtype=float))
-        total = sum((lam * np.asarray(f(p), dtype=float) for lam, p in dec.pairs), zero)
+        total = dec.values @ np.stack([np.asarray(f(p), dtype=float) for _, p in dec.pairs])
         fa = np.asarray(f(a), dtype=float)
         scale = 1.0 + jbstar_norm(A, a)
         spectral_dev = max(spectral_dev, _xnorm(fa - total) / scale)

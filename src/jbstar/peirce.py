@@ -100,13 +100,17 @@ def peirce2_algebra(A: AlgebraHandle, e: Element) -> AlgebraHandle:
     algebra.  Jordan-identity and JB*-axiom residuals are spot-checked on
     random samples of the derived algebra.
     """
-    sys = peirce_system(A, e)
+    return _peirce2_of(A, peirce_system(A, e))
+
+
+def _peirce2_of(A: AlgebraHandle, sys: PeirceSystem) -> AlgebraHandle:
+    """peirce2_algebra from an already verified Peirce system."""
     u, s, _ = np.linalg.svd(sys.p2)
     rank = int(np.sum(s > A.tol.abs_eps * max(s[0], 1.0)))
     if rank == 0:
         raise NotTripotent("Peirce-2 range of the zero tripotent is trivial")
     embed = u[:, :rank]
-    sub = Peirce2Algebra(A, e.coords, embed)
+    sub = Peirce2Algebra(A, sys.e.coords, embed)
     rng = np.random.default_rng(20_624)
     for _ in range(6):
         jid, axiom, na, nb = _axiom_defects(sub, _random(sub, rng), _random(sub, rng))
@@ -135,11 +139,11 @@ def sample_tripotent(A: AlgebraHandle, rng: np.random.Generator) -> Element:
     if rng.integers(0, 3) == 0:
         return _random(A, rng, "unitary")
     a = _random(A, rng, "self_adjoint")
-    dec = spectral_decomposition(A, a)
-    signs = rng.choice([-1.0, 0.0, 1.0], size=len(dec.pairs))
+    P = spectral_decomposition(A, a).idempotents
+    signs = rng.choice([-1.0, 0.0, 1.0], size=P.shape[0])
     if not np.any(signs):
         signs[int(rng.integers(0, len(signs)))] = 1.0
-    return sum((float(sg) * idem for sg, (_, idem) in zip(signs, dec.pairs) if sg), A.zero())
+    return Element(A.id, signs @ P)
 
 
 def peirce_invariants_check(A: AlgebraHandle, trials: int, seed: int) -> CheckReport:
@@ -165,8 +169,8 @@ def kaup_identity_check(A: AlgebraHandle, e: Element, trials: int, seed: int) ->
     handle's triple, and the derived algebra's product/involution fed into
     the same triple formula.
     """
-    sub = peirce2_algebra(A, e)
     sys = peirce_system(A, e)
+    sub = _peirce2_of(A, sys)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):

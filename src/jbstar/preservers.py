@@ -805,9 +805,16 @@ def map_from_descriptor(
 
     Kinds: identity | star | transpose | theta_conjugation {w} |
     composition {maps: [...]} (rightmost applied first) |
-    spin_counterexample {epsilon} | exp_form {beta, c, theta}.
+    spin_counterexample {epsilon} | exp_form {beta, c, theta}.  A malformed
+    descriptor raises ValueError.
     """
-    tgt = target or source
+    try:
+        return _build_map(desc, source, target or source)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed map descriptor ({type(exc).__name__}: {exc})") from exc
+
+
+def _build_map(desc: dict, source: AlgebraHandle, tgt: AlgebraHandle) -> MapUnderTest:
     kind = desc.get("kind")
     if kind == "identity":
         f = lambda a: Element(tgt.id, a.coords)

@@ -89,16 +89,15 @@ def orthogonal_projection_pair(
 ) -> tuple[Element, Element] | None:
     """Orthogonal projections from a common spectral decomposition."""
     a = _random(A, rng, "self_adjoint")
-    dec = spectral_decomposition(A, a)
-    m = len(dec.pairs)
+    P = spectral_decomposition(A, a).idempotents
+    m = P.shape[0]
     if m < 2:
         return None
     idx = rng.permutation(m)
     cut = int(rng.integers(1, m))
     rest = idx[cut:]
     qn = int(rng.integers(1, rest.size + 1))
-    p = sum((dec.pairs[i][1] for i in idx[:cut]), A.zero())
-    return p, sum((dec.pairs[i][1] for i in rest[:qn]), A.zero())
+    return Element(A.id, P[idx[:cut]].sum(axis=0)), Element(A.id, P[rest[:qn]].sum(axis=0))
 
 
 def commuting_projection_pair(
@@ -106,11 +105,10 @@ def commuting_projection_pair(
 ) -> tuple[Element, Element] | None:
     """Operator-commuting (possibly overlapping) projection pair."""
     a = _random(A, rng, "self_adjoint")
-    dec = spectral_decomposition(A, a)
-    m = len(dec.pairs)
+    P = spectral_decomposition(A, a).idempotents
+    m = P.shape[0]
     if m < 2:
         return None
     bits_p = rng.integers(0, 2, size=m)
     bits_q = rng.integers(0, 2, size=m)
-    p = sum((e for bp, (_, e) in zip(bits_p, dec.pairs) if bp), A.zero())
-    return p, sum((e for bq, (_, e) in zip(bits_q, dec.pairs) if bq), A.zero())
+    return Element(A.id, bits_p @ P), Element(A.id, bits_q @ P)

@@ -74,40 +74,37 @@ def is_symmetry(A: AlgebraHandle, s: Element) -> bool:
     return dev <= A.tol.abs_eps * (1.0 + jbstar_norm(A, s)) ** 2
 
 
-def _unitary_decomposition(A: AlgebraHandle, u: Element):
-    """Circle-spectrum nodes and idempotents of a unitary element."""
+def _unitary_decomposition(A: AlgebraHandle, u: Element) -> tuple[np.ndarray, np.ndarray]:
+    """Circle-spectrum nodes and idempotents (rows) of a unitary element."""
     chk = is_unitary(A, u)
     if not chk:
         raise NotUnitary(f"unitarity defect {chk.residual:.3e} exceeds {chk.threshold:.3e}")
-    nodes, idems, residual = _abelian_decomposition(A, u.coords, real_nodes=False)
-    off = max(abs(abs(z) - 1.0) for z in nodes)
+    nodes, idems, _ = _abelian_decomposition(A, u.coords, real_nodes=False)
+    off = float(np.max(np.abs(np.abs(nodes) - 1.0)))
     if off > 1e-6:
-        raise NotUnitary(f"minimal-polynomial roots leave the unit circle by {off:.3e}")
-    return nodes, idems, residual
+        raise NotUnitary(f"spectrum points leave the unit circle by {off:.3e}")
+    return nodes, idems
 
 
 def unitary_log(A: AlgebraHandle, u: Element) -> UnitaryLog:
     """Self-adjoint h with exp_i(h, 1) = u, arguments in (-pi, pi]."""
-    nodes, idems, _ = _unitary_decomposition(A, u)
-    ambiguous = any(abs(z + 1.0) <= A.tol.cluster_eps for z in nodes)
-    h = A.zero()
-    for z, e in zip(nodes, idems):
-        # the branch cut is pinned at arg = pi; nodes numerically at -1 may
-        # carry a tiny negative imaginary part that would flip the sign
-        ang = math.pi if abs(z + 1.0) <= A.tol.cluster_eps else float(np.angle(z))
-        h = h + ang * e
+    nodes, idems = _unitary_decomposition(A, u)
+    # the branch cut is pinned at arg = pi; nodes numerically at -1 may
+    # carry a tiny negative imaginary part that would flip the sign
+    at_cut = np.abs(nodes + 1.0) <= A.tol.cluster_eps
+    h = Element(A.id, np.where(at_cut, math.pi, np.angle(nodes)) @ idems)
     back = exp_i(A, h, 1.0)
     r = jbstar_norm(A, back - u)
     if r > 1e-6 * (1.0 + jbstar_norm(A, u)):
         raise VerificationFailed(f"log round trip failed (residual {r:.3e})")
-    return UnitaryLog(h=h, ambiguous=ambiguous)
+    return UnitaryLog(h=h, ambiguous=bool(at_cut.any()))
 
 
 def unitary_power(A: AlgebraHandle, u: Element, n: int) -> Element:
     """u^n through the spectral decomposition (stays in the generated
     associative subalgebra)."""
-    nodes, idems, _ = _unitary_decomposition(A, u)
-    return sum(((z / abs(z)) ** n * e for z, e in zip(nodes, idems)), A.zero())
+    nodes, idems = _unitary_decomposition(A, u)
+    return Element(A.id, (nodes / np.abs(nodes)) ** n @ idems)
 
 
 def oc_unitary_product_check(A: AlgebraHandle, trials: int, seed: int) -> CheckReport:

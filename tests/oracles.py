@@ -74,3 +74,57 @@ def eig_projectors(m):
         P = sum(np.outer(vecs[:, i], vecs[:, i].conj()) for i in idx)
         out.append((float(np.mean(vs)), P))
     return out
+
+
+def spin_gammas(count):
+    """count mutually anticommuting hermitian involutions (Jordan-Wigner
+    strings of Pauli matrices on k qubits, 2k + 1 >= count)."""
+    k = max(1, -(-(count - 1) // 2))
+    eye = np.eye(2, dtype=complex)
+
+    def string(ops):
+        out = np.ones((1, 1), dtype=complex)
+        for op in ops:
+            out = np.kron(out, op)
+        return out
+
+    gams = []
+    for j in range(k):
+        for p in (SX, SY):
+            gams.append(string([SZ] * j + [p] + [eye] * (k - j - 1)))
+    gams.append(string([SZ] * k))
+    return gams[:count]
+
+
+def to_block_matrix(A, coords):
+    """Faithful *-representation of any concrete model by block-diagonal
+    complex matrices: M_n as itself, a spin element x as
+    x_0 I - i sum_j x_j gamma_j, a direct sum blockwise."""
+    blocks = []
+    for part, sl in A.summands:
+        x = np.asarray(coords)[sl]
+        if part.kind == "hermitian_matrix":
+            blocks.append(x.reshape(part.n, part.n))
+        else:
+            gams = spin_gammas(part.dim - 1)
+            blocks.append(x[0] * np.eye(gams[0].shape[0]) - 1j * sum(c * g for c, g in zip(x[1:], gams)))
+    size = sum(b.shape[0] for b in blocks)
+    out = np.zeros((size, size), dtype=complex)
+    i = 0
+    for b in blocks:
+        out[i : i + b.shape[0], i : i + b.shape[0]] = b
+        i += b.shape[0]
+    return out
+
+
+def distinct_eigenvalues(m, gap):
+    """Sorted eigenvalues of a hermitian matrix (eigvalsh), neighbours closer
+    than gap merged into their mean."""
+    vals = np.linalg.eigvalsh(m)
+    groups = [[vals[0]]]
+    for v in vals[1:]:
+        if v - groups[-1][-1] <= gap:
+            groups[-1].append(v)
+        else:
+            groups.append([v])
+    return np.array([np.mean(g) for g in groups])

@@ -87,6 +87,17 @@ def test_jordan_product_bilinear():
         assert jbstar_norm(A, lhs - rhs) <= 1e-10 * (1 + jbstar_norm(A, lhs))
 
 
+def test_element_accepts_strided_coordinates():
+    # a column slice is not contiguous
+    col = np.eye(4, dtype=complex)[:, 1]
+    a = H2.element(col)
+    assert np.array_equal(a.coords, col) and a.coords.flags.c_contiguous
+    bad = np.eye(4, dtype=complex)
+    bad[1, 1] = np.nan
+    with pytest.raises(ValueError):
+        H2.element(bad[:, 1])
+
+
 def test_algebra_mismatch():
     with pytest.raises(AlgebraMismatch):
         jordan_product(H2, H2.unit, H3.unit)

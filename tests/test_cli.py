@@ -134,28 +134,62 @@ def test_expected_fail_does_not_flip_verdict(files):
 
 
 H2 = {"kind": "hermitian_matrix", "n": 2}
+# (suite, algebra descriptor, map descriptor or None, further arguments)
 BAD_INPUTS = {
-    "spin-without-n": ({"kind": "spin"}, []),
-    "sum-without-parts": ({"kind": "direct_sum"}, []),
-    "non-integer-n": ({"kind": "spin", "n": "x"}, []),
-    "matrix-too-large": ({"kind": "hermitian_matrix", "n": 20}, []),
-    "abs-eps-out-of-range": (H2, ["--abs-eps", "0.5"]),
-    "out-in-missing-dir": (H2, ["--out", "{dir}/missing/report.json"]),
-    "out-is-a-directory": (H2, ["--out", "{dir}"]),
+    "spin-without-n": ("axioms", {"kind": "spin"}, None, []),
+    "sum-without-parts": ("axioms", {"kind": "direct_sum"}, None, []),
+    "non-integer-n": ("axioms", {"kind": "spin", "n": "x"}, None, []),
+    "matrix-too-large": ("axioms", {"kind": "hermitian_matrix", "n": 20}, None, []),
+    "abs-eps-out-of-range": ("axioms", H2, None, ["--abs-eps", "0.5"]),
+    "out-in-missing-dir": ("axioms", H2, None, ["--out", "{dir}/missing/report.json"]),
+    "out-is-a-directory": ("axioms", H2, None, ["--out", "{dir}"]),
+    "theta-conjugation-without-w": ("preserver", H2, {"kind": "theta_conjugation"}, []),
+    "composition-without-maps": ("preserver", H2, {"kind": "composition"}, []),
+    "map-element-wrong-size": (
+        "preserver",
+        H2,
+        {"kind": "theta_conjugation", "w": {"coords": [[1.0, 0.0]] * 3}},
+        [],
+    ),
+    "epsilon-out-of-range": ("counterexample", {"kind": "spin", "n": 3}, None, ["--epsilon", "0.7"]),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_is_usage_error(case, tmp_path, capsys, monkeypatch):
-    desc, extra = BAD_INPUTS[case]
+    suite, desc, map_desc, extra = BAD_INPUTS[case]
     alg = tmp_path / "alg.json"
     alg.write_text(json.dumps(desc))
-    argv = ["axioms", "--algebra", str(alg), "--trials", "1"]
+    argv = [suite, "--algebra", str(alg), "--trials", "1"]
+    if map_desc is not None:
+        mp = tmp_path / "map.json"
+        mp.write_text(json.dumps(map_desc))
+        argv += ["--map", str(mp)]
     argv += [a.format(dir=tmp_path) for a in extra]
     ran = []
     monkeypatch.setattr(cli, "run", lambda cfg: ran.append(cfg) or run(cfg))
+    for body in ("verify_counterexample", "check_piecewise_hom_on_unitaries"):
+        monkeypatch.setattr(cli, body, lambda *a, **k: pytest.fail("the suite ran"))
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1, err
     if "--out" in extra:
         assert not ran  # refused before the suite ran
+
+
+H3_S3 = {"kind": "direct_sum", "parts": [{"kind": "hermitian_matrix", "n": 3}, {"kind": "spin", "n": 3}]}
+
+
+@pytest.mark.parametrize("suite,map_kind", [("preserver", "identity"), ("preserver", "star"), ("peirce", None)])
+def test_direct_sum_suites_pass_at_default_seed(suite, map_kind, tmp_path):
+    # these failed on inexact spectral idempotents (NotSelfAdjoint from
+    # unitary_log, NotTripotent from sample_tripotent)
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps(H3_S3))
+    cfg = RunConfig(command=suite, algebra_path=str(alg), trials=200)
+    if map_kind:
+        cfg.map_path = str(tmp_path / "map.json")
+        (tmp_path / "map.json").write_text(json.dumps({"kind": map_kind}))
+    assert cfg.seed == 42
+    doc, status = run(cfg)
+    assert status == 0 and doc["verdict"] == "pass", doc["checks"]

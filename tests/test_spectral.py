@@ -1,0 +1,168 @@
+"""The Krylov spectral route against numpy's hermitian eigensolver.
+
+Inputs are built in a faithful block-matrix representation with a known
+spectrum, often with one pair of eigenvalues only g apart; every check
+compares with ``np.linalg.eigvalsh``/``eigh`` (and ``scipy.linalg.expm``
+for exponentials) on that representation.
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from jbstar import calculus, unitary
+from jbstar.algebras import build_direct_sum, build_hermitian_matrix_algebra, build_spin_factor
+from jbstar.calculus import exp_from_decomposition, exp_i, spectral_decomposition
+from jbstar.errors import NotSelfAdjoint, VerificationFailed
+from jbstar.unitary import unitary_log, unitary_power
+
+import oracles
+
+M10 = build_hermitian_matrix_algebra(10)
+S12 = build_spin_factor(12)
+H3S3 = build_direct_sum([build_hermitian_matrix_algebra(3), build_spin_factor(3)])
+M3S5 = build_direct_sum([build_hermitian_matrix_algebra(3), build_spin_factor(5)])
+GAPS = (1e-2, 1e-4, 1e-6)
+SEEDS = range(50)
+
+
+def _element(A, rng, values):
+    """Self-adjoint element with the given eigenvalues per summand: n of
+    them for M_n (random unitary frame), two for a spin factor (lambda +/-
+    r along a random H^- direction)."""
+    coords, i = [], 0
+    for part, _ in A.summands:
+        if part.kind == "hermitian_matrix":
+            vals = values[i : i + part.n]
+            q, _ = np.linalg.qr(rng.standard_normal((part.n, part.n)) + 1j * rng.standard_normal((part.n, part.n)))
+            m = (q * vals) @ q.conj().T
+            coords.append((0.5 * (m + m.conj().T)).ravel())
+            i += part.n
+        else:
+            lo, hi = sorted(values[i : i + 2])
+            t = rng.standard_normal(part.dim - 1)
+            t *= 0.5 * (hi - lo) / np.linalg.norm(t)
+            coords.append(np.concatenate([[0.5 * (lo + hi)], 1j * t]))
+            i += 2
+    return A.element(np.concatenate(coords))
+
+
+def _slots(A):
+    return sum(part.n if part.kind == "hermitian_matrix" else 2 for part, _ in A.summands)
+
+
+def _clustered(A, rng, g):
+    """Values from a grid on [-2, 2] of spacing 4 / (4 count - 1), except
+    one pair only g apart."""
+    count = _slots(A)
+    vals = np.sort(rng.permutation(np.linspace(-2.0, 2.0, 4 * count))[:count])
+    vals[1] = vals[0] + g
+    return _element(A, rng, rng.permutation(vals))
+
+
+def _check(A, a):
+    m = oracles.to_block_matrix(A, a.coords)
+    scale = 1.0 + np.linalg.norm(m, 2)
+    dec = spectral_decomposition(A, a)
+    want = oracles.distinct_eigenvalues(m, 1e-9 * scale)
+    got = dec.values
+    assert got.shape == want.shape, (got, want)
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    P = [oracles.to_block_matrix(A, p) for p in dec.idempotents]
+    recon = sum(lam * p for lam, p in zip(got, P))
+    assert np.linalg.norm(recon - m, 2) <= 1e-8 * scale
+    for i, p in enumerate(P):
+        assert np.linalg.norm(p @ p - p, 2) <= 1e-7
+        for q in P[i + 1 :]:
+            assert np.linalg.norm(p @ q, 2) <= 1e-7
+
+
+@pytest.mark.parametrize("g", GAPS)
+def test_m10_clustered_pair_against_eigh(g):
+    for seed in SEEDS:
+        _check(M10, _clustered(M10, np.random.default_rng(seed), g))
+
+
+@pytest.mark.parametrize("A", [S12, H3S3, M3S5], ids=lambda A: A.id)
+@pytest.mark.parametrize("g", GAPS)
+def test_spin_and_sums_against_eigh(A, g):
+    # the clustered pair can straddle two summands
+    for seed in range(20):
+        _check(A, _clustered(A, np.random.default_rng(seed), g))
+
+
+@pytest.mark.parametrize("g", [1e-12, 1e-8])
+def test_pair_within_cluster_eps_is_merged(g):
+    # cluster_eps = 1e-7: one idempotent, the sum of the pair's projectors
+    for seed in range(10):
+        a = _clustered(M10, np.random.default_rng(seed), g)
+        m = oracles.to_block_matrix(M10, a.coords)
+        vals, vecs = np.linalg.eigh(m)
+        dec = spectral_decomposition(M10, a)
+        assert dec.values.size == 9
+        assert abs(dec.values[0] - 0.5 * (vals[0] + vals[1])) <= 1e-12 * (1 + np.max(np.abs(vals)))
+        pair = vecs[:, :2] @ vecs[:, :2].conj().T
+        assert np.linalg.norm(dec.idempotents[0].reshape(10, 10) - pair, 2) <= 1e-10
+
+
+def test_decomposition_arrays_match_pairs():
+    dec = spectral_decomposition(H3S3, _clustered(H3S3, np.random.default_rng(0), 1e-4))
+    assert not dec.idempotents.flags.writeable
+    assert dec.idempotents.shape == (dec.values.size, H3S3.dim)
+    assert dec.eigenvalues == [lam for lam, _ in dec.pairs] == list(dec.values)
+    for (_, e), row in zip(dec.pairs, dec.idempotents):
+        assert np.array_equal(e.coords, row)
+    # the vector-matrix product against the sum over pairs it replaced
+    loop = sum((np.exp(0.7j * lam) * e for lam, e in dec.pairs), H3S3.zero())
+    assert np.max(np.abs(exp_from_decomposition(H3S3, dec, 0.7).coords - loop.coords)) <= 1e-14
+
+
+@pytest.mark.parametrize("A", [M10, S12, M3S5], ids=lambda A: A.id)
+def test_exp_i_against_scipy_expm(A):
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        a = _clustered(A, rng, 1e-6)
+        t = float(rng.uniform(-2.0, 2.0))
+        want = scipy.linalg.expm(1j * t * oracles.to_block_matrix(A, a.coords))
+        got = oracles.to_block_matrix(A, exp_i(A, a, t).coords)
+        assert np.linalg.norm(got - want, 2) <= 1e-9
+
+
+@pytest.mark.parametrize("g", GAPS)
+def test_clustered_unitary_log_and_power(g):
+    # arguments of u = exp(i h) inside (-pi, pi), one pair g apart
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        h = _clustered(M10, rng, g)
+        mh = oracles.to_block_matrix(M10, h.coords)
+        u = M10.element(oracles.expm_hermitian(mh).ravel())
+        lg = unitary_log(M10, u)
+        assert not lg.ambiguous
+        assert np.linalg.norm(oracles.to_block_matrix(M10, lg.h.coords) - mh, 2) <= 1e-8
+        for n in (2, -3, 5):
+            got = oracles.to_block_matrix(M10, unitary_power(M10, u, n).coords)
+            assert np.linalg.norm(got - oracles.expm_hermitian(mh, n), 2) <= 1e-9
+
+
+def test_non_hermitian_compression_is_not_self_adjoint():
+    # E_12 is not self-adjoint: L on C(1, E_12) is nilpotent, not hermitian
+    H2 = build_hermitian_matrix_algebra(2)
+    with pytest.raises(NotSelfAdjoint):
+        calculus._abelian_decomposition(H2, np.array([0, 1, 0, 0], dtype=complex), real_nodes=True)
+
+
+def test_broken_idempotents_fail_verification(monkeypatch):
+    h = _clustered(M10, np.random.default_rng(1), 1e-2)
+    u = exp_i(M10, h, 1.0)
+    route = calculus._abelian_decomposition
+
+    def skewed(*args, **kwargs):
+        nodes, idems, residual = route(*args, **kwargs)
+        return nodes, 1.01 * idems, residual
+
+    monkeypatch.setattr(unitary, "_abelian_decomposition", skewed)
+    with pytest.raises(VerificationFailed):
+        unitary_log(M10, u)
+    monkeypatch.setattr(calculus, "_abelian_decomposition", skewed)
+    with pytest.raises(VerificationFailed):
+        exp_i(M10, h, 1.0)
