@@ -28,7 +28,6 @@ from .algebras import (
     algebra_from_descriptor,
     involution,
     jbstar_norm,
-    jordan_product,
 )
 from .calculus import _axiom_defects
 from .errors import JBStarError, TypeI2Present
@@ -45,9 +44,10 @@ from .preservers import (
     recover_structure,
     verify_counterexample,
 )
-from .reports import CheckReport, merge_reports
+from .reports import CheckReport, merge_reports, worst_over_trials
 from .samplers import commuting_projection_pair
 from .unitary import (
+    _symmetric_difference_defects,
     circle_inequality_check,
     oc_unitary_equivalences_check,
     oc_unitary_product_check,
@@ -165,29 +165,15 @@ def _suite_axioms(A: AlgebraHandle, trials: int, seed: int) -> list[CheckReport]
 
 
 def _suite_symmetric_difference(A: AlgebraHandle, trials: int, seed: int) -> list[CheckReport]:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    done = 0
-    attempts = 0
-    while done < trials and attempts < 20 * trials:
-        attempts += 1
+    def trial(rng):
         pq = commuting_projection_pair(A, rng)
         if pq is None:
-            continue
-        p, q = pq
-        d = p + q - 2.0 * jordan_product(A, p, q)
-        r = max(
-            jbstar_norm(A, jordan_product(A, d, d) - d),
-            jbstar_norm(A, involution(A, d) - d),
-        )
-        ups = jbstar_norm(
-            A,
-            (A.unit - 2.0 * d)
-            - jordan_product(A, A.unit - 2.0 * p, A.unit - 2.0 * q),
-        )
-        worst = max(worst, r, ups)
-        done += 1
-    return [CheckReport(f"symmetric-difference[{A.id}]", worst <= 1e-8, done, worst)]
+            return None
+        _, proj, ups = _symmetric_difference_defects(A, *pq)
+        return max(proj, ups), None
+
+    rng = np.random.default_rng(seed)
+    return [worst_over_trials(f"symmetric-difference[{A.id}]", rng, trials, 1e-8, trial)]
 
 
 def _suite_kaup(A: AlgebraHandle, trials: int, seed: int) -> list[CheckReport]:

@@ -16,7 +16,7 @@ from .algebras import AlgebraHandle, Element, Peirce2Algebra, _random, jbstar_no
 from .calculus import _axiom_defects, spectral_decomposition
 from .errors import NotTripotent, VerificationFailed
 from .kernel import operator_norm
-from .reports import CheckReport, ResidualCheck
+from .reports import CheckReport, ResidualCheck, worst_over_trials
 
 __all__ = [
     "PeirceSystem",
@@ -148,18 +148,13 @@ def sample_tripotent(A: AlgebraHandle, rng: np.random.Generator) -> Element:
 
 def peirce_invariants_check(A: AlgebraHandle, trials: int, seed: int) -> CheckReport:
     """Largest Peirce-identity residual (peirce_system) over random tripotents."""
+
+    def trial(rng):
+        return peirce_system(A, sample_tripotent(A, rng)).residual, None
+
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        worst = max(worst, peirce_system(A, sample_tripotent(A, rng)).residual)
     thr = 1e-8
-    return CheckReport(
-        name=f"peirce-invariants[{A.id}]",
-        passed=worst <= thr,
-        trials=trials,
-        max_residual=worst,
-        details={"threshold": thr},
-    )
+    return worst_over_trials(f"peirce-invariants[{A.id}]", rng, trials, thr, trial, threshold=thr)
 
 
 def kaup_identity_check(A: AlgebraHandle, e: Element, trials: int, seed: int) -> CheckReport:
@@ -171,21 +166,16 @@ def kaup_identity_check(A: AlgebraHandle, e: Element, trials: int, seed: int) ->
     """
     sys = peirce_system(A, e)
     sub = _peirce2_of(A, sys)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
+
+    def trial(rng):
         xs = [Element(A.id, sys.p2 @ _random(A, rng).coords) for _ in range(3)]
         ambient = A._triple(xs[0].coords, xs[1].coords, xs[2].coords)
         subs = [peirce2_project(sub, x) for x in xs]
         inner = sub._triple(subs[0].coords, subs[1].coords, subs[2].coords)
         back = sub.embed @ inner
         scale = np.prod([1.0 + jbstar_norm(A, x) for x in xs])
-        worst = max(worst, A._norm(ambient - back) / scale)
+        return A._norm(ambient - back) / scale, None
+
+    rng = np.random.default_rng(seed)
     thr = 1e-7
-    return CheckReport(
-        name=f"kaup-identity[{A.id}]",
-        passed=worst <= thr,
-        trials=trials,
-        max_residual=worst,
-        details={"threshold": thr},
-    )
+    return worst_over_trials(f"kaup-identity[{A.id}]", rng, trials, thr, trial, threshold=thr)

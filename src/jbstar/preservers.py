@@ -51,7 +51,7 @@ from .errors import (
     SamplerViolation,
 )
 from .peirce import is_tripotent, peirce2_algebra, peirce2_embed, peirce2_project
-from .reports import CheckReport
+from .reports import CheckReport, worst_over_trials
 from .samplers import commuting_projection_pair, default_oc_sampler, oc_pair_sampler
 from .unitary import is_symmetry, is_unitary, unitary_log
 
@@ -136,25 +136,21 @@ def _oc_pair_check(name, m: MapUnderTest, sampler, trials, seed, pass_tol, resid
     """Worst normalized residual over operator-commuting pairs, where
     ``residual(a, b)`` returns (raw residual, scale)."""
     sampler = sampler or default_oc_sampler(m.source)
-    rng = np.random.default_rng(seed)
-    worst = worst_raw = 0.0
-    witness = None
-    for _ in range(trials):
+    worst_raw = 0.0
+
+    def trial(rng):
+        nonlocal worst_raw
         a, b = _draw_oc_pair(m, sampler, rng)
         r, scale = residual(a, b)
         worst_raw = max(worst_raw, r)
-        if r / scale > worst:
-            worst = r / scale
-            if worst > pass_tol:
-                witness = {"a": a.coords.tolist(), "b": b.coords.tolist(), "residual": r}
-    return CheckReport(
-        name=f"{name}[{m.label}]",
-        passed=worst <= pass_tol,
-        trials=trials,
-        max_residual=worst,
-        witness=witness,
-        details={"max_raw_residual": worst_raw, "pass_tol": pass_tol, **details},
+        return r / scale, {"a": a.coords.tolist(), "b": b.coords.tolist(), "residual": r}
+
+    rng = np.random.default_rng(seed)
+    rep = worst_over_trials(
+        f"{name}[{m.label}]", rng, trials, pass_tol, trial, pass_tol=pass_tol, **details
     )
+    rep.details["max_raw_residual"] = worst_raw
+    return rep
 
 
 def check_oc_additive(
@@ -210,9 +206,8 @@ def check_piecewise_hom_on_unitaries(
         raise NonUnitaryImage("image of the unit is not unitary")
     unit_residual = jbstar_norm(tgt, img_unit - tgt.unit)
     sampler = default_oc_sampler(src)
-    worst = unit_residual
-    witness = None
-    for _ in range(trials):
+
+    def trial(rng):
         h, k = _draw_oc_pair(m, sampler, rng)
         u = exp_i(src, h, 1.0)
         v = exp_i(src, k, 1.0)
@@ -223,18 +218,11 @@ def check_piecewise_hom_on_unitaries(
         mult = jbstar_norm(tgt, m(jordan_product(src, u, v)) - jordan_product(tgt, fu, fv))
         occ = operator_commutes(tgt, fu, fv)
         r = max(mult, occ.residual)
-        if r > worst:
-            worst = r
-            if r > pass_tol:
-                witness = {"h": h.coords.tolist(), "k": k.coords.tolist(), "residual": r}
-    return CheckReport(
-        name=f"piecewise-hom-unitaries[{m.label}]",
-        passed=worst <= pass_tol,
-        trials=trials,
-        max_residual=worst,
-        witness=witness,
-        details={"unit_residual": unit_residual, "pass_tol": pass_tol},
-    )
+        return r, {"h": h.coords.tolist(), "k": k.coords.tolist(), "residual": r}
+
+    name = f"piecewise-hom-unitaries[{m.label}]"
+    details = {"unit_residual": unit_residual, "pass_tol": pass_tol}
+    return worst_over_trials(name, rng, trials, pass_tol, trial, start=unit_residual, **details)
 
 
 def derive_generator_map(m: MapUnderTest, a: Element, t_small: float = 1.0 / 16.0) -> Element:
@@ -264,10 +252,10 @@ def check_generator_properties(
     src, tgt = m.source, m.target
     rng = np.random.default_rng(seed)
     sampler = default_oc_sampler(src)
-    worst = 0.0
     bound = 0.0
-    witness = None
-    for _ in range(trials):
+
+    def trial(rng):
+        nonlocal bound
         a, b = _draw_oc_pair(m, sampler, rng)
         fa = derive_generator_map(m, a)
         fb = derive_generator_map(m, b)
@@ -281,18 +269,12 @@ def check_generator_properties(
         na = jbstar_norm(src, a)
         if na > 1e-9:
             bound = max(bound, jbstar_norm(tgt, fa) / na)
-        if r > worst:
-            worst = r
-            if r > pass_tol:
-                witness = {"a": a.coords.tolist(), "b": b.coords.tolist()}
-    return CheckReport(
-        name=f"generator-properties[{m.label}]",
-        passed=worst <= pass_tol,
-        trials=trials,
-        max_residual=worst,
-        witness=witness,
-        details={"bound_estimate": bound, "pass_tol": pass_tol},
-    )
+        return r, {"a": a.coords.tolist(), "b": b.coords.tolist()}
+
+    name = f"generator-properties[{m.label}]"
+    rep = worst_over_trials(name, rng, trials, pass_tol, trial, pass_tol=pass_tol)
+    rep.details["bound_estimate"] = bound
+    return rep
 
 
 def verify_jordan_star_isomorphism(
@@ -365,10 +347,8 @@ def verify_unitary_preserver_form(
     if is_invertible(tgt, c) is None:
         raise PreconditionFailed("c is not invertible")
     c_back = theta.inverse(c)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    witness = None
-    for _ in range(trials):
+
+    def trial(rng):
         a = _random(src, rng, "self_adjoint")
         na = jbstar_norm(src, a)
         if na > 2.5:
@@ -383,18 +363,11 @@ def verify_unitary_preserver_form(
         v1 = jordan_product(tgt, phase, exp_i(tgt, jordan_product(tgt, c, theta(a)), 1.0))
         v2 = jordan_product(tgt, phase, theta(exp_i(src, jordan_product(src, c_back, a), 1.0)))
         r = max(jbstar_norm(tgt, v0 - v1), jbstar_norm(tgt, v0 - v2), jbstar_norm(tgt, v1 - v2))
-        if r > worst:
-            worst = r
-            if r > pass_tol:
-                witness = {"a": a.coords.tolist(), "residual": r}
-    return CheckReport(
-        name=f"unitary-preserver-form[{m.label}]",
-        passed=worst <= pass_tol,
-        trials=trials,
-        max_residual=worst,
-        witness=witness,
-        details={"pass_tol": pass_tol},
-    )
+        return r, {"a": a.coords.tolist(), "residual": r}
+
+    rng = np.random.default_rng(seed)
+    name = f"unitary-preserver-form[{m.label}]"
+    return worst_over_trials(name, rng, trials, pass_tol, trial, pass_tol=pass_tol)
 
 
 def classify_factor_dichotomy(
@@ -682,9 +655,8 @@ def check_central_preservation(
     if jbstar_norm(src, m.inverse(m(a0)) - a0) > 1e-6 * (1.0 + jbstar_norm(src, a0)):
         raise PreconditionFailed("supplied inverse fails the round trip")
     zbasis = center_basis(src)
-    worst = 0.0
-    witness = None
-    for _ in range(trials):
+
+    def trial(rng):
         # central unitary -> central unitary
         coeffs = rng.standard_normal(len(zbasis))
         z = sum((float(cf) * zb for cf, zb in zip(coeffs, zbasis)), src.zero())
@@ -707,18 +679,10 @@ def check_central_preservation(
             psi_p = 0.5 * (tgt.unit - m(src.unit - 2.0 * p1))
             psi_q = 0.5 * (tgt.unit - m(src.unit - 2.0 * q1))
             r = max(r, operator_commutes(tgt, psi_p, psi_q).residual)
-        if r > worst:
-            worst = r
-            if r > pass_tol:
-                witness = {"z": z.coords.tolist()}
-    return CheckReport(
-        name=f"central-preservation[{m.label}]",
-        passed=worst <= pass_tol,
-        trials=trials,
-        max_residual=worst,
-        witness=witness,
-        details={"pass_tol": pass_tol},
-    )
+        return r, {"z": z.coords.tolist()}
+
+    name = f"central-preservation[{m.label}]"
+    return worst_over_trials(name, rng, trials, pass_tol, trial, pass_tol=pass_tol)
 
 
 def check_i_unit_image(m: MapUnderTest, trials: int = 20, seed: int = 0) -> CheckReport:

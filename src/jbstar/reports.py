@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,31 @@ def _jsonable(value):
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return str(value)
+
+
+def worst_over_trials(
+    name: str, rng, trials: int, tol: float, trial: Callable, start: float = 0.0, **details
+) -> CheckReport:
+    """Run ``trial(rng)`` ``trials`` times and keep the worst residual.
+
+    ``trial`` returns (residual, witness), or None for a draw that does not
+    count.  The worst residual is counted from ``start``; the witness kept
+    is that of the worst draw when it exceeds ``tol``.  ``trials`` in the
+    report is the number of draws that counted, and a report that counted
+    none does not pass.
+    """
+    worst, witness, counted = start, None, 0
+    for _ in range(trials):
+        drawn = trial(rng)
+        if drawn is None:
+            continue
+        counted += 1
+        residual, w = drawn
+        if residual > worst:
+            worst = residual
+            if residual > tol:
+                witness = w
+    return CheckReport(name, counted > 0 and worst <= tol, counted, worst, witness, details=details)
 
 
 def merge_reports(name: str, reports: list[CheckReport]) -> CheckReport:

@@ -26,7 +26,7 @@ from .calculus import (
     triple_product,
 )
 from .errors import NotProjection, NotUnitary, VerificationFailed
-from .reports import CheckReport, ResidualCheck
+from .reports import CheckReport, ResidualCheck, worst_over_trials
 from .samplers import noncommuting_pair, same_generator_pair
 
 __all__ = [
@@ -113,27 +113,18 @@ def oc_unitary_product_check(A: AlgebraHandle, trials: int, seed: int) -> CheckR
     Pairs are built as exponentials of operator-commuting self-adjoint
     generators; each residual is the is_unitary defect of u o v.
     """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    witness = None
-    for _ in range(trials):
+
+    def trial(rng):
         h, k = same_generator_pair(A, rng)
         if not operator_commutes(A, h, k):
-            continue
+            return None
         u = exp_i(A, h, 1.0)
         v = exp_i(A, k, 1.0)
         chk = is_unitary(A, jordan_product(A, u, v))
-        if chk.residual > worst:
-            worst = chk.residual
-            if chk.residual > 1e-7:
-                witness = {"h": h.coords.tolist(), "k": k.coords.tolist()}
-    return CheckReport(
-        name=f"oc-unitary-product[{A.id}]",
-        passed=worst <= 1e-7,
-        trials=trials,
-        max_residual=worst,
-        witness=witness,
-    )
+        return chk.residual, {"h": h.coords.tolist(), "k": k.coords.tolist()}
+
+    rng = np.random.default_rng(seed)
+    return worst_over_trials(f"oc-unitary-product[{A.id}]", rng, trials, 1e-7, trial)
 
 
 def oc_unitary_equivalences_check(
@@ -150,15 +141,12 @@ def oc_unitary_equivalences_check(
     Adversarial trials confirm that non-commuting generators violate at
     least one of these identities by a factor >= 10 over tolerance.
     """
-    rng = np.random.default_rng(seed)
     grid = (-1.0, -0.5, 0.5, 1.0)
-    worst = 0.0
-    witness = None
-    details: dict = {"grid": list(grid)}
-    for _ in range(trials):
+
+    def trial(rng):
         h, k = same_generator_pair(A, rng)
         if not operator_commutes(A, h, k):
-            continue
+            return None
         dech = spectral_decomposition(A, h)
         deck = spectral_decomposition(A, k)
         residual = 0.0
@@ -192,11 +180,11 @@ def oc_unitary_equivalences_check(
                 rhs = u_operator(A, usk, u2t)
                 residual = max(residual, jbstar_norm(A, lhs - rhs))
                 residual = max(residual, jbstar_norm(A, lhs - lhs_triple))
-        if residual > worst:
-            worst = residual
-            if residual > 1e-7:
-                witness = {"h": h.coords.tolist(), "k": k.coords.tolist()}
-    passed = worst <= 1e-7
+        return residual, {"h": h.coords.tolist(), "k": k.coords.tolist()}
+
+    rng = np.random.default_rng(seed)
+    name = f"oc-unitary-equivalences[{A.id}]"
+    rep = worst_over_trials(name, rng, trials, 1e-7, trial, grid=list(grid))
     if adversarial:
         min_violation = math.inf
         found = 0
@@ -215,66 +203,63 @@ def oc_unitary_equivalences_check(
             )
             violation = max(oc.residual / oc.threshold, exch / oc.threshold)
             min_violation = min(min_violation, violation)
-        details["adversarial_found"] = found
+        rep.details["adversarial_found"] = found
         if found:
-            details["adversarial_min_violation_factor"] = min_violation
-            passed = passed and min_violation >= 10.0
-    return CheckReport(
-        name=f"oc-unitary-equivalences[{A.id}]",
-        passed=passed,
-        trials=trials,
-        max_residual=worst,
-        witness=witness,
-        details=details,
-    )
+            rep.details["adversarial_min_violation_factor"] = min_violation
+            rep.passed = rep.passed and min_violation >= 10.0
+    return rep
 
 
 def circle_inequality_check(A: AlgebraHandle, trials: int, seed: int) -> CheckReport:
     """n ||u - 1|| <= (pi/2) ||u^n - 1|| for unitaries with n ||u - 1|| < 2."""
+
+    def trial(rng):
+        while True:
+            h = _random(A, rng, "self_adjoint")
+            nh = jbstar_norm(A, h)
+            if nh < 1e-12:
+                continue
+            h = (1.0 / nh) * h
+            dec = spectral_decomposition(A, h)
+            tau = rng.uniform(0.01, 0.6)
+            u = exp_from_decomposition(A, dec, tau)
+            r = jbstar_norm(A, u - A.unit)
+            if r < 1e-9:
+                continue
+            nmax = int(min(1.999 / r, 64.0))
+            if nmax < 1:
+                continue
+            n = int(rng.integers(1, nmax + 1))
+            un = exp_from_decomposition(A, dec, tau * n)
+            margin = n * r - (math.pi / 2.0) * jbstar_norm(A, un - A.unit)
+            return margin, {"n": n, "tau": tau}
+
     rng = np.random.default_rng(seed)
-    worst = -math.inf
-    witness = None
-    count = 0
-    while count < trials:
-        h = _random(A, rng, "self_adjoint")
-        nh = jbstar_norm(A, h)
-        if nh < 1e-12:
-            continue
-        h = (1.0 / nh) * h
-        dec = spectral_decomposition(A, h)
-        tau = rng.uniform(0.01, 0.6)
-        u = exp_from_decomposition(A, dec, tau)
-        r = jbstar_norm(A, u - A.unit)
-        if r < 1e-9:
-            continue
-        nmax = int(min(1.999 / r, 64.0))
-        if nmax < 1:
-            continue
-        n = int(rng.integers(1, nmax + 1))
-        un = exp_from_decomposition(A, dec, tau * n)
-        margin = n * r - (math.pi / 2.0) * jbstar_norm(A, un - A.unit)
-        count += 1
-        if margin > worst:
-            worst = margin
-            witness = {"n": n, "tau": tau} if margin > 1e-9 else witness
-    return CheckReport(
-        name=f"circle-inequality[{A.id}]",
-        passed=worst <= 1e-9,
-        trials=trials,
-        max_residual=worst,
-        witness=witness,
-        details={"slack": 1e-9},
-    )
+    name = f"circle-inequality[{A.id}]"
+    return worst_over_trials(name, rng, trials, 1e-9, trial, start=-math.inf, slack=1e-9)
 
 
-def _require_projection(A: AlgebraHandle, p: Element, label: str):
-    thr = A.tol.abs_eps * (1.0 + jbstar_norm(A, p)) ** 2 + A.tol.cluster_eps
-    r = max(
+def _projection_defect(A: AlgebraHandle, p: Element) -> float:
+    return max(
         jbstar_norm(A, jordan_product(A, p, p) - p),
         jbstar_norm(A, involution(A, p) - p),
     )
+
+
+def _require_projection(A: AlgebraHandle, p: Element, label: str, r: float):
+    thr = A.tol.abs_eps * (1.0 + jbstar_norm(A, p)) ** 2 + A.tol.cluster_eps
     if r > thr:
         raise NotProjection(f"{label} is not a projection (residual {r:.3e})")
+
+
+def _symmetric_difference_defects(
+    A: AlgebraHandle, p: Element, q: Element
+) -> tuple[Element, float, float]:
+    """p Delta q with its projection defect and the defect of
+    1 - 2(p Delta q) = (1 - 2p) o (1 - 2q)."""
+    d = p + q - 2.0 * jordan_product(A, p, q)
+    prod = jordan_product(A, A.unit - 2.0 * p, A.unit - 2.0 * q)
+    return d, _projection_defect(A, d), jbstar_norm(A, (A.unit - 2.0 * d) - prod)
 
 
 def symmetric_difference(A: AlgebraHandle, p: Element, q: Element) -> Element:
@@ -283,14 +268,11 @@ def symmetric_difference(A: AlgebraHandle, p: Element, q: Element) -> Element:
     When p and q operator commute the result is verified to be a projection
     and to satisfy 1 - 2(p Delta q) = (1 - 2p) o (1 - 2q).
     """
-    _require_projection(A, p, "p")
-    _require_projection(A, q, "q")
-    d = p + q - 2.0 * jordan_product(A, p, q)
+    _require_projection(A, p, "p", _projection_defect(A, p))
+    _require_projection(A, q, "q", _projection_defect(A, q))
+    d, proj, r = _symmetric_difference_defects(A, p, q)
     if operator_commutes(A, p, q):
-        _require_projection(A, d, "p Delta q")
-        ups = A.unit - 2.0 * d
-        prod = jordan_product(A, A.unit - 2.0 * p, A.unit - 2.0 * q)
-        r = jbstar_norm(A, ups - prod)
+        _require_projection(A, d, "p Delta q", proj)
         if r > 1e-8 * (1.0 + jbstar_norm(A, p)) * (1.0 + jbstar_norm(A, q)):
             raise VerificationFailed(f"symmetric-difference identity violated ({r:.3e})")
     return d

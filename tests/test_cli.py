@@ -78,6 +78,21 @@ def test_exit_codes(files, capsys):
     capsys.readouterr()
 
 
+def test_symmetric_difference_with_no_checked_draw_fails(tmp_path, capsys):
+    # every self-adjoint element of H1 has one eigenvalue, so no draw gives
+    # a commuting projection pair and nothing is checked
+    h1 = tmp_path / "h1.json"
+    h1.write_text(json.dumps({"kind": "hermitian_matrix", "n": 1}))
+    out = tmp_path / "report.json"
+    args = ["symmetric-difference", "--algebra", str(h1), "--trials", "5"]
+    assert main(args + ["--out", str(out)]) == 1
+    check = json.loads(out.read_text())["checks"][0]
+    assert check["trials"] == 0 and check["passed"] is False
+    assert main(args) == 1
+    status, name = capsys.readouterr().out.split()[:2]
+    assert (status, name) == ("FAIL", "symmetric-difference[hermitian_matrix(1)]")
+
+
 def test_pass_run_writes_report(files, tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(

@@ -95,7 +95,8 @@ def _mismatches(got, want, path="$"):
     if isinstance(want, list) and isinstance(got, list):
         if len(got) != len(want):
             return [f"{path}: length {len(got)} != {len(want)}"]
-        return [m for i, (g, w) in enumerate(zip(got, want)) for m in _mismatches(g, w, f"{path}[{i}]")]
+        pairs = enumerate(zip(got, want))
+        return [m for i, (g, w) in pairs for m in _mismatches(g, w, f"{path}[{i}]")]
     return [] if got == want else [f"{path}: {got!r} != {want!r}"]
 
 

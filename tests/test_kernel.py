@@ -4,6 +4,7 @@ import pytest
 from jbstar.errors import DegenerateInput, RankDeficient
 from jbstar.kernel import (
     Tolerance,
+    as_complex_matrix,
     operator_norm,
     real_roots,
     solve_least_squares,
@@ -89,3 +90,21 @@ def test_solve_least_squares_normal_equations_case():
 def test_solve_least_squares_rank_deficient():
     with pytest.raises(RankDeficient):
         solve_least_squares(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2))
+
+
+def test_least_squares_accepts_strided_input():
+    # every other column: the last axis is not contiguous
+    a = np.eye(4, dtype=complex)[:, ::2]
+    x, res = solve_least_squares(a, np.ones(4))
+    assert np.allclose(x, [1.0, 1.0])
+    assert abs(res - np.sqrt(2.0)) <= 1e-12
+
+
+def test_as_complex_matrix_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf, complex(0.0, np.inf)):
+        m = np.eye(4, dtype=complex)
+        m[2, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            as_complex_matrix(m[:, ::2])
+        with pytest.raises(ValueError, match="finite"):
+            as_complex_matrix(m)

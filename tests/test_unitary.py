@@ -13,7 +13,8 @@ from jbstar.algebras import (
 )
 from jbstar.calculus import exp_i, operator_commutes, u_operator
 from jbstar.errors import NotProjection, NotUnitary
-from jbstar.samplers import diagonal_pair, noncommuting_pair
+import jbstar.unitary
+from jbstar.samplers import diagonal_pair, noncommuting_pair, same_generator_pair
 from jbstar.unitary import (
     circle_inequality_check,
     is_symmetry,
@@ -105,6 +106,20 @@ def test_oc_unitary_product_check_models():
     for A in MODELS:
         rep = oc_unitary_product_check(A, trials=50, seed=8)
         assert rep.passed, (A.id, rep.max_residual)
+
+
+def test_oc_unitary_product_check_counts_only_commuting_draws(monkeypatch):
+    # every other draw is a non-commuting pair, which the check skips
+    calls = []
+
+    def alternating(A, rng):
+        calls.append(None)
+        return same_generator_pair(A, rng) if len(calls) % 2 else noncommuting_pair(A, rng)
+
+    monkeypatch.setattr(jbstar.unitary, "same_generator_pair", alternating)
+    rep = oc_unitary_product_check(H3, 10, 0)
+    assert len(calls) == 10
+    assert rep.trials == 5 and rep.passed
 
 
 def test_noncommuting_unitaries_break_jordan_product():
