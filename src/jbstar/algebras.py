@@ -83,6 +83,12 @@ class Element:
     __rmul__ = __mul__
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two square matrices, by one broadcast product."""
+    n, m = a.shape[0], b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * m, n * m)
+
+
 class AlgebraHandle:
     """Immutable JB*-algebra model; one subclass per model kind.
 
@@ -137,6 +143,16 @@ class AlgebraHandle:
         """Matrix of y -> x o y in the algebra basis."""
         cols = [self._prod(x, e) for e in np.eye(self.dim, dtype=complex)]
         return np.stack(cols, axis=1)
+
+    def _u_matrix(self, x: np.ndarray) -> np.ndarray:
+        """Matrix of U_x = 2 M_x^2 - M_{x o x}."""
+        m = self._mult_matrix(x)
+        return 2.0 * (m @ m) - self._mult_matrix(self._prod(x, x))
+
+    def _commutator_norm(self, x: np.ndarray, y: np.ndarray, slack: float) -> float:
+        """||[M_x, M_y]||; a closed form may differ from it by at most ``slack``."""
+        mx, my = self._mult_matrix(x), self._mult_matrix(y)
+        return operator_norm(mx @ my - my @ mx)
 
     def trace(self, x: np.ndarray) -> float:
         raise PreconditionFailed(f"no trace defined on {self.id}")
@@ -223,7 +239,25 @@ class HermitianMatrixAlgebra(AlgebraHandle):
         m = x.reshape(self.n, self.n)
         eye = np.eye(self.n, dtype=complex)
         # row-major vec: vec(MX) = (M kron I) vec(X), vec(XM) = (I kron M^T) vec(X)
-        return 0.5 * (np.kron(m, eye) + np.kron(eye, m.T))
+        return 0.5 * (_kron(m, eye) + _kron(eye, m.T))
+
+    def _u_matrix(self, x: np.ndarray) -> np.ndarray:
+        a = x.reshape(self.n, self.n)
+        return _kron(a, a.T)  # vec(a X a) = (a kron a^T) vec(X)
+
+    def _commutator_norm(self, x: np.ndarray, y: np.ndarray, slack: float) -> float:
+        """[L_a, L_b] = ad_c / 4 with c = ab - ba.  For skew-hermitian c,
+        ||ad_c|| is the spectral diameter of -ic, one n x n ``eigvalsh``; the
+        hermitian part S of c moves ||ad_c|| by at most 2||S||, so that route
+        is taken only when 2||S||_F <= slack.  Otherwise (unitaries, general
+        elements) the commutator need not be normal: the generic SVD."""
+        a, b = x.reshape(self.n, self.n), y.reshape(self.n, self.n)
+        c = a @ b - b @ a
+        ch = c.conj().T
+        if 2.0 * np.linalg.norm(0.5 * (c + ch)) > slack:
+            return super()._commutator_norm(x, y, slack)
+        lam = np.linalg.eigvalsh(-0.5j * (c - ch))
+        return float(0.25 * (lam[-1] - lam[0]))
 
     def trace(self, x: np.ndarray) -> float:
         return float(np.trace(x.reshape(self.n, self.n)).real)
@@ -265,7 +299,7 @@ class SpinFactor(AlgebraHandle):
         # bilinear form is averaged over both operand orders so the
         # product commutes bit-exactly despite FMA in complex multiply
         out = x[0] * y + y[0] * x
-        out[0] -= 0.5 * (np.sum(x * y) + np.sum(y * x))
+        out[0] -= 0.5 * ((x * y).sum() + (y * x).sum())
         return out
 
     def _inv(self, x: np.ndarray) -> np.ndarray:
@@ -274,8 +308,8 @@ class SpinFactor(AlgebraHandle):
         return out
 
     def _norm(self, x: np.ndarray) -> float:
-        n2sq = float(np.sum(np.abs(x) ** 2))
-        inner = np.sum(x * x)  # <x|conj(x)>
+        n2sq = float((np.abs(x) ** 2).sum())
+        inner = (x * x).sum()  # <x|conj(x)>
         val = max(n2sq * n2sq - abs(inner) ** 2, 0.0)
         return float(np.sqrt(n2sq + np.sqrt(val)))
 
@@ -327,11 +361,21 @@ class DirectSum(AlgebraHandle):
     def _norm(self, x: np.ndarray) -> float:
         return max(p._norm(x[s]) for p, s in self.summands)
 
-    def _mult_matrix(self, x: np.ndarray) -> np.ndarray:
+    def _blockwise(self, operator, x: np.ndarray) -> np.ndarray:
+        """Block-diagonal matrix of ``operator(p, x[s])`` over the summands."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for p, s in self.summands:
-            out[s, s] = p._mult_matrix(x[s])
+            out[s, s] = operator(p, x[s])
         return out
+
+    def _mult_matrix(self, x: np.ndarray) -> np.ndarray:
+        return self._blockwise(lambda p, v: p._mult_matrix(v), x)
+
+    def _u_matrix(self, x: np.ndarray) -> np.ndarray:
+        return self._blockwise(lambda p, v: p._u_matrix(v), x)
+
+    def _commutator_norm(self, x: np.ndarray, y: np.ndarray, slack: float) -> float:
+        return max(p._commutator_norm(x[s], y[s], slack) for p, s in self.summands)
 
     def trace(self, x: np.ndarray) -> float:
         return sum(p.trace(x[s]) for p, s in self.summands)

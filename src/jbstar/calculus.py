@@ -2,13 +2,17 @@
 
 Multiplication operators, U-operators, triple products, associators,
 operator commutativity, centre, invertibility, Jordan spectrum, and the
-functional calculus built on it.  The spectral route is a Krylov
-compression: Arnoldi from the unit, on x -> a o x, spans the associative
-subalgebra C(1, a) (powers of a single element are unambiguous by power
-associativity), and the compression of L_a to that span is diagonalised by
-a small dense eigensolver.  It is the same code for every algebra model;
-the associative eigendecomposition of a matrix model only ever appears as
-an independent oracle in the tests.
+functional calculus built on it.  U-operator matrices and commutator norms
+come from the model: closed forms on M_n (a kron a^T, and one n x n
+eigensolve for a skew-hermitian commutator) and blockwise on direct sums,
+products of multiplication matrices elsewhere.
+
+The spectral route is a Krylov compression: Arnoldi from the unit, on
+x -> a o x, spans the associative subalgebra C(1, a) (powers of a single
+element are unambiguous by power associativity), and the compression of L_a
+to that span is diagonalised by a small dense eigensolver.  It is the same
+code for every algebra model; the associative eigendecomposition of a
+matrix model only ever appears as an independent oracle in the tests.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import numpy as np
 
 from .algebras import AlgebraHandle, Element, _owned, involution, jbstar_norm, jordan_product
 from .errors import NotSelfAdjoint, VerificationFailed
-from .kernel import operator_norm
 from .reports import ResidualCheck
 
 __all__ = [
@@ -65,14 +68,15 @@ class SpectralDecomposition:
         return [float(lam) for lam in self.values]
 
 
-def _self_adjoint_defect(A: AlgebraHandle, a: Element) -> tuple[float, float]:
-    """(||a* - a||, threshold) for the self-adjointness test."""
+def _self_adjoint_defect(A: AlgebraHandle, a: Element) -> tuple[float, float, float]:
+    """(||a* - a||, threshold, ||a||) for the self-adjointness test."""
     dev = jbstar_norm(A, involution(A, a) - a)
-    return dev, A.tol.abs_eps * (1.0 + jbstar_norm(A, a))
+    norm = jbstar_norm(A, a)
+    return dev, A.tol.abs_eps * (1.0 + norm), norm
 
 
 def is_self_adjoint(A: AlgebraHandle, a: Element) -> bool:
-    dev, thr = _self_adjoint_defect(A, a)
+    dev, thr, _ = _self_adjoint_defect(A, a)
     return dev <= thr
 
 
@@ -88,10 +92,8 @@ def u_operator(A: AlgebraHandle, a: Element, b: Element) -> Element:
 
 
 def u_operator_matrix(A: AlgebraHandle, a: Element) -> np.ndarray:
-    """Matrix of U_a = 2 M_a^2 - M_{a^2}."""
-    ma = mult_operator(A, a)
-    ma2 = mult_operator(A, jordan_product(A, a, a))
-    return 2.0 * (ma @ ma) - ma2
+    """Matrix of U_a = 2 M_a^2 - M_{a^2} (a kron a^T on M_n, blockwise on sums)."""
+    return A._u_matrix(_owned(A, a))
 
 
 def u_operator_bilinear(A: AlgebraHandle, a: Element, b: Element, c: Element) -> Element:
@@ -131,11 +133,13 @@ def associator(A: AlgebraHandle, a: Element, c: Element, b: Element) -> Element:
 
 
 def operator_commutes(A: AlgebraHandle, a: Element, b: Element) -> ResidualCheck:
-    """Whether M_a and M_b commute, with the commutator norm as residual."""
-    ma = mult_operator(A, a)
-    mb = mult_operator(A, b)
-    residual = operator_norm(ma @ mb - mb @ ma)
+    """Whether M_a and M_b commute, with the commutator norm as residual.
+
+    The model's closed form may differ from the SVD of M_a M_b - M_b M_a by
+    at most 1e-6 times the threshold.
+    """
     threshold = A.tol.abs_eps * (1.0 + jbstar_norm(A, a)) * (1.0 + jbstar_norm(A, b))
+    residual = A._commutator_norm(_owned(A, a), _owned(A, b), 1e-6 * threshold)
     return ResidualCheck(residual <= threshold, residual, threshold)
 
 
@@ -175,7 +179,9 @@ def is_invertible(A: AlgebraHandle, a: Element) -> Element | None:
 # -- Krylov compression -----------------------------------------------------
 
 
-def _abelian_decomposition(A: AlgebraHandle, x: np.ndarray, real_nodes: bool):
+def _abelian_decomposition(
+    A: AlgebraHandle, x: np.ndarray, real_nodes: bool, norm: float | None = None
+):
     """Distinct spectral nodes, their idempotents (rows) and the
     reconstruction residual of a self-adjoint element (real nodes) or a
     unitary (nodes on the circle).
@@ -192,9 +198,10 @@ def _abelian_decomposition(A: AlgebraHandle, x: np.ndarray, real_nodes: bool):
     sum.  Eigenvectors almost orthogonal to 1 are directions outside
     C(1, x) that rounding let in; they are dropped unless they lie that
     close to a heavy node, where their vectors mix with its vector.
+    ``norm`` is ||x|| when the caller has it already.
     """
     d = A.dim
-    scale = max(A._norm(x), 1.0)
+    scale = max(A._norm(x) if norm is None else norm, 1.0)
     xn = x / scale
     norm1 = np.linalg.norm(A.unit.coords)
     Q = np.empty((d, d), dtype=complex)  # orthonormal rows
@@ -241,10 +248,12 @@ def _abelian_decomposition(A: AlgebraHandle, x: np.ndarray, real_nodes: bool):
     return nodes, idems, residual
 
 
-def _require_self_adjoint(A: AlgebraHandle, a: Element):
-    dev, thr = _self_adjoint_defect(A, a)
+def _require_self_adjoint(A: AlgebraHandle, a: Element) -> float:
+    """||a|| of a self-adjoint a; raises NotSelfAdjoint otherwise."""
+    dev, thr, norm = _self_adjoint_defect(A, a)
     if dev > thr:
         raise NotSelfAdjoint(f"deviation from self-adjointness {dev:.3e}")
+    return norm
 
 
 def jordan_spectrum(A: AlgebraHandle, a: Element) -> list[float]:
@@ -254,8 +263,8 @@ def jordan_spectrum(A: AlgebraHandle, a: Element) -> list[float]:
 
 def spectral_decomposition(A: AlgebraHandle, a: Element) -> SpectralDecomposition:
     """Eigenvalues and idempotents by Krylov compression onto C(1, a)."""
-    _require_self_adjoint(A, a)
-    nodes, idems, residual = _abelian_decomposition(A, _owned(A, a), real_nodes=True)
+    norm = _require_self_adjoint(A, a)
+    nodes, idems, residual = _abelian_decomposition(A, _owned(A, a), True, norm)
     idems.flags.writeable = False
     return SpectralDecomposition(A.id, nodes, idems, residual)
 

@@ -1,7 +1,9 @@
 """Tripotents, Peirce projections, and Peirce-2 algebras.
 
 A tripotent e splits the space into the eigenspaces of L(e,e) at 1, 1/2, 0.
-The three Peirce projections are polynomials in L(e,e); the Peirce-2 range
+The three Peirce projections are polynomials in L(e,e), which is formed,
+with the Q(e)^2 that checks P2, from the model's whole multiplication and
+U-operator matrices (closed forms on M_n and direct sums); the Peirce-2 range
 carries its own JB*-algebra structure with product {a,e,b} and involution
 {e,a,e}, which this module materializes as a derived AlgebraHandle.
 """
@@ -55,14 +57,17 @@ def is_tripotent(A: AlgebraHandle, e: Element) -> ResidualCheck:
 
 
 def _lqe(A: AlgebraHandle, e: Element):
-    """Matrices of L(e,e) (linear) and Q(e) (as x -> Mq conj(x))."""
+    """Matrices of L(e,e) and of Q(e)^2, from whole operator matrices.
+
+    L(e,e) = M_{e o e*} + M_e M_{e*} - M_{e*} M_e.  Q(e) y = {e,y,e} =
+    U_e(y*) is conjugate-linear, but Q(e)^2 = U_e U_{e*} is linear, so no
+    conjugate-linear matrix is formed.
+    """
     x = e.coords
-    eye = np.eye(A.dim, dtype=complex)
-    lee = np.stack([A._triple(x, x, eye[j]) for j in range(A.dim)], axis=1)
-    # {e, y, e} is conjugate-linear in y, so columns are taken at basis
-    # vectors and the operator acts on conjugated coordinates
-    mq = np.stack([A._triple(x, eye[j], x) for j in range(A.dim)], axis=1)
-    return lee, mq
+    xs = A._inv(x)
+    me, mes = A._mult_matrix(x), A._mult_matrix(xs)
+    lee = A._mult_matrix(A._prod(x, xs)) + me @ mes - mes @ me
+    return lee, A._u_matrix(x) @ A._u_matrix(xs)
 
 
 def peirce_system(A: AlgebraHandle, e: Element) -> PeirceSystem:
@@ -75,7 +80,7 @@ def peirce_system(A: AlgebraHandle, e: Element) -> PeirceSystem:
     chk = is_tripotent(A, e)
     if not chk:
         raise NotTripotent(f"tripotent defect {chk.residual:.3e} exceeds {chk.threshold:.3e}")
-    lee, mq = _lqe(A, e)
+    lee, q2 = _lqe(A, e)
     eye = np.eye(A.dim, dtype=complex)
     p2 = lee @ (2.0 * lee - eye)
     p1 = 4.0 * (lee @ (eye - lee))
@@ -85,7 +90,7 @@ def peirce_system(A: AlgebraHandle, e: Element) -> PeirceSystem:
     checks += [operator_norm(p @ p - p) for p in projs]
     checks += [operator_norm(projs[i] @ projs[j]) for i in range(3) for j in range(3) if i != j]
     checks.append(A._norm(p2 @ e.coords - e.coords))
-    checks.append(operator_norm(p2 - mq @ np.conj(mq)))
+    checks.append(operator_norm(p2 - q2))
     worst = max(checks)
     if worst > 1e-7 * (1.0 + operator_norm(lee) ** 2):
         raise VerificationFailed(f"Peirce projection identities violated (residual {worst:.3e})")

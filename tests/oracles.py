@@ -128,3 +128,38 @@ def distinct_eigenvalues(m, gap):
         else:
             groups.append([v])
     return np.array([np.mean(g) for g in groups])
+
+
+def kron_mult_matrix(m):
+    """Matrix of X -> (mX + Xm)/2 on row-major M_n coordinates, by np.kron."""
+    eye = np.eye(m.shape[0], dtype=complex)
+    return 0.5 * (np.kron(m, eye) + np.kron(eye, m.T))
+
+
+def spin_prod_np_sum(x, y):
+    """Spin-factor product with the bilinear form summed by np.sum."""
+    out = x[0] * y + y[0] * x
+    out[0] -= 0.5 * (np.sum(x * y) + np.sum(y * x))
+    return out
+
+
+def spin_norm_np_sum(x):
+    """Spin-factor norm with its sums taken by np.sum."""
+    n2sq = float(np.sum(np.abs(x) ** 2))
+    inner = np.sum(x * x)
+    val = max(n2sq * n2sq - abs(inner) ** 2, 0.0)
+    return float(np.sqrt(n2sq + np.sqrt(val)))
+
+
+def peirce_operators_by_columns(A, e):
+    """L(e,e) and Q(e)^2 of a tripotent, one basis column at a time.
+
+    L(e,e) has columns {e,e,b_j}.  Q(e) y = {e,y,e} is conjugate-linear, so
+    its columns {e,b_j,e} act on conjugated coordinates, Q(e) y = Mq conj(y),
+    and Q(e)^2 = Mq conj(Mq).
+    """
+    x = e.coords
+    eye = np.eye(A.dim, dtype=complex)
+    lee = np.stack([A._triple(x, x, eye[j]) for j in range(A.dim)], axis=1)
+    mq = np.stack([A._triple(x, eye[j], x) for j in range(A.dim)], axis=1)
+    return lee, mq @ np.conj(mq)

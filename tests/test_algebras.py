@@ -155,6 +155,26 @@ def test_spin_product_matches_pauli_oracle():
         assert np.allclose(got.coords, np.concatenate([[wl], 1j * wt]))
 
 
+def test_matrix_operators_match_kron_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3, 5, 12):
+        A = build_hermitian_matrix_algebra(n)
+        for _ in range(10):
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            assert np.array_equal(A._mult_matrix(m.ravel()), oracles.kron_mult_matrix(m))
+            assert np.array_equal(A._u_matrix(m.ravel()), np.kron(m, m.T))
+
+
+def test_spin_product_and_norm_match_np_sum_bit_for_bit():
+    rng = np.random.default_rng(42)
+    for d in (3, 4, 8, 17, 40):
+        A = build_spin_factor(d)
+        for _ in range(20):
+            x, y = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(2))
+            assert np.array_equal(A._prod(x, y), oracles.spin_prod_np_sum(x, y))
+            assert A._norm(x) == oracles.spin_norm_np_sum(x)
+
+
 def test_spin_norm_formula():
     rng = np.random.default_rng(5)
     for _ in range(20):

@@ -227,6 +227,70 @@ def test_operator_commutes_iff_associator_vanishes():
             assert bool(oc) == (worst <= 1e-8 * (1 + jbstar_norm(A, a)) * (1 + jbstar_norm(A, b)))
 
 
+M6 = build_hermitian_matrix_algebra(6)
+COMMUTATOR_MODELS = [H3, M6, build_hermitian_matrix_algebra(10), build_direct_sum([H3, S3])]
+COMMUTATOR_MODELS.append(build_direct_sum([H3, build_hermitian_matrix_algebra(4)]))
+
+
+@pytest.mark.parametrize("A", COMMUTATOR_MODELS, ids=lambda A: A.id)
+def test_commutator_norm_matches_generic_route(A):
+    # the model's closed form against the SVD of M_a M_b - M_b M_a
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        a, b = (random_element(A, int(rng.integers(1 << 30)), "self_adjoint") for _ in range(2))
+        c = jordan_product(A, a, a) - 0.5 * a  # commutes with a
+        for y, commuting in ((b, False), (c, True)):
+            slack = 1e-6 * operator_commutes(A, a, y).threshold
+            got = A._commutator_norm(a.coords, y.coords, slack)
+            want = AlgebraHandle._commutator_norm(A, a.coords, y.coords, slack)
+            if commuting:
+                scale = (1 + jbstar_norm(A, a)) * (1 + jbstar_norm(A, y))
+                assert abs(got - want) <= 1e-13 * scale
+            else:
+                assert abs(got - want) <= 1e-13 * want
+
+
+def test_commutator_norm_route_follows_the_commutator(monkeypatch):
+    # self-adjoint pairs on M_n take the n x n eigensolve; unitary pairs and
+    # general pairs, whose commutator need not be normal, take the generic SVD
+    rng = np.random.default_rng(23)
+    route = AlgebraHandle._commutator_norm
+    calls = []
+
+    def spy(A, x, y, slack):
+        calls.append(A.id)
+        return route(A, x, y, slack)
+
+    pairs = {}
+    for A in (H3, M6, build_direct_sum([H3, build_hermitian_matrix_algebra(4)])):
+        for flavor in ("self_adjoint", "unitary", "general"):
+            pairs[A, flavor] = [random_element(A, int(rng.integers(1 << 30)), flavor) for _ in range(2)]
+    monkeypatch.setattr(AlgebraHandle, "_commutator_norm", spy)
+    for (A, flavor), (x, y) in pairs.items():
+        slack = 1e-6 * operator_commutes(A, x, y).threshold
+        calls.clear()
+        got = A._commutator_norm(x.coords, y.coords, slack)
+        if flavor == "self_adjoint":
+            assert calls == []
+        else:
+            assert len(calls) == len(A.summands)
+            if len(A.summands) == 1:
+                assert got == route(A, x.coords, y.coords, slack)
+
+
+U_MODELS = [build_hermitian_matrix_algebra(1), H2, H3, M6, S3, build_spin_factor(5), SUM]
+U_MODELS += [build_direct_sum([H3, S3]), build_direct_sum([build_direct_sum([H2, S3]), H3])]
+U_MODELS.append(peirce2_algebra(H3, H3.element(np.diag([1.0, 1.0, 0.0]).ravel())))
+
+
+@pytest.mark.parametrize("A", U_MODELS, ids=lambda A: A.id)
+def test_u_matrix_matches_generic_form(A):
+    for seed in (24, 25):
+        x = random_element(A, seed).coords
+        want = AlgebraHandle._u_matrix(A, x)  # 2 M_x^2 - M_{x o x}
+        assert operator_norm(A._u_matrix(x) - want) <= 1e-13 * (1 + A._norm(x)) ** 2
+
+
 def test_center_basis():
     for A, dim in ((H2, 1), (H3, 1), (S3, 1), (SUM, 2)):
         basis = center_basis(A)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from jbstar.algebras import (
+    Peirce2Algebra,
     build_direct_sum,
     build_hermitian_matrix_algebra,
     build_spin_factor,
@@ -14,6 +15,7 @@ from jbstar.calculus import center_basis
 from jbstar.errors import NotTripotent
 from jbstar.kernel import operator_norm
 from jbstar.peirce import (
+    _lqe,
     is_tripotent,
     kaup_identity_check,
     peirce2_algebra,
@@ -70,10 +72,7 @@ def test_peirce_system_eigenprojection_oracle():
         for _ in range(5):
             e = sample_tripotent(A, rng)
             sys = peirce_system(A, e)
-            eye = np.eye(A.dim, dtype=complex)
-            lee = np.stack(
-                [A._triple(e.coords, e.coords, eye[:, j]) for j in range(A.dim)], axis=1
-            )
+            lee, _ = oracles.peirce_operators_by_columns(A, e)
             vals, vecs = np.linalg.eig(lee)
             vinv = np.linalg.inv(vecs)
             for target, want in ((1.0, sys.p2), (0.5, sys.p1), (0.0, sys.p0)):
@@ -154,3 +153,40 @@ def test_kaup_identity_examples():
     e = H3.element(np.diag([1.0, 1.0, 0.0]).ravel())
     assert kaup_identity_check(H3, e, trials=20, seed=12).passed
     assert kaup_identity_check(S3, S3.unit, trials=20, seed=13).passed
+
+
+H4 = build_hermitian_matrix_algebra(4)
+LQE_MODELS = [build_hermitian_matrix_algebra(6), build_hermitian_matrix_algebra(12), build_spin_factor(8)]
+LQE_MODELS += [build_direct_sum([H3, build_spin_factor(5)]), build_direct_sum([H2, H3])]
+LQE_MODELS.append(peirce2_algebra(H4, H4.element(np.diag([1.0, 1.0, 0.0, 0.0]).ravel())))
+
+
+def _non_normal_tripotent(A, rng):
+    """A tripotent with [M_e, M_{e*}] != 0: u E_11 on each M_n summand (u a
+    random unitary), (e_1 + i e_2)/2 on each spin summand, and E_12 of the
+    corner on the Peirce-2 algebra of diag(1, 1, 0, 0) in M_4."""
+    if isinstance(A, Peirce2Algebra):
+        return peirce2_project(A, A.ambient.element(np.outer(np.eye(4)[0], np.eye(4)[1]).ravel()))
+    parts = []
+    for p, _ in A.summands:
+        if p.kind == "hermitian_matrix":
+            z = rng.standard_normal((p.n, p.n)) + 1j * rng.standard_normal((p.n, p.n))
+            u = np.linalg.qr(z)[0]
+            parts.append(np.outer(u[:, 0], np.eye(p.n)[0]).ravel())
+        else:
+            parts.append(0.5 * (np.eye(p.dim)[1] + 1j * np.eye(p.dim)[2]))
+    return A.element(np.concatenate(parts))
+
+
+@pytest.mark.parametrize("A", LQE_MODELS, ids=lambda A: A.id)
+def test_closed_form_peirce_operators_match_column_loop(A):
+    # L(e,e) from multiplication matrices and Q(e)^2 = U_e U_{e*} against
+    # the triple product applied to one basis vector at a time
+    rng = np.random.default_rng(14)
+    tripotents = [sample_tripotent(A, rng) for _ in range(3)]
+    for e in [*tripotents, _non_normal_tripotent(A, rng)]:
+        assert is_tripotent(A, e)
+        lee, q2 = _lqe(A, e)
+        want_lee, want_q2 = oracles.peirce_operators_by_columns(A, e)
+        assert operator_norm(lee - want_lee) <= 1e-13
+        assert operator_norm(q2 - want_q2) <= 1e-13
