@@ -157,10 +157,10 @@ class AlgebraHandle:
     def trace(self, x: np.ndarray) -> float:
         raise PreconditionFailed(f"no trace defined on {self.id}")
 
-    def canonical_projections(self) -> list[Element]:
+    def _canonical_projections(self) -> list[np.ndarray]:
         return []
 
-    def center_basis(self) -> list[Element]:
+    def _center(self) -> list[np.ndarray]:
         """Centre as the joint kernel of z -> [M_z, M_{e_k}] over the basis.
 
         The normal equations of the stacked system have order d^5; the
@@ -183,7 +183,7 @@ class AlgebraHandle:
                 halves += [0.5 * (z + zs), -0.5j * (z - zs)]
         return self._central_basis(halves)
 
-    def _central_basis(self, vectors) -> list[Element]:
+    def _central_basis(self, vectors) -> list[np.ndarray]:
         """Gram-Schmidt over the normalised unit followed by ``vectors``
         (central and self-adjoint), dropping dependent ones."""
         out: list[np.ndarray] = []
@@ -193,7 +193,7 @@ class AlgebraHandle:
             nv = np.linalg.norm(v)
             if nv > 1e-8:
                 out.append(v / nv)
-        return [Element(self.id, v) for v in out]
+        return out
 
     @classmethod
     def from_descriptor(cls, doc: dict, tol: Tolerance) -> "AlgebraHandle":
@@ -262,16 +262,16 @@ class HermitianMatrixAlgebra(AlgebraHandle):
     def trace(self, x: np.ndarray) -> float:
         return float(np.trace(x.reshape(self.n, self.n)).real)
 
-    def canonical_projections(self) -> list[Element]:
+    def _canonical_projections(self) -> list[np.ndarray]:
         """Diagonal matrix units and the rank-one sum/phase projections
         onto (e_j + e_k)/sqrt 2 and (e_j + i e_k)/sqrt 2."""
         n, eye = self.n, np.eye(self.n, dtype=complex)
         vs = [(1.0, eye[j]) for j in range(n)]
         pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
         vs += [(0.5, eye[j] + ph * eye[k]) for j, k in pairs for ph in (1.0, 1.0j)]
-        return [self.element((c * np.outer(v, v.conj())).ravel()) for c, v in vs]
+        return [(c * np.outer(v, v.conj())).ravel() for c, v in vs]
 
-    def center_basis(self) -> list[Element]:
+    def _center(self) -> list[np.ndarray]:
         return self._central_basis([])  # a factor: the centre is C 1
 
 
@@ -321,13 +321,13 @@ class SpinFactor(AlgebraHandle):
     def trace(self, x: np.ndarray) -> float:
         return float(x[0].real)
 
-    def canonical_projections(self) -> list[Element]:
+    def _canonical_projections(self) -> list[np.ndarray]:
         """The projections (1 +/- b)/2 along each H^- axis b."""
         d, u = self.dim, self.unit.coords
         b = 1j * np.eye(d, dtype=complex)
-        return [self.element(0.5 * (u + sg * b[i])) for i in range(1, d) for sg in (1.0, -1.0)]
+        return [0.5 * (u + sg * b[i]) for i in range(1, d) for sg in (1.0, -1.0)]
 
-    def center_basis(self) -> list[Element]:
+    def _center(self) -> list[np.ndarray]:
         return self._central_basis([])  # a factor: the centre is C 1
 
 
@@ -381,17 +381,16 @@ class DirectSum(AlgebraHandle):
         return sum(p.trace(x[s]) for p, s in self.summands)
 
     def _embedded(self, per_summand) -> list[np.ndarray]:
-        """The elements ``per_summand(p)`` of every summand p, zero-padded."""
+        """The coordinate vectors ``per_summand(p)`` of every summand p, zero-padded."""
         pads = [(p, (s.start, self.dim - s.stop)) for p, s in self.summands]
-        return [np.pad(a.coords, pad) for p, pad in pads for a in per_summand(p)]
+        return [np.pad(a, pad) for p, pad in pads for a in per_summand(p)]
 
-    def canonical_projections(self) -> list[Element]:
-        embedded = self._embedded(lambda p: p.canonical_projections())
-        return [self.element(c) for c in embedded] + [self.unit]
+    def _canonical_projections(self) -> list[np.ndarray]:
+        return self._embedded(lambda p: p._canonical_projections()) + [self.unit.coords]
 
-    def center_basis(self) -> list[Element]:
+    def _center(self) -> list[np.ndarray]:
         # the centre of a direct sum is the direct sum of the centres
-        return self._central_basis(self._embedded(lambda p: p.center_basis()))
+        return self._central_basis(self._embedded(lambda p: p._center()))
 
     @classmethod
     def from_descriptor(cls, doc: dict, tol: Tolerance) -> "DirectSum":
@@ -472,30 +471,35 @@ def random_element(A: AlgebraHandle, seed: int, flavor: str = "general") -> Elem
     self-adjoint b), ``projection`` (sum of a random subset of spectral
     idempotents), ``unitary`` (exp_i of a random self-adjoint).
     """
-    return _random(A, np.random.default_rng(seed), flavor)
+    return _random_element(A, np.random.default_rng(seed), flavor)
 
 
-def _random(A: AlgebraHandle, rng: np.random.Generator, flavor: str = "general") -> Element:
-    g = Element(A.id, rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim))
+def _random_element(A: AlgebraHandle, rng: np.random.Generator, flavor: str = "general") -> Element:
+    return Element(A.id, _random(A, rng, flavor))
+
+
+def _random(A: AlgebraHandle, rng: np.random.Generator, flavor: str = "general") -> np.ndarray:
+    """Coordinates of a random element of the flavor (see random_element)."""
+    g = rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim)
     if flavor == "general":
         return g
-    sa = 0.5 * (g + involution(A, g))
+    sa = 0.5 * (g + A._inv(g))
     if flavor == "self_adjoint":
         return sa
     if flavor == "positive":
-        return jordan_product(A, sa, sa)
+        return A._prod(sa, sa)
     from . import calculus  # lazy: spectral machinery lives downstream
 
     if flavor == "projection":
-        dec = calculus.spectral_decomposition(A, sa)
+        dec = calculus._decompose(A, sa)
         m = dec.values.size
         bits = rng.integers(0, 2, size=m)
         if m >= 2 and (bits.sum() == 0 or bits.sum() == m):
             bits[int(rng.integers(0, m))] ^= 1
-        return Element(A.id, bits @ dec.idempotents)
+        return bits @ dec.idempotents
     if flavor == "unitary":
         scale = rng.uniform(0.3, 2.2)
-        return calculus.exp_i(A, scale * sa, 1.0)
+        return calculus._exp_i(A, scale * sa, 1.0)
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
@@ -540,7 +544,7 @@ def sa_coords(A: AlgebraHandle, a: Element, basis: list[Element] | None = None) 
 
 def sa_from_coords(A: AlgebraHandle, rho, basis: list[Element] | None = None) -> Element:
     basis = basis if basis is not None else selfadjoint_basis(A)
-    return sum((float(c) * b for c, b in zip(np.asarray(rho, dtype=float), basis)), A.zero())
+    return Element(A.id, np.asarray(rho, dtype=float) @ np.stack([b.coords for b in basis]))
 
 
 # -- JSON interfaces ---------------------------------------------------------

@@ -1,11 +1,13 @@
 """Derived Jordan-algebraic operators and predicates.
 
-Multiplication operators, U-operators, triple products, associators,
-operator commutativity, centre, invertibility, Jordan spectrum, and the
-functional calculus built on it.  U-operator matrices and commutator norms
-come from the model: closed forms on M_n (a kron a^T, and one n x n
-eigensolve for a skew-hermitian commutator) and blockwise on direct sums,
-products of multiplication matrices elsewhere.
+Multiplication operators, U-operators, triple products, operator
+commutativity, centre, invertibility, Jordan spectrum, and the functional
+calculus built on it.  Each public function unwraps its ``Element`` inputs
+once; its private array form serves the other modules' check bodies.
+U-operator matrices and commutator norms come from the model: closed forms
+on M_n (a kron a^T, and one n x n eigensolve for a skew-hermitian
+commutator) and blockwise on direct sums, products of multiplication
+matrices elsewhere.
 
 The spectral route is a Krylov compression: Arnoldi from the unit, on
 x -> a o x, spans the associative subalgebra C(1, a) (powers of a single
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import AlgebraHandle, Element, _owned, involution, jbstar_norm, jordan_product
+from .algebras import AlgebraHandle, Element, _owned
 from .errors import NotSelfAdjoint, VerificationFailed
 from .reports import ResidualCheck
 
@@ -30,9 +32,7 @@ __all__ = [
     "mult_operator",
     "u_operator",
     "u_operator_matrix",
-    "u_operator_bilinear",
     "triple_product",
-    "associator",
     "operator_commutes",
     "center_basis",
     "is_invertible",
@@ -41,7 +41,6 @@ __all__ = [
     "functional_calculus",
     "exp_i",
     "exp_from_decomposition",
-    "is_positive",
     "is_self_adjoint",
 ]
 
@@ -68,15 +67,15 @@ class SpectralDecomposition:
         return [float(lam) for lam in self.values]
 
 
-def _self_adjoint_defect(A: AlgebraHandle, a: Element) -> tuple[float, float, float]:
-    """(||a* - a||, threshold, ||a||) for the self-adjointness test."""
-    dev = jbstar_norm(A, involution(A, a) - a)
-    norm = jbstar_norm(A, a)
+def _self_adjoint_defect(A: AlgebraHandle, x: np.ndarray) -> tuple[float, float, float]:
+    """(||x* - x||, threshold, ||x||) for the self-adjointness test."""
+    dev = A._norm(A._inv(x) - x)
+    norm = A._norm(x)
     return dev, A.tol.abs_eps * (1.0 + norm), norm
 
 
 def is_self_adjoint(A: AlgebraHandle, a: Element) -> bool:
-    dev, thr, _ = _self_adjoint_defect(A, a)
+    dev, thr, _ = _self_adjoint_defect(A, _owned(A, a))
     return dev <= thr
 
 
@@ -87,8 +86,11 @@ def mult_operator(A: AlgebraHandle, a: Element) -> np.ndarray:
 
 def u_operator(A: AlgebraHandle, a: Element, b: Element) -> Element:
     """U_a(b) = 2 (a o b) o a - a^2 o b."""
-    ab = jordan_product(A, a, b)
-    return 2.0 * jordan_product(A, ab, a) - jordan_product(A, jordan_product(A, a, a), b)
+    return Element(A.id, _u_operator(A, _owned(A, a), _owned(A, b)))
+
+
+def _u_operator(A: AlgebraHandle, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return 2.0 * A._prod(A._prod(x, y), x) - A._prod(A._prod(x, x), y)
 
 
 def u_operator_matrix(A: AlgebraHandle, a: Element) -> np.ndarray:
@@ -96,40 +98,20 @@ def u_operator_matrix(A: AlgebraHandle, a: Element) -> np.ndarray:
     return A._u_matrix(_owned(A, a))
 
 
-def u_operator_bilinear(A: AlgebraHandle, a: Element, b: Element, c: Element) -> Element:
-    """U_{a,b}(c) = (a o c) o b + (b o c) o a - (a o b) o c.
-
-    Symmetric in a and b, with diagonal U_{a,a} = U_a; in an associative
-    model it equals (acb + bca)/2.
-    """
-    return (
-        jordan_product(A, jordan_product(A, a, c), b)
-        + jordan_product(A, jordan_product(A, b, c), a)
-        - jordan_product(A, jordan_product(A, a, b), c)
-    )
-
-
-def _axiom_defects(A: AlgebraHandle, a: Element, b: Element) -> tuple[float, float, float, float]:
-    """Jordan-identity defect ||(a o b) o b^2 - (a o b^2) o b||, JB*-axiom
-    defect | ||U_a(a*)|| - ||a||^3 |, ||a|| and ||b|| of a sampled pair."""
-    na, nb = jbstar_norm(A, a), jbstar_norm(A, b)
-    b2 = jordan_product(A, b, b)
-    lhs = jordan_product(A, jordan_product(A, a, b), b2)
-    rhs = jordan_product(A, jordan_product(A, a, b2), b)
-    ua = u_operator(A, a, involution(A, a))
-    return jbstar_norm(A, lhs - rhs), abs(jbstar_norm(A, ua) - na**3), na, nb
+def _axiom_defects(A: AlgebraHandle, x: np.ndarray, y: np.ndarray) -> tuple[float, ...]:
+    """Jordan-identity defect ||(x o y) o y^2 - (x o y^2) o y||, JB*-axiom
+    defect | ||U_x(x*)|| - ||x||^3 |, ||x|| and ||y|| of a sampled pair."""
+    nx, ny = A._norm(x), A._norm(y)
+    y2 = A._prod(y, y)
+    lhs = A._prod(A._prod(x, y), y2)
+    rhs = A._prod(A._prod(x, y2), y)
+    ux = _u_operator(A, x, A._inv(x))
+    return A._norm(lhs - rhs), abs(A._norm(ux) - nx**3), nx, ny
 
 
 def triple_product(A: AlgebraHandle, x: Element, y: Element, z: Element) -> Element:
     """{x,y,z} = (x o y*) o z + (z o y*) o x - (x o z) o y*."""
     return Element(A.id, A._triple(_owned(A, x), _owned(A, y), _owned(A, z)))
-
-
-def associator(A: AlgebraHandle, a: Element, c: Element, b: Element) -> Element:
-    """[a,c,b] = (a o c) o b - a o (c o b)."""
-    return jordan_product(A, jordan_product(A, a, c), b) - jordan_product(
-        A, a, jordan_product(A, c, b)
-    )
 
 
 def operator_commutes(A: AlgebraHandle, a: Element, b: Element) -> ResidualCheck:
@@ -138,8 +120,12 @@ def operator_commutes(A: AlgebraHandle, a: Element, b: Element) -> ResidualCheck
     The model's closed form may differ from the SVD of M_a M_b - M_b M_a by
     at most 1e-6 times the threshold.
     """
-    threshold = A.tol.abs_eps * (1.0 + jbstar_norm(A, a)) * (1.0 + jbstar_norm(A, b))
-    residual = A._commutator_norm(_owned(A, a), _owned(A, b), 1e-6 * threshold)
+    return _operator_commutes(A, _owned(A, a), _owned(A, b))
+
+
+def _operator_commutes(A: AlgebraHandle, x: np.ndarray, y: np.ndarray) -> ResidualCheck:
+    threshold = A.tol.abs_eps * (1.0 + A._norm(x)) * (1.0 + A._norm(y))
+    residual = A._commutator_norm(x, y, 1e-6 * threshold)
     return ResidualCheck(residual <= threshold, residual, threshold)
 
 
@@ -150,7 +136,7 @@ def center_basis(A: AlgebraHandle) -> list[Element]:
     factors, the span of the summand centres for direct sums.  Peirce-2
     algebras use the generic joint-commutator kernel.
     """
-    return A.center_basis()
+    return [Element(A.id, z) for z in A._center()]
 
 
 def is_invertible(A: AlgebraHandle, a: Element) -> Element | None:
@@ -160,20 +146,18 @@ def is_invertible(A: AlgebraHandle, a: Element) -> Element | None:
     identities a o b = 1 and a^2 o b = a; a failing candidate raises
     VerificationFailed to flag tolerance breakdown.
     """
-    ua = u_operator_matrix(A, a)
-    sv = np.linalg.svd(ua, compute_uv=False)
+    x = _owned(A, a)
+    ux = A._u_matrix(x)
+    sv = np.linalg.svd(ux, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] <= A.tol.abs_eps * sv[0]:
         return None
-    b = Element(A.id, np.linalg.solve(ua, a.coords))
-    na, nb = jbstar_norm(A, a), jbstar_norm(A, b)
-    thr = 100.0 * A.tol.abs_eps * (1.0 + na) * (1.0 + na) * (1.0 + nb)
-    r1 = jbstar_norm(A, jordan_product(A, a, b) - A.unit)
-    r2 = jbstar_norm(A, jordan_product(A, jordan_product(A, a, a), b) - a)
-    if max(r1, r2) > thr:
-        raise VerificationFailed(
-            f"candidate inverse failed defining identities (residual {max(r1, r2):.3e})"
-        )
-    return b
+    y = np.linalg.solve(ux, x)
+    nx, ny = A._norm(x), A._norm(y)
+    thr = 100.0 * A.tol.abs_eps * (1.0 + nx) * (1.0 + nx) * (1.0 + ny)
+    r = max(A._norm(A._prod(x, y) - A.unit.coords), A._norm(A._prod(A._prod(x, x), y) - x))
+    if r > thr:
+        raise VerificationFailed(f"candidate inverse failed defining identities (residual {r:.3e})")
+    return Element(A.id, y)
 
 
 # -- Krylov compression -----------------------------------------------------
@@ -248,14 +232,6 @@ def _abelian_decomposition(
     return nodes, idems, residual
 
 
-def _require_self_adjoint(A: AlgebraHandle, a: Element) -> float:
-    """||a|| of a self-adjoint a; raises NotSelfAdjoint otherwise."""
-    dev, thr, norm = _self_adjoint_defect(A, a)
-    if dev > thr:
-        raise NotSelfAdjoint(f"deviation from self-adjointness {dev:.3e}")
-    return norm
-
-
 def jordan_spectrum(A: AlgebraHandle, a: Element) -> list[float]:
     """Distinct eigenvalues, ascending, of a self-adjoint element."""
     return spectral_decomposition(A, a).eigenvalues
@@ -263,8 +239,14 @@ def jordan_spectrum(A: AlgebraHandle, a: Element) -> list[float]:
 
 def spectral_decomposition(A: AlgebraHandle, a: Element) -> SpectralDecomposition:
     """Eigenvalues and idempotents by Krylov compression onto C(1, a)."""
-    norm = _require_self_adjoint(A, a)
-    nodes, idems, residual = _abelian_decomposition(A, _owned(A, a), True, norm)
+    return _decompose(A, _owned(A, a))
+
+
+def _decompose(A: AlgebraHandle, x: np.ndarray) -> SpectralDecomposition:
+    dev, thr, norm = _self_adjoint_defect(A, x)
+    if dev > thr:
+        raise NotSelfAdjoint(f"deviation from self-adjointness {dev:.3e}")
+    nodes, idems, residual = _abelian_decomposition(A, x, True, norm)
     idems.flags.writeable = False
     return SpectralDecomposition(A.id, nodes, idems, residual)
 
@@ -279,7 +261,11 @@ def functional_calculus(A: AlgebraHandle, a: Element, f) -> Element:
 
 
 def exp_from_decomposition(A: AlgebraHandle, dec: SpectralDecomposition, t: float) -> Element:
-    return Element(A.id, np.exp(1j * t * dec.values) @ dec.idempotents)
+    return Element(A.id, _exp(dec, t))
+
+
+def _exp(dec: SpectralDecomposition, t: float) -> np.ndarray:
+    return np.exp(1j * t * dec.values) @ dec.idempotents
 
 
 def exp_i(A: AlgebraHandle, h: Element, t: float) -> Element:
@@ -288,18 +274,12 @@ def exp_i(A: AlgebraHandle, h: Element, t: float) -> Element:
     The result is checked to be unitary; a large residual indicates a
     decomposition breakdown and raises VerificationFailed.
     """
-    dec = spectral_decomposition(A, h)
-    u = exp_from_decomposition(A, dec, t)
-    us = involution(A, u)
-    r = jbstar_norm(A, jordan_product(A, u, us) - A.unit)
-    if r > 1e-7 * (1.0 + jbstar_norm(A, u)) ** 2:
+    return Element(A.id, _exp_i(A, _owned(A, h), t))
+
+
+def _exp_i(A: AlgebraHandle, x: np.ndarray, t: float) -> np.ndarray:
+    u = _exp(_decompose(A, x), t)
+    r = A._norm(A._prod(u, A._inv(u)) - A.unit.coords)
+    if r > 1e-7 * (1.0 + A._norm(u)) ** 2:
         raise VerificationFailed(f"exp_i produced a non-unitary element (residual {r:.3e})")
     return u
-
-
-def is_positive(A: AlgebraHandle, a: Element) -> bool:
-    """Self-adjoint with Jordan spectrum in [-tol, infinity)."""
-    if not is_self_adjoint(A, a):
-        return False
-    spectrum = jordan_spectrum(A, a)
-    return min(spectrum) >= -A.tol.abs_eps * (1.0 + jbstar_norm(A, a)) - A.tol.cluster_eps

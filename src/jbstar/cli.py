@@ -27,7 +27,6 @@ from .algebras import (
     build_spin_factor,
     algebra_from_descriptor,
     involution,
-    jbstar_norm,
 )
 from .calculus import _axiom_defects
 from .errors import JBStarError, TypeI2Present
@@ -45,7 +44,7 @@ from .preservers import (
     verify_counterexample,
 )
 from .reports import CheckReport, merge_reports, worst_over_trials
-from .samplers import commuting_projection_pair
+from .samplers import _commuting_projection_pair
 from .unitary import (
     _symmetric_difference_defects,
     circle_inequality_check,
@@ -84,7 +83,6 @@ class RunConfig:
     trials: int = 200
     seed: int = 42
     abs_eps: float | None = None
-    rel_eps: float | None = None
     cluster_eps: float | None = None
     out_path: str | None = None
     epsilon: float = 0.3
@@ -92,7 +90,7 @@ class RunConfig:
     exploratory: bool = False
 
     def tolerance(self) -> Tolerance:
-        names = ("abs_eps", "rel_eps", "cluster_eps")
+        names = ("abs_eps", "cluster_eps")
         return Tolerance(**{k: getattr(self, k) for k in names if getattr(self, k) is not None})
 
     def echo(self) -> dict:
@@ -152,11 +150,10 @@ def _suite_axioms(A: AlgebraHandle, trials: int, seed: int) -> list[CheckReport]
     jid = axiom = isom = 0.0
     for _ in range(trials):
         a = _random(A, rng)
-        b = _random(A, rng)
-        jd, ad, na, nb = _axiom_defects(A, a, b)
+        jd, ad, na, nb = _axiom_defects(A, a, _random(A, rng))
         jid = max(jid, jd / ((1.0 + na) * (1.0 + nb) ** 3))
         axiom = max(axiom, ad / (1.0 + na**3))
-        isom = max(isom, abs(jbstar_norm(A, involution(A, a)) - na) / (1.0 + na))
+        isom = max(isom, abs(A._norm(A._inv(a)) - na) / (1.0 + na))
     return [
         CheckReport(f"jordan-identity[{A.id}]", jid <= 1e-8, trials, jid),
         CheckReport(f"jbstar-axiom[{A.id}]", axiom <= 1e-6, trials, axiom),
@@ -166,7 +163,7 @@ def _suite_axioms(A: AlgebraHandle, trials: int, seed: int) -> list[CheckReport]
 
 def _suite_symmetric_difference(A: AlgebraHandle, trials: int, seed: int) -> list[CheckReport]:
     def trial(rng):
-        pq = commuting_projection_pair(A, rng)
+        pq = _commuting_projection_pair(A, rng)
         if pq is None:
             return None
         _, proj, ups = _symmetric_difference_defects(A, *pq)
@@ -294,6 +291,8 @@ def run(config: RunConfig) -> tuple[dict, int]:
     trials, seed = config.trials, config.seed
     if trials < 1:
         raise UsageError("--trials must be >= 1")
+    if seed < 0:
+        raise UsageError("--seed must be >= 0")
     m = lambda: _need_map(config, A)  # only the suites that take a map load one
     suites = {
         "axioms": lambda: _suite_axioms(A, trials, seed),
@@ -333,15 +332,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("list", help="list available suites")
-    default_seed = int(os.environ.get("JBSTAR_SEED", "42"))
+    # a string default goes through type=int, so a bad JBSTAR_SEED is a usage error
+    default_seed = os.environ.get("JBSTAR_SEED", "42")
     for name, desc in _SUITES:
         p = sub.add_parser(name, help=desc)
         p.add_argument("--algebra", dest="algebra_path", help="algebra descriptor JSON file")
         p.add_argument("--map", dest="map_path", help="map descriptor JSON file")
         p.add_argument("--trials", type=int, default=200)
-        p.add_argument("--seed", type=int, default=default_seed)
+        p.add_argument("--seed", type=int, default=default_seed, help="default: $JBSTAR_SEED or 42")
         p.add_argument("--abs-eps", dest="abs_eps", type=float, default=None)
-        p.add_argument("--rel-eps", dest="rel_eps", type=float, default=None)
         p.add_argument("--cluster-eps", dest="cluster_eps", type=float, default=None)
         p.add_argument("--out", dest="out_path", help="write the JSON report here")
         if name == "counterexample":

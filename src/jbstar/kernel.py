@@ -32,11 +32,10 @@ class Tolerance:
     """
 
     abs_eps: float = 1e-9
-    rel_eps: float = 1e-9
     cluster_eps: float = 1e-7
 
     def __post_init__(self):
-        for name in ("abs_eps", "rel_eps", "cluster_eps"):
+        for name in ("abs_eps", "cluster_eps"):
             v = getattr(self, name)
             if not (0.0 < v < 1e-2):
                 raise ValueError(f"{name} must lie strictly in (0, 1e-2), got {v}")

@@ -23,8 +23,8 @@ from .algebras import (
     AlgebraHandle,
     Element,
     _random,
+    _random_element,
     jbstar_norm,
-    jordan_product,
     sa_coords,
     selfadjoint_basis,
 )
@@ -90,10 +90,10 @@ def is_spin_summand(A: AlgebraHandle, samples: int = 10, seed: int = 7) -> bool:
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         a = _random(A, rng, "self_adjoint")
-        sq = jordan_product(A, a, a)
-        P = np.stack([A.unit.coords, a.coords], axis=1)
-        c, *_ = np.linalg.lstsq(P, sq.coords, rcond=None)
-        if np.linalg.norm(P @ c - sq.coords) > 1e-8 * (1.0 + np.linalg.norm(sq.coords)):
+        sq = A._prod(a, a)
+        P = np.stack([A.unit.coords, a], axis=1)
+        c, *_ = np.linalg.lstsq(P, sq, rcond=None)
+        if np.linalg.norm(P @ c - sq) > 1e-8 * (1.0 + np.linalg.norm(sq)):
             return False
     return True
 
@@ -122,7 +122,7 @@ def canonical_projections(A: AlgebraHandle) -> list[Element]:
     (1 +/- b)/2 along each H^- axis; direct sums those of their summands
     and the unit.
     """
-    return A.canonical_projections()
+    return [Element(A.id, p) for p in A._canonical_projections()]
 
 
 def measure_from_map(
@@ -134,7 +134,7 @@ def measure_from_map(
     for _ in range(10):
         # positive homogeneity; the negative-scalar case follows from
         # OC-additivity (a operator commutes with -a)
-        a = _random(A, rng, "self_adjoint")
+        a = _random_element(A, rng, "self_adjoint")
         tau = float(rng.uniform(0.3, 3.0))
         dev = _xnorm(f(tau * a) - tau * np.asarray(f(a)))
         if dev > 1e-7 * (1.0 + abs(tau)) * (1.0 + _xnorm(f(a))):
@@ -153,7 +153,7 @@ def measure_from_map(
             )
     bound = 0.0
     for _ in range(bound_probe):
-        p = _random(A, rng, "projection")
+        p = _random_element(A, rng, "projection")
         bound = max(bound, _xnorm(np.asarray(f(p))))
     return ProjectionMeasure(algebra=A, eval=f, bound=bound)
 
@@ -172,7 +172,7 @@ def linear_reconstruction(
     basis = selfadjoint_basis(A)
     projections = list(canonical_projections(A))
     while len(projections) < probes:
-        projections.append(_random(A, rng, "projection"))
+        projections.append(_random_element(A, rng, "projection"))
     rows = np.stack([sa_coords(A, p, basis) for p in projections])
     vals = np.stack([np.asarray(mu.eval(p), dtype=float) for p in projections])
     sv = np.linalg.svd(rows, compute_uv=False)
@@ -223,7 +223,7 @@ def verify_linearity_theorem(
         raise HypothesisFailed(f"f is not OC-additive (residual {oc_dev:.3e})")
     bound = 0.0
     for _ in range(min(trials, 50)):
-        a = _random(A, rng, "self_adjoint")
+        a = _random_element(A, rng, "self_adjoint")
         na = jbstar_norm(A, a)
         if na > 1e-9:
             bound = max(bound, _xnorm(np.asarray(f((1.0 / na) * a))))
@@ -232,7 +232,7 @@ def verify_linearity_theorem(
     spectral_dev = 0.0
     agree = 0.0
     for _ in range(trials):
-        a = _random(A, rng, "self_adjoint")
+        a = _random_element(A, rng, "self_adjoint")
         dec = spectral_decomposition(A, a)
         total = dec.values @ np.stack([np.asarray(f(p), dtype=float) for _, p in dec.pairs])
         fa = np.asarray(f(a), dtype=float)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import AlgebraHandle, Element, Peirce2Algebra, _random, jbstar_norm
-from .calculus import _axiom_defects, spectral_decomposition
+from .algebras import AlgebraHandle, Element, Peirce2Algebra, _owned, _random
+from .calculus import _axiom_defects, _decompose
 from .errors import NotTripotent, VerificationFailed
 from .kernel import operator_norm
 from .reports import CheckReport, ResidualCheck, worst_over_trials
@@ -50,20 +50,22 @@ class PeirceSystem:
 
 def is_tripotent(A: AlgebraHandle, e: Element) -> ResidualCheck:
     """Whether e = {e,e,e}, with the defect norm as residual."""
-    x = e.coords
+    return _is_tripotent(A, _owned(A, e))
+
+
+def _is_tripotent(A: AlgebraHandle, x: np.ndarray) -> ResidualCheck:
     residual = A._norm(A._triple(x, x, x) - x)
     threshold = A.tol.abs_eps * (1.0 + A._norm(x) ** 3)
     return ResidualCheck(residual <= threshold, residual, threshold)
 
 
-def _lqe(A: AlgebraHandle, e: Element):
-    """Matrices of L(e,e) and of Q(e)^2, from whole operator matrices.
+def _lqe(A: AlgebraHandle, x: np.ndarray):
+    """Matrices of L(e,e) and of Q(e)^2 (e = x), from whole operator matrices.
 
     L(e,e) = M_{e o e*} + M_e M_{e*} - M_{e*} M_e.  Q(e) y = {e,y,e} =
     U_e(y*) is conjugate-linear, but Q(e)^2 = U_e U_{e*} is linear, so no
     conjugate-linear matrix is formed.
     """
-    x = e.coords
     xs = A._inv(x)
     me, mes = A._mult_matrix(x), A._mult_matrix(xs)
     lee = A._mult_matrix(A._prod(x, xs)) + me @ mes - mes @ me
@@ -77,10 +79,15 @@ def peirce_system(A: AlgebraHandle, e: Element) -> PeirceSystem:
     idempotency and mutual orthogonality (all six orders) identities,
     P2 e = e and P2 = Q(e)^2 are verified before returning.
     """
-    chk = is_tripotent(A, e)
+    return PeirceSystem(e, *_peirce_projections(A, _owned(A, e)))
+
+
+def _peirce_projections(A: AlgebraHandle, x: np.ndarray):
+    """(P2, P1, P0, residual) of the tripotent with coordinates x."""
+    chk = _is_tripotent(A, x)
     if not chk:
         raise NotTripotent(f"tripotent defect {chk.residual:.3e} exceeds {chk.threshold:.3e}")
-    lee, q2 = _lqe(A, e)
+    lee, q2 = _lqe(A, x)
     eye = np.eye(A.dim, dtype=complex)
     p2 = lee @ (2.0 * lee - eye)
     p1 = 4.0 * (lee @ (eye - lee))
@@ -89,12 +96,12 @@ def peirce_system(A: AlgebraHandle, e: Element) -> PeirceSystem:
     checks = [operator_norm(p2 + p1 + p0 - eye)]
     checks += [operator_norm(p @ p - p) for p in projs]
     checks += [operator_norm(projs[i] @ projs[j]) for i in range(3) for j in range(3) if i != j]
-    checks.append(A._norm(p2 @ e.coords - e.coords))
+    checks.append(A._norm(p2 @ x - x))
     checks.append(operator_norm(p2 - q2))
     worst = max(checks)
     if worst > 1e-7 * (1.0 + operator_norm(lee) ** 2):
         raise VerificationFailed(f"Peirce projection identities violated (residual {worst:.3e})")
-    return PeirceSystem(e, p2, p1, p0, worst)
+    return p2, p1, p0, worst
 
 
 def peirce2_algebra(A: AlgebraHandle, e: Element) -> AlgebraHandle:
@@ -105,17 +112,18 @@ def peirce2_algebra(A: AlgebraHandle, e: Element) -> AlgebraHandle:
     algebra.  Jordan-identity and JB*-axiom residuals are spot-checked on
     random samples of the derived algebra.
     """
-    return _peirce2_of(A, peirce_system(A, e))
+    x = _owned(A, e)
+    return _peirce2_of(A, x, _peirce_projections(A, x)[0])
 
 
-def _peirce2_of(A: AlgebraHandle, sys: PeirceSystem) -> AlgebraHandle:
-    """peirce2_algebra from an already verified Peirce system."""
-    u, s, _ = np.linalg.svd(sys.p2)
+def _peirce2_of(A: AlgebraHandle, x: np.ndarray, p2: np.ndarray) -> AlgebraHandle:
+    """peirce2_algebra of the tripotent x from its verified projection P2."""
+    u, s, _ = np.linalg.svd(p2)
     rank = int(np.sum(s > A.tol.abs_eps * max(s[0], 1.0)))
     if rank == 0:
         raise NotTripotent("Peirce-2 range of the zero tripotent is trivial")
     embed = u[:, :rank]
-    sub = Peirce2Algebra(A, sys.e.coords, embed)
+    sub = Peirce2Algebra(A, x, embed)
     rng = np.random.default_rng(20_624)
     for _ in range(6):
         jid, axiom, na, nb = _axiom_defects(sub, _random(sub, rng), _random(sub, rng))
@@ -128,34 +136,37 @@ def peirce2_embed(sub: Peirce2Algebra, x: Element) -> Element:
     """Ambient element corresponding to a Peirce-2 coordinate vector."""
     if not isinstance(sub, Peirce2Algebra):
         raise ValueError("not a Peirce-2 algebra handle")
-    return Element(sub.ambient.id, sub.embed @ x.coords)
+    return Element(sub.ambient.id, sub.embed @ _owned(sub, x))
 
 
 def peirce2_project(sub: Peirce2Algebra, y: Element) -> Element:
     """Peirce-2 coordinates of an ambient element (orthogonal projection)."""
     if not isinstance(sub, Peirce2Algebra):
         raise ValueError("not a Peirce-2 algebra handle")
-    return Element(sub.id, sub.embed.conj().T @ y.coords)
+    return Element(sub.id, sub.embed.conj().T @ _owned(sub.ambient, y))
 
 
 def sample_tripotent(A: AlgebraHandle, rng: np.random.Generator) -> Element:
     """Random tripotent: a unitary, or a sign combination of the spectral
     idempotents of a random self-adjoint element."""
+    return Element(A.id, _sample_tripotent(A, rng))
+
+
+def _sample_tripotent(A: AlgebraHandle, rng: np.random.Generator) -> np.ndarray:
     if rng.integers(0, 3) == 0:
         return _random(A, rng, "unitary")
-    a = _random(A, rng, "self_adjoint")
-    P = spectral_decomposition(A, a).idempotents
+    P = _decompose(A, _random(A, rng, "self_adjoint")).idempotents
     signs = rng.choice([-1.0, 0.0, 1.0], size=P.shape[0])
     if not np.any(signs):
         signs[int(rng.integers(0, len(signs)))] = 1.0
-    return Element(A.id, signs @ P)
+    return signs @ P
 
 
 def peirce_invariants_check(A: AlgebraHandle, trials: int, seed: int) -> CheckReport:
     """Largest Peirce-identity residual (peirce_system) over random tripotents."""
 
     def trial(rng):
-        return peirce_system(A, sample_tripotent(A, rng)).residual, None
+        return _peirce_projections(A, _sample_tripotent(A, rng))[3], None
 
     rng = np.random.default_rng(seed)
     thr = 1e-8
@@ -169,17 +180,16 @@ def kaup_identity_check(A: AlgebraHandle, e: Element, trials: int, seed: int) ->
     handle's triple, and the derived algebra's product/involution fed into
     the same triple formula.
     """
-    sys = peirce_system(A, e)
-    sub = _peirce2_of(A, sys)
+    x = _owned(A, e)
+    p2 = _peirce_projections(A, x)[0]
+    sub = _peirce2_of(A, x, p2)
+    B = sub.embed
 
     def trial(rng):
-        xs = [Element(A.id, sys.p2 @ _random(A, rng).coords) for _ in range(3)]
-        ambient = A._triple(xs[0].coords, xs[1].coords, xs[2].coords)
-        subs = [peirce2_project(sub, x) for x in xs]
-        inner = sub._triple(subs[0].coords, subs[1].coords, subs[2].coords)
-        back = sub.embed @ inner
-        scale = np.prod([1.0 + jbstar_norm(A, x) for x in xs])
-        return A._norm(ambient - back) / scale, None
+        ys = [p2 @ _random(A, rng) for _ in range(3)]
+        inner = sub._triple(*(B.conj().T @ y for y in ys))  # as peirce2_project
+        scale = np.prod([1.0 + A._norm(y) for y in ys])
+        return A._norm(A._triple(*ys) - B @ inner) / scale, None
 
     rng = np.random.default_rng(seed)
     thr = 1e-7

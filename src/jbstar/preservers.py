@@ -26,7 +26,7 @@ from .algebras import (
     Element,
     HermitianMatrixAlgebra,
     SpinFactor,
-    _random,
+    _random_element,
     element_from_json,
     involution,
     jbstar_norm,
@@ -293,8 +293,8 @@ def verify_jordan_star_isomorphism(
     if r > pass_tol:
         raise PreconditionFailed(f"theta is not unital (residual {r:.3e})")
     for _ in range(trials):
-        a = _random(src, rng)
-        b = _random(src, rng)
+        a = _random_element(src, rng)
+        b = _random_element(src, rng)
         al = complex(rng.standard_normal(), rng.standard_normal())
         scale = (1.0 + jbstar_norm(src, a)) * (1.0 + jbstar_norm(src, b))
         r_lin = jbstar_norm(tgt, theta(al * a + b) - al * theta(a) - theta(b))
@@ -349,7 +349,7 @@ def verify_unitary_preserver_form(
     c_back = theta.inverse(c)
 
     def trial(rng):
-        a = _random(src, rng, "self_adjoint")
+        a = _random_element(src, rng, "self_adjoint")
         na = jbstar_norm(src, a)
         if na > 2.5:
             a = (2.5 / na) * a
@@ -387,7 +387,7 @@ def classify_factor_dichotomy(
     r_id = r_inv = 0.0
     worst_witness = None
     for _ in range(trials):
-        u = _random(src, rng, "unitary")
+        u = _random_element(src, rng, "unitary")
         fu = m(u)
         scale = 1.0 + jbstar_norm(src, u)
         d_id = jbstar_norm(tgt, fu - theta(u)) / scale
@@ -448,8 +448,8 @@ def recover_structure(
         hom = max(hom, jbstar_norm(tgt, m(a + b) - m(a) - m(b)) / scale)
     lin = 0.0
     for _ in range(trials):
-        a = _random(src, rng, "self_adjoint")
-        b = _random(src, rng, "self_adjoint")
+        a = _random_element(src, rng, "self_adjoint")
+        b = _random_element(src, rng, "self_adjoint")
         al, be = (float(x) for x in rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], size=2))
         r = jbstar_norm(tgt, m(al * a + be * b) - al * m(a) - be * m(b))
         scale = 1.0 + abs(al) * jbstar_norm(src, a) + abs(be) * jbstar_norm(src, b)
@@ -457,7 +457,7 @@ def recover_structure(
     # sampled isometry of Phi into the Peirce-2 norm; reported, never gated
     isom = 0.0
     for _ in range(min(trials, 50)):
-        a = _random(src, rng, "self_adjoint")
+        a = _random_element(src, rng, "self_adjoint")
         isom = max(
             isom,
             abs(jbstar_norm(sub, peirce2_project(sub, m(a))) - jbstar_norm(src, a))
@@ -467,7 +467,7 @@ def recover_structure(
     if m.inverse is not None:
         rt = 0.0
         for _ in range(10):
-            a = _random(src, rng, "self_adjoint")
+            a = _random_element(src, rng, "self_adjoint")
             rt = max(
                 rt,
                 jbstar_norm(src, m.inverse(m(a)) - a) / (1.0 + jbstar_norm(src, a)),
@@ -617,7 +617,7 @@ def verify_counterexample(cx: SpinCounterexample, trials: int = 500, seed: int =
     witness_gap = jbstar_norm(V, m(e1) + m(e2) - m(e1 + e2))
     rt = 0.0
     for _ in range(trials // 5):
-        a = _random(V, rng, "self_adjoint")
+        a = _random_element(V, rng, "self_adjoint")
         rt = max(rt, jbstar_norm(V, m.inverse(m(a)) - a))
         rt = max(rt, jbstar_norm(V, m(m.inverse(a)) - a))
     verdicts = {
@@ -651,7 +651,7 @@ def check_central_preservation(
     if m.inverse is None:
         raise PreconditionFailed("central-preservation check needs a supplied inverse")
     rng = np.random.default_rng(seed)
-    a0 = _random(src, rng, "unitary")
+    a0 = _random_element(src, rng, "unitary")
     if jbstar_norm(src, m.inverse(m(a0)) - a0) > 1e-6 * (1.0 + jbstar_norm(src, a0)):
         raise PreconditionFailed("supplied inverse fails the round trip")
     zbasis = center_basis(src)
@@ -667,7 +667,7 @@ def check_central_preservation(
             r = 1.0
         r = max(r, _central_projection_residual(tgt, fu))
         # symmetry -> symmetry
-        p = _random(src, rng, "projection")
+        p = _random_element(src, rng, "projection")
         s = src.unit - 2.0 * p
         fs = m(s)
         if not is_symmetry(tgt, fs):
@@ -710,7 +710,7 @@ def check_i_unit_image(m: MapUnderTest, trials: int = 20, seed: int = 0) -> Chec
     r_central = 0.0
     for _ in range(trials):
         # z central in a JBW*-algebra iff z o y = U_z(y) on self-adjoints
-        y = _random(sub, rng, "self_adjoint")
+        y = _random_element(sub, rng, "self_adjoint")
         r_central = max(
             r_central, jbstar_norm(sub, jordan_product(sub, z, y) - u_operator(sub, z, y))
         )

@@ -3,15 +3,16 @@
 Rejection sampling essentially never produces operator-commuting pairs, so
 the strategies here are constructive: polynomials in a common generator
 plus a central part, spin lines t*1 + s*a, and commuting diagonals in the
-matrix model.  Every consumer re-verifies commutativity before use.
+matrix model.  Every consumer re-verifies commutativity before use.  Check
+bodies draw coordinate arrays from the private forms.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebras import AlgebraHandle, Element, HermitianMatrixAlgebra, _random, jordan_product
-from .calculus import center_basis, operator_commutes, spectral_decomposition
+from .algebras import AlgebraHandle, Element, HermitianMatrixAlgebra, _random
+from .calculus import _decompose, _operator_commutes
 
 __all__ = [
     "oc_pair_sampler",
@@ -25,12 +26,20 @@ __all__ = [
 ]
 
 
+def _elements(A: AlgebraHandle, pair):
+    return None if pair is None else (Element(A.id, pair[0]), Element(A.id, pair[1]))
+
+
 def same_generator_pair(A: AlgebraHandle, rng: np.random.Generator) -> tuple[Element, Element]:
     """b = polynomial in a plus a central self-adjoint part."""
+    return _elements(A, _same_generator_pair(A, rng))
+
+
+def _same_generator_pair(A: AlgebraHandle, rng: np.random.Generator):
     a = _random(A, rng, "self_adjoint")
     c1, c2 = rng.standard_normal(2)
-    b = float(c1) * a + float(c2) * jordan_product(A, a, a)
-    for z in center_basis(A):
+    b = float(c1) * a + float(c2) * A._prod(a, a)
+    for z in A._center():
         b = b + float(rng.standard_normal()) * z
     return a, b
 
@@ -39,7 +48,7 @@ def spin_line_pair(A: AlgebraHandle, rng: np.random.Generator) -> tuple[Element,
     """b = t*1 + s*a; the only nontrivial commuting shape in a spin factor."""
     a = _random(A, rng, "self_adjoint")
     t, s = rng.standard_normal(2)
-    return a, float(t) * A.unit + float(s) * a
+    return _elements(A, (a, float(t) * A.unit.coords + float(s) * a))
 
 
 def diagonal_pair(A: AlgebraHandle, rng: np.random.Generator) -> tuple[Element, Element]:
@@ -75,10 +84,14 @@ def noncommuting_pair(
 ) -> tuple[Element, Element] | None:
     """Self-adjoint pair whose commutator residual clears the threshold by
     min_factor; None when the model has no such pair (e.g. dimension 1)."""
+    return _elements(A, _noncommuting_pair(A, rng, min_factor, attempts))
+
+
+def _noncommuting_pair(A: AlgebraHandle, rng: np.random.Generator, min_factor=10.0, attempts=200):
     for _ in range(attempts):
         a = _random(A, rng, "self_adjoint")
         b = _random(A, rng, "self_adjoint")
-        chk = operator_commutes(A, a, b)
+        chk = _operator_commutes(A, a, b)
         if chk.residual >= min_factor * chk.threshold:
             return a, b
     return None
@@ -88,8 +101,7 @@ def orthogonal_projection_pair(
     A: AlgebraHandle, rng: np.random.Generator
 ) -> tuple[Element, Element] | None:
     """Orthogonal projections from a common spectral decomposition."""
-    a = _random(A, rng, "self_adjoint")
-    P = spectral_decomposition(A, a).idempotents
+    P = _decompose(A, _random(A, rng, "self_adjoint")).idempotents
     m = P.shape[0]
     if m < 2:
         return None
@@ -97,18 +109,21 @@ def orthogonal_projection_pair(
     cut = int(rng.integers(1, m))
     rest = idx[cut:]
     qn = int(rng.integers(1, rest.size + 1))
-    return Element(A.id, P[idx[:cut]].sum(axis=0)), Element(A.id, P[rest[:qn]].sum(axis=0))
+    return _elements(A, (P[idx[:cut]].sum(axis=0), P[rest[:qn]].sum(axis=0)))
 
 
 def commuting_projection_pair(
     A: AlgebraHandle, rng: np.random.Generator
 ) -> tuple[Element, Element] | None:
     """Operator-commuting (possibly overlapping) projection pair."""
-    a = _random(A, rng, "self_adjoint")
-    P = spectral_decomposition(A, a).idempotents
+    return _elements(A, _commuting_projection_pair(A, rng))
+
+
+def _commuting_projection_pair(A: AlgebraHandle, rng: np.random.Generator):
+    P = _decompose(A, _random(A, rng, "self_adjoint")).idempotents
     m = P.shape[0]
     if m < 2:
         return None
     bits_p = rng.integers(0, 2, size=m)
     bits_q = rng.integers(0, 2, size=m)
-    return Element(A.id, bits_p @ P), Element(A.id, bits_q @ P)
+    return bits_p @ P, bits_q @ P

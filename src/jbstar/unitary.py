@@ -4,7 +4,7 @@ Unitary powers are always taken through the spectral decomposition of the
 unitary (equivalently, functional calculus on its log), never by repeated
 Jordan products: powers are only unambiguous inside the associative
 subalgebra generated by the unitary, and the spectral route stays there by
-construction.
+construction.  The check bodies compute on coordinate arrays.
 """
 
 from __future__ import annotations
@@ -14,20 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import AlgebraHandle, Element, _random, involution, jbstar_norm, jordan_product
+from .algebras import AlgebraHandle, Element, _owned, _random
 from .calculus import (
     _abelian_decomposition,
-    exp_from_decomposition,
-    exp_i,
-    is_self_adjoint,
-    operator_commutes,
-    spectral_decomposition,
-    u_operator,
-    triple_product,
+    _decompose,
+    _exp,
+    _exp_i,
+    _operator_commutes,
+    _self_adjoint_defect,
+    _u_operator,
 )
 from .errors import NotProjection, NotUnitary, VerificationFailed
 from .reports import CheckReport, ResidualCheck, worst_over_trials
-from .samplers import noncommuting_pair, same_generator_pair
+from .samplers import _noncommuting_pair, _same_generator_pair
 
 __all__ = [
     "UnitaryLog",
@@ -57,29 +56,31 @@ class UnitaryLog:
 
 def is_unitary(A: AlgebraHandle, u: Element) -> ResidualCheck:
     """Invertible with inverse u*: checks u o u* = 1 and u^2 o u* = u."""
-    us = involution(A, u)
-    r1 = jbstar_norm(A, jordan_product(A, u, us) - A.unit)
-    u2 = jordan_product(A, u, u)
-    r2 = jbstar_norm(A, jordan_product(A, u2, us) - u)
-    residual = max(r1, r2)
-    threshold = A.tol.abs_eps * (1.0 + jbstar_norm(A, u)) ** 3
+    return _is_unitary(A, _owned(A, u))
+
+
+def _is_unitary(A: AlgebraHandle, x: np.ndarray) -> ResidualCheck:
+    xs = A._inv(x)
+    r1 = A._norm(A._prod(x, xs) - A.unit.coords)
+    residual = max(r1, A._norm(A._prod(A._prod(x, x), xs) - x))
+    threshold = A.tol.abs_eps * (1.0 + A._norm(x)) ** 3
     return ResidualCheck(residual <= threshold, residual, threshold)
 
 
 def is_symmetry(A: AlgebraHandle, s: Element) -> bool:
     """Self-adjoint with s o s = 1."""
-    if not is_self_adjoint(A, s):
-        return False
-    dev = jbstar_norm(A, jordan_product(A, s, s) - A.unit)
-    return dev <= A.tol.abs_eps * (1.0 + jbstar_norm(A, s)) ** 2
+    x = _owned(A, s)
+    dev, thr, norm = _self_adjoint_defect(A, x)
+    square = A._norm(A._prod(x, x) - A.unit.coords)
+    return dev <= thr and square <= A.tol.abs_eps * (1.0 + norm) ** 2
 
 
-def _unitary_decomposition(A: AlgebraHandle, u: Element) -> tuple[np.ndarray, np.ndarray]:
+def _unitary_decomposition(A: AlgebraHandle, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Circle-spectrum nodes and idempotents (rows) of a unitary element."""
-    chk = is_unitary(A, u)
+    chk = _is_unitary(A, x)
     if not chk:
         raise NotUnitary(f"unitarity defect {chk.residual:.3e} exceeds {chk.threshold:.3e}")
-    nodes, idems, _ = _abelian_decomposition(A, u.coords, real_nodes=False)
+    nodes, idems, _ = _abelian_decomposition(A, x, real_nodes=False)
     off = float(np.max(np.abs(np.abs(nodes) - 1.0)))
     if off > 1e-6:
         raise NotUnitary(f"spectrum points leave the unit circle by {off:.3e}")
@@ -88,22 +89,22 @@ def _unitary_decomposition(A: AlgebraHandle, u: Element) -> tuple[np.ndarray, np
 
 def unitary_log(A: AlgebraHandle, u: Element) -> UnitaryLog:
     """Self-adjoint h with exp_i(h, 1) = u, arguments in (-pi, pi]."""
-    nodes, idems = _unitary_decomposition(A, u)
+    x = _owned(A, u)
+    nodes, idems = _unitary_decomposition(A, x)
     # the branch cut is pinned at arg = pi; nodes numerically at -1 may
     # carry a tiny negative imaginary part that would flip the sign
     at_cut = np.abs(nodes + 1.0) <= A.tol.cluster_eps
-    h = Element(A.id, np.where(at_cut, math.pi, np.angle(nodes)) @ idems)
-    back = exp_i(A, h, 1.0)
-    r = jbstar_norm(A, back - u)
-    if r > 1e-6 * (1.0 + jbstar_norm(A, u)):
+    h = np.where(at_cut, math.pi, np.angle(nodes)) @ idems
+    r = A._norm(_exp_i(A, h, 1.0) - x)
+    if r > 1e-6 * (1.0 + A._norm(x)):
         raise VerificationFailed(f"log round trip failed (residual {r:.3e})")
-    return UnitaryLog(h=h, ambiguous=bool(at_cut.any()))
+    return UnitaryLog(h=Element(A.id, h), ambiguous=bool(at_cut.any()))
 
 
 def unitary_power(A: AlgebraHandle, u: Element, n: int) -> Element:
     """u^n through the spectral decomposition (stays in the generated
     associative subalgebra)."""
-    nodes, idems = _unitary_decomposition(A, u)
+    nodes, idems = _unitary_decomposition(A, _owned(A, u))
     return Element(A.id, (nodes / np.abs(nodes)) ** n @ idems)
 
 
@@ -115,13 +116,12 @@ def oc_unitary_product_check(A: AlgebraHandle, trials: int, seed: int) -> CheckR
     """
 
     def trial(rng):
-        h, k = same_generator_pair(A, rng)
-        if not operator_commutes(A, h, k):
+        h, k = _same_generator_pair(A, rng)
+        if not _operator_commutes(A, h, k):
             return None
-        u = exp_i(A, h, 1.0)
-        v = exp_i(A, k, 1.0)
-        chk = is_unitary(A, jordan_product(A, u, v))
-        return chk.residual, {"h": h.coords.tolist(), "k": k.coords.tolist()}
+        u, v = _exp_i(A, h, 1.0), _exp_i(A, k, 1.0)
+        chk = _is_unitary(A, A._prod(u, v))
+        return chk.residual, {"h": h.tolist(), "k": k.tolist()}
 
     rng = np.random.default_rng(seed)
     return worst_over_trials(f"oc-unitary-product[{A.id}]", rng, trials, 1e-7, trial)
@@ -142,45 +142,39 @@ def oc_unitary_equivalences_check(
     least one of these identities by a factor >= 10 over tolerance.
     """
     grid = (-1.0, -0.5, 0.5, 1.0)
+    exponents = {c * t for c in (1.0, 2.0) for t in grid}  # t, 2t and -2s for t, s in grid
 
     def trial(rng):
-        h, k = same_generator_pair(A, rng)
-        if not operator_commutes(A, h, k):
+        h, k = _same_generator_pair(A, rng)
+        if not _operator_commutes(A, h, k):
             return None
-        dech = spectral_decomposition(A, h)
-        deck = spectral_decomposition(A, k)
+        dech, deck = _decompose(A, h), _decompose(A, k)
+        eh = {t: _exp(dech, t) for t in exponents}
+        ek = {t: _exp(deck, t) for t in exponents}
         residual = 0.0
         # (a) + (b): commutation of exponentials, including with the star
         for t in grid:
-            u = exp_from_decomposition(A, dech, t)
-            v = exp_from_decomposition(A, deck, t)
-            residual = max(residual, operator_commutes(A, u, v).residual)
-            residual = max(residual, operator_commutes(A, u, involution(A, v)).residual)
+            u, v = eh[t], ek[t]
+            residual = max(residual, _operator_commutes(A, u, v).residual)
+            residual = max(residual, _operator_commutes(A, u, A._inv(v)).residual)
         # (c): associativity inside the generated subalgebra
-        u1 = exp_from_decomposition(A, dech, 1.0)
-        v1 = exp_from_decomposition(A, deck, 1.0)
-        words = [u1, v1, jordan_product(A, u1, v1), jordan_product(A, u1, u1)]
-        for i in range(len(words)):
-            for j in range(len(words)):
-                x, y = words[i], words[j]
-                lhs = jordan_product(A, jordan_product(A, x, y), v1)
-                rhs = jordan_product(A, x, jordan_product(A, y, v1))
-                residual = max(residual, jbstar_norm(A, lhs - rhs))
+        u1, v1 = eh[1.0], ek[1.0]
+        words = [u1, v1, A._prod(u1, v1), A._prod(u1, u1)]
+        for x in words:
+            for y in words:
+                lhs = A._prod(A._prod(x, y), v1)
+                rhs = A._prod(x, A._prod(y, v1))
+                residual = max(residual, A._norm(lhs - rhs))
         # (d): exchange identity, two evaluation paths for the left side
         for t in grid:
             for s in grid:
-                uth = exp_from_decomposition(A, dech, t)
-                usk = exp_from_decomposition(A, deck, s)
-                u2t = exp_from_decomposition(A, dech, 2.0 * t)
-                v2s = exp_from_decomposition(A, deck, 2.0 * s)
-                lhs = u_operator(A, uth, v2s)
-                lhs_triple = triple_product(
-                    A, uth, exp_from_decomposition(A, deck, -2.0 * s), uth
-                )
-                rhs = u_operator(A, usk, u2t)
-                residual = max(residual, jbstar_norm(A, lhs - rhs))
-                residual = max(residual, jbstar_norm(A, lhs - lhs_triple))
-        return residual, {"h": h.coords.tolist(), "k": k.coords.tolist()}
+                uth = eh[t]
+                lhs = _u_operator(A, uth, ek[2.0 * s])
+                lhs_triple = A._triple(uth, ek[-2.0 * s], uth)
+                rhs = _u_operator(A, ek[s], eh[2.0 * t])
+                residual = max(residual, A._norm(lhs - rhs))
+                residual = max(residual, A._norm(lhs - lhs_triple))
+        return residual, {"h": h.tolist(), "k": k.tolist()}
 
     rng = np.random.default_rng(seed)
     name = f"oc-unitary-equivalences[{A.id}]"
@@ -189,17 +183,15 @@ def oc_unitary_equivalences_check(
         min_violation = math.inf
         found = 0
         for _ in range(adversarial):
-            pair = noncommuting_pair(A, rng)
+            pair = _noncommuting_pair(A, rng)
             if pair is None:
                 break
             h, k = pair
             found += 1
-            u = exp_i(A, h, 1.0)
-            v = exp_i(A, k, 1.0)
-            oc = operator_commutes(A, u, v)
-            exch = jbstar_norm(
-                A,
-                u_operator(A, u, exp_i(A, k, 2.0)) - u_operator(A, v, exp_i(A, h, 2.0)),
+            u, v = _exp_i(A, h, 1.0), _exp_i(A, k, 1.0)
+            oc = _operator_commutes(A, u, v)
+            exch = A._norm(
+                _u_operator(A, u, _exp_i(A, k, 2.0)) - _u_operator(A, v, _exp_i(A, h, 2.0))
             )
             violation = max(oc.residual / oc.threshold, exch / oc.threshold)
             min_violation = min(min_violation, violation)
@@ -213,25 +205,24 @@ def oc_unitary_equivalences_check(
 def circle_inequality_check(A: AlgebraHandle, trials: int, seed: int) -> CheckReport:
     """n ||u - 1|| <= (pi/2) ||u^n - 1|| for unitaries with n ||u - 1|| < 2."""
 
+    one = A.unit.coords
+
     def trial(rng):
         while True:
             h = _random(A, rng, "self_adjoint")
-            nh = jbstar_norm(A, h)
+            nh = A._norm(h)
             if nh < 1e-12:
                 continue
-            h = (1.0 / nh) * h
-            dec = spectral_decomposition(A, h)
+            dec = _decompose(A, (1.0 / nh) * h)
             tau = rng.uniform(0.01, 0.6)
-            u = exp_from_decomposition(A, dec, tau)
-            r = jbstar_norm(A, u - A.unit)
+            r = A._norm(_exp(dec, tau) - one)
             if r < 1e-9:
                 continue
             nmax = int(min(1.999 / r, 64.0))
             if nmax < 1:
                 continue
             n = int(rng.integers(1, nmax + 1))
-            un = exp_from_decomposition(A, dec, tau * n)
-            margin = n * r - (math.pi / 2.0) * jbstar_norm(A, un - A.unit)
+            margin = n * r - (math.pi / 2.0) * A._norm(_exp(dec, tau * n) - one)
             return margin, {"n": n, "tau": tau}
 
     rng = np.random.default_rng(seed)
@@ -239,27 +230,25 @@ def circle_inequality_check(A: AlgebraHandle, trials: int, seed: int) -> CheckRe
     return worst_over_trials(name, rng, trials, 1e-9, trial, start=-math.inf, slack=1e-9)
 
 
-def _projection_defect(A: AlgebraHandle, p: Element) -> float:
-    return max(
-        jbstar_norm(A, jordan_product(A, p, p) - p),
-        jbstar_norm(A, involution(A, p) - p),
-    )
+def _projection_defect(A: AlgebraHandle, x: np.ndarray) -> float:
+    return max(A._norm(A._prod(x, x) - x), A._norm(A._inv(x) - x))
 
 
-def _require_projection(A: AlgebraHandle, p: Element, label: str, r: float):
-    thr = A.tol.abs_eps * (1.0 + jbstar_norm(A, p)) ** 2 + A.tol.cluster_eps
+def _require_projection(A: AlgebraHandle, x: np.ndarray, label: str, r: float):
+    thr = A.tol.abs_eps * (1.0 + A._norm(x)) ** 2 + A.tol.cluster_eps
     if r > thr:
         raise NotProjection(f"{label} is not a projection (residual {r:.3e})")
 
 
 def _symmetric_difference_defects(
-    A: AlgebraHandle, p: Element, q: Element
-) -> tuple[Element, float, float]:
-    """p Delta q with its projection defect and the defect of
-    1 - 2(p Delta q) = (1 - 2p) o (1 - 2q)."""
-    d = p + q - 2.0 * jordan_product(A, p, q)
-    prod = jordan_product(A, A.unit - 2.0 * p, A.unit - 2.0 * q)
-    return d, _projection_defect(A, d), jbstar_norm(A, (A.unit - 2.0 * d) - prod)
+    A: AlgebraHandle, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, float, float]:
+    """x Delta y with its projection defect and the defect of
+    1 - 2(x Delta y) = (1 - 2x) o (1 - 2y)."""
+    one = A.unit.coords
+    d = x + y - 2.0 * A._prod(x, y)
+    prod = A._prod(one - 2.0 * x, one - 2.0 * y)
+    return d, _projection_defect(A, d), A._norm((one - 2.0 * d) - prod)
 
 
 def symmetric_difference(A: AlgebraHandle, p: Element, q: Element) -> Element:
@@ -268,11 +257,12 @@ def symmetric_difference(A: AlgebraHandle, p: Element, q: Element) -> Element:
     When p and q operator commute the result is verified to be a projection
     and to satisfy 1 - 2(p Delta q) = (1 - 2p) o (1 - 2q).
     """
-    _require_projection(A, p, "p", _projection_defect(A, p))
-    _require_projection(A, q, "q", _projection_defect(A, q))
-    d, proj, r = _symmetric_difference_defects(A, p, q)
-    if operator_commutes(A, p, q):
+    x, y = _owned(A, p), _owned(A, q)
+    _require_projection(A, x, "p", _projection_defect(A, x))
+    _require_projection(A, y, "q", _projection_defect(A, y))
+    d, proj, r = _symmetric_difference_defects(A, x, y)
+    if _operator_commutes(A, x, y):
         _require_projection(A, d, "p Delta q", proj)
-        if r > 1e-8 * (1.0 + jbstar_norm(A, p)) * (1.0 + jbstar_norm(A, q)):
+        if r > 1e-8 * (1.0 + A._norm(x)) * (1.0 + A._norm(y)):
             raise VerificationFailed(f"symmetric-difference identity violated ({r:.3e})")
-    return d
+    return Element(A.id, d)

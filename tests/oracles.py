@@ -30,8 +30,6 @@ def assoc_u(m, w):
     return m @ w @ m
 
 
-def assoc_u_bilinear(m, w, c):
-    return 0.5 * (m @ c @ w + w @ c @ m)
 
 
 def assoc_triple(x, y, z):
@@ -115,6 +113,13 @@ def to_block_matrix(A, coords):
         out[i : i + b.shape[0], i : i + b.shape[0]] = b
         i += b.shape[0]
     return out
+
+
+def associator(A, a, c, b):
+    """[a,c,b] = (a o c) o b - a o (c o b), as a matrix of the faithful
+    representation to_block_matrix."""
+    x, y, z = (to_block_matrix(A, v.coords) for v in (a, c, b))
+    return assoc_jordan(assoc_jordan(x, y), z) - assoc_jordan(x, assoc_jordan(y, z))
 
 
 def distinct_eigenvalues(m, gap):

@@ -311,6 +311,19 @@ def test_element_json_roundtrip():
     assert np.allclose(a.coords, b.coords)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_public_boundary_rejects_non_finite_coordinates(bad):
+    # elements are validated where they enter: internals trust coordinate arrays
+    coords = np.zeros(H2.dim, dtype=complex)
+    coords[1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        H2.element(coords)
+    doc = {"coords": [[0.0, 0.0]] * H2.dim}
+    doc["coords"][1] = [complex(bad).real, complex(bad).imag]
+    with pytest.raises(ValueError, match="finite"):
+        element_from_json(H2, doc)
+
+
 def test_algebra_descriptor_roundtrip():
     doc = {
         "kind": "direct_sum",

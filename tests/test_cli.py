@@ -139,6 +139,28 @@ def test_seed_env_override(files, monkeypatch, capsys):
     assert args.seed == 7
 
 
+def test_bad_seed_env_is_usage_error(files, monkeypatch, capsys):
+    argv = ["axioms", "--algebra", files["h3"], "--trials", "1"]
+    monkeypatch.setenv("JBSTAR_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "invalid int value: 'abc'" in err and "Traceback" not in err
+    monkeypatch.setenv("JBSTAR_SEED", "-1")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "usage error: --seed must be >= 0\n"
+
+
+def test_rel_eps_option_is_gone(files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["axioms", "--algebra", files["h3"], "--rel-eps", "1e-9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rel-eps" in capsys.readouterr().err
+    doc, _ = run(RunConfig(command="axioms", algebra_path=files["h3"], trials=1))
+    assert "rel_eps" not in doc["config"]
+
+
 def test_expected_fail_does_not_flip_verdict(files):
     doc, status = run(
         RunConfig(command="counterexample", algebra_path=files["spin3"], trials=30, seed=2)
@@ -167,6 +189,7 @@ BAD_INPUTS = {
         [],
     ),
     "epsilon-out-of-range": ("counterexample", {"kind": "spin", "n": 3}, None, ["--epsilon", "0.7"]),
+    "negative-seed": ("axioms", H2, None, ["--seed", "-1"]),
 }
 
 

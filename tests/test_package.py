@@ -29,3 +29,5 @@ def test_traced_benchmark_names_resolve():
         module = importlib.import_module(f"jbstar.{parts[0]}")
         assert hasattr(module, parts[1]), ".".join(parts)
         assert parts[1] in module.__all__, ".".join(parts)
+    # algebras.Element.new counts constructions through a patched __post_init__
+    assert "__post_init__" in vars(importlib.import_module("jbstar.algebras").Element)

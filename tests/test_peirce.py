@@ -186,7 +186,7 @@ def test_closed_form_peirce_operators_match_column_loop(A):
     tripotents = [sample_tripotent(A, rng) for _ in range(3)]
     for e in [*tripotents, _non_normal_tripotent(A, rng)]:
         assert is_tripotent(A, e)
-        lee, q2 = _lqe(A, e)
+        lee, q2 = _lqe(A, e.coords)
         want_lee, want_q2 = oracles.peirce_operators_by_columns(A, e)
         assert operator_norm(lee - want_lee) <= 1e-13
         assert operator_norm(q2 - want_q2) <= 1e-13

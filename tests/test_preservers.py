@@ -110,6 +110,16 @@ def test_piecewise_hom_on_unitaries():
     assert rep.passed
 
 
+def test_non_finite_map_output_fails_at_the_boundary():
+    # a map's output becomes an element, which validates its coordinates
+    blowup = MapUnderTest(H2, H2, lambda a: Element(H2.id, a.coords / 0.0), label="blowup")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            blowup(H2.unit)
+        with pytest.raises(ValueError, match="finite"):
+            check_piecewise_hom_on_unitaries(blowup, trials=3, seed=1)
+
+
 def test_piecewise_hom_on_direct_sum_source():
     w = random_element(HH, 44, "unitary")
     theta = map_from_descriptor({"kind": "theta_conjugation", "w": element_to_json(w)}, HH)

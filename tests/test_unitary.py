@@ -14,7 +14,12 @@ from jbstar.algebras import (
 from jbstar.calculus import exp_i, operator_commutes, u_operator
 from jbstar.errors import NotProjection, NotUnitary
 import jbstar.unitary
-from jbstar.samplers import diagonal_pair, noncommuting_pair, same_generator_pair
+from jbstar.samplers import (
+    _noncommuting_pair,
+    _same_generator_pair,
+    diagonal_pair,
+    noncommuting_pair,
+)
 from jbstar.unitary import (
     circle_inequality_check,
     is_symmetry,
@@ -114,9 +119,10 @@ def test_oc_unitary_product_check_counts_only_commuting_draws(monkeypatch):
 
     def alternating(A, rng):
         calls.append(None)
-        return same_generator_pair(A, rng) if len(calls) % 2 else noncommuting_pair(A, rng)
+        draw = _same_generator_pair if len(calls) % 2 else _noncommuting_pair
+        return draw(A, rng)
 
-    monkeypatch.setattr(jbstar.unitary, "same_generator_pair", alternating)
+    monkeypatch.setattr(jbstar.unitary, "_same_generator_pair", alternating)
     rep = oc_unitary_product_check(H3, 10, 0)
     assert len(calls) == 10
     assert rep.trials == 5 and rep.passed
