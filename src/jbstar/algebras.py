@@ -10,14 +10,17 @@ carries Peirce-2 algebras of tripotents; it is constructed by
 A model owns its unit, product, involution, norm, multiplication matrix,
 trace, canonical projections, centre and descriptor form.  Every element is
 a complex coordinate vector over the model's fixed basis, tagged with the
-algebra identity.  Handles are immutable and operations are pure, so values
-are safe to share between workers.
+algebra identity; ``_prod``, ``_inv``, ``_norm`` and ``_triple`` also take
+coordinates with leading batch axes, (..., dim), and broadcast a stack
+against one vector.  Handles are immutable and operations are pure, so
+values are safe to share between workers.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -140,9 +143,8 @@ class AlgebraHandle:
         )
 
     def _mult_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of y -> x o y in the algebra basis."""
-        cols = [self._prod(x, e) for e in np.eye(self.dim, dtype=complex)]
-        return np.stack(cols, axis=1)
+        """Matrix of y -> x o y in the algebra basis (basis products as columns)."""
+        return self._prod(x, np.eye(self.dim, dtype=complex)).T
 
     def _u_matrix(self, x: np.ndarray) -> np.ndarray:
         """Matrix of U_x = 2 M_x^2 - M_{x o x}."""
@@ -159,6 +161,13 @@ class AlgebraHandle:
 
     def _canonical_projections(self) -> list[np.ndarray]:
         return []
+
+    @cached_property
+    def _center_rows(self) -> np.ndarray:
+        """The centre (``_center``) as read-only rows, computed once per handle."""
+        rows = np.array(self._center())
+        rows.flags.writeable = False
+        return rows
 
     def _center(self) -> list[np.ndarray]:
         """Centre as the joint kernel of z -> [M_z, M_{e_k}] over the basis.
@@ -222,18 +231,25 @@ class HermitianMatrixAlgebra(AlgebraHandle):
         if not (1 <= n <= 12):
             raise SizeOutOfRange(f"hermitian_matrix size must be in [1, 12], got {n}")
         self.n = n
+        self._square = (n, n)
         super().__init__(n * n, tol, f"hermitian_matrix({n})", np.eye(n, dtype=complex).ravel())
 
+    def _mat(self, x: np.ndarray) -> np.ndarray:
+        """x as an n x n matrix, or as a stack of them over x's batch axes."""
+        return x.reshape(self._square if x.ndim == 1 else x.shape[:-1] + self._square)
+
     def _prod(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        a = x.reshape(self.n, self.n)
-        b = y.reshape(self.n, self.n)
-        return (0.5 * (a @ b + b @ a)).ravel()
+        # _mat inlined: the product is the package's hottest call
+        a = x.reshape(self._square if x.ndim == 1 else x.shape[:-1] + self._square)
+        b = y.reshape(self._square if y.ndim == 1 else y.shape[:-1] + self._square)
+        c = 0.5 * (a @ b + b @ a)
+        return c.ravel() if c.ndim == 2 else c.reshape(c.shape[:-2] + (self.dim,))
 
     def _inv(self, x: np.ndarray) -> np.ndarray:
-        return x.reshape(self.n, self.n).conj().T.ravel()
+        return self._mat(x).swapaxes(-1, -2).conj().reshape(x.shape)
 
-    def _norm(self, x: np.ndarray) -> float:
-        return operator_norm(x.reshape(self.n, self.n))
+    def _norm(self, x: np.ndarray):
+        return operator_norm(self._mat(x))
 
     def _mult_matrix(self, x: np.ndarray) -> np.ndarray:
         m = x.reshape(self.n, self.n)
@@ -279,15 +295,15 @@ class SpinFactor(AlgebraHandle):
     """Spin factor on C^n with componentwise conjugation and unit e_0.
 
     Needs n >= 3 so that H^- = {(0, i t_2, ..., i t_n) : t real} has real
-    dimension at least 2.
+    dimension at least 2; n <= 144 = dim M_12 bounds its dense n x n matrices.
     """
 
     kind = "spin"
     oc_strategy = "spin_line"
 
     def __init__(self, n: int, tol: Tolerance = Tolerance()):
-        if n < 3:
-            raise SizeOutOfRange(f"spin factor needs n >= 3, got {n}")
+        if not (3 <= n <= 144):
+            raise SizeOutOfRange(f"spin factor size must be in [3, 144], got {n}")
         self.n = n
         unit = np.zeros(n, dtype=complex)
         unit[0] = 1.0
@@ -297,21 +313,26 @@ class SpinFactor(AlgebraHandle):
         # x o y = <x|1> y + <y|1> x - <x|conj(y)> 1, inner product linear
         # in the first slot and conjugate-linear in the second; the
         # bilinear form is averaged over both operand orders so the
-        # product commutes bit-exactly despite FMA in complex multiply
-        out = x[0] * y + y[0] * x
-        out[0] -= 0.5 * ((x * y).sum() + (y * x).sum())
+        # product commutes bit-exactly despite FMA in complex multiply.
+        # .T[0] is the first coordinate over the (reversed) batch axes
+        x0, y0 = (x[0], y[0]) if x.ndim == y.ndim == 1 else (x[..., :1], y[..., :1])
+        out = x0 * y + y0 * x
+        out.T[0] -= 0.5 * ((x * y).sum(axis=-1) + (y * x).sum(axis=-1)).T
         return out
 
     def _inv(self, x: np.ndarray) -> np.ndarray:
         out = -np.conj(x)
-        out[0] += 2.0 * np.conj(x[0])
+        out.T[0] += 2.0 * np.conj(x.T[0])
         return out
 
-    def _norm(self, x: np.ndarray) -> float:
-        n2sq = float((np.abs(x) ** 2).sum())
-        inner = (x * x).sum()  # <x|conj(x)>
-        val = max(n2sq * n2sq - abs(inner) ** 2, 0.0)
-        return float(np.sqrt(n2sq + np.sqrt(val)))
+    def _norm(self, x: np.ndarray):
+        n2sq = (np.abs(x) ** 2).sum(axis=-1)
+        inner = (x * x).sum(axis=-1)  # <x|conj(x)>
+        if x.ndim == 1:  # scalar arithmetic: ufunc calls cost more than the math
+            return float(np.sqrt(n2sq + np.sqrt(max(n2sq * n2sq - abs(inner) ** 2, 0.0))))
+        # hypot and float_power round as scalar abs() and ** do: rows equal 1-D calls
+        val = np.maximum(n2sq * n2sq - np.float_power(np.hypot(inner.real, inner.imag), 2), 0.0)
+        return np.sqrt(n2sq + np.sqrt(val))
 
     def _mult_matrix(self, x: np.ndarray) -> np.ndarray:
         e0 = np.zeros(self.dim, dtype=complex)
@@ -353,13 +374,14 @@ class DirectSum(AlgebraHandle):
         self.summands = tuple((p, slice(int(a), int(b))) for p, a, b in zip(leaves, offs, offs[1:]))
 
     def _prod(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.concatenate([p._prod(x[s], y[s]) for p, s in self.summands])
+        return np.concatenate([p._prod(x[..., s], y[..., s]) for p, s in self.summands], axis=-1)
 
     def _inv(self, x: np.ndarray) -> np.ndarray:
-        return np.concatenate([p._inv(x[s]) for p, s in self.summands])
+        return np.concatenate([p._inv(x[..., s]) for p, s in self.summands], axis=-1)
 
-    def _norm(self, x: np.ndarray) -> float:
-        return max(p._norm(x[s]) for p, s in self.summands)
+    def _norm(self, x: np.ndarray):
+        norms = [p._norm(x[..., s]) for p, s in self.summands]
+        return max(norms) if x.ndim == 1 else np.max(norms, axis=0)
 
     def _blockwise(self, operator, x: np.ndarray) -> np.ndarray:
         """Block-diagonal matrix of ``operator(p, x[s])`` over the summands."""
@@ -418,19 +440,18 @@ class Peirce2Algebra(AlgebraHandle):
         self.ambient = ambient
         self.e = e
         self.embed = embed
-        unit = embed.conj().T @ e
+        self._up, self._down = embed.T, embed.conj()  # x @ _up embeds, y @ _down projects
+        unit = e @ self._down
         super().__init__(embed.shape[1], ambient.tol, f"peirce2[{ambient.id};{tag}]", unit)
 
     def _prod(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        B = self.embed
-        return B.conj().T @ self.ambient._triple(B @ x, self.e, B @ y)
+        return self.ambient._triple(x @ self._up, self.e, y @ self._up) @ self._down
 
     def _inv(self, x: np.ndarray) -> np.ndarray:
-        B = self.embed
-        return B.conj().T @ self.ambient._triple(self.e, B @ x, self.e)
+        return self.ambient._triple(self.e, x @ self._up, self.e) @ self._down
 
-    def _norm(self, x: np.ndarray) -> float:
-        return self.ambient._norm(self.embed @ x)
+    def _norm(self, x: np.ndarray):
+        return self.ambient._norm(x @ self._up)
 
     def to_descriptor(self) -> dict:
         raise ValueError(f"algebra kind {self.kind!r} has no descriptor form")
@@ -507,7 +528,7 @@ def _random(A: AlgebraHandle, rng: np.random.Generator, flavor: str = "general")
 
 
 def _realify(z: np.ndarray) -> np.ndarray:
-    return np.concatenate([z.real, z.imag])
+    return np.concatenate([z.real, z.imag], axis=-1)
 
 
 def _unrealify(r: np.ndarray) -> np.ndarray:
@@ -522,13 +543,9 @@ def selfadjoint_basis(A: AlgebraHandle) -> list[Element]:
     Re<x, y>; the basis is the SVD null space of (involution - id) acting on
     the realified coordinates, so it is deterministic per handle.
     """
-    d = A.dim
-    M = np.zeros((2 * d, 2 * d))
-    eye = np.eye(d, dtype=complex)
-    for j in range(d):
-        M[:, j] = _realify(A._inv(eye[j]))
-        M[:, d + j] = _realify(A._inv(1j * eye[j]))
-    u, s, vt = np.linalg.svd(M - np.eye(2 * d))
+    eye = np.eye(A.dim, dtype=complex)
+    M = _realify(A._inv(np.concatenate([eye, 1j * eye]))).T  # columns: e_j, then i e_j
+    u, s, vt = np.linalg.svd(M - np.eye(2 * A.dim))
     rank = int(np.sum(s > 1e-10 * max(s[0], 1.0)))
     null = vt[rank:].T
     return [Element(A.id, _unrealify(null[:, j])) for j in range(null.shape[1])]

@@ -136,7 +136,7 @@ def center_basis(A: AlgebraHandle) -> list[Element]:
     factors, the span of the summand centres for direct sums.  Peirce-2
     algebras use the generic joint-commutator kernel.
     """
-    return [Element(A.id, z) for z in A._center()]
+    return [Element(A.id, z) for z in A._center_rows]
 
 
 def is_invertible(A: AlgebraHandle, a: Element) -> Element | None:

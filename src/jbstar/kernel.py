@@ -2,8 +2,8 @@
 
 Everything downstream (algebra models, spectral machinery, harnesses) goes
 through this module for matrix work.  Matrices are plain 2-D complex
-``numpy`` arrays; the helpers here add the contract checks (rank,
-finiteness) that the rest of the package relies on.
+``numpy`` arrays (``operator_norm`` also takes stacks); the helpers here add
+the contract checks (rank, finiteness) that the rest of the package relies on.
 """
 
 from __future__ import annotations
@@ -51,12 +51,13 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def operator_norm(m) -> float:
-    """Largest singular value."""
+def operator_norm(m):
+    """Largest singular value; an array of them for a stack (..., p, q)."""
     a = np.asarray(m, dtype=complex)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    top = np.linalg.svd(a, compute_uv=False)[..., 0]
+    return float(top) if a.ndim == 2 else top
 
 
 def real_roots(coeffs, tol: Tolerance = Tolerance()) -> list[float]:

@@ -18,7 +18,7 @@ from .algebras import AlgebraHandle, Element, Peirce2Algebra, _owned, _random
 from .calculus import _axiom_defects, _decompose
 from .errors import NotTripotent, VerificationFailed
 from .kernel import operator_norm
-from .reports import CheckReport, ResidualCheck, worst_over_trials
+from .reports import CheckReport, ResidualCheck, WorstResidual, chunk_sizes, worst_over_trials
 
 __all__ = [
     "PeirceSystem",
@@ -125,10 +125,10 @@ def _peirce2_of(A: AlgebraHandle, x: np.ndarray, p2: np.ndarray) -> AlgebraHandl
     embed = u[:, :rank]
     sub = Peirce2Algebra(A, x, embed)
     rng = np.random.default_rng(20_624)
-    for _ in range(6):
-        jid, axiom, na, nb = _axiom_defects(sub, _random(sub, rng), _random(sub, rng))
-        if jid > 1e-7 * (1.0 + na) * (1.0 + nb) ** 3 or axiom > 1e-6 * (1.0 + na**3):
-            raise VerificationFailed("derived Peirce-2 algebra failed its axiom spot checks")
+    a, b = np.stack([[_random(sub, rng) for _ in range(2)] for _ in range(6)], axis=1)
+    jid, axiom, na, nb = _axiom_defects(sub, a, b)
+    if np.any((jid > 1e-7 * (1.0 + na) * (1.0 + nb) ** 3) | (axiom > 1e-6 * (1.0 + na**3))):
+        raise VerificationFailed("derived Peirce-2 algebra failed its axiom spot checks")
     return sub
 
 
@@ -183,14 +183,11 @@ def kaup_identity_check(A: AlgebraHandle, e: Element, trials: int, seed: int) ->
     x = _owned(A, e)
     p2 = _peirce_projections(A, x)[0]
     sub = _peirce2_of(A, x, p2)
-    B = sub.embed
-
-    def trial(rng):
-        ys = [p2 @ _random(A, rng) for _ in range(3)]
-        inner = sub._triple(*(B.conj().T @ y for y in ys))  # as peirce2_project
-        scale = np.prod([1.0 + A._norm(y) for y in ys])
-        return A._norm(A._triple(*ys) - B @ inner) / scale, None
-
     rng = np.random.default_rng(seed)
-    thr = 1e-7
-    return worst_over_trials(f"kaup-identity[{A.id}]", rng, trials, thr, trial, threshold=thr)
+    worst = WorstResidual(1e-7)
+    for size in chunk_sizes(trials):
+        ys = np.stack([[p2 @ _random(A, rng) for _ in range(3)] for _ in range(size)], axis=1)
+        inner = sub._triple(*(ys @ sub._down))  # as peirce2_project
+        scale = np.prod(1.0 + A._norm(ys), axis=0)
+        worst.add(A._norm(A._triple(*ys) - inner @ sub._up) / scale)
+    return worst.report(f"kaup-identity[{A.id}]", threshold=worst.tol)

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class ResidualCheck:
@@ -65,8 +67,6 @@ class CheckReport:
 
 def _jsonable(value):
     """Best-effort conversion of witnesses/details to JSON-safe values."""
-    import numpy as np
-
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -82,39 +82,52 @@ def _jsonable(value):
     return str(value)
 
 
+CHUNK = 64  # draws a stacked check evaluates at once: its memory is bounded in the trials
+
+
+def chunk_sizes(trials: int) -> list[int]:
+    """Sizes of the consecutive chunks, at most CHUNK draws each, of ``trials``."""
+    return [min(CHUNK, trials - i) for i in range(0, trials, CHUNK)]
+
+
+@dataclass
+class WorstResidual:
+    """Worst residual of a check's draws, fed in draw order, counted from
+    ``start``: the first of equal residuals wins and a NaN never does; the
+    witness is kept only above ``tol``; a report of no draw does not pass."""
+
+    tol: float
+    worst: float = 0.0
+    witness: Any = None
+    counted: int = 0
+
+    def add(self, residuals, witness: Callable = lambda i: None) -> None:
+        """Fold in the residuals of a stack of draws; ``witness(i)`` is the
+        witness of its i-th draw."""
+        r = np.asarray(residuals, dtype=float).ravel()
+        self.counted += r.size
+        r = np.append(np.where(np.isnan(r), -np.inf, r), -np.inf)  # never empty
+        i = int(np.argmax(r))
+        if r[i] > self.worst:
+            self.worst = float(r[i])
+            if self.worst > self.tol:
+                self.witness = witness(i)
+
+    def report(self, name: str, **details) -> CheckReport:
+        passed = self.counted > 0 and self.worst <= self.tol
+        return CheckReport(name, passed, self.counted, self.worst, self.witness, details=details)
+
+
 def worst_over_trials(
     name: str, rng, trials: int, tol: float, trial: Callable, start: float = 0.0, **details
 ) -> CheckReport:
     """Run ``trial(rng)`` ``trials`` times and keep the worst residual.
 
     ``trial`` returns (residual, witness), or None for a draw that does not
-    count.  The worst residual is counted from ``start``; the witness kept
-    is that of the worst draw when it exceeds ``tol``.  ``trials`` in the
-    report is the number of draws that counted, and a report that counted
-    none does not pass.
+    count; ``trials`` in the report is the number of draws that counted.
     """
-    worst, witness, counted = start, None, 0
-    for _ in range(trials):
-        drawn = trial(rng)
-        if drawn is None:
-            continue
-        counted += 1
-        residual, w = drawn
-        if residual > worst:
-            worst = residual
-            if residual > tol:
-                witness = w
-    return CheckReport(name, counted > 0 and worst <= tol, counted, worst, witness, details=details)
-
-
-def merge_reports(name: str, reports: list[CheckReport]) -> CheckReport:
-    """Combine independent trial batches into one report (max residual wins)."""
-    passed = all(r.passed for r in reports)
-    trials = sum(r.trials for r in reports)
-    worst = max(reports, key=lambda r: r.max_residual)
-    witness = None
-    for r in reports:
-        if not r.passed and r.witness is not None:
-            witness = r.witness
-            break
-    return CheckReport(name, passed, trials, worst.max_residual, witness=witness)
+    acc = WorstResidual(tol, start)
+    for size in chunk_sizes(trials):
+        drawn = [d for d in (trial(rng) for _ in range(size)) if d is not None]
+        acc.add([r for r, _ in drawn], lambda i: drawn[i][1])
+    return acc.report(name, **details)

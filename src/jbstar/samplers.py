@@ -39,7 +39,7 @@ def _same_generator_pair(A: AlgebraHandle, rng: np.random.Generator):
     a = _random(A, rng, "self_adjoint")
     c1, c2 = rng.standard_normal(2)
     b = float(c1) * a + float(c2) * A._prod(a, a)
-    for z in A._center():
+    for z in A._center_rows:
         b = b + float(rng.standard_normal()) * z
     return a, b
 

@@ -142,39 +142,34 @@ def oc_unitary_equivalences_check(
     least one of these identities by a factor >= 10 over tolerance.
     """
     grid = (-1.0, -0.5, 0.5, 1.0)
-    exponents = {c * t for c in (1.0, 2.0) for t in grid}  # t, 2t and -2s for t, s in grid
+    exponents = np.concatenate([grid, np.multiply(2.0, grid)])  # t, then 2t, for t in the grid
+
+    def table(x):
+        """exp(i t x) for every exponent t, as rows (one stacked product)."""
+        dec = _decompose(A, x)
+        return np.exp(1j * np.multiply.outer(exponents, dec.values)) @ dec.idempotents
 
     def trial(rng):
         h, k = _same_generator_pair(A, rng)
         if not _operator_commutes(A, h, k):
             return None
-        dech, deck = _decompose(A, h), _decompose(A, k)
-        eh = {t: _exp(dech, t) for t in exponents}
-        ek = {t: _exp(deck, t) for t in exponents}
-        residual = 0.0
+        eh, ek = table(h), table(k)
         # (a) + (b): commutation of exponentials, including with the star
-        for t in grid:
-            u, v = eh[t], ek[t]
-            residual = max(residual, _operator_commutes(A, u, v).residual)
-            residual = max(residual, _operator_commutes(A, u, A._inv(v)).residual)
-        # (c): associativity inside the generated subalgebra
-        u1, v1 = eh[1.0], ek[1.0]
-        words = [u1, v1, A._prod(u1, v1), A._prod(u1, u1)]
-        for x in words:
-            for y in words:
-                lhs = A._prod(A._prod(x, y), v1)
-                rhs = A._prod(x, A._prod(y, v1))
-                residual = max(residual, A._norm(lhs - rhs))
-        # (d): exchange identity, two evaluation paths for the left side
-        for t in grid:
-            for s in grid:
-                uth = eh[t]
-                lhs = _u_operator(A, uth, ek[2.0 * s])
-                lhs_triple = A._triple(uth, ek[-2.0 * s], uth)
-                rhs = _u_operator(A, ek[s], eh[2.0 * t])
-                residual = max(residual, A._norm(lhs - rhs))
-                residual = max(residual, A._norm(lhs - lhs_triple))
-        return residual, {"h": h.tolist(), "k": k.tolist()}
+        pairs = [(u, w) for u, v in zip(eh[:4], ek[:4]) for w in (v, A._inv(v))]
+        residual = max(_operator_commutes(A, u, w).residual for u, w in pairs)
+        # (c): associativity inside the generated subalgebra, all 16 words x, y
+        u1, v1 = eh[3], ek[3]
+        words = np.stack([u1, v1, A._prod(u1, v1), A._prod(u1, u1)])
+        x, y = words[:, None], words[None, :]
+        defects = [A._prod(A._prod(x, y), v1) - A._prod(x, A._prod(y, v1))]
+        # (d): exchange identity for all 16 pairs (t on axis 0, s on axis 1),
+        # two evaluation paths for the left side; -2s runs over 2t reversed
+        uth = eh[:4, None]
+        lhs = _u_operator(A, uth, ek[None, 4:])
+        defects.append(lhs - _u_operator(A, ek[None, :4], eh[4:, None]))
+        defects.append(lhs - A._triple(uth, ek[None, :3:-1], uth))
+        residual = max(residual, *(np.max(A._norm(d)) for d in defects))
+        return float(residual), {"h": h.tolist(), "k": k.tolist()}
 
     rng = np.random.default_rng(seed)
     name = f"oc-unitary-equivalences[{A.id}]"

@@ -30,8 +30,6 @@ def assoc_u(m, w):
     return m @ w @ m
 
 
-
-
 def assoc_triple(x, y, z):
     return 0.5 * (x @ y.conj().T @ z + z @ y.conj().T @ x)
 
@@ -168,3 +166,41 @@ def peirce_operators_by_columns(A, e):
     lee = np.stack([A._triple(x, x, eye[j]) for j in range(A.dim)], axis=1)
     mq = np.stack([A._triple(x, eye[j], x) for j in range(A.dim)], axis=1)
     return lee, mq @ np.conj(mq)
+
+
+def vector_prod(A, x, y):
+    """Jordan product of two coordinate vectors by the one-vector formulas
+    the models had before their operations took batch axes."""
+    if A.kind == "hermitian_matrix":
+        a, b = x.reshape(A.n, A.n), y.reshape(A.n, A.n)
+        return (0.5 * (a @ b + b @ a)).ravel()
+    if A.kind == "spin":
+        out = x[0] * y + y[0] * x
+        out[0] -= 0.5 * ((x * y).sum() + (y * x).sum())
+        return out
+    if A.kind == "direct_sum":
+        return np.concatenate([vector_prod(p, x[s], y[s]) for p, s in A.summands])
+    B = A.embed  # peirce2: {Bx, e, By} projected back
+    return B.conj().T @ vector_triple(A.ambient, B @ x, A.e, B @ y)
+
+
+def vector_inv(A, x):
+    """Involution of a coordinate vector by the one-vector formulas (see
+    vector_prod)."""
+    if A.kind == "hermitian_matrix":
+        return x.reshape(A.n, A.n).conj().T.ravel()
+    if A.kind == "spin":
+        out = -np.conj(x)
+        out[0] += 2.0 * np.conj(x[0])
+        return out
+    if A.kind == "direct_sum":
+        return np.concatenate([vector_inv(p, x[s]) for p, s in A.summands])
+    B = A.embed
+    return B.conj().T @ vector_triple(A.ambient, A.e, B @ x, A.e)
+
+
+def vector_triple(A, x, y, z):
+    """{x,y,z} = (x o y*) o z + (z o y*) o x - (x o z) o y* by vector_prod."""
+    ys = vector_inv(A, y)
+    p = lambda u, v: vector_prod(A, u, v)
+    return p(p(x, ys), z) + p(p(z, ys), x) - p(p(x, z), ys)

@@ -19,6 +19,7 @@ from jbstar.algebras import (
 )
 from jbstar.calculus import exp_i, is_self_adjoint, jordan_spectrum, u_operator
 from jbstar.errors import AlgebraMismatch, EmptyParts, SizeOutOfRange
+from jbstar.peirce import peirce2_algebra
 
 import oracles
 
@@ -39,6 +40,9 @@ def test_builder_bounds():
         build_hermitian_matrix_algebra(13)
     with pytest.raises(SizeOutOfRange):
         build_spin_factor(2)
+    with pytest.raises(SizeOutOfRange):
+        build_spin_factor(145)  # refused before any n^2 allocation
+    assert build_spin_factor(144).dim == 144
     with pytest.raises(EmptyParts):
         build_direct_sum([])
 
@@ -332,3 +336,52 @@ def test_algebra_descriptor_roundtrip():
     A = algebra_from_descriptor(doc)
     assert A.dim == 8
     assert algebra_to_descriptor(A) == doc
+
+
+def _m4_partial_isometry_peirce2():
+    M4 = build_hermitian_matrix_algebra(4)
+    e = np.zeros((4, 4), dtype=complex)
+    e[0, 1] = e[1, 2] = 1.0  # not self-adjoint: e e* and e* e differ
+    return peirce2_algebra(M4, M4.element(e.ravel()))
+
+
+STACK_MODELS = {
+    "M1": H1,
+    "M3": H3,
+    "spin(3)": S3,
+    "spin(5)": build_spin_factor(5),
+    "H3+S3": build_direct_sum([H3, S3]),
+    "nested-sum": build_direct_sum([build_direct_sum([S3, H2]), H1, S4]),
+    "peirce2(M4)": _m4_partial_isometry_peirce2(),
+}
+
+
+@pytest.mark.parametrize("name", list(STACK_MODELS))
+def test_stacked_model_ops_match_rowwise(name):
+    A = STACK_MODELS[name]
+    rng = np.random.default_rng(80)
+    T = 6
+    X, Y, Z = (rng.standard_normal((T, A.dim)) + 1j * rng.standard_normal((T, A.dim)) for _ in range(3))
+    y = Y[0]
+
+    def close(stacked, rowwise):
+        for got, want in zip(stacked, rowwise):
+            assert np.max(np.abs(got - want)) <= 1e-15 * (1.0 + np.max(np.abs(want))), name
+
+    rows = range(T)
+    close(A._prod(X, Y), [A._prod(X[i], Y[i]) for i in rows])
+    close(A._prod(X, y), [A._prod(X[i], y) for i in rows])  # stack against a single
+    close(A._prod(y, X), [A._prod(y, X[i]) for i in rows])
+    close(A._inv(X), [A._inv(X[i]) for i in rows])
+    close(A._norm(X), [A._norm(X[i]) for i in rows])
+    close(A._triple(X, Y, Z), [A._triple(X[i], Y[i], Z[i]) for i in rows])
+    close(A._triple(X, y, X), [A._triple(X[i], y, X[i]) for i in rows])
+    # two batch axes broadcast as an outer product
+    outer = A._prod(X[:3, None], Y[None, :2])
+    assert outer.shape == (3, 2, A.dim)
+    close(outer.reshape(6, A.dim), [A._prod(X[i], Y[j]) for i in range(3) for j in range(2)])
+    # one vector: the one-vector formulas bit for bit, and a float norm
+    for i in rows:
+        assert np.array_equal(A._prod(X[i], Y[i]), oracles.vector_prod(A, X[i], Y[i])), name
+        assert np.array_equal(A._inv(X[i]), oracles.vector_inv(A, X[i])), name
+        assert type(A._norm(X[i])) is float

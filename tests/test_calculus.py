@@ -5,6 +5,7 @@ import pytest
 
 from jbstar.algebras import (
     AlgebraHandle,
+    DirectSum,
     build_direct_sum,
     build_hermitian_matrix_algebra,
     build_spin_factor,
@@ -30,6 +31,7 @@ from jbstar.calculus import (
 from jbstar.errors import NotSelfAdjoint
 from jbstar.kernel import operator_norm
 from jbstar.peirce import peirce2_algebra
+from jbstar.samplers import same_generator_pair
 
 import oracles
 
@@ -288,8 +290,22 @@ def test_concrete_centres_skip_the_kernel_route(monkeypatch):
     monkeypatch.setattr(AlgebraHandle, "_center", refuse)
     for A in CENTRE_MODELS:
         center_basis(A)
+        A._center()  # the closed form itself, whether or not the handle cached it
     with pytest.raises(AssertionError):
         center_basis(peirce2_algebra(H2, H2.unit))
+
+
+def test_centre_is_computed_once_per_handle(monkeypatch):
+    A = build_direct_sum([build_hermitian_matrix_algebra(2), build_spin_factor(3)])
+    calls = []
+    monkeypatch.setattr(DirectSum, "_center", lambda self: calls.append(self) or [self.unit.coords])
+    rows = A._center_rows
+    assert A._center_rows is rows and len(calls) == 1
+    assert not rows.flags.writeable
+    center_basis(A)
+    same_generator_pair(A, np.random.default_rng(0))
+    assert len(calls) == 1
+
 
 def test_is_invertible():
     assert np.allclose(is_invertible(H2, H2.unit).coords, H2.unit.coords)

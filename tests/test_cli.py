@@ -171,7 +171,7 @@ def test_expected_fail_does_not_flip_verdict(files):
 
 
 H2 = {"kind": "hermitian_matrix", "n": 2}
-# (suite, algebra descriptor, map descriptor or None, further arguments)
+# (suite, algebra descriptor or None, map descriptor or None, further arguments)
 BAD_INPUTS = {
     "spin-without-n": ("axioms", {"kind": "spin"}, None, []),
     "sum-without-parts": ("axioms", {"kind": "direct_sum"}, None, []),
@@ -190,15 +190,20 @@ BAD_INPUTS = {
     ),
     "epsilon-out-of-range": ("counterexample", {"kind": "spin", "n": 3}, None, ["--epsilon", "0.7"]),
     "negative-seed": ("axioms", H2, None, ["--seed", "-1"]),
+    # refused by the size bound before any dense matrix is allocated
+    "spin-descriptor-too-large": ("axioms", {"kind": "spin", "n": 100000}, None, []),
+    "spin-dim-too-large": ("counterexample", None, None, ["--spin-dim", "100000"]),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_is_usage_error(case, tmp_path, capsys, monkeypatch):
     suite, desc, map_desc, extra = BAD_INPUTS[case]
-    alg = tmp_path / "alg.json"
-    alg.write_text(json.dumps(desc))
-    argv = [suite, "--algebra", str(alg), "--trials", "1"]
+    argv = [suite, "--trials", "1"]
+    if desc is not None:
+        alg = tmp_path / "alg.json"
+        alg.write_text(json.dumps(desc))
+        argv += ["--algebra", str(alg)]
     if map_desc is not None:
         mp = tmp_path / "map.json"
         mp.write_text(json.dumps(map_desc))
