@@ -492,11 +492,7 @@ def random_element(A: AlgebraHandle, seed: int, flavor: str = "general") -> Elem
     self-adjoint b), ``projection`` (sum of a random subset of spectral
     idempotents), ``unitary`` (exp_i of a random self-adjoint).
     """
-    return _random_element(A, np.random.default_rng(seed), flavor)
-
-
-def _random_element(A: AlgebraHandle, rng: np.random.Generator, flavor: str = "general") -> Element:
-    return Element(A.id, _random(A, rng, flavor))
+    return Element(A.id, _random(A, np.random.default_rng(seed), flavor))
 
 
 def _random(A: AlgebraHandle, rng: np.random.Generator, flavor: str = "general") -> np.ndarray:
@@ -553,10 +549,13 @@ def selfadjoint_basis(A: AlgebraHandle) -> list[Element]:
 
 def sa_coords(A: AlgebraHandle, a: Element, basis: list[Element] | None = None) -> np.ndarray:
     """Real coordinates of a self-adjoint element in a self-adjoint basis."""
+    return _sa_coords(A, _owned(A, a), basis)
+
+
+def _sa_coords(A: AlgebraHandle, x: np.ndarray, basis: list[Element] | None = None) -> np.ndarray:
     basis = basis if basis is not None else selfadjoint_basis(A)
-    r = _realify(_owned(A, a))
     B = np.stack([_realify(b.coords) for b in basis], axis=1)
-    return B.T @ r
+    return B.T @ _realify(x)
 
 
 def sa_from_coords(A: AlgebraHandle, rho, basis: list[Element] | None = None) -> Element:

@@ -9,7 +9,8 @@ counterexample exercises the sharpness of the hypothesis in exploratory
 mode.
 
 Target spaces X are finite-dimensional real coordinate spaces with the
-max-norm.
+max-norm.  Check bodies compute on coordinate arrays; the map under test
+still receives an ``Element``, built at the call (``_on_coords``).
 """
 
 from __future__ import annotations
@@ -19,16 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebras import (
-    AlgebraHandle,
-    Element,
-    _random,
-    _random_element,
-    jbstar_norm,
-    sa_coords,
-    selfadjoint_basis,
-)
-from .calculus import operator_commutes, spectral_decomposition
+from .algebras import AlgebraHandle, Element, _random, _realify, _sa_coords, selfadjoint_basis
+from .calculus import _decompose, _operator_commutes
 from .errors import (
     AdditivityViolation,
     HypothesisFailed,
@@ -38,7 +31,7 @@ from .errors import (
 )
 from .kernel import solve_least_squares
 from .reports import CheckReport
-from .samplers import default_oc_sampler, orthogonal_projection_pair
+from .samplers import _draw_oc_pair, _orthogonal_projection_pair, default_oc_sampler
 
 __all__ = [
     "ProjectionMeasure",
@@ -75,6 +68,11 @@ def _xnorm(v: np.ndarray) -> float:
     return float(np.max(np.abs(v), initial=0.0))
 
 
+def _on_coords(A: AlgebraHandle, f: Callable[[Element], np.ndarray]):
+    """f on coordinate arrays: the one place a check body builds an Element."""
+    return lambda x: np.asarray(f(Element(A.id, x)))
+
+
 def is_spin_summand(A: AlgebraHandle, samples: int = 10, seed: int = 7) -> bool:
     """Mechanical spin detector on a single (non-sum) algebra.
 
@@ -106,12 +104,7 @@ def spin_summands(A: AlgebraHandle) -> list[str]:
 def vectorize_map(fn: Callable[[Element], Element], target: AlgebraHandle):
     """Adapt an element-valued map to an X-valued one by realifying the
     target coordinates."""
-
-    def f(a: Element) -> np.ndarray:
-        out = fn(a)
-        return np.concatenate([out.coords.real, out.coords.imag])
-
-    return f
+    return lambda a: _realify(fn(a).coords)
 
 
 def canonical_projections(A: AlgebraHandle) -> list[Element]:
@@ -131,30 +124,32 @@ def measure_from_map(
     """Restrict f to projections after verifying homogeneity and finite
     additivity on orthogonal pairs from common spectral decompositions."""
     rng = np.random.default_rng(seed)
+    fx = _on_coords(A, f)
     for _ in range(10):
         # positive homogeneity; the negative-scalar case follows from
         # OC-additivity (a operator commutes with -a)
-        a = _random_element(A, rng, "self_adjoint")
+        a = _random(A, rng, "self_adjoint")
         tau = float(rng.uniform(0.3, 3.0))
-        dev = _xnorm(f(tau * a) - tau * np.asarray(f(a)))
-        if dev > 1e-7 * (1.0 + abs(tau)) * (1.0 + _xnorm(f(a))):
+        fta, fa = fx(tau * a), fx(a)
+        dev = _xnorm(fta - tau * fa)
+        if dev > 1e-7 * (1.0 + abs(tau)) * (1.0 + _xnorm(fa)):
             raise PreconditionFailed(f"map is not homogeneous (residual {dev:.3e})")
     for _ in range(bound_probe):
-        pq = orthogonal_projection_pair(A, rng)
+        pq = _orthogonal_projection_pair(A, rng)
         if pq is None:
             continue
         p, q = pq
-        if not operator_commutes(A, p, q):
+        if not _operator_commutes(A, p, q):
             raise PreconditionFailed("orthogonal projections failed to operator commute")
-        dev = _xnorm(np.asarray(f(p + q)) - np.asarray(f(p)) - np.asarray(f(q)))
-        if dev > 1e-7 * (1.0 + _xnorm(f(p)) + _xnorm(f(q))):
+        fpq, fp, fq = fx(p + q), fx(p), fx(q)
+        dev = _xnorm(fpq - fp - fq)
+        if dev > 1e-7 * (1.0 + _xnorm(fp) + _xnorm(fq)):
             raise AdditivityViolation(
                 f"measure not additive on an orthogonal pair (residual {dev:.3e})"
             )
     bound = 0.0
     for _ in range(bound_probe):
-        p = _random_element(A, rng, "projection")
-        bound = max(bound, _xnorm(np.asarray(f(p))))
+        bound = max(bound, _xnorm(fx(_random(A, rng, "projection"))))
     return ProjectionMeasure(algebra=A, eval=f, bound=bound)
 
 
@@ -170,11 +165,12 @@ def linear_reconstruction(
     A = mu.algebra
     rng = np.random.default_rng(seed)
     basis = selfadjoint_basis(A)
-    projections = list(canonical_projections(A))
+    projections = A._canonical_projections()
     while len(projections) < probes:
-        projections.append(_random_element(A, rng, "projection"))
-    rows = np.stack([sa_coords(A, p, basis) for p in projections])
-    vals = np.stack([np.asarray(mu.eval(p), dtype=float) for p in projections])
+        projections.append(_random(A, rng, "projection"))
+    rows = np.stack([_sa_coords(A, p, basis) for p in projections])
+    fx = _on_coords(A, mu.eval)
+    vals = np.stack([np.asarray(fx(p), dtype=float) for p in projections])
     sv = np.linalg.svd(rows, compute_uv=False)
     if sv[-1] <= 1e-9 * max(sv[0], 1.0):
         raise ProjectionsDoNotSpan(
@@ -208,37 +204,33 @@ def verify_linearity_theorem(
     if flagged and theorem_grade:
         raise TypeI2Present(f"spin summands present: {flagged}")
     rng = np.random.default_rng(seed)
+    fx = _on_coords(A, f)
     sampler = default_oc_sampler(A)
     oc_dev = 0.0
     for _ in range(min(trials, 50)):
-        a, b = sampler(rng)
-        if not operator_commutes(A, a, b):
-            continue
-        oc_dev = max(
-            oc_dev,
-            _xnorm(np.asarray(f(a + b)) - np.asarray(f(a)) - np.asarray(f(b)))
-            / (1.0 + jbstar_norm(A, a) + jbstar_norm(A, b)),
-        )
+        a, b = _draw_oc_pair(A, sampler, rng)
+        scale = 1.0 + A._norm(a) + A._norm(b)
+        oc_dev = max(oc_dev, _xnorm(fx(a + b) - fx(a) - fx(b)) / scale)
     if oc_dev > pass_tol:
         raise HypothesisFailed(f"f is not OC-additive (residual {oc_dev:.3e})")
     bound = 0.0
     for _ in range(min(trials, 50)):
-        a = _random_element(A, rng, "self_adjoint")
-        na = jbstar_norm(A, a)
+        a = _random(A, rng, "self_adjoint")
+        na = A._norm(a)
         if na > 1e-9:
-            bound = max(bound, _xnorm(np.asarray(f((1.0 / na) * a))))
+            bound = max(bound, _xnorm(fx((1.0 / na) * a)))
     mu = measure_from_map(A, f, bound_probe=min(trials, 50), seed=seed + 1)
     recon = linear_reconstruction(mu, probes=max(trials // 2, 40), seed=seed + 2)
     spectral_dev = 0.0
     agree = 0.0
     for _ in range(trials):
-        a = _random_element(A, rng, "self_adjoint")
-        dec = spectral_decomposition(A, a)
-        total = dec.values @ np.stack([np.asarray(f(p), dtype=float) for _, p in dec.pairs])
-        fa = np.asarray(f(a), dtype=float)
-        scale = 1.0 + jbstar_norm(A, a)
+        a = _random(A, rng, "self_adjoint")
+        dec = _decompose(A, a)
+        total = dec.values @ np.stack([np.asarray(fx(p), dtype=float) for p in dec.idempotents])
+        fa = np.asarray(fx(a), dtype=float)
+        scale = 1.0 + A._norm(a)
         spectral_dev = max(spectral_dev, _xnorm(fa - total) / scale)
-        agree = max(agree, _xnorm(fa - recon.matrix @ sa_coords(A, a, recon.sa_basis)) / scale)
+        agree = max(agree, _xnorm(fa - recon.matrix @ _sa_coords(A, a, recon.sa_basis)) / scale)
     passed = (
         not flagged
         and spectral_dev <= pass_tol

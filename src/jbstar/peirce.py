@@ -112,7 +112,10 @@ def peirce2_algebra(A: AlgebraHandle, e: Element) -> AlgebraHandle:
     algebra.  Jordan-identity and JB*-axiom residuals are spot-checked on
     random samples of the derived algebra.
     """
-    x = _owned(A, e)
+    return _peirce2_algebra(A, _owned(A, e))
+
+
+def _peirce2_algebra(A: AlgebraHandle, x: np.ndarray) -> AlgebraHandle:
     return _peirce2_of(A, x, _peirce_projections(A, x)[0])
 
 

@@ -11,10 +11,15 @@ All checks report residuals; pass thresholds are parameters with uniform
 defaults, never hard-wired booleans.  Residuals recorded in reports are
 normalized by the per-trial scale (1 + norms of the inputs involved) so
 that thresholds are comparable across trials.
+
+Check bodies compute on coordinate arrays.  The maps take and return
+``Element``s; ``MapUnderTest._eval`` and ``_inverse``, the map calls, are the
+only place a check body meets one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -26,19 +31,17 @@ from .algebras import (
     Element,
     HermitianMatrixAlgebra,
     SpinFactor,
-    _random_element,
+    _owned,
+    _random,
     element_from_json,
-    involution,
-    jbstar_norm,
-    jordan_product,
 )
 from .calculus import (
-    center_basis,
-    exp_i,
-    is_self_adjoint,
+    _exp_i,
+    _operator_commutes,
+    _self_adjoint_defect,
+    _u_operator,
     is_invertible,
-    operator_commutes,
-    u_operator,
+    is_self_adjoint,
 )
 from .errors import (
     BranchAmbiguity,
@@ -48,12 +51,12 @@ from .errors import (
     NotAFactor,
     ParamOutOfRange,
     PreconditionFailed,
-    SamplerViolation,
 )
-from .peirce import is_tripotent, peirce2_algebra, peirce2_embed, peirce2_project
+from .measures import is_spin_summand
+from .peirce import _is_tripotent, _peirce2_algebra
 from .reports import CheckReport, worst_over_trials
-from .samplers import commuting_projection_pair, default_oc_sampler, oc_pair_sampler
-from .unitary import is_symmetry, is_unitary, unitary_log
+from .samplers import _commuting_projection_pair, _draw_oc_pair, default_oc_sampler, oc_pair_sampler
+from .unitary import _is_symmetry, _is_unitary, _unitary_log, unitary_log
 
 __all__ = [
     "MapUnderTest",
@@ -96,10 +99,21 @@ class MapUnderTest:
     def __call__(self, a: Element) -> Element:
         if a.algebra_id != self.source.id:
             raise PreconditionFailed(f"map {self.label!r} got element of {a.algebra_id}")
-        out = self.eval(a)
-        if out.algebra_id != self.target.id:
-            raise PreconditionFailed(f"map {self.label!r} returned element of {out.algebra_id}")
-        return out
+        return self._checked(self.eval(a), self.target)
+
+    def _eval(self, x: np.ndarray) -> np.ndarray:
+        """The map on source coordinates, as target coordinates."""
+        return self._checked(self.eval(Element(self.source.id, x)), self.target).coords
+
+    def _inverse(self, y: np.ndarray) -> np.ndarray:
+        """The supplied inverse on target coordinates, as source coordinates."""
+        e = self.inverse(Element(self.target.id, y))
+        return self._checked(e, self.source, " inverse").coords
+
+    def _checked(self, e: Element, codomain: AlgebraHandle, role: str = "") -> Element:
+        if e.algebra_id != codomain.id:
+            raise PreconditionFailed(f"map {self.label!r}{role} returned element of {e.algebra_id}")
+        return e
 
 
 @dataclass
@@ -122,28 +136,18 @@ class DichotomyResult:
     witness: dict | None = None
 
 
-def _draw_oc_pair(m: MapUnderTest, sampler, rng) -> tuple[Element, Element]:
-    a, b = sampler(rng)
-    chk = operator_commutes(m.source, a, b)
-    if not chk:
-        raise SamplerViolation(
-            f"sampler produced a non-commuting pair (residual {chk.residual:.3e})"
-        )
-    return a, b
-
-
 def _oc_pair_check(name, m: MapUnderTest, sampler, trials, seed, pass_tol, residual, **details):
     """Worst normalized residual over operator-commuting pairs, where
-    ``residual(a, b)`` returns (raw residual, scale)."""
+    ``residual(x, y)`` returns (raw residual, scale) for pair coordinates."""
     sampler = sampler or default_oc_sampler(m.source)
     worst_raw = 0.0
 
     def trial(rng):
         nonlocal worst_raw
-        a, b = _draw_oc_pair(m, sampler, rng)
-        r, scale = residual(a, b)
+        x, y = _draw_oc_pair(m.source, sampler, rng)
+        r, scale = residual(x, y)
         worst_raw = max(worst_raw, r)
-        return r / scale, {"a": a.coords.tolist(), "b": b.coords.tolist(), "residual": r}
+        return r / scale, {"a": x.tolist(), "b": y.tolist(), "residual": r}
 
     rng = np.random.default_rng(seed)
     rep = worst_over_trials(
@@ -157,10 +161,11 @@ def check_oc_additive(
     m: MapUnderTest, sampler=None, trials: int = 200, seed: int = 0, pass_tol: float = 1e-7
 ) -> CheckReport:
     """Additivity on operator-commuting self-adjoint pairs."""
+    src, tgt, f = m.source, m.target, m._eval
 
-    def residual(a, b):
-        r = jbstar_norm(m.target, m(a + b) - m(a) - m(b))
-        return r, 1.0 + jbstar_norm(m.source, a) + jbstar_norm(m.source, b)
+    def residual(x, y):
+        r = tgt._norm(f(x + y) - f(x) - f(y))
+        return r, 1.0 + src._norm(x) + src._norm(y)
 
     return _oc_pair_check("oc-additive", m, sampler, trials, seed, pass_tol, residual)
 
@@ -178,16 +183,17 @@ def check_oc_quadratic(
     ``starred`` switches to the triple-product variant used for
     full-algebra maps: Phi(U_a(b*)) = U_{Phi(a)}(Phi(b)*).
     """
+    src, tgt, f = m.source, m.target, m._eval
 
-    def residual(a, b):
+    def residual(x, y):
         if starred:
-            lhs = m(u_operator(m.source, a, involution(m.source, b)))
-            rhs = u_operator(m.target, m(a), involution(m.target, m(b)))
+            lhs = f(_u_operator(src, x, src._inv(y)))
+            rhs = _u_operator(tgt, f(x), tgt._inv(f(y)))
         else:
-            lhs = m(u_operator(m.source, a, b))
-            rhs = u_operator(m.target, m(a), m(b))
-        r = jbstar_norm(m.target, lhs - rhs)
-        return r, (1.0 + jbstar_norm(m.source, a)) ** 2 * (1.0 + jbstar_norm(m.source, b))
+            lhs = f(_u_operator(src, x, y))
+            rhs = _u_operator(tgt, f(x), f(y))
+        r = tgt._norm(lhs - rhs)
+        return r, (1.0 + src._norm(x)) ** 2 * (1.0 + src._norm(y))
 
     return _oc_pair_check(
         "oc-quadratic", m, sampler, trials, seed, pass_tol, residual, starred=starred
@@ -199,26 +205,25 @@ def check_piecewise_hom_on_unitaries(
 ) -> CheckReport:
     """Unit preservation plus multiplicativity and commutativity preservation
     on operator-commuting unitary pairs."""
-    src, tgt = m.source, m.target
+    src, tgt, f = m.source, m.target, m._eval
     rng = np.random.default_rng(seed)
-    img_unit = m(src.unit)
-    if not is_unitary(tgt, img_unit):
+    img_unit = f(src.unit.coords)
+    if not _is_unitary(tgt, img_unit):
         raise NonUnitaryImage("image of the unit is not unitary")
-    unit_residual = jbstar_norm(tgt, img_unit - tgt.unit)
+    unit_residual = tgt._norm(img_unit - tgt.unit.coords)
     sampler = default_oc_sampler(src)
 
     def trial(rng):
-        h, k = _draw_oc_pair(m, sampler, rng)
-        u = exp_i(src, h, 1.0)
-        v = exp_i(src, k, 1.0)
-        fu, fv = m(u), m(v)
+        h, k = _draw_oc_pair(src, sampler, rng)
+        u, v = _exp_i(src, h, 1.0), _exp_i(src, k, 1.0)
+        fu, fv = f(u), f(v)
         for name, x in (("u", fu), ("v", fv)):
-            if not is_unitary(tgt, x):
+            if not _is_unitary(tgt, x):
                 raise NonUnitaryImage(f"image of {name} is not unitary")
-        mult = jbstar_norm(tgt, m(jordan_product(src, u, v)) - jordan_product(tgt, fu, fv))
-        occ = operator_commutes(tgt, fu, fv)
+        mult = tgt._norm(f(src._prod(u, v)) - tgt._prod(fu, fv))
+        occ = _operator_commutes(tgt, fu, fv)
         r = max(mult, occ.residual)
-        return r, {"h": h.coords.tolist(), "k": k.coords.tolist(), "residual": r}
+        return r, {"h": h.tolist(), "k": k.tolist(), "residual": r}
 
     name = f"piecewise-hom-unitaries[{m.label}]"
     details = {"unit_residual": unit_residual, "pass_tol": pass_tol}
@@ -228,17 +233,23 @@ def check_piecewise_hom_on_unitaries(
 def derive_generator_map(m: MapUnderTest, a: Element, t_small: float = 1.0 / 16.0) -> Element:
     """Generator f(a) with Phi(exp(i t a)) = exp(i t f(a)), from the log at
     t_small, consistency-checked against t_small/2."""
-    def f_at(t: float) -> Element:
-        u = exp_i(m.source, a, t)
-        lg = unitary_log(m.target, m(u))
-        if lg.ambiguous:
+    return Element(m.target.id, _generator(m, _owned(m.source, a), t_small))
+
+
+def _generator(m: MapUnderTest, x: np.ndarray, t_small: float = 1.0 / 16.0) -> np.ndarray:
+    """derive_generator_map on coordinates."""
+    tgt = m.target
+
+    def f_at(t: float) -> np.ndarray:
+        h, ambiguous = _unitary_log(tgt, m._eval(_exp_i(m.source, x, t)))
+        if ambiguous:
             raise BranchAmbiguity("image spectrum touches -1; shrink t_small")
-        return (1.0 / t) * lg.h
+        return (1.0 / t) * h
 
     f1 = f_at(t_small)
     f2 = f_at(t_small / 2.0)
-    dev = jbstar_norm(m.target, f1 - f2)
-    thr = 10.0 * m.target.tol.abs_eps * (1.0 + jbstar_norm(m.target, f1)) + 1e-9
+    dev = tgt._norm(f1 - f2)
+    thr = 10.0 * tgt.tol.abs_eps * (1.0 + tgt._norm(f1)) + 1e-9
     if dev > thr:
         raise Inconsistent(f"halving t_small moved the generator by {dev:.3e}")
     return f1
@@ -256,20 +267,18 @@ def check_generator_properties(
 
     def trial(rng):
         nonlocal bound
-        a, b = _draw_oc_pair(m, sampler, rng)
-        fa = derive_generator_map(m, a)
-        fb = derive_generator_map(m, b)
-        fab = derive_generator_map(m, a + b)
-        r_add = jbstar_norm(tgt, fab - fa - fb)
+        a, b = _draw_oc_pair(src, sampler, rng)
+        fa, fb, fab = (_generator(m, x) for x in (a, b, a + b))
+        r_add = tgt._norm(fab - fa - fb)
         tau = float(rng.choice([-2.0, -1.0, 0.5, 3.0]))
-        r_hom = jbstar_norm(tgt, derive_generator_map(m, tau * a) - tau * fa)
-        r_oc = operator_commutes(tgt, fa, fb).residual
-        scale = 1.0 + jbstar_norm(src, a) + jbstar_norm(src, b)
+        r_hom = tgt._norm(_generator(m, tau * a) - tau * fa)
+        r_oc = _operator_commutes(tgt, fa, fb).residual
+        scale = 1.0 + src._norm(a) + src._norm(b)
         r = max(r_add, r_hom, r_oc) / scale
-        na = jbstar_norm(src, a)
+        na = src._norm(a)
         if na > 1e-9:
-            bound = max(bound, jbstar_norm(tgt, fa) / na)
-        return r, {"a": a.coords.tolist(), "b": b.coords.tolist()}
+            bound = max(bound, tgt._norm(fa) / na)
+        return r, {"a": a.tolist(), "b": b.tolist()}
 
     name = f"generator-properties[{m.label}]"
     rep = worst_over_trials(name, rng, trials, pass_tol, trial, pass_tol=pass_tol)
@@ -286,30 +295,27 @@ def verify_jordan_star_isomorphism(
     preservation, and (when an inverse is supplied) the round trip.  Raises
     PreconditionFailed naming the first broken hypothesis.
     """
-    src, tgt = theta.source, theta.target
+    src, tgt, f = theta.source, theta.target, theta._eval
     rng = np.random.default_rng(seed)
     worst = 0.0
-    r = jbstar_norm(tgt, theta(src.unit) - tgt.unit)
+    r = tgt._norm(f(src.unit.coords) - tgt.unit.coords)
     if r > pass_tol:
         raise PreconditionFailed(f"theta is not unital (residual {r:.3e})")
     for _ in range(trials):
-        a = _random_element(src, rng)
-        b = _random_element(src, rng)
+        a, b = _random(src, rng), _random(src, rng)
         al = complex(rng.standard_normal(), rng.standard_normal())
-        scale = (1.0 + jbstar_norm(src, a)) * (1.0 + jbstar_norm(src, b))
-        r_lin = jbstar_norm(tgt, theta(al * a + b) - al * theta(a) - theta(b))
+        scale = (1.0 + src._norm(a)) * (1.0 + src._norm(b))
+        r_lin = tgt._norm(f(a * al + b) - f(a) * al - f(b))
         if r_lin > pass_tol * scale:
             raise PreconditionFailed(f"theta is not complex linear (residual {r_lin:.3e})")
-        r_mult = jbstar_norm(
-            tgt, theta(jordan_product(src, a, b)) - jordan_product(tgt, theta(a), theta(b))
-        )
+        r_mult = tgt._norm(f(src._prod(a, b)) - tgt._prod(f(a), f(b)))
         if r_mult > pass_tol * scale:
             raise PreconditionFailed(f"theta is not Jordan multiplicative ({r_mult:.3e})")
-        r_star = jbstar_norm(tgt, theta(involution(src, a)) - involution(tgt, theta(a)))
+        r_star = tgt._norm(f(src._inv(a)) - tgt._inv(f(a)))
         if r_star > pass_tol * scale:
             raise PreconditionFailed(f"theta does not preserve the involution ({r_star:.3e})")
         if theta.inverse is not None:
-            r_rt = jbstar_norm(src, theta.inverse(theta(a)) - a)
+            r_rt = src._norm(theta._inverse(f(a)) - a)
             if r_rt > pass_tol * scale:
                 raise PreconditionFailed(f"theta round trip failed ({r_rt:.3e})")
             worst = max(worst, r_rt)
@@ -317,11 +323,14 @@ def verify_jordan_star_isomorphism(
     return worst
 
 
-def _central_projection_residual(A: AlgebraHandle, x: Element) -> float:
-    basis = center_basis(A)
-    B = np.stack([z.coords for z in basis], axis=1)
-    proj = B @ (B.conj().T @ x.coords)
-    return float(np.linalg.norm(x.coords - proj))
+def _central_projection_residual(A: AlgebraHandle, x: np.ndarray) -> float:
+    B = np.stack(A._center_rows, axis=1)
+    return float(np.linalg.norm(x - B @ (B.conj().T @ x)))
+
+
+def _is_central_self_adjoint(A: AlgebraHandle, x: np.ndarray) -> bool:
+    dev, thr, norm = _self_adjoint_defect(A, x)
+    return dev <= thr and _central_projection_residual(A, x) <= 1e-8 * (1.0 + norm)
 
 
 def verify_unitary_preserver_form(
@@ -336,34 +345,33 @@ def verify_unitary_preserver_form(
     """Compare Phi(exp(i a)) against both closed forms of the structure
     theorem: exp(i beta(a)) o exp(i c o theta(a)) and
     exp(i beta(a)) o theta(exp(i theta^{-1}(c) o a))."""
-    src, tgt = m.source, m.target
+    src, tgt, f, th = m.source, m.target, m._eval, theta._eval
+    if (theta.source.id, theta.target.id) != (src.id, tgt.id):
+        raise PreconditionFailed("theta must map between the algebras of Phi")
     verify_jordan_star_isomorphism(theta, trials=10, seed=seed)
     if theta.inverse is None:
         raise PreconditionFailed("theta must carry an inverse for the second closed form")
-    if not is_self_adjoint(tgt, c):
-        raise PreconditionFailed("c is not self-adjoint")
-    if _central_projection_residual(tgt, c) > 1e-8 * (1.0 + jbstar_norm(tgt, c)):
-        raise PreconditionFailed("c is not central")
+    z = _owned(tgt, c)
+    if not _is_central_self_adjoint(tgt, z):
+        raise PreconditionFailed("c is not central self-adjoint")
     if is_invertible(tgt, c) is None:
         raise PreconditionFailed("c is not invertible")
-    c_back = theta.inverse(c)
+    z_back = theta._inverse(z)
 
     def trial(rng):
-        a = _random_element(src, rng, "self_adjoint")
-        na = jbstar_norm(src, a)
+        a = _random(src, rng, "self_adjoint")
+        na = src._norm(a)
         if na > 2.5:
             a = (2.5 / na) * a
-        ba = beta(a)
-        if not is_self_adjoint(tgt, ba) or _central_projection_residual(tgt, ba) > 1e-8 * (
-            1.0 + jbstar_norm(tgt, ba)
-        ):
+        ba = _owned(tgt, beta(Element(src.id, a)))
+        if not _is_central_self_adjoint(tgt, ba):
             raise PreconditionFailed("beta(a) is not central self-adjoint")
-        v0 = m(exp_i(src, a, 1.0))
-        phase = exp_i(tgt, ba, 1.0)
-        v1 = jordan_product(tgt, phase, exp_i(tgt, jordan_product(tgt, c, theta(a)), 1.0))
-        v2 = jordan_product(tgt, phase, theta(exp_i(src, jordan_product(src, c_back, a), 1.0)))
-        r = max(jbstar_norm(tgt, v0 - v1), jbstar_norm(tgt, v0 - v2), jbstar_norm(tgt, v1 - v2))
-        return r, {"a": a.coords.tolist(), "residual": r}
+        v0 = f(_exp_i(src, a, 1.0))
+        phase = _exp_i(tgt, ba, 1.0)
+        v1 = tgt._prod(phase, _exp_i(tgt, tgt._prod(z, th(a)), 1.0))
+        v2 = tgt._prod(phase, th(_exp_i(src, src._prod(z_back, a), 1.0)))
+        r = max(tgt._norm(v0 - v1), tgt._norm(v0 - v2), tgt._norm(v1 - v2))
+        return r, {"a": a.tolist(), "residual": r}
 
     rng = np.random.default_rng(seed)
     name = f"unitary-preserver-form[{m.label}]"
@@ -376,26 +384,25 @@ def classify_factor_dichotomy(
     """Decide between Phi = theta and Phi = theta(inverse) on random
     unitaries of a non-spin factor source."""
     src, tgt = m.source, m.target
-    if len(center_basis(src)) != 1:
+    if len(src._center_rows) != 1:
         raise NotAFactor("source centre has dimension > 1")
-    from .measures import is_spin_summand  # late import; measures has no back-dependency
-
     if is_spin_summand(src):
         raise NotAFactor("source is a spin factor (type I2), dichotomy does not apply")
+    if (theta.source.id, theta.target.id) != (src.id, tgt.id):
+        raise PreconditionFailed("theta must map between the algebras of Phi")
     verify_jordan_star_isomorphism(theta, trials=10, seed=seed)
     rng = np.random.default_rng(seed)
     r_id = r_inv = 0.0
     worst_witness = None
     for _ in range(trials):
-        u = _random_element(src, rng, "unitary")
-        fu = m(u)
-        scale = 1.0 + jbstar_norm(src, u)
-        d_id = jbstar_norm(tgt, fu - theta(u)) / scale
-        d_inv = jbstar_norm(tgt, fu - theta(involution(src, u))) / scale
+        u = _random(src, rng, "unitary")
+        fu = m._eval(u)
+        scale = 1.0 + src._norm(u)
+        d_id = tgt._norm(fu - theta._eval(u)) / scale
+        d_inv = tgt._norm(fu - theta._eval(src._inv(u))) / scale
         if max(d_id, d_inv) > max(r_id, r_inv):
-            worst_witness = {"u": u.coords.tolist()}
-        r_id = max(r_id, d_id)
-        r_inv = max(r_inv, d_inv)
+            worst_witness = {"u": u.tolist()}
+        r_id, r_inv = max(r_id, d_id), max(r_inv, d_inv)
     if r_id <= pass_tol:
         return DichotomyResult("identity_case", r_id, r_inv)
     if r_inv <= pass_tol:
@@ -423,7 +430,7 @@ def recover_structure(
     When an inverse is supplied and round-trips pass, w is additionally
     tested for being a central symmetry of the target.
     """
-    src, tgt = m.source, m.target
+    src, tgt, f = m.source, m.target, m._eval
     sampler = sampler or default_oc_sampler(src)
     add = check_oc_additive(m, sampler, max(trials // 2, 20), seed, pass_tol=pass_tol)
     if not add.passed:
@@ -431,54 +438,48 @@ def recover_structure(
     quad = check_oc_quadratic(m, sampler, max(trials // 2, 20), seed + 1, pass_tol=pass_tol)
     if not quad.passed:
         raise HypothesisFailed(f"OC-quadratic identity fails (residual {quad.max_residual:.3e})")
-    w = m(src.unit)
-    trip = is_tripotent(tgt, w)
+    w = f(src.unit.coords)
+    trip = _is_tripotent(tgt, w)
     if not trip:
         raise HypothesisFailed(f"Phi(1) is not a tripotent (residual {trip.residual:.3e})")
-    sub = peirce2_algebra(tgt, w)
+    sub = _peirce2_algebra(tgt, w)
+    project, embed = sub.embed.conj().T, sub.embed  # as peirce2_project and peirce2_embed
     rng = np.random.default_rng(seed + 2)
     hom = 0.0
     for _ in range(trials):
-        a, b = _draw_oc_pair(m, sampler, rng)
-        fa, fb = peirce2_project(sub, m(a)), peirce2_project(sub, m(b))
-        lhs = m(jordan_product(src, a, b))
-        rhs = peirce2_embed(sub, jordan_product(sub, fa, fb))
-        scale = (1.0 + jbstar_norm(src, a)) * (1.0 + jbstar_norm(src, b))
-        hom = max(hom, jbstar_norm(tgt, lhs - rhs) / scale)
-        hom = max(hom, jbstar_norm(tgt, m(a + b) - m(a) - m(b)) / scale)
+        a, b = _draw_oc_pair(src, sampler, rng)
+        fa, fb = project @ f(a), project @ f(b)
+        lhs = f(src._prod(a, b))
+        rhs = embed @ sub._prod(fa, fb)
+        scale = (1.0 + src._norm(a)) * (1.0 + src._norm(b))
+        hom = max(hom, tgt._norm(lhs - rhs) / scale)
+        hom = max(hom, tgt._norm(f(a + b) - f(a) - f(b)) / scale)
     lin = 0.0
     for _ in range(trials):
-        a = _random_element(src, rng, "self_adjoint")
-        b = _random_element(src, rng, "self_adjoint")
+        a, b = _random(src, rng, "self_adjoint"), _random(src, rng, "self_adjoint")
         al, be = (float(x) for x in rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], size=2))
-        r = jbstar_norm(tgt, m(al * a + be * b) - al * m(a) - be * m(b))
-        scale = 1.0 + abs(al) * jbstar_norm(src, a) + abs(be) * jbstar_norm(src, b)
+        r = tgt._norm(f(al * a + be * b) - al * f(a) - be * f(b))
+        scale = 1.0 + abs(al) * src._norm(a) + abs(be) * src._norm(b)
         lin = max(lin, r / scale)
     # sampled isometry of Phi into the Peirce-2 norm; reported, never gated
     isom = 0.0
     for _ in range(min(trials, 50)):
-        a = _random_element(src, rng, "self_adjoint")
-        isom = max(
-            isom,
-            abs(jbstar_norm(sub, peirce2_project(sub, m(a))) - jbstar_norm(src, a))
-            / (1.0 + jbstar_norm(src, a)),
-        )
+        a = _random(src, rng, "self_adjoint")
+        na = src._norm(a)
+        isom = max(isom, abs(sub._norm(project @ f(a)) - na) / (1.0 + na))
     central_symmetry = None
     if m.inverse is not None:
         rt = 0.0
         for _ in range(10):
-            a = _random_element(src, rng, "self_adjoint")
-            rt = max(
-                rt,
-                jbstar_norm(src, m.inverse(m(a)) - a) / (1.0 + jbstar_norm(src, a)),
-            )
+            a = _random(src, rng, "self_adjoint")
+            rt = max(rt, src._norm(m._inverse(f(a)) - a) / (1.0 + src._norm(a)))
         if rt <= pass_tol:
             central_symmetry = bool(
-                is_symmetry(tgt, w)
-                and _central_projection_residual(tgt, w) <= 1e-7 * (1.0 + jbstar_norm(tgt, w))
+                _is_symmetry(tgt, w)
+                and _central_projection_residual(tgt, w) <= 1e-7 * (1.0 + tgt._norm(w))
             )
     return StructureRecovery(
-        w=w,
+        w=Element(tgt.id, w),
         peirce2=sub,
         hom_residual=hom,
         linearity_residual=lin,
@@ -548,23 +549,17 @@ def build_spin_counterexample(n: int, epsilon: float, seed: int = 0) -> SpinCoun
         raise ParamOutOfRange(f"epsilon must lie in (0, 0.5), got {epsilon}")
     V = SpinFactor(n)
 
-    def _split(a: Element) -> tuple[float, np.ndarray]:
-        if not is_self_adjoint(V, a):
-            raise PreconditionFailed("counterexample map is defined on self-adjoints only")
-        return float(a.coords[0].real), np.asarray(a.coords[1:].imag, dtype=float)
+    def warp(invert: bool):
+        def f(a: Element) -> Element:
+            if not is_self_adjoint(V, a):
+                raise PreconditionFailed("counterexample map is defined on self-adjoints only")
+            v = _warp_vector(np.asarray(a.coords[1:].imag, dtype=float), epsilon, invert)
+            return V.element(np.concatenate([[complex(a.coords[0].real)], 1j * v]))
 
-    def _join(lam: float, v: np.ndarray) -> Element:
-        return V.element(np.concatenate([[complex(lam)], 1j * v]))
+        return f
 
-    def fwd(a: Element) -> Element:
-        lam, v = _split(a)
-        return _join(lam, _warp_vector(v, epsilon, invert=False))
-
-    def bwd(a: Element) -> Element:
-        lam, v = _split(a)
-        return _join(lam, _warp_vector(v, epsilon, invert=True))
-
-    mp = MapUnderTest(V, V, fwd, label=f"spin-counterexample(n={n},eps={epsilon})", inverse=bwd)
+    label = f"spin-counterexample(n={n},eps={epsilon})"
+    mp = MapUnderTest(V, V, warp(False), label=label, inverse=warp(True))
     return SpinCounterexample(algebra=V, epsilon=epsilon, map=mp, seed=seed)
 
 
@@ -577,10 +572,14 @@ def spin_u_closed_form(V: AlgebraHandle, alpha: float, s: float, t: float, h: El
     verified against the associative 2x2 embedding and the a = b => a^3
     special case in the test suite.
     """
-    h2 = float(np.sum(np.abs(h.coords) ** 2))
+    return Element(V.id, _spin_u_closed_form(V, alpha, s, t, _owned(V, h)))
+
+
+def _spin_u_closed_form(V: AlgebraHandle, alpha: float, s: float, t: float, h: np.ndarray):
+    h2 = float(np.sum(np.abs(h) ** 2))
     c1 = alpha**2 * t + s * alpha**3 + (3.0 * alpha * s + t) * h2
     ch = 2.0 * alpha * t + 3.0 * s * alpha**2 + s * h2
-    return float(c1) * V.unit + float(ch) * h
+    return float(c1) * V.unit.coords + float(ch) * h
 
 
 def verify_counterexample(cx: SpinCounterexample, trials: int = 500, seed: int = 0) -> CheckReport:
@@ -589,11 +588,12 @@ def verify_counterexample(cx: SpinCounterexample, trials: int = 500, seed: int =
     (i) OC-additivity on spin lines, (ii) OC-quadratic identity including a
     closed-form spot check of U_a(b), (iii) existence of a global
     additivity violation witness, (iv) bijectivity via the supplied
-    angle-unwarp inverse.  The witness in (iii) is an expected failure of
-    global additivity, so it counts toward pass, not against it.
+    angle-unwarp inverse, on trials // 5 draws and at least one.  The
+    witness in (iii) is an expected failure of global additivity, so it
+    counts toward pass, not against it.
     """
-    V = cx.algebra
-    m = cx.map
+    V, m = cx.algebra, cx.map
+    f, one = m._eval, V.unit.coords
     sampler = oc_pair_sampler(V, "spin_line")
     add = check_oc_additive(m, sampler, trials, seed)
     quad = check_oc_quadratic(m, sampler, trials, seed + 1)
@@ -602,24 +602,20 @@ def verify_counterexample(cx: SpinCounterexample, trials: int = 500, seed: int =
     for _ in range(50):
         alpha, s, t = (float(x) for x in rng.standard_normal(3))
         v = rng.standard_normal(V.dim - 1)
-        h = V.element(np.concatenate([[0.0 + 0j], 1j * v]))
-        a = float(alpha) * V.unit + h
-        b = float(t + s * alpha) * V.unit + float(s) * h
-        ua = u_operator(V, a, b)
-        closed = spin_u_closed_form(V, alpha, s, t, h)
-        spot_worst = max(spot_worst, jbstar_norm(V, ua - closed))
-        fh = m(h)
-        closed_img = spin_u_closed_form(V, alpha, s, t, fh)
-        spot_worst = max(spot_worst, jbstar_norm(V, m(ua) - closed_img))
+        h = np.concatenate([[0.0 + 0j], 1j * v])
+        a = alpha * one + h
+        b = (t + s * alpha) * one + s * h
+        ua = _u_operator(V, a, b)
+        closed, closed_img = (_spin_u_closed_form(V, alpha, s, t, x) for x in (h, f(h)))
+        spot_worst = max(spot_worst, V._norm(ua - closed), V._norm(f(ua) - closed_img))
     # global additivity witness: unit vectors along the two warped axes
-    e1 = V.element(np.concatenate([[0.0 + 0j], [1j], np.zeros(V.dim - 2)]))
-    e2 = V.element(np.concatenate([[0.0 + 0j], [0.0], [1j], np.zeros(V.dim - 3)]))
-    witness_gap = jbstar_norm(V, m(e1) + m(e2) - m(e1 + e2))
+    e1, e2 = 1j * np.eye(V.dim)[1:3]
+    witness_gap = V._norm(f(e1) + f(e2) - f(e1 + e2))
     rt = 0.0
-    for _ in range(trials // 5):
-        a = _random_element(V, rng, "self_adjoint")
-        rt = max(rt, jbstar_norm(V, m.inverse(m(a)) - a))
-        rt = max(rt, jbstar_norm(V, m(m.inverse(a)) - a))
+    for _ in range(max(trials // 5, 1)):
+        a = _random(V, rng, "self_adjoint")
+        rt = max(rt, V._norm(m._inverse(f(a)) - a))
+        rt = max(rt, V._norm(f(m._inverse(a)) - a))
     verdicts = {
         "oc_additive": add.passed and add.details["max_raw_residual"] <= 1e-9,
         "oc_quadratic": quad.passed and spot_worst <= 1e-8,
@@ -647,39 +643,35 @@ def check_central_preservation(
 ) -> CheckReport:
     """Central unitaries map to central unitaries, symmetries to symmetries,
     and the induced projection map preserves operator commutativity."""
-    src, tgt = m.source, m.target
+    src, tgt, f = m.source, m.target, m._eval
     if m.inverse is None:
         raise PreconditionFailed("central-preservation check needs a supplied inverse")
     rng = np.random.default_rng(seed)
-    a0 = _random_element(src, rng, "unitary")
-    if jbstar_norm(src, m.inverse(m(a0)) - a0) > 1e-6 * (1.0 + jbstar_norm(src, a0)):
+    a0 = _random(src, rng, "unitary")
+    if src._norm(m._inverse(f(a0)) - a0) > 1e-6 * (1.0 + src._norm(a0)):
         raise PreconditionFailed("supplied inverse fails the round trip")
-    zbasis = center_basis(src)
+    zbasis = src._center_rows
+    one_s, one_t = src.unit.coords, tgt.unit.coords
 
     def trial(rng):
         # central unitary -> central unitary
         coeffs = rng.standard_normal(len(zbasis))
-        z = sum((float(cf) * zb for cf, zb in zip(coeffs, zbasis)), src.zero())
-        uz = exp_i(src, z, 1.0)
-        fu = m(uz)
-        r = 0.0
-        if not is_unitary(tgt, fu):
-            r = 1.0
-        r = max(r, _central_projection_residual(tgt, fu))
+        z = sum((float(cf) * zb for cf, zb in zip(coeffs, zbasis)), np.zeros(src.dim, complex))
+        fu = f(_exp_i(src, z, 1.0))
+        r = max(0.0 if _is_unitary(tgt, fu) else 1.0, _central_projection_residual(tgt, fu))
         # symmetry -> symmetry
-        p = _random_element(src, rng, "projection")
-        s = src.unit - 2.0 * p
-        fs = m(s)
-        if not is_symmetry(tgt, fs):
-            r = max(r, jbstar_norm(tgt, jordan_product(tgt, fs, fs) - tgt.unit))
+        p = _random(src, rng, "projection")
+        fs = f(one_s - 2.0 * p)
+        if not _is_symmetry(tgt, fs):
+            r = max(r, tgt._norm(tgt._prod(fs, fs) - one_t))
         # induced projection map preserves operator commutativity
-        pq = commuting_projection_pair(src, rng)
+        pq = _commuting_projection_pair(src, rng)
         if pq is not None:
             p1, q1 = pq
-            psi_p = 0.5 * (tgt.unit - m(src.unit - 2.0 * p1))
-            psi_q = 0.5 * (tgt.unit - m(src.unit - 2.0 * q1))
-            r = max(r, operator_commutes(tgt, psi_p, psi_q).residual)
-        return r, {"z": z.coords.tolist()}
+            psi_p = 0.5 * (one_t - f(one_s - 2.0 * p1))
+            psi_q = 0.5 * (one_t - f(one_s - 2.0 * q1))
+            r = max(r, _operator_commutes(tgt, psi_p, psi_q).residual)
+        return r, {"z": z.tolist()}
 
     name = f"central-preservation[{m.label}]"
     return worst_over_trials(name, rng, trials, pass_tol, trial, pass_tol=pass_tol)
@@ -693,27 +685,23 @@ def check_i_unit_image(m: MapUnderTest, trials: int = 20, seed: int = 0) -> Chec
     Phi(i 1) = i (z - (Phi(1) - z)) for a central projection z of the
     Peirce-2 algebra.  This verifies the decomposition for a supplied map.
     """
-    src, tgt = m.source, m.target
-    w = m(src.unit)
-    trip = is_tripotent(tgt, w)
-    if not trip:
+    src, tgt, f = m.source, m.target, m._eval
+    w = f(src.unit.coords)
+    if not _is_tripotent(tgt, w):
         raise HypothesisFailed("Phi(1) is not a tripotent")
-    sub = peirce2_algebra(tgt, w)
-    x = m(1j * src.unit)
-    z_amb = 0.5 * (w - 1j * x)
-    z = peirce2_project(sub, z_amb)
-    r_proj = jbstar_norm(sub, jordan_product(sub, z, z) - z)
-    r_sa = jbstar_norm(sub, involution(sub, z) - z)
-    recon = 1j * (2.0 * peirce2_embed(sub, z) - w)
-    r_recon = jbstar_norm(tgt, x - recon)
+    sub = _peirce2_algebra(tgt, w)
+    x = f(1j * src.unit.coords)
+    z = sub.embed.conj().T @ (0.5 * (w - 1j * x))  # as peirce2_project
+    r_proj = sub._norm(sub._prod(z, z) - z)
+    r_sa = sub._norm(sub._inv(z) - z)
+    recon = 1j * (2.0 * (sub.embed @ z) - w)
+    r_recon = tgt._norm(x - recon)
     rng = np.random.default_rng(seed)
     r_central = 0.0
     for _ in range(trials):
         # z central in a JBW*-algebra iff z o y = U_z(y) on self-adjoints
-        y = _random_element(sub, rng, "self_adjoint")
-        r_central = max(
-            r_central, jbstar_norm(sub, jordan_product(sub, z, y) - u_operator(sub, z, y))
-        )
+        y = _random(sub, rng, "self_adjoint")
+        r_central = max(r_central, sub._norm(sub._prod(z, y) - _u_operator(sub, z, y)))
     worst = max(r_proj, r_sa, r_recon, r_central)
     return CheckReport(
         name=f"i-unit-image[{m.label}]",
@@ -784,7 +772,7 @@ def _build_map(desc: dict, source: AlgebraHandle, tgt: AlgebraHandle) -> MapUnde
         f = lambda a: Element(tgt.id, a.coords)
         return MapUnderTest(source, tgt, f, label="identity", inverse=f)
     if kind == "star":
-        f = lambda a: involution(source, a)
+        f = lambda a: Element(source.id, source._inv(_owned(source, a)))
         return MapUnderTest(source, source, f, label="star", inverse=f)
     if kind == "transpose":
         f = _transpose_eval(source)
@@ -800,20 +788,10 @@ def _build_map(desc: dict, source: AlgebraHandle, tgt: AlgebraHandle) -> MapUnde
         )
     if kind == "composition":
         maps = [map_from_descriptor(d, source, tgt) for d in desc["maps"]]
-
-        def f(a, _maps=maps):
-            for mp in reversed(_maps):
-                a = mp.eval(a)
-            return a
-
+        f = lambda a: functools.reduce(lambda x, mp: mp.eval(x), reversed(maps), a)
         inverse = None
         if all(mp.inverse is not None for mp in maps):
-
-            def inverse(a, _maps=maps):
-                for mp in _maps:
-                    a = mp.inverse(a)
-                return a
-
+            inverse = lambda a: functools.reduce(lambda x, mp: mp.inverse(x), maps, a)
         label = "composition(" + ",".join(mp.label for mp in maps) + ")"
         return MapUnderTest(source, tgt, f, label=label, inverse=inverse)
     if kind == "spin_counterexample":
@@ -828,8 +806,8 @@ def _build_map(desc: dict, source: AlgebraHandle, tgt: AlgebraHandle) -> MapUnde
 
         def f(u):
             h = unitary_log(source, u).h
-            arg = beta(h) + jordan_product(tgt, c, theta(h))
-            return exp_i(tgt, arg, 1.0)
+            arg = beta(h).coords + tgt._prod(c.coords, theta(h).coords)
+            return Element(tgt.id, _exp_i(tgt, arg, 1.0))
 
         return MapUnderTest(source, tgt, f, label="exp_form")
     raise ValueError(f"unknown map descriptor kind {kind!r}")
@@ -841,5 +819,5 @@ def _beta_from_descriptor(desc: dict, source: AlgebraHandle, target: AlgebraHand
         return lambda a: target.zero()
     if kind == "scaled_trace":
         scale = float(desc["scale"])
-        return lambda a: (scale * source.trace(a.coords)) * target.unit
+        return lambda a: Element(target.id, (scale * source.trace(a.coords)) * target.unit.coords)
     raise ValueError(f"unknown beta descriptor kind {kind!r}")

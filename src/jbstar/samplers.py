@@ -3,16 +3,18 @@
 Rejection sampling essentially never produces operator-commuting pairs, so
 the strategies here are constructive: polynomials in a common generator
 plus a central part, spin lines t*1 + s*a, and commuting diagonals in the
-matrix model.  Every consumer re-verifies commutativity before use.  Check
-bodies draw coordinate arrays from the private forms.
+matrix model.  Every consumer re-verifies commutativity before use, the
+map-driven checks through ``_draw_oc_pair``.  Check bodies draw coordinate
+arrays from the private forms.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebras import AlgebraHandle, Element, HermitianMatrixAlgebra, _random
+from .algebras import AlgebraHandle, Element, HermitianMatrixAlgebra, _owned, _random
 from .calculus import _decompose, _operator_commutes
+from .errors import SamplerViolation
 
 __all__ = [
     "oc_pair_sampler",
@@ -79,6 +81,17 @@ def default_oc_sampler(A: AlgebraHandle):
     return oc_pair_sampler(A, A.oc_strategy)
 
 
+def _draw_oc_pair(A: AlgebraHandle, sampler, rng: np.random.Generator):
+    """Coordinates of a pair from ``sampler``; SamplerViolation unless it operator commutes."""
+    x, y = (_owned(A, e) for e in sampler(rng))
+    chk = _operator_commutes(A, x, y)
+    if not chk:
+        raise SamplerViolation(
+            f"sampler produced a non-commuting pair (residual {chk.residual:.3e})"
+        )
+    return x, y
+
+
 def noncommuting_pair(
     A: AlgebraHandle, rng: np.random.Generator, min_factor: float = 10.0, attempts: int = 200
 ) -> tuple[Element, Element] | None:
@@ -101,6 +114,10 @@ def orthogonal_projection_pair(
     A: AlgebraHandle, rng: np.random.Generator
 ) -> tuple[Element, Element] | None:
     """Orthogonal projections from a common spectral decomposition."""
+    return _elements(A, _orthogonal_projection_pair(A, rng))
+
+
+def _orthogonal_projection_pair(A: AlgebraHandle, rng: np.random.Generator):
     P = _decompose(A, _random(A, rng, "self_adjoint")).idempotents
     m = P.shape[0]
     if m < 2:
@@ -109,7 +126,7 @@ def orthogonal_projection_pair(
     cut = int(rng.integers(1, m))
     rest = idx[cut:]
     qn = int(rng.integers(1, rest.size + 1))
-    return _elements(A, (P[idx[:cut]].sum(axis=0), P[rest[:qn]].sum(axis=0)))
+    return P[idx[:cut]].sum(axis=0), P[rest[:qn]].sum(axis=0)
 
 
 def commuting_projection_pair(

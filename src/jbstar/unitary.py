@@ -69,7 +69,10 @@ def _is_unitary(A: AlgebraHandle, x: np.ndarray) -> ResidualCheck:
 
 def is_symmetry(A: AlgebraHandle, s: Element) -> bool:
     """Self-adjoint with s o s = 1."""
-    x = _owned(A, s)
+    return _is_symmetry(A, _owned(A, s))
+
+
+def _is_symmetry(A: AlgebraHandle, x: np.ndarray) -> bool:
     dev, thr, norm = _self_adjoint_defect(A, x)
     square = A._norm(A._prod(x, x) - A.unit.coords)
     return dev <= thr and square <= A.tol.abs_eps * (1.0 + norm) ** 2
@@ -89,7 +92,12 @@ def _unitary_decomposition(A: AlgebraHandle, x: np.ndarray) -> tuple[np.ndarray,
 
 def unitary_log(A: AlgebraHandle, u: Element) -> UnitaryLog:
     """Self-adjoint h with exp_i(h, 1) = u, arguments in (-pi, pi]."""
-    x = _owned(A, u)
+    h, ambiguous = _unitary_log(A, _owned(A, u))
+    return UnitaryLog(h=Element(A.id, h), ambiguous=ambiguous)
+
+
+def _unitary_log(A: AlgebraHandle, x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(h, ambiguous) of unitary_log on coordinates."""
     nodes, idems = _unitary_decomposition(A, x)
     # the branch cut is pinned at arg = pi; nodes numerically at -1 may
     # carry a tiny negative imaginary part that would flip the sign
@@ -98,7 +106,7 @@ def unitary_log(A: AlgebraHandle, u: Element) -> UnitaryLog:
     r = A._norm(_exp_i(A, h, 1.0) - x)
     if r > 1e-6 * (1.0 + A._norm(x)):
         raise VerificationFailed(f"log round trip failed (residual {r:.3e})")
-    return UnitaryLog(h=Element(A.id, h), ambiguous=bool(at_cut.any()))
+    return h, bool(at_cut.any())
 
 
 def unitary_power(A: AlgebraHandle, u: Element, n: int) -> Element:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import jbstar.measures as measures
 from jbstar.algebras import (
     build_direct_sum,
     build_hermitian_matrix_algebra,
@@ -11,7 +12,7 @@ from jbstar.algebras import (
     selfadjoint_basis,
 )
 from jbstar.calculus import functional_calculus, operator_commutes
-from jbstar.errors import AdditivityViolation, HypothesisFailed, TypeI2Present
+from jbstar.errors import AdditivityViolation, HypothesisFailed, SamplerViolation, TypeI2Present
 from jbstar.measures import (
     canonical_projections,
     is_spin_summand,
@@ -22,7 +23,7 @@ from jbstar.measures import (
     vectorize_map,
 )
 from jbstar.preservers import build_spin_counterexample
-from jbstar.samplers import orthogonal_projection_pair
+from jbstar.samplers import noncommuting_pair, orthogonal_projection_pair
 
 H1 = build_hermitian_matrix_algebra(1)
 H2 = build_hermitian_matrix_algebra(2)
@@ -135,6 +136,15 @@ def test_verify_linearity_theorem_linear_passes():
     assert rep.passed
     assert rep.details["reconstruction_misfit"] <= 1e-7
     assert rep.details["agreement_residual"] <= 1e-7
+
+
+def test_verify_linearity_theorem_refuses_a_non_commuting_draw(monkeypatch):
+    # every OC-additivity draw is checked to operator commute; none is skipped
+    sampler = lambda A: lambda rng: noncommuting_pair(A, rng)
+    monkeypatch.setattr(measures, "default_oc_sampler", sampler)
+    f, T, basis = linear_f(H3, 16)
+    with pytest.raises(SamplerViolation):
+        verify_linearity_theorem(H3, f, trials=10, seed=17)
 
 
 def test_verify_linearity_theorem_rejects_spin():

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -14,7 +16,9 @@ from jbstar.algebras import (
     random_element,
 )
 from jbstar.calculus import exp_i, is_self_adjoint, u_operator
+from jbstar.cli import RunConfig, run
 from jbstar.errors import (
+    JBStarError,
     NotAFactor,
     ParamOutOfRange,
     PreconditionFailed,
@@ -118,6 +122,27 @@ def test_non_finite_map_output_fails_at_the_boundary():
             blowup(H2.unit)
         with pytest.raises(ValueError, match="finite"):
             check_piecewise_hom_on_unitaries(blowup, trials=3, seed=1)
+
+
+def test_inverse_of_the_wrong_algebra_fails_at_the_boundary():
+    # an inverse is a map call too: the algebra of its output is checked
+    # where it returns, not later by an arithmetic mismatch
+    f = lambda a: Element(H3.id, a.coords)
+    wrong = MapUnderTest(H3, H3, f, label="wrong-inverse", inverse=lambda a: H2.unit)
+    with pytest.raises(PreconditionFailed, match="wrong-inverse"):
+        recover_structure(wrong, trials=5, seed=1)
+    with pytest.raises(PreconditionFailed, match="wrong-inverse"):
+        verify_jordan_star_isomorphism(wrong, trials=5, seed=2)
+
+
+def test_theta_between_other_algebras_is_refused():
+    # theta is evaluated on the coordinates of Phi's elements, so it must map
+    # between the same two algebras
+    m, theta = identity_map(H3), identity_map(H2)
+    with pytest.raises(PreconditionFailed, match="algebras of Phi"):
+        classify_factor_dichotomy(m, theta, trials=5, seed=3)
+    with pytest.raises(PreconditionFailed, match="algebras of Phi"):
+        verify_unitary_preserver_form(m, theta, lambda a: H3.zero(), H3.unit, trials=5, seed=4)
 
 
 def test_piecewise_hom_on_direct_sum_source():
@@ -343,6 +368,17 @@ def test_verify_counterexample():
     assert rep.details["witness_gap"] >= 0.1
 
 
+def test_verify_counterexample_checks_the_round_trip_at_one_trial():
+    # trials // 5 is 0 below 5 trials; at least one round-trip draw still runs
+    cx = build_spin_counterexample(3, 0.3)
+    V = cx.algebra
+    assert verify_counterexample(cx, trials=1, seed=0).details["verdicts"]["bijective_on_samples"]
+    broken = dataclasses.replace(cx.map, inverse=lambda a: V.element(2 * a.coords))
+    rep = verify_counterexample(dataclasses.replace(cx, map=broken), trials=1, seed=0)
+    assert not rep.details["verdicts"]["bijective_on_samples"]
+    assert not rep.passed
+
+
 def test_check_central_preservation_positive():
     theta = conjugation_map(HH, 34)
     rep = check_central_preservation(theta, trials=15, seed=35)
@@ -415,3 +451,54 @@ def test_spin_counterexample_descriptor():
     assert is_self_adjoint(S3, m.eval(h))
     with pytest.raises(PreconditionFailed):
         map_from_descriptor({"kind": "spin_counterexample", "epsilon": 0.3}, H2)
+
+
+def _guarded_reports(tmp_path):
+    """Reports of the map-driven suites and checks, exceptions by name."""
+    paths = {}
+    for name, doc in {
+        "H3": {"kind": "hermitian_matrix", "n": 3},
+        "S4": {"kind": "spin", "n": 4},
+        "transpose": {"kind": "transpose"},
+        "star": {"kind": "star"},
+    }.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    runs = [
+        (suite, alg, mp)
+        for alg, mp in (("H3", "transpose"), ("S4", "star"))
+        for suite in ("structure-recovery", "preserver", "factor-dichotomy", "linearity")
+    ] + [("counterexample", "S4", None)]
+    out = []
+    for suite, alg, mp in runs:
+        cfg = RunConfig(suite, str(paths[alg]), mp and str(paths[mp]), trials=20, seed=42)
+        try:
+            doc, status = run(cfg)
+        except JBStarError as exc:
+            out.append(type(exc).__name__)
+            continue
+        doc = {k: v for k, v in doc.items() if k not in ("generated_at", "duration_s")}
+        out.append((status, json.dumps(doc, sort_keys=True)))
+    theta = conjugation_map(H3, 38)
+    out += [
+        verify_jordan_star_isomorphism(theta, trials=5, seed=1),
+        verify_unitary_preserver_form(
+            identity_map(H3), theta, beta=lambda a: H3.zero(), c=H3.unit, trials=5, seed=2
+        ).to_json(),
+        check_central_preservation(conjugation_map(HH, 34), trials=5, seed=3).to_json(),
+        check_i_unit_image(theta, trials=5, seed=4).to_json(),
+    ]
+    return out
+
+
+def test_map_checks_do_no_element_arithmetic(tmp_path, monkeypatch):
+    # check bodies compute on coordinate arrays; the map call is their only
+    # Element boundary, so refusing Element arithmetic changes no report
+    want = _guarded_reports(tmp_path)
+
+    def refuse(*args):
+        raise AssertionError("Element arithmetic in a check body")
+
+    for op in ("__add__", "__sub__", "__mul__", "__rmul__", "__neg__"):
+        monkeypatch.setattr(Element, op, refuse)
+    assert _guarded_reports(tmp_path) == want
