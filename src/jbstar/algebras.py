@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AlgebraMismatch, EmptyParts, PreconditionFailed, SizeOutOfRange
+from .errors import AlgebraMismatch, EmptyParts, NotSelfAdjoint, PreconditionFailed, SizeOutOfRange
 from .kernel import Tolerance, operator_norm
 
 __all__ = [
@@ -92,6 +92,19 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * m, n * m)
 
 
+def _normal_eig(h: np.ndarray, real_nodes: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors (columns) of a matrix that is
+    hermitian (``real_nodes``, checked) or normal: ``eigh``, or ``eig`` with
+    its vectors re-orthonormalised."""
+    if real_nodes:
+        if np.max(np.abs(h - h.conj().T)) > 1e-6 * (1.0 + np.max(np.abs(h))):
+            raise NotSelfAdjoint("L_a on C(1, a) is not hermitian")
+        return np.linalg.eigh(h)
+    nodes, v = np.linalg.eig(h)
+    # h is normal, but eig's vectors for close nodes need not be orthogonal
+    return nodes, np.linalg.qr(v)[0]
+
+
 class AlgebraHandle:
     """Immutable JB*-algebra model; one subclass per model kind.
 
@@ -155,6 +168,49 @@ class AlgebraHandle:
         """||[M_x, M_y]||; a closed form may differ from it by at most ``slack``."""
         mx, my = self._mult_matrix(x), self._mult_matrix(y)
         return operator_norm(mx @ my - my @ mx)
+
+    def _u_singular_range(self, x: np.ndarray) -> tuple[float, float]:
+        """Largest and smallest singular value of U_x."""
+        sv = np.linalg.svd(self._u_matrix(x), compute_uv=False)
+        return sv[0], sv[-1]
+
+    def _eigenpieces(self, xn: np.ndarray, real_nodes: bool):
+        """Eigenvalues of L_xn on C(1, xn), for xn self-adjoint (real nodes)
+        or unitary (nodes on the circle), of norm at most about 1.
+
+        Returns (nodes, weights, raw): node j has the idempotent
+        ``weights[j] * raw[j]``, and |weights[j]|^2 is that idempotent's
+        squared coordinate norm, a node's mass.  Nodes may repeat; merging,
+        weighting and ordering are left to ``calculus._abelian_decomposition``.
+
+        Arnoldi from the normalised unit, on y -> xn o y with classical
+        Gram-Schmidt run twice, spans C(1, xn); it stops when the new
+        direction falls to rounding level (64 eps dim).  Both kinds of element
+        act normally on C(1, xn), so the compression H of L_xn to that span
+        goes to ``_normal_eig``, and an eigenvector v yields the idempotent
+        <v, 1> v: weight <v, 1>, raw row v.
+        """
+        d = self.dim
+        norm1 = np.linalg.norm(self.unit.coords)
+        Q = np.empty((d, d), dtype=complex)  # orthonormal rows
+        XQ = np.empty((d, d), dtype=complex)  # xn o q for every row q of Q
+        Q[0] = self.unit.coords / norm1
+        stop = 64.0 * np.finfo(float).eps * d
+        for k in range(1, d + 1):
+            XQ[k - 1] = self._prod(xn, Q[k - 1])
+            if k == d:
+                break
+            Qk = Q[:k]
+            w = XQ[k - 1] - Qk.T @ (Qk.conj() @ XQ[k - 1])
+            w -= Qk.T @ (Qk.conj() @ w)
+            beta = np.linalg.norm(w)
+            if beta <= stop:
+                break
+            Q[k] = w / beta
+        Q, XQ = Q[:k], XQ[:k]
+        nodes, V = _normal_eig(Q.conj() @ XQ.T, real_nodes)
+        # <v, 1>, as 1 = norm1 q_0 and q_0 is row 0 of Q
+        return nodes, norm1 * V[0].conj(), V.T @ Q
 
     def trace(self, x: np.ndarray) -> float:
         raise PreconditionFailed(f"no trace defined on {self.id}")
@@ -274,6 +330,19 @@ class HermitianMatrixAlgebra(AlgebraHandle):
             return super()._commutator_norm(x, y, slack)
         lam = np.linalg.eigvalsh(-0.5j * (c - ch))
         return float(0.25 * (lam[-1] - lam[0]))
+
+    def _u_singular_range(self, x: np.ndarray) -> tuple[float, float]:
+        # the singular values of a kron a^T are the products sigma_i sigma_j
+        sv = np.linalg.svd(x.reshape(self._square), compute_uv=False)
+        return sv[0] * sv[0], sv[-1] * sv[-1]
+
+    def _eigenpieces(self, xn: np.ndarray, real_nodes: bool):
+        """One n x n eigensolve of the matrix xn: L_xn acts on C(1, xn) as
+        xn does by matrix products, so an eigenvector u of xn gives weight 1
+        and the raw row vec(u u^H), a rank-one projection."""
+        nodes, U = _normal_eig(xn.reshape(self._square), real_nodes)
+        raw = (U.T[:, :, None] * U.T.conj()[:, None, :]).reshape(self.n, self.dim)
+        return nodes, np.ones(self.n), raw
 
     def trace(self, x: np.ndarray) -> float:
         return float(np.trace(x.reshape(self.n, self.n)).real)
@@ -398,6 +467,11 @@ class DirectSum(AlgebraHandle):
 
     def _commutator_norm(self, x: np.ndarray, y: np.ndarray, slack: float) -> float:
         return max(p._commutator_norm(x[s], y[s], slack) for p, s in self.summands)
+
+    def _u_singular_range(self, x: np.ndarray) -> tuple[float, float]:
+        # U_x is block diagonal: its singular values are the summands' union
+        ranges = [p._u_singular_range(x[s]) for p, s in self.summands]
+        return max(top for top, _ in ranges), min(bottom for _, bottom in ranges)
 
     def trace(self, x: np.ndarray) -> float:
         return sum(p.trace(x[s]) for p, s in self.summands)

@@ -9,12 +9,18 @@ on M_n (a kron a^T, and one n x n eigensolve for a skew-hermitian
 commutator) and blockwise on direct sums, products of multiplication
 matrices elsewhere.
 
-The spectral route is a Krylov compression: Arnoldi from the unit, on
-x -> a o x, spans the associative subalgebra C(1, a) (powers of a single
-element are unambiguous by power associativity), and the compression of L_a
-to that span is diagonalised by a small dense eigensolver.  It is the same
-code for every algebra model; the associative eigendecomposition of a
-matrix model only ever appears as an independent oracle in the tests.
+The spectral decomposition of a self-adjoint element or a unitary a lives
+in the associative subalgebra C(1, a) (powers of a single element are
+unambiguous by power associativity), and comes in two layers.  The model's
+``_eigenpieces`` gives the eigenvalues of L_a on C(1, a) with raw
+idempotents: on M_n one n x n ``eigh`` of the matrix a (``eig`` for a
+unitary), each eigenvector u giving the projection u u^H; on every other
+model the generic Krylov compression, in which Arnoldi from the unit on
+x -> a o x spans C(1, a) and a small dense eigensolver diagonalises the
+compression of L_a to that span.  ``_abelian_decomposition`` then drops
+rounding-level pieces, merges clustered nodes and orders them the same way
+for every model.  The tests keep the Krylov route, called on M_n, as the
+oracle of the closed form.
 """
 
 from __future__ import annotations
@@ -142,16 +148,17 @@ def center_basis(A: AlgebraHandle) -> list[Element]:
 def is_invertible(A: AlgebraHandle, a: Element) -> Element | None:
     """Inverse of a when it exists, None otherwise.
 
-    The candidate U_a^{-1}(a) is always verified against the defining
-    identities a o b = 1 and a^2 o b = a; a failing candidate raises
-    VerificationFailed to flag tolerance breakdown.
+    a is invertible when U_a is, decided from the extreme singular values
+    of U_a (those of a, squared, on M_n).  The candidate U_a^{-1}(a) is
+    always verified against the defining identities a o b = 1 and
+    a^2 o b = a; a failing candidate raises VerificationFailed to flag
+    tolerance breakdown.
     """
     x = _owned(A, a)
-    ux = A._u_matrix(x)
-    sv = np.linalg.svd(ux, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= A.tol.abs_eps * sv[0]:
+    top, bottom = A._u_singular_range(x)
+    if top == 0.0 or bottom <= A.tol.abs_eps * top:
         return None
-    y = np.linalg.solve(ux, x)
+    y = np.linalg.solve(A._u_matrix(x), x)
     nx, ny = A._norm(x), A._norm(y)
     thr = 100.0 * A.tol.abs_eps * (1.0 + nx) * (1.0 + nx) * (1.0 + ny)
     r = max(A._norm(A._prod(x, y) - A.unit.coords), A._norm(A._prod(A._prod(x, x), y) - x))
@@ -160,7 +167,7 @@ def is_invertible(A: AlgebraHandle, a: Element) -> Element | None:
     return Element(A.id, y)
 
 
-# -- Krylov compression -----------------------------------------------------
+# -- spectral decomposition -------------------------------------------------
 
 
 def _abelian_decomposition(
@@ -170,50 +177,19 @@ def _abelian_decomposition(
     reconstruction residual of a self-adjoint element (real nodes) or a
     unitary (nodes on the circle).
 
-    Arnoldi from the normalised unit, on y -> x o y with classical
-    Gram-Schmidt run twice, spans C(1, x); it stops when the new direction
-    falls to rounding level (64 eps dim).  Both kinds of element act
-    normally on C(1, x), so the compression H of L_x to that span goes to
-    ``eigh`` (after a hermitian check) or to ``eig`` (its vectors
-    re-orthonormalised), and an eigenvector v yields the idempotent
-    <v, 1> v.  Nodes of the heavy eigenvectors, those not almost orthogonal
-    to 1, that lie closer than cluster_eps are merged by single linkage; a
-    cluster's node is the |<v, 1>|^2-weighted mean and its idempotent the
-    sum.  Eigenvectors almost orthogonal to 1 are directions outside
-    C(1, x) that rounding let in; they are dropped unless they lie that
-    close to a heavy node, where their vectors mix with its vector.
-    ``norm`` is ||x|| when the caller has it already.
+    The model's ``_eigenpieces`` of x / max(||x||, 1) gives nodes with
+    weighted raw idempotents: one n x n eigensolve on M_n, the Krylov
+    compression of L_x to C(1, x) elsewhere.  Nodes of the heavy pieces,
+    those not almost orthogonal to 1, that lie closer than cluster_eps are
+    merged by single linkage; a cluster's node is the mass-weighted mean and
+    its idempotent the sum.  Light pieces are directions outside C(1, x)
+    that rounding let in; they are dropped unless they lie that close to a
+    heavy node, where their vectors mix with its vector.  ``norm`` is ||x||
+    when the caller has it already.
     """
-    d = A.dim
     scale = max(A._norm(x) if norm is None else norm, 1.0)
-    xn = x / scale
+    nodes, weights, raw = A._eigenpieces(x / scale, real_nodes)
     norm1 = np.linalg.norm(A.unit.coords)
-    Q = np.empty((d, d), dtype=complex)  # orthonormal rows
-    XQ = np.empty((d, d), dtype=complex)  # x o q for every row q of Q
-    Q[0] = A.unit.coords / norm1
-    stop = 64.0 * np.finfo(float).eps * d
-    for k in range(1, d + 1):
-        XQ[k - 1] = A._prod(xn, Q[k - 1])
-        if k == d:
-            break
-        Qk = Q[:k]
-        w = XQ[k - 1] - Qk.T @ (Qk.conj() @ XQ[k - 1])
-        w -= Qk.T @ (Qk.conj() @ w)
-        beta = np.linalg.norm(w)
-        if beta <= stop:
-            break
-        Q[k] = w / beta
-    Q, XQ = Q[:k], XQ[:k]
-    H = Q.conj() @ XQ.T
-    if real_nodes:
-        if np.max(np.abs(H - H.conj().T)) > 1e-6 * (1.0 + np.max(np.abs(H))):
-            raise NotSelfAdjoint("compression of L_a to C(1, a) is not hermitian")
-        nodes, V = np.linalg.eigh(H)
-    else:
-        nodes, V = np.linalg.eig(H)
-        # H is normal, but eig's vectors for close nodes need not be orthogonal
-        V = np.linalg.qr(V)[0]
-    weights = norm1 * V[0].conj()  # <v, 1>, as 1 = norm1 q_0 and q_0 is row 0 of Q
     mass = np.abs(weights) ** 2
     nodes = nodes * scale
     heavy = np.flatnonzero(mass > A.tol.abs_eps * norm1**2)
@@ -225,7 +201,7 @@ def _abelian_decomposition(
     dist = np.abs(nodes[:, None] - nodes[None, heavy])
     member = (clusters[:, dist.argmin(axis=1)] & (dist.min(axis=1) <= gap)).astype(float)
     nodes = (member @ (mass * nodes)) / (member @ mass)
-    idems = member @ (weights[:, None] * (V.T @ Q))
+    idems = member @ (weights[:, None] * raw)
     order = np.argsort(nodes)
     nodes, idems = nodes[order], idems[order]
     residual = float(A._norm(nodes @ idems - x))
@@ -238,7 +214,8 @@ def jordan_spectrum(A: AlgebraHandle, a: Element) -> list[float]:
 
 
 def spectral_decomposition(A: AlgebraHandle, a: Element) -> SpectralDecomposition:
-    """Eigenvalues and idempotents by Krylov compression onto C(1, a)."""
+    """Eigenvalues and idempotents of a self-adjoint element (see
+    ``_abelian_decomposition``)."""
     return _decompose(A, _owned(A, a))
 
 

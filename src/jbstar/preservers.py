@@ -55,7 +55,7 @@ from .errors import (
 from .measures import is_spin_summand
 from .peirce import _is_tripotent, _peirce2_algebra
 from .reports import CheckReport, worst_over_trials
-from .samplers import _commuting_projection_pair, _draw_oc_pair, default_oc_sampler, oc_pair_sampler
+from .samplers import _commuting_projection_pair, _draw_oc_pair
 from .unitary import _is_symmetry, _is_unitary, _unitary_log, unitary_log
 
 __all__ = [
@@ -138,8 +138,9 @@ class DichotomyResult:
 
 def _oc_pair_check(name, m: MapUnderTest, sampler, trials, seed, pass_tol, residual, **details):
     """Worst normalized residual over operator-commuting pairs, where
-    ``residual(x, y)`` returns (raw residual, scale) for pair coordinates."""
-    sampler = sampler or default_oc_sampler(m.source)
+    ``residual(x, y)`` returns (raw residual, scale) for pair coordinates.
+    The pairs come from ``sampler``, or from the source model's own
+    strategy when it is None."""
     worst_raw = 0.0
 
     def trial(rng):
@@ -211,10 +212,9 @@ def check_piecewise_hom_on_unitaries(
     if not _is_unitary(tgt, img_unit):
         raise NonUnitaryImage("image of the unit is not unitary")
     unit_residual = tgt._norm(img_unit - tgt.unit.coords)
-    sampler = default_oc_sampler(src)
 
     def trial(rng):
-        h, k = _draw_oc_pair(src, sampler, rng)
+        h, k = _draw_oc_pair(src, None, rng)
         u, v = _exp_i(src, h, 1.0), _exp_i(src, k, 1.0)
         fu, fv = f(u), f(v)
         for name, x in (("u", fu), ("v", fv)):
@@ -262,12 +262,11 @@ def check_generator_properties(
     generator map, with a boundedness estimate."""
     src, tgt = m.source, m.target
     rng = np.random.default_rng(seed)
-    sampler = default_oc_sampler(src)
     bound = 0.0
 
     def trial(rng):
         nonlocal bound
-        a, b = _draw_oc_pair(src, sampler, rng)
+        a, b = _draw_oc_pair(src, None, rng)
         fa, fb, fab = (_generator(m, x) for x in (a, b, a + b))
         r_add = tgt._norm(fab - fa - fb)
         tau = float(rng.choice([-2.0, -1.0, 0.5, 3.0]))
@@ -431,7 +430,6 @@ def recover_structure(
     tested for being a central symmetry of the target.
     """
     src, tgt, f = m.source, m.target, m._eval
-    sampler = sampler or default_oc_sampler(src)
     add = check_oc_additive(m, sampler, max(trials // 2, 20), seed, pass_tol=pass_tol)
     if not add.passed:
         raise HypothesisFailed(f"OC-additivity fails (residual {add.max_residual:.3e})")
@@ -594,9 +592,9 @@ def verify_counterexample(cx: SpinCounterexample, trials: int = 500, seed: int =
     """
     V, m = cx.algebra, cx.map
     f, one = m._eval, V.unit.coords
-    sampler = oc_pair_sampler(V, "spin_line")
-    add = check_oc_additive(m, sampler, trials, seed)
-    quad = check_oc_quadratic(m, sampler, trials, seed + 1)
+    # no sampler: V is a spin factor, whose own strategy is spin lines
+    add = check_oc_additive(m, None, trials, seed)
+    quad = check_oc_quadratic(m, None, trials, seed + 1)
     rng = np.random.default_rng(seed + 2)
     spot_worst = 0.0
     for _ in range(50):

@@ -5,7 +5,8 @@ the strategies here are constructive: polynomials in a common generator
 plus a central part, spin lines t*1 + s*a, and commuting diagonals in the
 matrix model.  Every consumer re-verifies commutativity before use, the
 map-driven checks through ``_draw_oc_pair``.  Check bodies draw coordinate
-arrays from the private forms.
+arrays from the private forms; a public sampler, a callable
+rng -> (Element, Element), is called only when a caller supplies one.
 """
 
 from __future__ import annotations
@@ -48,9 +49,13 @@ def _same_generator_pair(A: AlgebraHandle, rng: np.random.Generator):
 
 def spin_line_pair(A: AlgebraHandle, rng: np.random.Generator) -> tuple[Element, Element]:
     """b = t*1 + s*a; the only nontrivial commuting shape in a spin factor."""
+    return _elements(A, _spin_line_pair(A, rng))
+
+
+def _spin_line_pair(A: AlgebraHandle, rng: np.random.Generator):
     a = _random(A, rng, "self_adjoint")
     t, s = rng.standard_normal(2)
-    return _elements(A, (a, float(t) * A.unit.coords + float(s) * a))
+    return a, float(t) * A.unit.coords + float(s) * a
 
 
 def diagonal_pair(A: AlgebraHandle, rng: np.random.Generator) -> tuple[Element, Element]:
@@ -81,9 +86,18 @@ def default_oc_sampler(A: AlgebraHandle):
     return oc_pair_sampler(A, A.oc_strategy)
 
 
+# array forms of the model strategies, for draws with no sampler supplied
+_DEFAULT_DRAWS = {"same_generator": _same_generator_pair, "spin_line": _spin_line_pair}
+
+
 def _draw_oc_pair(A: AlgebraHandle, sampler, rng: np.random.Generator):
-    """Coordinates of a pair from ``sampler``; SamplerViolation unless it operator commutes."""
-    x, y = (_owned(A, e) for e in sampler(rng))
+    """Coordinates of a pair from ``sampler``, or from the array form of the
+    model's own strategy when it is None (the same draws as
+    ``default_oc_sampler``); SamplerViolation unless it operator commutes."""
+    if sampler is None:
+        x, y = _DEFAULT_DRAWS[A.oc_strategy](A, rng)
+    else:
+        x, y = (_owned(A, e) for e in sampler(rng))
     chk = _operator_commutes(A, x, y)
     if not chk:
         raise SamplerViolation(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import jbstar.measures as measures
+import jbstar.samplers as samplers
 from jbstar.algebras import (
     build_direct_sum,
     build_hermitian_matrix_algebra,
@@ -23,7 +23,7 @@ from jbstar.measures import (
     vectorize_map,
 )
 from jbstar.preservers import build_spin_counterexample
-from jbstar.samplers import noncommuting_pair, orthogonal_projection_pair
+from jbstar.samplers import orthogonal_projection_pair
 
 H1 = build_hermitian_matrix_algebra(1)
 H2 = build_hermitian_matrix_algebra(2)
@@ -140,8 +140,7 @@ def test_verify_linearity_theorem_linear_passes():
 
 def test_verify_linearity_theorem_refuses_a_non_commuting_draw(monkeypatch):
     # every OC-additivity draw is checked to operator commute; none is skipped
-    sampler = lambda A: lambda rng: noncommuting_pair(A, rng)
-    monkeypatch.setattr(measures, "default_oc_sampler", sampler)
+    monkeypatch.setitem(samplers._DEFAULT_DRAWS, H3.oc_strategy, samplers._noncommuting_pair)
     f, T, basis = linear_f(H3, 16)
     with pytest.raises(SamplerViolation):
         verify_linearity_theorem(H3, f, trials=10, seed=17)

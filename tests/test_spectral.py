@@ -1,9 +1,14 @@
-"""The Krylov spectral route against numpy's hermitian eigensolver.
+"""Spectral decompositions against numpy's hermitian eigensolver, and the
+two spectral routes against each other.
 
 Inputs are built in a faithful block-matrix representation with a known
 spectrum, often with one pair of eigenvalues only g apart; every check
 compares with ``np.linalg.eigvalsh``/``eigh`` (and ``scipy.linalg.expm``
-for exponentials) on that representation.
+for exponentials) on that representation.  On M_n the decomposition comes
+from one n x n eigensolve of the matrix (``HermitianMatrixAlgebra._eigenpieces``);
+the generic Krylov route, ``AlgebraHandle._eigenpieces``, serves spin
+factors, direct sums and Peirce-2 algebras, and is called unbound here as
+the oracle of the closed form.
 """
 
 import numpy as np
@@ -11,9 +16,23 @@ import pytest
 import scipy.linalg
 
 from jbstar import calculus, unitary
-from jbstar.algebras import build_direct_sum, build_hermitian_matrix_algebra, build_spin_factor
-from jbstar.calculus import exp_from_decomposition, exp_i, spectral_decomposition
+from jbstar.algebras import (
+    AlgebraHandle,
+    build_direct_sum,
+    build_hermitian_matrix_algebra,
+    build_spin_factor,
+    jbstar_norm,
+    random_element,
+)
+from jbstar.calculus import (
+    exp_from_decomposition,
+    exp_i,
+    is_invertible,
+    spectral_decomposition,
+    u_operator_matrix,
+)
 from jbstar.errors import NotSelfAdjoint, VerificationFailed
+from jbstar.peirce import peirce2_algebra, sample_tripotent
 from jbstar.unitary import unitary_log, unitary_power
 
 import oracles
@@ -144,11 +163,15 @@ def test_clustered_unitary_log_and_power(g):
             assert np.linalg.norm(got - oracles.expm_hermitian(mh, n), 2) <= 1e-9
 
 
-def test_non_hermitian_compression_is_not_self_adjoint():
+def test_non_hermitian_compression_is_not_self_adjoint(monkeypatch):
     # E_12 is not self-adjoint: L on C(1, E_12) is nilpotent, not hermitian
     H2 = build_hermitian_matrix_algebra(2)
+    e12 = np.array([0, 1, 0, 0], dtype=complex)
     with pytest.raises(NotSelfAdjoint):
-        calculus._abelian_decomposition(H2, np.array([0, 1, 0, 0], dtype=complex), real_nodes=True)
+        calculus._abelian_decomposition(H2, e12, real_nodes=True)
+    _use_krylov(monkeypatch, H2)
+    with pytest.raises(NotSelfAdjoint):
+        calculus._abelian_decomposition(H2, e12, real_nodes=True)
 
 
 def test_broken_idempotents_fail_verification(monkeypatch):
@@ -166,3 +189,124 @@ def test_broken_idempotents_fail_verification(monkeypatch):
     monkeypatch.setattr(calculus, "_abelian_decomposition", skewed)
     with pytest.raises(VerificationFailed):
         exp_i(M10, h, 1.0)
+
+
+# -- the M_n closed form against the Krylov route ---------------------------
+
+
+def _use_krylov(monkeypatch, A):
+    """Make A decompose through the generic Krylov route."""
+    monkeypatch.setattr(A, "_eigenpieces", lambda xn, real: AlgebraHandle._eigenpieces(A, xn, real))
+
+
+def _spectrum(n, rng, kind):
+    """n eigenvalues in [-2.5, 2.5]: distinct grid values, a few repeated
+    ones, or grid values with one pair only ``kind`` (a float) apart."""
+    grid = np.sort(rng.permutation(np.linspace(-2.5, 2.5, 4 * n))[:n])
+    if kind == "repeated":
+        return rng.choice([-1.5, 0.25, 2.0], size=n)
+    if kind != "distinct" and n >= 2:
+        grid[1] = grid[0] + kind
+    return rng.permutation(grid)
+
+
+def _in_frame(A, rng, values, unitary):
+    """Coordinates of V diag(f(values)) V^H for a random unitary frame V,
+    with f the identity, or exp(i .) for a unitary."""
+    n = A.n
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    m = (q * (np.exp(1j * values) if unitary else values)) @ q.conj().T
+    return (m if unitary else 0.5 * (m + m.conj().T)).ravel()
+
+
+def _by_angle(nodes, idems):
+    """Pieces in a route-independent order (complex nodes sort by real part,
+    where a conjugate pair ties up to rounding)."""
+    order = np.argsort(np.angle(nodes) if np.iscomplexobj(nodes) else nodes)
+    return nodes[order], idems[order]
+
+
+@pytest.mark.parametrize("unitary_element", [False, True], ids=["self_adjoint", "unitary"])
+@pytest.mark.parametrize("kind", ["distinct", "repeated", *GAPS, 1e-8])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_matrix_closed_form_matches_krylov_route(monkeypatch, n, kind, unitary_element):
+    # gap 1e-8 lies inside cluster_eps = 1e-7: both routes merge the pair.
+    # An idempotent of a node at distance sep from the others moves by about
+    # eps ||x|| / sep under rounding (Davis-Kahan), in either route: the bound
+    # 1e-10 is widened by that much, 1e-10 + 64 eps ||x|| / sep.
+    A = build_hermitian_matrix_algebra(n)
+    real = not unitary_element
+    for seed in range(4):
+        rng = np.random.default_rng(1000 * n + seed)
+        x = _in_frame(A, rng, _spectrum(n, rng, kind), unitary_element)
+        scale = max(A._norm(x), 1.0)
+        with monkeypatch.context() as m:
+            _use_krylov(m, A)
+            want_nodes, want_idems, want_residual = calculus._abelian_decomposition(A, x, real)
+        nodes, idems, residual = calculus._abelian_decomposition(A, x, real)
+        assert nodes.shape == want_nodes.shape
+        nodes, idems = _by_angle(nodes, idems)
+        want_nodes, want_idems = _by_angle(want_nodes, want_idems)
+        assert np.max(np.abs(nodes - want_nodes)) <= 1e-12 * scale
+        dist = np.abs(want_nodes[:, None] - want_nodes[None, :])
+        np.fill_diagonal(dist, np.inf)
+        tol = 1e-10 + 64.0 * np.finfo(float).eps * scale / np.min(dist)
+        diff = (idems - want_idems).reshape(-1, n, n)
+        assert np.max(np.linalg.norm(diff, 2, axis=(1, 2))) <= tol
+        assert residual <= want_residual + 1e-12 * scale
+
+
+def test_matrix_spectra_skip_the_krylov_route(monkeypatch):
+    H3 = build_hermitian_matrix_algebra(3)
+    sub = peirce2_algebra(H3, H3.element(np.diag([1.0, 1.0, 0.0]).ravel()))
+    others = [S12, H3S3, build_direct_sum([build_hermitian_matrix_algebra(2), H3]), sub]
+    samples = {A.id: random_element(A, 3, "self_adjoint") for A in others}
+
+    def refuse(A, xn, real_nodes):
+        raise AssertionError(f"Krylov route taken for {A.id}")
+
+    monkeypatch.setattr(AlgebraHandle, "_eigenpieces", refuse)
+    for n in (1, 3, 12):
+        A = build_hermitian_matrix_algebra(n)
+        h = random_element(A, n, "self_adjoint")
+        spectral_decomposition(A, h)
+        unitary_log(A, exp_i(A, h, 1.0))
+        random_element(A, n, "projection")
+        for seed in range(3):  # the unitary and the spectral branch
+            sample_tripotent(A, np.random.default_rng(seed))
+    for A in others:
+        with pytest.raises(AssertionError, match="Krylov route"):
+            spectral_decomposition(A, samples[A.id])
+
+
+def _with_singular_values(A, rng, sv):
+    n = A.n
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    w, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return ((u * sv) @ w.conj().T).ravel()
+
+
+def _full_svd_says_singular(A, a):
+    sv = np.linalg.svd(u_operator_matrix(A, a), compute_uv=False)
+    return sv[0] == 0.0 or sv[-1] <= A.tol.abs_eps * sv[0]
+
+
+@pytest.mark.parametrize("smallest", [0.0, 1e-12, 0.5 * 1e-9**0.5, 2.0 * 1e-9**0.5, 1e-3])
+def test_is_invertible_matches_the_full_u_operator_svd(smallest):
+    # on M_n, sigma(U_a) = {sigma_i sigma_j}: singular when sigma_n^2 <= abs_eps sigma_1^2;
+    # a sum is singular when one summand is
+    rng = np.random.default_rng(7)
+    M4 = build_hermitian_matrix_algebra(4)
+    sums = [build_direct_sum([build_spin_factor(3), M4]), build_direct_sum([H3S3, M4])]
+    for _ in range(3):
+        a = _with_singular_values(M4, rng, [1.5, 1.0, 0.7, smallest])
+        cases = [(M4, a)]
+        for A in sums:
+            # the other summands get norm 1, so sigma_1 = 1.5 of a stays the largest
+            rest = [random_element(p, int(rng.integers(1 << 30))) for p, _ in A.summands[:-1]]
+            rest = [(1.0 / jbstar_norm(p, r)) * r.coords for (p, _), r in zip(A.summands, rest)]
+            cases.append((A, np.concatenate([*rest, a])))
+        for A, x in cases:
+            singular = _full_svd_says_singular(A, A.element(x))
+            assert singular == (smallest**2 <= 1.5**2 * A.tol.abs_eps)
+            assert (is_invertible(A, A.element(x)) is None) == singular
