@@ -214,8 +214,8 @@ def jordan_spectrum(A: AlgebraHandle, a: Element) -> list[float]:
 
 
 def spectral_decomposition(A: AlgebraHandle, a: Element) -> SpectralDecomposition:
-    """Eigenvalues and idempotents of a self-adjoint element (see
-    ``_abelian_decomposition``)."""
+    """Eigenvalues and idempotents of a self-adjoint element: one n x n
+    eigensolve on M_n, a Krylov compression onto C(1, a) elsewhere."""
     return _decompose(A, _owned(A, a))
 
 

@@ -272,7 +272,7 @@ def test_matrix_spectra_skip_the_krylov_route(monkeypatch):
         spectral_decomposition(A, h)
         unitary_log(A, exp_i(A, h, 1.0))
         random_element(A, n, "projection")
-        for seed in range(3):  # the unitary and the spectral branch
+        for seed in (0, 11):  # the spectral and the unitary branch
             sample_tripotent(A, np.random.default_rng(seed))
     for A in others:
         with pytest.raises(AssertionError, match="Krylov route"):
