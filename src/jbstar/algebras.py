@@ -8,11 +8,11 @@ carries Peirce-2 algebras of tripotents; it is constructed by
 :mod:`jbstar.peirce`.
 
 A model owns its unit, product, involution, norm, multiplication matrix,
-trace, canonical projections, centre and descriptor form.  Every element is
-a complex coordinate vector over the model's fixed basis, tagged with the
-algebra identity; ``_prod``, ``_inv``, ``_norm`` and ``_triple`` also take
-coordinates with leading batch axes, (..., dim), and broadcast a stack
-against one vector.  Handles are immutable and operations are pure, so
+trace, canonical projections, centre, rank and descriptor form.  Every
+element is a complex coordinate vector over the model's fixed basis, tagged
+with the algebra identity; ``_prod``, ``_inv``, ``_norm`` and ``_triple``
+also take coordinates with leading batch axes, (..., dim), and broadcast a
+stack against one vector.  Handles are immutable and operations are pure, so
 values are safe to share between workers.
 """
 
@@ -110,9 +110,9 @@ class AlgebraHandle:
 
     Subclasses supply the coordinate formulas ``_prod``, ``_inv`` and
     ``_norm`` and the unit; every other module works through these, the
-    multiplication matrix, the trace, the canonical projections and the
-    centre.  The generic multiplication matrix and centre defined here are
-    exact for any model; the concrete models replace them by closed forms.
+    multiplication matrix, the trace, the canonical projections, the centre
+    and the rank.  The generic forms defined here hold for any model; the
+    concrete models replace them by closed forms.
     """
 
     kind: str | None = None
@@ -212,6 +212,20 @@ class AlgebraHandle:
         # <v, 1>, as 1 = norm1 q_0 and q_0 is row 0 of Q
         return nodes, norm1 * V[0].conj(), V.T @ Q
 
+    @cached_property
+    def rank(self) -> int:
+        """Number of distinct eigenvalues of a generic self-adjoint element (n
+        for type I_n), from one draw of a private fixed-seed generator."""
+        from . import calculus  # lazy: spectral machinery lives downstream
+
+        x = _random(self, np.random.default_rng(0), "self_adjoint")
+        return int(calculus._decompose(self, x).values.size)
+
+    @property
+    def is_type_i2(self) -> bool:
+        """Type I_2 factor (spin, M_2): rank 2 and centre C 1, unlike C + C."""
+        return self.rank == 2 and len(self._center_rows) == 1
+
     def trace(self, x: np.ndarray) -> float:
         raise PreconditionFailed(f"no trace defined on {self.id}")
 
@@ -282,6 +296,7 @@ class HermitianMatrixAlgebra(AlgebraHandle):
     """
 
     kind = "hermitian_matrix"
+    rank = property(lambda self: self.n)  # type I_n
 
     def __init__(self, n: int, tol: Tolerance = Tolerance()):
         if not (1 <= n <= 12):
@@ -369,6 +384,7 @@ class SpinFactor(AlgebraHandle):
 
     kind = "spin"
     oc_strategy = "spin_line"
+    rank = 2  # type I_2
 
     def __init__(self, n: int, tol: Tolerance = Tolerance()):
         if not (3 <= n <= 144):
@@ -429,6 +445,7 @@ class DirectSum(AlgebraHandle):
     """
 
     kind = "direct_sum"
+    rank = property(lambda self: sum(p.rank for p, _ in self.summands))  # disjoint spectra
 
     def __init__(self, parts):
         parts = tuple(parts)

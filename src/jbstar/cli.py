@@ -105,16 +105,16 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
 @contextmanager
 def _usage_errors():
-    """Report a malformed or out-of-range input as a usage error."""
+    """Report a malformed, out-of-range or too deeply nested input as a usage error."""
     try:
         yield
-    except (JBStarError, ValueError) as exc:
+    except (JBStarError, ValueError, RecursionError) as exc:
         raise UsageError(f"{type(exc).__name__}: {exc}") from exc
 
 

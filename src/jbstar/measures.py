@@ -4,9 +4,9 @@ Desk-scale verification of the linearity-from-boundedness result: a
 homogeneous map on the self-adjoint part that is additive on operator
 commuting elements and bounded on the unit ball agrees with a bounded
 linear map, provided the algebra has no spin (type I2) summand.  The spin
-exclusion is enforced mechanically by a detector, and the spin(3)
-counterexample exercises the sharpness of the hypothesis in exploratory
-mode.
+exclusion reads the type data of the models (a summand of rank 2 with
+trivial centre), and the spin(3) counterexample exercises the sharpness of
+the hypothesis in exploratory mode.
 
 Target spaces X are finite-dimensional real coordinate spaces with the
 max-norm.  Check bodies compute on coordinate arrays; the map under test
@@ -36,7 +36,6 @@ from .samplers import _draw_oc_pair, _orthogonal_projection_pair
 __all__ = [
     "ProjectionMeasure",
     "LinearReconstruction",
-    "is_spin_summand",
     "spin_summands",
     "vectorize_map",
     "canonical_projections",
@@ -73,32 +72,9 @@ def _on_coords(A: AlgebraHandle, f: Callable[[Element], np.ndarray]):
     return lambda x: np.asarray(f(Element(A.id, x)))
 
 
-def is_spin_summand(A: AlgebraHandle, samples: int = 10, seed: int = 7) -> bool:
-    """Mechanical spin detector on a single (non-sum) algebra.
-
-    A summand is flagged as spin when its self-adjoint part has real
-    dimension >= 3 and every sampled self-adjoint a satisfies
-    a o a in span{a, 1}.  This catches spin factors and the 2x2 hermitian
-    model (whose self-adjoint part is a 4-dimensional spin factor) alike.
-    """
-    if A.summands[0][0] is not A:
-        raise ValueError("pass a single summand; use spin_summands for sums")
-    if len(selfadjoint_basis(A)) < 3:
-        return False
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        a = _random(A, rng, "self_adjoint")
-        sq = A._prod(a, a)
-        P = np.stack([A.unit.coords, a], axis=1)
-        c, *_ = np.linalg.lstsq(P, sq, rcond=None)
-        if np.linalg.norm(P @ c - sq) > 1e-8 * (1.0 + np.linalg.norm(sq)):
-            return False
-    return True
-
-
 def spin_summands(A: AlgebraHandle) -> list[str]:
-    """Ids of direct summands flagged as spin (type I2)."""
-    return [p.id for p, _ in A.summands if is_spin_summand(p)]
+    """Ids of the direct summands of type I2 (``AlgebraHandle.is_type_i2``)."""
+    return [p.id for p, _ in A.summands if p.is_type_i2]
 
 
 def vectorize_map(fn: Callable[[Element], Element], target: AlgebraHandle):

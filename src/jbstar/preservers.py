@@ -52,7 +52,6 @@ from .errors import (
     ParamOutOfRange,
     PreconditionFailed,
 )
-from .measures import is_spin_summand
 from .peirce import _is_tripotent, _peirce2_algebra
 from .reports import CheckReport, worst_over_trials
 from .samplers import _commuting_projection_pair, _draw_oc_pair
@@ -380,12 +379,12 @@ def verify_unitary_preserver_form(
 def classify_factor_dichotomy(
     m: MapUnderTest, theta: MapUnderTest, trials: int = 100, seed: int = 0, pass_tol: float = 1e-7
 ) -> DichotomyResult:
-    """Decide between Phi = theta and Phi = theta(inverse) on random
-    unitaries of a non-spin factor source."""
+    """Decide between Phi = theta and Phi = theta(inverse) on random unitaries
+    of a factor source not of type I2 (``AlgebraHandle.is_type_i2``)."""
     src, tgt = m.source, m.target
     if len(src._center_rows) != 1:
         raise NotAFactor("source centre has dimension > 1")
-    if is_spin_summand(src):
+    if src.is_type_i2:
         raise NotAFactor("source is a spin factor (type I2), dichotomy does not apply")
     if (theta.source.id, theta.target.id) != (src.id, tgt.id):
         raise PreconditionFailed("theta must map between the algebras of Phi")
@@ -786,10 +785,10 @@ def _build_map(desc: dict, source: AlgebraHandle, tgt: AlgebraHandle) -> MapUnde
         )
     if kind == "composition":
         maps = [map_from_descriptor(d, source, tgt) for d in desc["maps"]]
-        f = lambda a: functools.reduce(lambda x, mp: mp.eval(x), reversed(maps), a)
+        f = functools.partial(_chain, [mp.eval for mp in reversed(maps)])
         inverse = None
         if all(mp.inverse is not None for mp in maps):
-            inverse = lambda a: functools.reduce(lambda x, mp: mp.inverse(x), maps, a)
+            inverse = functools.partial(_chain, [mp.inverse for mp in maps])
         label = "composition(" + ",".join(mp.label for mp in maps) + ")"
         return MapUnderTest(source, tgt, f, label=label, inverse=inverse)
     if kind == "spin_counterexample":
@@ -809,6 +808,13 @@ def _build_map(desc: dict, source: AlgebraHandle, tgt: AlgebraHandle) -> MapUnde
 
         return MapUnderTest(source, tgt, f, label="exp_form")
     raise ValueError(f"unknown map descriptor kind {kind!r}")
+
+
+def _chain(fns, a):
+    """fns applied in turn; a nested composition runs one frame per level."""
+    for fn in fns:
+        a = fn(a)
+    return a
 
 
 def _beta_from_descriptor(desc: dict, source: AlgebraHandle, target: AlgebraHandle):

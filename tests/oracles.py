@@ -2,10 +2,14 @@
 
 Everything here works directly on raw numpy matrices through the
 associative product, bypassing the package's Jordan machinery, so the two
-code paths share no logic beyond numpy itself.
+code paths share no logic beyond numpy itself.  The one exception is
+``is_spin_summand``, a sampled type test that works through a model's
+product and random draws and shares nothing with its type data.
 """
 
 import numpy as np
+
+from jbstar.algebras import AlgebraHandle, _random, selfadjoint_basis
 
 # Pauli matrices for the 2x2 embedding of small spin factors
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -204,3 +208,26 @@ def vector_triple(A, x, y, z):
     ys = vector_inv(A, y)
     p = lambda u, v: vector_prod(A, u, v)
     return p(p(x, ys), z) + p(p(z, ys), x) - p(p(x, z), ys)
+
+
+def is_spin_summand(A: AlgebraHandle, samples: int = 10, seed: int = 7) -> bool:
+    """Mechanical spin detector on a single (non-sum) algebra.
+
+    A summand is flagged as spin when its self-adjoint part has real
+    dimension >= 3 and every sampled self-adjoint a satisfies
+    a o a in span{a, 1}.  This catches spin factors and the 2x2 hermitian
+    model (whose self-adjoint part is a 4-dimensional spin factor) alike.
+    """
+    if A.summands[0][0] is not A:
+        raise ValueError("pass a single summand; use spin_summands for sums")
+    if len(selfadjoint_basis(A)) < 3:
+        return False
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        a = _random(A, rng, "self_adjoint")
+        sq = A._prod(a, a)
+        P = np.stack([A.unit.coords, a], axis=1)
+        c, *_ = np.linalg.lstsq(P, sq, rcond=None)
+        if np.linalg.norm(P @ c - sq) > 1e-8 * (1.0 + np.linalg.norm(sq)):
+            return False
+    return True

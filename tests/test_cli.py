@@ -220,6 +220,57 @@ def test_bad_input_is_usage_error(case, tmp_path, capsys, monkeypatch):
         assert not ran  # refused before the suite ran
 
 
+def _nested(kind, depth, inner):
+    """JSON text of ``inner`` wrapped ``depth`` times in a one-item sum or composition."""
+    key = "parts" if kind == "direct_sum" else "maps"
+    return f'{{"kind": "{kind}", "{key}": [' * depth + json.dumps(inner) + "]}" * depth
+
+
+# (file body, suite, option naming the file, message start): each input
+# nests past the recursion limit, in the JSON parser or in the descriptor
+# constructors; a map runs on M_2
+DEEP_INPUTS = {
+    "json-arrays": ("[" * 100000 + "]" * 100000, "axioms", "--algebra", "cannot read"),
+    "direct-sum": (_nested("direct_sum", 400, H2), "axioms", "--algebra", "RecursionError"),
+    "composition": (
+        _nested("composition", 330, {"kind": "identity"}), "preserver", "--map", "RecursionError"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(DEEP_INPUTS))
+def test_deeply_nested_input_is_usage_error(case, tmp_path, capsys):
+    body, suite, option, message = DEEP_INPUTS[case]
+    deep, h2 = tmp_path / "deep.json", tmp_path / "h2.json"
+    deep.write_text(body)
+    h2.write_text(json.dumps(H2))
+    argv = [suite, "--trials", "2", "--algebra", str(h2), option, str(deep)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: " + message) and "Traceback" not in err, err
+
+
+def test_composition_that_builds_also_runs(tmp_path, capsys):
+    # a composition is evaluated one frame per level, fewer than its build
+    # takes: bisecting on the depth finds maps that build and run (exit 0)
+    # and maps refused as too deep (exit 2), never a crash between them
+    h2, mp = tmp_path / "h2.json", tmp_path / "map.json"
+    h2.write_text(json.dumps(H2))
+
+    def status(depth):
+        mp.write_text(_nested("composition", depth, {"kind": "identity"}))
+        code = main(["preserver", "--algebra", str(h2), "--map", str(mp), "--trials", "2"])
+        err = capsys.readouterr().err
+        assert code in (0, 2) and "Traceback" not in err, (depth, code, err[-300:])
+        return code
+
+    lo, hi = 100, 1000
+    assert (status(lo), status(hi)) == (0, 2)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if status(mid) == 0 else (lo, mid)
+
+
 H3_S3 = {"kind": "direct_sum", "parts": [{"kind": "hermitian_matrix", "n": 3}, {"kind": "spin", "n": 3}]}
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import jbstar.samplers as samplers
+from jbstar import algebras, calculus
 from jbstar.algebras import (
     build_direct_sum,
     build_hermitian_matrix_algebra,
@@ -12,18 +13,27 @@ from jbstar.algebras import (
     selfadjoint_basis,
 )
 from jbstar.calculus import functional_calculus, operator_commutes
-from jbstar.errors import AdditivityViolation, HypothesisFailed, SamplerViolation, TypeI2Present
+from jbstar.errors import (
+    AdditivityViolation,
+    HypothesisFailed,
+    NotAFactor,
+    PreconditionFailed,
+    SamplerViolation,
+    TypeI2Present,
+)
 from jbstar.measures import (
     canonical_projections,
-    is_spin_summand,
     linear_reconstruction,
     measure_from_map,
     spin_summands,
     verify_linearity_theorem,
     vectorize_map,
 )
-from jbstar.preservers import build_spin_counterexample
+from jbstar.peirce import peirce2_algebra
+from jbstar.preservers import MapUnderTest, build_spin_counterexample, classify_factor_dichotomy
 from jbstar.samplers import orthogonal_projection_pair
+
+import oracles
 
 H1 = build_hermitian_matrix_algebra(1)
 H2 = build_hermitian_matrix_algebra(2)
@@ -37,14 +47,71 @@ def linear_f(A, seed, k=3):
     return (lambda a: T @ sa_coords(A, a, basis)), T, basis
 
 
-def test_spin_detector():
-    assert is_spin_summand(S3)
-    assert is_spin_summand(H2)  # 4-dim self-adjoint part = R1 + 3-dim spin
-    assert not is_spin_summand(H3)
-    assert not is_spin_summand(H1)
-    mixed = build_direct_sum([H3, S3])
-    assert spin_summands(mixed) == [S3.id]
-    assert spin_summands(build_direct_sum([H3, H3])) == []
+def _peirce2(A, diag=None):
+    """Peirce-2 algebra of the unit, or of the diagonal projection ``diag`` of M_n."""
+    e = A.unit if diag is None else A.element(np.diag(np.asarray(diag, dtype=complex)).ravel())
+    return peirce2_algebra(A, e)
+
+
+H3S3 = build_direct_sum([H3, S3])
+# case -> model; spin_summands must give the ids of the summands that the
+# sampled oracle flags, and FLAGGED names the cases with one
+TYPE_CASES = {
+    "M1": lambda: H1,
+    "M2": lambda: H2,  # 4-dim self-adjoint part = R1 + 3-dim spin
+    "M3": lambda: H3,
+    "M12": lambda: build_hermitian_matrix_algebra(12),
+    "spin3": lambda: S3,
+    "spin4": lambda: build_spin_factor(4),
+    "M3+spin3": lambda: H3S3,
+    "M3+M3": lambda: build_direct_sum([H3, H3]),
+    "P2[M3,rank-2]": lambda: _peirce2(H3, [1, 1, 0]),
+    "P2[spin6]": lambda: _peirce2(build_spin_factor(6)),
+    # rank 2 but centre C + C: the factor test keeps it out
+    "P2[C+C]": lambda: _peirce2(build_direct_sum([H1, H1])),
+    "P2[C+spin3]": lambda: _peirce2(build_direct_sum([H1, S3])),
+    "P2[M3+spin3]": lambda: _peirce2(H3S3),
+    "P2[M4,rank-3]": lambda: _peirce2(build_hermitian_matrix_algebra(4), [1, 1, 1, 0]),
+}
+FLAGGED = {"M2", "spin3", "spin4", "M3+spin3", "P2[M3,rank-2]", "P2[spin6]"}
+
+
+@pytest.mark.parametrize("case", list(TYPE_CASES))
+def test_type_data_agrees_with_the_sampled_oracle(case):
+    A = TYPE_CASES[case]()
+    want = [p.id for p, _ in A.summands if oracles.is_spin_summand(p)]
+    assert spin_summands(A) == want
+    assert bool(want) == (case in FLAGGED)
+
+
+def test_type_data_does_not_sample(monkeypatch):
+    # fresh handles, so no rank is cached yet; (model, indices of its type
+    # I_2 summands, what classify_factor_dichotomy raises on it)
+    M = build_hermitian_matrix_algebra
+    cases = [
+        (M(1), [], PreconditionFailed),
+        (M(2), [0], NotAFactor),
+        (M(7), [], PreconditionFailed),
+        (build_spin_factor(5), [0], NotAFactor),
+        (build_direct_sum([M(2), build_spin_factor(3), M(3)]), [0, 1], NotAFactor),
+        (build_direct_sum([M(3)]), [], PreconditionFailed),
+        (build_direct_sum([build_spin_factor(4)]), [0], NotAFactor),
+    ]
+    sub = _peirce2(M(3), [1, 1, 0])
+    other = M(4)
+    theta = MapUnderTest(other, other, lambda a: a)  # refused right after the type test
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("type data sampled")
+
+    monkeypatch.setattr(algebras, "_random", refuse)
+    monkeypatch.setattr(calculus, "_decompose", refuse)
+    for A, flagged, raised in cases:
+        assert spin_summands(A) == [A.summands[i][0].id for i in flagged]
+        with pytest.raises(raised):
+            classify_factor_dichotomy(MapUnderTest(A, A, lambda a: a), theta, trials=5, seed=0)
+    with pytest.raises(AssertionError, match="type data sampled"):
+        spin_summands(sub)  # a Peirce-2 algebra computes its rank
 
 
 def test_canonical_projections_are_projections_and_span():
@@ -154,7 +221,7 @@ def test_verify_linearity_theorem_rejects_spin():
 
 
 def test_verify_linearity_theorem_rejects_h2():
-    # the detector flags the 2x2 matrix model itself as a spin factor
+    # M_2 has rank 2 and is a factor: type I_2, refused like a spin factor
     f, T, basis = linear_f(H2, 19)
     with pytest.raises(TypeI2Present):
         verify_linearity_theorem(H2, f, trials=10, seed=20)

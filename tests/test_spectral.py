@@ -67,7 +67,7 @@ def _element(A, rng, values):
 
 
 def _slots(A):
-    return sum(part.n if part.kind == "hermitian_matrix" else 2 for part, _ in A.summands)
+    return sum(p.rank for p, _ in A.summands)
 
 
 def _clustered(A, rng, g):
@@ -277,6 +277,18 @@ def test_matrix_spectra_skip_the_krylov_route(monkeypatch):
     for A in others:
         with pytest.raises(AssertionError, match="Krylov route"):
             spectral_decomposition(A, samples[A.id])
+
+
+@pytest.mark.parametrize(
+    "A",
+    [build_hermitian_matrix_algebra(n) for n in range(1, 13)]
+    + [build_spin_factor(n) for n in range(3, 9)]
+    + [H3S3, M3S5],
+    ids=lambda A: A.id,
+)
+def test_closed_form_rank_matches_the_generic_route(A):
+    # the generic default, called unbound: distinct eigenvalues of one draw
+    assert A.rank == AlgebraHandle.rank.func(A)
 
 
 def _with_singular_values(A, rng, sv):
