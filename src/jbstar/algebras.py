@@ -19,6 +19,7 @@ values are safe to share between workers.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -411,13 +412,20 @@ class SpinFactor(AlgebraHandle):
         return out
 
     def _norm(self, x: np.ndarray):
-        n2sq = (np.abs(x) ** 2).sum(axis=-1)
-        inner = (x * x).sum(axis=-1)  # <x|conj(x)>
+        # ||x||^2 = |x|^2 + 2|a ^ b| (a = Re x, b = Im x), with Lagrange's
+        # |a ^ b| = |a| |b - (<a,b>/|a|^2) a|, which does not cancel near
+        # unitaries as sqrt(|x|^4 - |<x|conj(x)>|^2) does; |a ^ b| = 0 at a = 0
+        a, b = x.real, x.imag
+        aa, bb, ab = (a * a).sum(axis=-1), (b * b).sum(axis=-1), (a * b).sum(axis=-1)
         if x.ndim == 1:  # scalar arithmetic: ufunc calls cost more than the math
-            return float(np.sqrt(n2sq + np.sqrt(max(n2sq * n2sq - abs(inner) ** 2, 0.0))))
-        # hypot and float_power round as scalar abs() and ** do: rows equal 1-D calls
-        val = np.maximum(n2sq * n2sq - np.float_power(np.hypot(inner.real, inner.imag), 2), 0.0)
-        return np.sqrt(n2sq + np.sqrt(val))
+            aa, bb = float(aa), float(bb)
+            if not aa:
+                return math.sqrt(bb)
+            r = b - (float(ab) / aa) * a
+            return math.sqrt(aa + bb + 2.0 * math.sqrt(aa * float((r * r).sum())))
+        # the same operations row by row: rows equal 1-D calls bit for bit
+        r = b - (ab / np.where(aa > 0.0, aa, 1.0))[..., None] * a
+        return np.sqrt(aa + bb + 2.0 * np.sqrt(aa * (r * r).sum(axis=-1)))
 
     def _mult_matrix(self, x: np.ndarray) -> np.ndarray:
         e0 = np.zeros(self.dim, dtype=complex)

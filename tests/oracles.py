@@ -2,14 +2,18 @@
 
 Everything here works directly on raw numpy matrices through the
 associative product, bypassing the package's Jordan machinery, so the two
-code paths share no logic beyond numpy itself.  The one exception is
-``is_spin_summand``, a sampled type test that works through a model's
-product and random draws and shares nothing with its type data.
+code paths share no logic beyond numpy itself.  Two exceptions work
+through a model's own operations: ``is_spin_summand``, a sampled type test
+that shares nothing with its type data, and
+``peirce_identity_residual_2norm``, which measures the package's Peirce
+matrices in the operator 2-norm instead of the Frobenius norm.
 """
 
 import numpy as np
 
 from jbstar.algebras import AlgebraHandle, _random, selfadjoint_basis
+from jbstar.kernel import operator_norm
+from jbstar.peirce import _lqe
 
 # Pauli matrices for the 2x2 embedding of small spin factors
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -151,7 +155,22 @@ def spin_prod_np_sum(x, y):
 
 
 def spin_norm_np_sum(x):
-    """Spin-factor norm with its sums taken by np.sum."""
+    """Spin-factor norm with its sums taken by np.sum: Lagrange's form
+    ||x||^2 = |x|^2 + 2|a ^ b|, |a ^ b| = |a| |b - (<a,b>/|a|^2) a|, for
+    a = Re x and b = Im x."""
+    a, b = x.real, x.imag
+    aa, bb, ab = float(np.sum(a * a)), float(np.sum(b * b)), float(np.sum(a * b))
+    wedge = 0.0
+    if aa != 0.0:
+        r = b - (ab / aa) * a
+        wedge = float(np.sqrt(aa * float(np.sum(r * r))))
+    return float(np.sqrt(aa + bb + 2.0 * wedge))
+
+
+def spin_norm_cancelling(x):
+    """Spin-factor norm ||x||^2 = |x|^2 + sqrt(|x|^4 - |<x|conj(x)>|^2): the
+    same quantity, but the inner root cancels near unitaries (both terms
+    about 1), where it returns about sqrt(eps)."""
     n2sq = float(np.sum(np.abs(x) ** 2))
     inner = np.sum(x * x)
     val = max(n2sq * n2sq - abs(inner) ** 2, 0.0)
@@ -170,6 +189,28 @@ def peirce_operators_by_columns(A, e):
     lee = np.stack([A._triple(x, x, eye[j]) for j in range(A.dim)], axis=1)
     mq = np.stack([A._triple(x, eye[j], x) for j in range(A.dim)], axis=1)
     return lee, mq @ np.conj(mq)
+
+
+def peirce_identity_residual_2norm(A, e):
+    """Largest Peirce-identity defect of a tripotent in the operator 2-norm.
+
+    The identities ``peirce_system`` verifies (partition, idempotency, the
+    six orthogonality products, P2 e = e and P2 = Q(e)^2) on the same
+    matrices, each matrix defect measured by its largest singular value.
+    """
+    x = e.coords
+    lee, q2 = _lqe(A, x)
+    eye = np.eye(A.dim, dtype=complex)
+    p2 = lee @ (2.0 * lee - eye)
+    p1 = 4.0 * (lee @ (eye - lee))
+    p0 = (eye - lee) @ (eye - 2.0 * lee)
+    projs = (p2, p1, p0)
+    checks = [operator_norm(p2 + p1 + p0 - eye)]
+    checks += [operator_norm(p @ p - p) for p in projs]
+    checks += [operator_norm(projs[i] @ projs[j]) for i in range(3) for j in range(3) if i != j]
+    checks.append(A._norm(p2 @ x - x))
+    checks.append(operator_norm(p2 - q2))
+    return max(checks)
 
 
 def vector_prod(A, x, y):

@@ -385,3 +385,26 @@ def test_stacked_model_ops_match_rowwise(name):
         assert np.array_equal(A._prod(X[i], Y[i]), oracles.vector_prod(A, X[i], Y[i])), name
         assert np.array_equal(A._inv(X[i]), oracles.vector_inv(A, X[i])), name
         assert type(A._norm(X[i])) is float
+
+
+@pytest.mark.parametrize("n", [3, 4, 12])
+def test_spin_norm_of_unitaries_is_one(n):
+    # Lagrange's form keeps |a ^ b| at rounding level near a unitary, where
+    # the cancelling formula's inner root returns about sqrt(eps)
+    A = build_spin_factor(n)
+    us = [random_element(A, seed, "unitary") for seed in range(200)]
+    assert max(abs(jbstar_norm(A, u) - 1.0) for u in us) <= 1e-14
+    assert max(abs(oracles.spin_norm_cancelling(u.coords) - 1.0) for u in us) > 1e-9
+
+
+def test_spin_norm_stacked_rows_equal_1d_calls_bit_for_bit():
+    rng = np.random.default_rng(43)
+    for d in (3, 4, 17, 144):
+        A = build_spin_factor(d)
+        X = rng.standard_normal((4, 5, d)) + 1j * rng.standard_normal((4, 5, d))
+        X[0, 0].real, X[0, 1].imag, X[0, 2] = 0.0, 0.0, 0.0  # a = 0, b = 0, x = 0
+        stacked = A._norm(X)
+        assert stacked.shape == (4, 5)
+        for i, j in np.ndindex(4, 5):
+            assert stacked[i, j] == A._norm(X[i, j])
+            assert abs(A._norm(X[i, j]) - oracles.spin_norm_cancelling(X[i, j])) <= 1e-7 * (1.0 + stacked[i, j])

@@ -12,7 +12,7 @@ from jbstar.algebras import (
     random_element,
 )
 from jbstar.calculus import center_basis
-from jbstar.errors import NotTripotent
+from jbstar.errors import NotTripotent, VerificationFailed
 from jbstar.kernel import operator_norm
 from jbstar.peirce import (
     _lqe,
@@ -190,3 +190,88 @@ def test_closed_form_peirce_operators_match_column_loop(A):
         want_lee, want_q2 = oracles.peirce_operators_by_columns(A, e)
         assert operator_norm(lee - want_lee) <= 1e-13
         assert operator_norm(q2 - want_q2) <= 1e-13
+
+
+BOUND_MODELS = [build_hermitian_matrix_algebra(n) for n in range(1, 13)]
+BOUND_MODELS += [build_spin_factor(n) for n in (3, 6, 12)]
+BOUND_MODELS += [build_direct_sum([H3, build_spin_factor(5)]), build_direct_sum([H3, H4])]
+BOUND_MODELS.append(LQE_MODELS[-1])  # Peirce-2 algebra of diag(1, 1, 0, 0) in M_4
+
+
+@pytest.mark.parametrize("A", BOUND_MODELS, ids=lambda A: A.id)
+def test_frobenius_residual_bounds_the_2norm_oracle(A):
+    # ||D||_2 <= ||D||_F <= sqrt(rank D) ||D||_2 on every matrix defect, so the
+    # reported residual lies between the 2-norm residual and sqrt(dim) times it
+    tripotents = [random_element(A, seed, flavor) for seed in (15, 16) for flavor in ("projection", "unitary")]
+    for e in (e for e in tripotents if np.any(e.coords)):
+        got = peirce_system(A, e).residual
+        want = oracles.peirce_identity_residual_2norm(A, e)
+        assert want <= got <= np.sqrt(A.dim) * want + 1e-15
+        # ||L(e,e)||_2 = 1 on a tripotent: the threshold 1e-7 (1 + ||L||^2) is 2e-7
+        lee, _ = _lqe(A, e.coords)
+        assert abs(operator_norm(lee) - 1.0) <= 1e-12
+
+
+GUARD_MODELS = [build_hermitian_matrix_algebra(12), build_spin_factor(12), build_direct_sum([H3, build_spin_factor(5)])]
+GUARD_MODELS.append(peirce2_algebra(H4, random_element(H4, 17, "unitary")))
+
+
+@pytest.mark.parametrize("A", GUARD_MODELS, ids=lambda A: A.id)
+def test_peirce_system_takes_no_operator_svd(A, monkeypatch):
+    # The model norm of M_n is an n x n SVD; no SVD of an operator matrix
+    # (dim x dim) remains.  The Peirce-2 handle is built before the guard.
+    import jbstar.kernel
+    import jbstar.peirce
+
+    svd = np.linalg.svd
+
+    def guarded_svd(a, *args, **kwargs):
+        if max(np.shape(a)[-2:]) >= A.dim:
+            raise AssertionError(f"SVD of a {np.shape(a)} matrix")
+        return svd(a, *args, **kwargs)
+
+    def no_operator_norm(m):
+        raise AssertionError("kernel.operator_norm called")
+
+    assert not hasattr(jbstar.peirce, "operator_norm")
+    rng = np.random.default_rng(18)
+    tripotents = [sample_tripotent(A, rng) for _ in range(3)] + [random_element(A, 19, "projection")]
+    monkeypatch.setattr(np.linalg, "svd", guarded_svd)
+    monkeypatch.setattr(jbstar.kernel, "operator_norm", no_operator_norm)
+    for e in tripotents:
+        assert peirce_system(A, e).residual <= 1e-12
+
+
+def _with_q2_defect(monkeypatch, size):
+    """Patch peirce._lqe so that Q(e)^2 carries a rank-one defect of 2-norm size."""
+    import jbstar.peirce
+
+    lqe = jbstar.peirce._lqe
+
+    def perturbed(A, x):
+        lee, q2 = lqe(A, x)
+        u = np.zeros(A.dim)
+        u[0] = 1.0
+        return lee, q2 + size * np.outer(u, u[::-1])
+
+    monkeypatch.setattr(jbstar.peirce, "_lqe", perturbed)
+
+
+def test_q2_defect_fails_the_peirce_check(monkeypatch):
+    A = build_hermitian_matrix_algebra(12)
+    e = random_element(A, 20, "projection")
+    _with_q2_defect(monkeypatch, 1e-6)
+    with pytest.raises(VerificationFailed):
+        peirce_system(A, e)
+    monkeypatch.undo()
+    _with_q2_defect(monkeypatch, 1e-12)
+    assert peirce_system(A, e).residual <= 2e-12
+
+
+def test_zero_tripotent_keeps_the_threshold_1e7(monkeypatch):
+    # L(0,0) = 0, so 1e-7 (1 + ||L||^2) is 1e-7 there, not 2e-7
+    _with_q2_defect(monkeypatch, 1.5e-7)
+    with pytest.raises(VerificationFailed):
+        peirce_system(H3, H3.zero())
+    e = H3.element(np.diag([1.0, 0.0, 0.0]).ravel())
+    assert peirce_system(H3, e).residual <= 2e-7
