@@ -194,7 +194,7 @@ def _suite_counterexample(config: RunConfig, A: AlgebraHandle) -> list[CheckRepo
     if not isinstance(A, SpinFactor):
         raise UsageError("the counterexample suite needs a spin algebra")
     with _usage_errors():  # --epsilon out of range, before the suite runs
-        cx = build_spin_counterexample(A.n, config.epsilon)
+        cx = build_spin_counterexample(A.n, config.epsilon, A.tol)
     rep = verify_counterexample(cx, trials=config.trials, seed=config.seed)
     gap = rep.details["witness_gap"]
     control = CheckReport(
@@ -208,9 +208,7 @@ def _suite_counterexample(config: RunConfig, A: AlgebraHandle) -> list[CheckRepo
     return [rep, control]
 
 
-def _suite_structure_recovery(
-    A: AlgebraHandle, m: MapUnderTest, trials: int, seed: int
-) -> list[CheckReport]:
+def _suite_structure_recovery(m: MapUnderTest, trials: int, seed: int) -> list[CheckReport]:
     rec = recover_structure(m, trials=trials, seed=seed)
     passed = rec.hom_residual <= 1e-6 and rec.linearity_residual <= 1e-6
     return [
@@ -229,9 +227,7 @@ def _suite_structure_recovery(
     ]
 
 
-def _suite_factor_dichotomy(
-    A: AlgebraHandle, theta: MapUnderTest, trials: int, seed: int
-) -> list[CheckReport]:
+def _suite_factor_dichotomy(theta: MapUnderTest, trials: int, seed: int) -> list[CheckReport]:
     phi_inv = MapUnderTest(
         theta.source,
         theta.target,
@@ -306,8 +302,8 @@ def run(config: RunConfig) -> tuple[dict, int]:
         "peirce": lambda: [peirce_invariants_check(A, max(trials // 10, 5), seed)],
         "kaup": lambda: _suite_kaup(A, trials, seed),
         "preserver": lambda: _suite_preserver(m(), trials, seed),
-        "factor-dichotomy": lambda: _suite_factor_dichotomy(A, m(), trials, seed),
-        "structure-recovery": lambda: _suite_structure_recovery(A, m(), trials, seed),
+        "factor-dichotomy": lambda: _suite_factor_dichotomy(m(), trials, seed),
+        "structure-recovery": lambda: _suite_structure_recovery(m(), trials, seed),
         "counterexample": lambda: _suite_counterexample(config, A),
         "linearity": lambda: _suite_linearity(A, m(), trials, seed, config.exploratory),
         "symmetric-difference": lambda: _suite_symmetric_difference(A, trials, seed),

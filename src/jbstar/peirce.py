@@ -78,8 +78,8 @@ def _lqe(A: AlgebraHandle, x: np.ndarray):
 def peirce_system(A: AlgebraHandle, e: Element) -> PeirceSystem:
     """Peirce projections from the polynomial expressions in L(e,e).
 
-    P2 = L(2L - I), P1 = 4L(I - L), P0 = (I - L)(I - 2L); the partition,
-    idempotency and mutual orthogonality (all six orders) identities,
+    P2 = 2L^2 - L, P1 = 4(L - L^2), P0 = I - 3L + 2L^2; partition, idempotency,
+    orthogonality (each pair once: the P's are polynomials in one L(e,e)),
     P2 e = e and P2 = Q(e)^2 are verified before returning.  The residual
     is the largest defect, matrix defects in the Frobenius norm (an upper
     bound of their 2-norm); it must not exceed 1e-7 (1 + |L(e,e)e|^2/|e|^2),
@@ -95,15 +95,16 @@ def _peirce_projections(A: AlgebraHandle, x: np.ndarray):
     if not chk:
         raise NotTripotent(f"tripotent defect {chk.residual:.3e} exceeds {chk.threshold:.3e}")
     lee, q2 = _lqe(A, x)
+    l2 = lee @ lee
     eye = np.eye(A.dim, dtype=complex)
-    p2 = lee @ (2.0 * lee - eye)
-    p1 = 4.0 * (lee @ (eye - lee))
-    p0 = (eye - lee) @ (eye - 2.0 * lee)
+    p2 = 2.0 * l2 - lee
+    p1 = 4.0 * (lee - l2)
+    p0 = eye - 3.0 * lee + 2.0 * l2
     projs = (p2, p1, p0)
     fro = np.linalg.norm  # Frobenius: an upper bound of each defect's 2-norm
     checks = [fro(p2 + p1 + p0 - eye)]
     checks += [fro(p @ p - p) for p in projs]
-    checks += [fro(projs[i] @ projs[j]) for i in range(3) for j in range(3) if i != j]
+    checks += [fro(projs[i] @ projs[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
     checks.append(A._norm(p2 @ x - x))
     checks.append(fro(p2 - q2))
     worst = float(max(checks))

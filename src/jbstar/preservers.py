@@ -52,6 +52,7 @@ from .errors import (
     ParamOutOfRange,
     PreconditionFailed,
 )
+from .kernel import Tolerance
 from .peirce import _is_tripotent, _peirce2_algebra
 from .reports import CheckReport, worst_over_trials
 from .samplers import _commuting_projection_pair, _draw_oc_pair
@@ -500,7 +501,6 @@ class SpinCounterexample:
     algebra: AlgebraHandle
     epsilon: float
     map: MapUnderTest
-    seed: int = 0
 
 
 def _warp_angle(phi: float, eps: float) -> float:
@@ -530,10 +530,12 @@ def _warp_vector(v: np.ndarray, eps: float, invert: bool) -> np.ndarray:
     return out
 
 
-def build_spin_counterexample(n: int, epsilon: float, seed: int = 0) -> SpinCounterexample:
+def build_spin_counterexample(
+    n: int, epsilon: float, tol: Tolerance = Tolerance()
+) -> SpinCounterexample:
     """Phi(lambda 1 + h) = lambda 1 + F(h) on the self-adjoint part of
-    spin(n), with F the polar warp (r, phi) -> (r, phi + eps sin 2 phi) in
-    the first two H^- coordinates.
+    spin(n) (tolerances tol), with F the polar warp (r, phi) ->
+    (r, phi + eps sin 2 phi) in the first two H^- coordinates.
 
     F is 1-homogeneous for all real scalars (the warp commutes with the
     antipode phi -> phi + pi) and preserves the H^- norm, but is not
@@ -544,7 +546,7 @@ def build_spin_counterexample(n: int, epsilon: float, seed: int = 0) -> SpinCoun
         raise ParamOutOfRange(f"need n >= 3, got {n}")
     if not (0.0 < epsilon < 0.5):
         raise ParamOutOfRange(f"epsilon must lie in (0, 0.5), got {epsilon}")
-    V = SpinFactor(n)
+    V = SpinFactor(n, tol)
 
     def warp(invert: bool):
         def f(a: Element) -> Element:
@@ -557,7 +559,7 @@ def build_spin_counterexample(n: int, epsilon: float, seed: int = 0) -> SpinCoun
 
     label = f"spin-counterexample(n={n},eps={epsilon})"
     mp = MapUnderTest(V, V, warp(False), label=label, inverse=warp(True))
-    return SpinCounterexample(algebra=V, epsilon=epsilon, map=mp, seed=seed)
+    return SpinCounterexample(algebra=V, epsilon=epsilon, map=mp)
 
 
 def spin_u_closed_form(V: AlgebraHandle, alpha: float, s: float, t: float, h: Element) -> Element:
@@ -794,7 +796,7 @@ def _build_map(desc: dict, source: AlgebraHandle, tgt: AlgebraHandle) -> MapUnde
     if kind == "spin_counterexample":
         if not isinstance(source, SpinFactor):
             raise PreconditionFailed("spin_counterexample needs a spin source algebra")
-        return build_spin_counterexample(source.n, float(desc["epsilon"])).map
+        return build_spin_counterexample(source.n, float(desc["epsilon"]), source.tol).map
     if kind == "exp_form":
         theta = map_from_descriptor(desc["theta"], source, tgt)
         c = element_from_json(tgt, desc["c"])

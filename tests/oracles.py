@@ -194,16 +194,20 @@ def peirce_operators_by_columns(A, e):
 def peirce_identity_residual_2norm(A, e):
     """Largest Peirce-identity defect of a tripotent in the operator 2-norm.
 
-    The identities ``peirce_system`` verifies (partition, idempotency, the
-    six orthogonality products, P2 e = e and P2 = Q(e)^2) on the same
-    matrices, each matrix defect measured by its largest singular value.
+    The identities ``peirce_system`` verifies (partition, idempotency,
+    orthogonality, P2 e = e and P2 = Q(e)^2) on the same matrices, P2, P1
+    and P0 formed from one L(e,e)^2 as the package forms them, each matrix
+    defect measured by its largest singular value.  Orthogonality is checked
+    in all six orders, where the package checks each pair once, so the
+    package's residual is seen to bound the reverse orders too.
     """
     x = e.coords
     lee, q2 = _lqe(A, x)
+    l2 = lee @ lee
     eye = np.eye(A.dim, dtype=complex)
-    p2 = lee @ (2.0 * lee - eye)
-    p1 = 4.0 * (lee @ (eye - lee))
-    p0 = (eye - lee) @ (eye - 2.0 * lee)
+    p2 = 2.0 * l2 - lee
+    p1 = 4.0 * (lee - l2)
+    p0 = eye - 3.0 * lee + 2.0 * l2
     projs = (p2, p1, p0)
     checks = [operator_norm(p2 + p1 + p0 - eye)]
     checks += [operator_norm(p @ p - p) for p in projs]

@@ -4,6 +4,7 @@ import pytest
 
 import jbstar.cli as cli
 from jbstar.cli import RunConfig, list_suites, main, run
+from jbstar.kernel import Tolerance
 
 
 @pytest.fixture()
@@ -287,3 +288,20 @@ def test_direct_sum_suites_pass_at_default_seed(suite, map_kind, tmp_path):
     assert cfg.seed == 42
     doc, status = run(cfg)
     assert status == 0 and doc["verdict"] == "pass", doc["checks"]
+
+
+def test_counterexample_runs_on_the_configured_tolerance(monkeypatch):
+    # --abs-eps is echoed in the report, and the counterexample's spin factor
+    # must carry it too
+    seen = []
+    verify = cli.verify_counterexample
+
+    def spy(cx, **kwargs):
+        seen.append(cx.algebra.tol)
+        return verify(cx, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_counterexample", spy)
+    doc, status = run(RunConfig(command="counterexample", abs_eps=1e-3, trials=10, seed=1))
+    assert doc["config"]["abs_eps"] == 1e-3
+    assert seen == [Tolerance(abs_eps=1e-3)]
+    assert status == 0

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import json
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -31,3 +33,31 @@ def test_traced_benchmark_names_resolve():
         assert parts[1] in module.__all__, ".".join(parts)
     # algebras.Element.new counts constructions through a patched __post_init__
     assert "__post_init__" in vars(importlib.import_module("jbstar.algebras").Element)
+
+
+def test_no_unused_imports_or_private_functions():
+    # no linter is installed: every imported name is used in its module or
+    # exported, and every module-level _private function has a caller
+    src = Path(jbstar.__file__).resolve().parent
+    unused, private, referenced = [], {}, Counter()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = Counter(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+        referenced += names
+        referenced.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+        exported, imported = set(), []
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                exported = set(ast.literal_eval(node.value))
+            elif isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__"):
+                private[node.name] = path.name
+        for node in ast.walk(tree):  # function-local imports too
+            if isinstance(node, ast.Import):
+                imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [alias.asname or alias.name for alias in node.names]
+                referenced.update(alias.name for alias in node.names)
+        unused += [f"{path.name}: {name}" for name in imported if not names[name] and name not in exported]
+    assert not unused, f"imported but unused: {unused}"
+    orphans = [f"{module}: {name}" for name, module in private.items() if not referenced[name]]
+    assert not orphans, f"private functions without a caller: {orphans}"

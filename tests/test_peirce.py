@@ -198,11 +198,29 @@ BOUND_MODELS += [build_direct_sum([H3, build_spin_factor(5)]), build_direct_sum(
 BOUND_MODELS.append(LQE_MODELS[-1])  # Peirce-2 algebra of diag(1, 1, 0, 0) in M_4
 
 
+def _split_tripotents(A, seed, count=4):
+    """sample_tripotent draws whose P1 and P0 are both nonzero (sign
+    combinations that leave some spectral idempotent out); none on M_1."""
+    rng = np.random.default_rng(seed)
+    found = []
+    for _ in range(60):
+        e = sample_tripotent(A, rng)
+        sys = peirce_system(A, e)
+        if np.linalg.norm(sys.p1) > 0.5 and np.linalg.norm(sys.p0) > 0.5:
+            found.append(e)
+        if len(found) == count:
+            break
+    assert len(found) == count or A.dim == 1, A.id
+    return found
+
+
 @pytest.mark.parametrize("A", BOUND_MODELS, ids=lambda A: A.id)
 def test_frobenius_residual_bounds_the_2norm_oracle(A):
     # ||D||_2 <= ||D||_F <= sqrt(rank D) ||D||_2 on every matrix defect, so the
-    # reported residual lies between the 2-norm residual and sqrt(dim) times it
+    # reported residual lies between the 2-norm residual and sqrt(dim) times it;
+    # the oracle checks orthogonality in all six orders, the package once a pair
     tripotents = [random_element(A, seed, flavor) for seed in (15, 16) for flavor in ("projection", "unitary")]
+    tripotents += _split_tripotents(A, 21)
     for e in (e for e in tripotents if np.any(e.coords)):
         got = peirce_system(A, e).residual
         want = oracles.peirce_identity_residual_2norm(A, e)
@@ -242,17 +260,19 @@ def test_peirce_system_takes_no_operator_svd(A, monkeypatch):
         assert peirce_system(A, e).residual <= 1e-12
 
 
-def _with_q2_defect(monkeypatch, size):
-    """Patch peirce._lqe so that Q(e)^2 carries a rank-one defect of 2-norm size."""
+def _with_lqe_defect(monkeypatch, size, slot=1):
+    """Patch peirce._lqe so that L(e,e) (slot 0) or Q(e)^2 (slot 1) carries a
+    rank-one defect of 2-norm size."""
     import jbstar.peirce
 
     lqe = jbstar.peirce._lqe
 
     def perturbed(A, x):
-        lee, q2 = lqe(A, x)
+        mats = list(lqe(A, x))
         u = np.zeros(A.dim)
         u[0] = 1.0
-        return lee, q2 + size * np.outer(u, u[::-1])
+        mats[slot] = mats[slot] + size * np.outer(u, u[::-1])
+        return tuple(mats)
 
     monkeypatch.setattr(jbstar.peirce, "_lqe", perturbed)
 
@@ -260,17 +280,64 @@ def _with_q2_defect(monkeypatch, size):
 def test_q2_defect_fails_the_peirce_check(monkeypatch):
     A = build_hermitian_matrix_algebra(12)
     e = random_element(A, 20, "projection")
-    _with_q2_defect(monkeypatch, 1e-6)
+    _with_lqe_defect(monkeypatch, 1e-6)
     with pytest.raises(VerificationFailed):
         peirce_system(A, e)
     monkeypatch.undo()
-    _with_q2_defect(monkeypatch, 1e-12)
+    _with_lqe_defect(monkeypatch, 1e-12)
     assert peirce_system(A, e).residual <= 2e-12
+
+
+@pytest.mark.parametrize("A", [build_hermitian_matrix_algebra(12), H3, build_spin_factor(5)], ids=lambda A: A.id)
+def test_lee_defect_fails_the_peirce_check(A, monkeypatch):
+    # P2, P1 and P0 all come from the perturbed L(e,e), so only the
+    # identities between them (and P2 = Q(e)^2) can see the defect
+    e = random_element(A, 20, "projection")
+    assert np.linalg.norm(peirce_system(A, e).p1) > 0.5  # neither 0 nor the unit
+    _with_lqe_defect(monkeypatch, 1e-6, slot=0)
+    with pytest.raises(VerificationFailed):
+        peirce_system(A, e)
+    monkeypatch.undo()
+    _with_lqe_defect(monkeypatch, 1e-12, slot=0)
+    assert peirce_system(A, e).residual <= 2e-12
+
+
+@pytest.mark.parametrize("A", BOUND_MODELS, ids=lambda A: A.id)
+def test_peirce_projections_commute(A):
+    # the P's are polynomials in one L(e,e), so P_i P_j = P_j P_i up to
+    # rounding: checking one order of each pair loses no identity
+    tripotents = [random_element(A, 15, "projection")] + _split_tripotents(A, 22)
+    for e in tripotents:
+        sys = peirce_system(A, e)
+        projs = (sys.p2, sys.p1, sys.p0)
+        for i in range(3):
+            for j in range(i + 1, 3):
+                assert np.linalg.norm(projs[i] @ projs[j] - projs[j] @ projs[i]) <= 1e-13
+
+
+@pytest.mark.parametrize("A", GUARD_MODELS, ids=lambda A: A.id)
+def test_peirce_system_forms_seven_products_past_lqe(A, monkeypatch):
+    # one L(e,e)^2, three idempotency and three orthogonality products of
+    # operator matrices; the three in _lqe make ten per call
+    import jbstar.peirce
+
+    count = [0]
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            if np.ndim(self) == np.ndim(other) == 2:
+                count[0] += 1
+            return np.ndarray.__matmul__(self, other)
+
+    lqe = jbstar.peirce._lqe
+    monkeypatch.setattr(jbstar.peirce, "_lqe", lambda A, x: tuple(m.view(Counted) for m in lqe(A, x)))
+    peirce_system(A, random_element(A, 23, "projection"))
+    assert count[0] == 7
 
 
 def test_zero_tripotent_keeps_the_threshold_1e7(monkeypatch):
     # L(0,0) = 0, so 1e-7 (1 + ||L||^2) is 1e-7 there, not 2e-7
-    _with_q2_defect(monkeypatch, 1.5e-7)
+    _with_lqe_defect(monkeypatch, 1.5e-7)
     with pytest.raises(VerificationFailed):
         peirce_system(H3, H3.zero())
     e = H3.element(np.diag([1.0, 0.0, 0.0]).ravel())

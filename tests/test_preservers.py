@@ -7,6 +7,7 @@ import pytest
 
 from jbstar.algebras import (
     Element,
+    SpinFactor,
     build_direct_sum,
     build_hermitian_matrix_algebra,
     build_spin_factor,
@@ -17,6 +18,7 @@ from jbstar.algebras import (
 )
 from jbstar.calculus import exp_i, is_self_adjoint, u_operator
 from jbstar.cli import RunConfig, run
+from jbstar.kernel import Tolerance
 from jbstar.errors import (
     JBStarError,
     NotAFactor,
@@ -344,6 +346,13 @@ def test_build_spin_counterexample_param_validation():
         build_spin_counterexample(2, 0.3)
     with pytest.raises(ParamOutOfRange):
         build_spin_counterexample(3, 0.6)
+
+
+def test_spin_counterexample_map_runs_on_the_source_tolerance():
+    tol = Tolerance(abs_eps=1e-3)
+    m = map_from_descriptor({"kind": "spin_counterexample", "epsilon": 0.2}, SpinFactor(4, tol))
+    assert m.source.tol == tol and m.target.tol == tol
+    assert build_spin_counterexample(4, 0.2, tol).algebra.tol == tol
 
 
 def test_spin_u_closed_form_consistency():
