@@ -119,8 +119,6 @@ class AlgebraHandle:
     kind: str | None = None
     n: int | None = None
     parts: tuple | None = None
-    # samplers.default_oc_sampler strategy for operator-commuting pairs
-    oc_strategy = "same_generator"
 
     def __init__(self, dim: int, tol: Tolerance, ident: str, unit: np.ndarray):
         self.dim = dim
@@ -384,7 +382,6 @@ class SpinFactor(AlgebraHandle):
     """
 
     kind = "spin"
-    oc_strategy = "spin_line"
     rank = 2  # type I_2
 
     def __init__(self, n: int, tol: Tolerance = Tolerance()):

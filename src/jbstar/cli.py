@@ -257,7 +257,7 @@ def _suite_factor_dichotomy(theta: MapUnderTest, trials: int, seed: int) -> list
 def _suite_linearity(
     A: AlgebraHandle, m: MapUnderTest, trials: int, seed: int, exploratory: bool
 ) -> list[CheckReport]:
-    f = vectorize_map(m.eval, m.target)
+    f = vectorize_map(m.eval)
     try:
         rep = verify_linearity_theorem(
             A, f, trials=trials, seed=seed, theorem_grade=not exploratory

@@ -77,7 +77,7 @@ def spin_summands(A: AlgebraHandle) -> list[str]:
     return [p.id for p, _ in A.summands if p.is_type_i2]
 
 
-def vectorize_map(fn: Callable[[Element], Element], target: AlgebraHandle):
+def vectorize_map(fn: Callable[[Element], Element]):
     """Adapt an element-valued map to an X-valued one by realifying the
     target coordinates."""
     return lambda a: _realify(fn(a).coords)
@@ -183,7 +183,7 @@ def verify_linearity_theorem(
     fx = _on_coords(A, f)
     oc_dev = 0.0
     for _ in range(min(trials, 50)):
-        a, b = _draw_oc_pair(A, None, rng)
+        a, b = _draw_oc_pair(A, rng)
         scale = 1.0 + A._norm(a) + A._norm(b)
         oc_dev = max(oc_dev, _xnorm(fx(a + b) - fx(a) - fx(b)) / scale)
     if oc_dev > pass_tol:

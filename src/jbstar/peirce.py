@@ -119,10 +119,10 @@ def _peirce_projections(A: AlgebraHandle, x: np.ndarray):
 def peirce2_algebra(A: AlgebraHandle, e: Element) -> AlgebraHandle:
     """JB*-algebra on the range of P2(e) with unit e.
 
-    The carrier basis comes from the column space of P2 (SVD with rank
-    threshold abs_eps * ||P2||); the norm is inherited from the ambient
-    algebra.  Jordan-identity and JB*-axiom residuals are spot-checked on
-    random samples of the derived algebra.
+    The carrier basis is the eigenvectors of the hermitian P2 whose
+    eigenvalues clear abs_eps * max(||P2||, 1) in modulus; the norm is
+    inherited from the ambient algebra.  Jordan-identity and JB*-axiom
+    residuals are spot-checked on random samples of the derived algebra.
     """
     return _peirce2_algebra(A, _owned(A, e))
 
@@ -133,11 +133,15 @@ def _peirce2_algebra(A: AlgebraHandle, x: np.ndarray) -> AlgebraHandle:
 
 def _peirce2_of(A: AlgebraHandle, x: np.ndarray, p2: np.ndarray) -> AlgebraHandle:
     """peirce2_algebra of the tripotent x from its verified projection P2."""
-    u, s, _ = np.linalg.svd(p2)
-    rank = int(np.sum(s > A.tol.abs_eps * max(s[0], 1.0)))
-    if rank == 0:
+    # eigh reads one triangle only, so P2 must be hermitian in the coordinates
+    defect = np.linalg.norm(p2 - p2.conj().T)
+    if defect > 1e-7:
+        raise VerificationFailed(f"Peirce-2 projection is not hermitian (defect {defect:.3e})")
+    w, v = np.linalg.eigh(p2)
+    keep = np.abs(w) > A.tol.abs_eps * max(np.max(np.abs(w)), 1.0)
+    if not keep.any():
         raise NotTripotent("Peirce-2 range of the zero tripotent is trivial")
-    embed = u[:, :rank]
+    embed = v[:, keep]
     sub = Peirce2Algebra(A, x, embed)
     rng = np.random.default_rng(20_624)
     a, b = np.stack([[_random(sub, rng) for _ in range(2)] for _ in range(6)], axis=1)

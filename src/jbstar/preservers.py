@@ -14,7 +14,9 @@ that thresholds are comparable across trials.
 
 Check bodies compute on coordinate arrays.  The maps take and return
 ``Element``s; ``MapUnderTest._eval`` and ``_inverse``, the map calls, are the
-only place a check body meets one.
+only place a check body meets one.  Every operator-commuting pair is a
+same-generator draw from ``samplers._draw_oc_pair``, which raises
+SamplerViolation on a pair that does not operator commute.
 """
 
 from __future__ import annotations
@@ -136,16 +138,15 @@ class DichotomyResult:
     witness: dict | None = None
 
 
-def _oc_pair_check(name, m: MapUnderTest, sampler, trials, seed, pass_tol, residual, **details):
+def _oc_pair_check(name, m: MapUnderTest, trials, seed, pass_tol, residual, **details):
     """Worst normalized residual over operator-commuting pairs, where
     ``residual(x, y)`` returns (raw residual, scale) for pair coordinates.
-    The pairs come from ``sampler``, or from the source model's own
-    strategy when it is None."""
+    The pairs are same-generator draws (``samplers._draw_oc_pair``)."""
     worst_raw = 0.0
 
     def trial(rng):
         nonlocal worst_raw
-        x, y = _draw_oc_pair(m.source, sampler, rng)
+        x, y = _draw_oc_pair(m.source, rng)
         r, scale = residual(x, y)
         worst_raw = max(worst_raw, r)
         return r / scale, {"a": x.tolist(), "b": y.tolist(), "residual": r}
@@ -159,7 +160,7 @@ def _oc_pair_check(name, m: MapUnderTest, sampler, trials, seed, pass_tol, resid
 
 
 def check_oc_additive(
-    m: MapUnderTest, sampler=None, trials: int = 200, seed: int = 0, pass_tol: float = 1e-7
+    m: MapUnderTest, trials: int = 200, seed: int = 0, pass_tol: float = 1e-7
 ) -> CheckReport:
     """Additivity on operator-commuting self-adjoint pairs."""
     src, tgt, f = m.source, m.target, m._eval
@@ -168,12 +169,11 @@ def check_oc_additive(
         r = tgt._norm(f(x + y) - f(x) - f(y))
         return r, 1.0 + src._norm(x) + src._norm(y)
 
-    return _oc_pair_check("oc-additive", m, sampler, trials, seed, pass_tol, residual)
+    return _oc_pair_check("oc-additive", m, trials, seed, pass_tol, residual)
 
 
 def check_oc_quadratic(
     m: MapUnderTest,
-    sampler=None,
     trials: int = 200,
     seed: int = 0,
     pass_tol: float = 1e-7,
@@ -196,9 +196,7 @@ def check_oc_quadratic(
         r = tgt._norm(lhs - rhs)
         return r, (1.0 + src._norm(x)) ** 2 * (1.0 + src._norm(y))
 
-    return _oc_pair_check(
-        "oc-quadratic", m, sampler, trials, seed, pass_tol, residual, starred=starred
-    )
+    return _oc_pair_check("oc-quadratic", m, trials, seed, pass_tol, residual, starred=starred)
 
 
 def check_piecewise_hom_on_unitaries(
@@ -214,7 +212,7 @@ def check_piecewise_hom_on_unitaries(
     unit_residual = tgt._norm(img_unit - tgt.unit.coords)
 
     def trial(rng):
-        h, k = _draw_oc_pair(src, None, rng)
+        h, k = _draw_oc_pair(src, rng)
         u, v = _exp_i(src, h, 1.0), _exp_i(src, k, 1.0)
         fu, fv = f(u), f(v)
         for name, x in (("u", fu), ("v", fv)):
@@ -232,13 +230,15 @@ def check_piecewise_hom_on_unitaries(
 
 def derive_generator_map(m: MapUnderTest, a: Element, t_small: float = 1.0 / 16.0) -> Element:
     """Generator f(a) with Phi(exp(i t a)) = exp(i t f(a)), from the log at
-    t_small, consistency-checked against t_small/2."""
+    t = min(t_small, 1/|a|), consistency-checked against t/2; t |a| <= 1
+    keeps the spectrum of exp(i t a) away from the branch cut of the log."""
     return Element(m.target.id, _generator(m, _owned(m.source, a), t_small))
 
 
 def _generator(m: MapUnderTest, x: np.ndarray, t_small: float = 1.0 / 16.0) -> np.ndarray:
     """derive_generator_map on coordinates."""
     tgt = m.target
+    step = t_small / max(1.0, t_small * m.source._norm(x))  # min(t_small, 1/|x|)
 
     def f_at(t: float) -> np.ndarray:
         h, ambiguous = _unitary_log(tgt, m._eval(_exp_i(m.source, x, t)))
@@ -246,8 +246,8 @@ def _generator(m: MapUnderTest, x: np.ndarray, t_small: float = 1.0 / 16.0) -> n
             raise BranchAmbiguity("image spectrum touches -1; shrink t_small")
         return (1.0 / t) * h
 
-    f1 = f_at(t_small)
-    f2 = f_at(t_small / 2.0)
+    f1 = f_at(step)
+    f2 = f_at(step / 2.0)
     dev = tgt._norm(f1 - f2)
     thr = 10.0 * tgt.tol.abs_eps * (1.0 + tgt._norm(f1)) + 1e-9
     if dev > thr:
@@ -266,7 +266,7 @@ def check_generator_properties(
 
     def trial(rng):
         nonlocal bound
-        a, b = _draw_oc_pair(src, None, rng)
+        a, b = _draw_oc_pair(src, rng)
         fa, fb, fab = (_generator(m, x) for x in (a, b, a + b))
         r_add = tgt._norm(fab - fa - fb)
         tau = float(rng.choice([-2.0, -1.0, 0.5, 3.0]))
@@ -413,7 +413,6 @@ def recover_structure(
     m: MapUnderTest,
     trials: int = 100,
     seed: int = 0,
-    sampler=None,
     pass_tol: float = 1e-6,
 ) -> StructureRecovery:
     """Structure recovery for an OC-additive, OC-quadratic map.
@@ -430,10 +429,10 @@ def recover_structure(
     tested for being a central symmetry of the target.
     """
     src, tgt, f = m.source, m.target, m._eval
-    add = check_oc_additive(m, sampler, max(trials // 2, 20), seed, pass_tol=pass_tol)
+    add = check_oc_additive(m, max(trials // 2, 20), seed, pass_tol=pass_tol)
     if not add.passed:
         raise HypothesisFailed(f"OC-additivity fails (residual {add.max_residual:.3e})")
-    quad = check_oc_quadratic(m, sampler, max(trials // 2, 20), seed + 1, pass_tol=pass_tol)
+    quad = check_oc_quadratic(m, max(trials // 2, 20), seed + 1, pass_tol=pass_tol)
     if not quad.passed:
         raise HypothesisFailed(f"OC-quadratic identity fails (residual {quad.max_residual:.3e})")
     w = f(src.unit.coords)
@@ -445,7 +444,7 @@ def recover_structure(
     rng = np.random.default_rng(seed + 2)
     hom = 0.0
     for _ in range(trials):
-        a, b = _draw_oc_pair(src, sampler, rng)
+        a, b = _draw_oc_pair(src, rng)
         fa, fb = project @ f(a), project @ f(b)
         lhs = f(src._prod(a, b))
         rhs = embed @ sub._prod(fa, fb)
@@ -593,9 +592,9 @@ def verify_counterexample(cx: SpinCounterexample, trials: int = 500, seed: int =
     """
     V, m = cx.algebra, cx.map
     f, one = m._eval, V.unit.coords
-    # no sampler: V is a spin factor, whose own strategy is spin lines
-    add = check_oc_additive(m, None, trials, seed)
-    quad = check_oc_quadratic(m, None, trials, seed + 1)
+    # same-generator pairs: in a spin factor they lie on spin lines span{1, a}
+    add = check_oc_additive(m, trials, seed)
+    quad = check_oc_quadratic(m, trials, seed + 1)
     rng = np.random.default_rng(seed + 2)
     spot_worst = 0.0
     for _ in range(50):

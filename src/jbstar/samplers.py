@@ -1,28 +1,25 @@
-"""Sampling strategies for operator-commuting pairs and related inputs.
+"""Samplers for operator-commuting pairs and related inputs.
 
 Rejection sampling essentially never produces operator-commuting pairs, so
-the strategies here are constructive: polynomials in a common generator
-plus a central part, spin lines t*1 + s*a, and commuting diagonals in the
-matrix model.  Every consumer re-verifies commutativity before use, the
-map-driven checks through ``_draw_oc_pair``.  Check bodies draw coordinate
-arrays from the private forms; a public sampler, a callable
-rng -> (Element, Element), is called only when a caller supplies one.
+the one operator-commuting draw is constructive: a polynomial in a common
+generator plus a central part, on every model.  In a spin factor
+a o a = 2 a_0 a - <a|a-bar> 1, so such a pair already lies on the spin
+line span{1, a}.  ``_draw_oc_pair`` verifies each pair before any check
+uses it and raises SamplerViolation otherwise.  Check bodies draw
+coordinate arrays from the private forms; the public forms return
+``Element``s.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebras import AlgebraHandle, Element, HermitianMatrixAlgebra, _owned, _random
+from .algebras import AlgebraHandle, Element, _random
 from .calculus import _decompose, _operator_commutes
 from .errors import SamplerViolation
 
 __all__ = [
-    "oc_pair_sampler",
-    "default_oc_sampler",
     "same_generator_pair",
-    "spin_line_pair",
-    "diagonal_pair",
     "noncommuting_pair",
     "orthogonal_projection_pair",
     "commuting_projection_pair",
@@ -47,57 +44,10 @@ def _same_generator_pair(A: AlgebraHandle, rng: np.random.Generator):
     return a, b
 
 
-def spin_line_pair(A: AlgebraHandle, rng: np.random.Generator) -> tuple[Element, Element]:
-    """b = t*1 + s*a; the only nontrivial commuting shape in a spin factor."""
-    return _elements(A, _spin_line_pair(A, rng))
-
-
-def _spin_line_pair(A: AlgebraHandle, rng: np.random.Generator):
-    a = _random(A, rng, "self_adjoint")
-    t, s = rng.standard_normal(2)
-    return a, float(t) * A.unit.coords + float(s) * a
-
-
-def diagonal_pair(A: AlgebraHandle, rng: np.random.Generator) -> tuple[Element, Element]:
-    """Commuting real diagonal matrices (hermitian-matrix model only)."""
-    if not isinstance(A, HermitianMatrixAlgebra):
-        raise ValueError("diagonal strategy needs a hermitian_matrix algebra")
-    da = np.diag(rng.standard_normal(A.n)).astype(complex)
-    db = np.diag(rng.standard_normal(A.n)).astype(complex)
-    return A.element(da.ravel()), A.element(db.ravel())
-
-
-_STRATEGIES = {
-    "same_generator": same_generator_pair,
-    "spin_line": spin_line_pair,
-    "diagonal": diagonal_pair,
-}
-
-
-def oc_pair_sampler(A: AlgebraHandle, strategy: str = "same_generator"):
-    """Callable rng -> (a, b) drawing operator-commuting self-adjoint pairs."""
-    fn = _STRATEGIES[strategy]
-    return lambda rng: fn(A, rng)
-
-
-def default_oc_sampler(A: AlgebraHandle):
-    """The model's own strategy: spin lines for spin factors, common
-    generator polynomials elsewhere."""
-    return oc_pair_sampler(A, A.oc_strategy)
-
-
-# array forms of the model strategies, for draws with no sampler supplied
-_DEFAULT_DRAWS = {"same_generator": _same_generator_pair, "spin_line": _spin_line_pair}
-
-
-def _draw_oc_pair(A: AlgebraHandle, sampler, rng: np.random.Generator):
-    """Coordinates of a pair from ``sampler``, or from the array form of the
-    model's own strategy when it is None (the same draws as
-    ``default_oc_sampler``); SamplerViolation unless it operator commutes."""
-    if sampler is None:
-        x, y = _DEFAULT_DRAWS[A.oc_strategy](A, rng)
-    else:
-        x, y = (_owned(A, e) for e in sampler(rng))
+def _draw_oc_pair(A: AlgebraHandle, rng: np.random.Generator):
+    """Coordinates of a same-generator pair, the only operator-commuting
+    draw in the package; SamplerViolation unless the pair operator commutes."""
+    x, y = _same_generator_pair(A, rng)
     chk = _operator_commutes(A, x, y)
     if not chk:
         raise SamplerViolation(

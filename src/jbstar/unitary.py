@@ -26,7 +26,7 @@ from .calculus import (
 )
 from .errors import NotProjection, NotUnitary, VerificationFailed
 from .reports import CheckReport, ResidualCheck, worst_over_trials
-from .samplers import _noncommuting_pair, _same_generator_pair
+from .samplers import _draw_oc_pair, _noncommuting_pair
 
 __all__ = [
     "UnitaryLog",
@@ -120,13 +120,13 @@ def oc_unitary_product_check(A: AlgebraHandle, trials: int, seed: int) -> CheckR
     """Jordan products of operator-commuting unitary pairs stay unitary.
 
     Pairs are built as exponentials of operator-commuting self-adjoint
-    generators; each residual is the is_unitary defect of u o v.
+    generators (``samplers._draw_oc_pair``, SamplerViolation on a pair that
+    does not operator commute); each residual is the is_unitary defect of
+    u o v.
     """
 
     def trial(rng):
-        h, k = _same_generator_pair(A, rng)
-        if not _operator_commutes(A, h, k):
-            return None
+        h, k = _draw_oc_pair(A, rng)
         u, v = _exp_i(A, h, 1.0), _exp_i(A, k, 1.0)
         chk = _is_unitary(A, A._prod(u, v))
         return chk.residual, {"h": h.tolist(), "k": k.tolist()}
@@ -158,9 +158,7 @@ def oc_unitary_equivalences_check(
         return np.exp(1j * np.multiply.outer(exponents, dec.values)) @ dec.idempotents
 
     def trial(rng):
-        h, k = _same_generator_pair(A, rng)
-        if not _operator_commutes(A, h, k):
-            return None
+        h, k = _draw_oc_pair(A, rng)
         eh, ek = table(h), table(k)
         # (a) + (b): commutation of exponentials, including with the star
         pairs = [(u, w) for u, v in zip(eh[:4], ek[:4]) for w in (v, A._inv(v))]

@@ -243,7 +243,7 @@ def test_criterion_09_linearity_theorem():
         assert rep.passed
         worst = max(worst, rep.details["reconstruction_misfit"], rep.details["agreement_residual"])
     cx = build_spin_counterexample(3, 0.3)
-    fc = vectorize_map(cx.map.eval, S3)
+    fc = vectorize_map(cx.map.eval)
     refused = False
     try:
         verify_linearity_theorem(S3, fc, trials=10, seed=109)

@@ -307,6 +307,19 @@ def test_centre_is_computed_once_per_handle(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("n", [3, 4, 12])
+def test_same_generator_pairs_lie_on_spin_lines(n):
+    # a o a = 2 a_0 a - <a|a-bar> 1 in spin(n), so b lies in span{1, a}
+    V = build_spin_factor(n)
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        a, b = same_generator_pair(V, rng)
+        basis = np.column_stack([V.unit.coords, a.coords])
+        coef, *_ = np.linalg.lstsq(basis, b.coords, rcond=None)
+        residual = np.linalg.norm(basis @ coef - b.coords)
+        assert residual <= 1e-12 * (1.0 + np.linalg.norm(b.coords))
+
+
 def test_is_invertible():
     assert np.allclose(is_invertible(H2, H2.unit).coords, H2.unit.coords)
     d = H2.element(np.diag([2.0, 1.0]).ravel())

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import jbstar.samplers as samplers
 from jbstar import algebras, calculus
 from jbstar.algebras import (
     build_direct_sum,
@@ -18,7 +17,6 @@ from jbstar.errors import (
     HypothesisFailed,
     NotAFactor,
     PreconditionFailed,
-    SamplerViolation,
     TypeI2Present,
 )
 from jbstar.measures import (
@@ -149,7 +147,7 @@ def test_measure_from_map_counterexample_still_additive():
     # spin(3) has only trivially orthogonal projection pairs p, 1-p, on
     # which the warp map is additive by construction
     cx = build_spin_counterexample(3, 0.3)
-    f = vectorize_map(cx.map.eval, S3)
+    f = vectorize_map(cx.map.eval)
     mu = measure_from_map(S3, f, bound_probe=30, seed=3)
     assert mu.bound <= 1.0 + 1e-9
 
@@ -205,17 +203,9 @@ def test_verify_linearity_theorem_linear_passes():
     assert rep.details["agreement_residual"] <= 1e-7
 
 
-def test_verify_linearity_theorem_refuses_a_non_commuting_draw(monkeypatch):
-    # every OC-additivity draw is checked to operator commute; none is skipped
-    monkeypatch.setitem(samplers._DEFAULT_DRAWS, H3.oc_strategy, samplers._noncommuting_pair)
-    f, T, basis = linear_f(H3, 16)
-    with pytest.raises(SamplerViolation):
-        verify_linearity_theorem(H3, f, trials=10, seed=17)
-
-
 def test_verify_linearity_theorem_rejects_spin():
     cx = build_spin_counterexample(3, 0.3)
-    f = vectorize_map(cx.map.eval, S3)
+    f = vectorize_map(cx.map.eval)
     with pytest.raises(TypeI2Present):
         verify_linearity_theorem(S3, f, trials=10, seed=18)
 
@@ -229,7 +219,7 @@ def test_verify_linearity_theorem_rejects_h2():
 
 def test_verify_linearity_theorem_exploratory_counterexample():
     cx = build_spin_counterexample(3, 0.3)
-    f = vectorize_map(cx.map.eval, S3)
+    f = vectorize_map(cx.map.eval)
     rep = verify_linearity_theorem(S3, f, trials=40, seed=21, theorem_grade=False)
     assert not rep.passed
     assert rep.details["spin_summands"] == [S3.id]

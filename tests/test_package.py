@@ -61,3 +61,24 @@ def test_no_unused_imports_or_private_functions():
     assert not unused, f"imported but unused: {unused}"
     orphans = [f"{module}: {name}" for name, module in private.items() if not referenced[name]]
     assert not orphans, f"private functions without a caller: {orphans}"
+
+
+def test_every_parameter_is_read():
+    # no linter is installed: each parameter of a module-level function is
+    # read in its body (methods and lambdas keep a fixed signature, exempt)
+    src = Path(jbstar.__file__).resolve().parent
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.parse(path.read_text()).body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+            read = {
+                node.id
+                for stmt in fn.body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            unread += [f"{path.name}: {fn.name}({p})" for p in params if p not in read]
+    assert not unread, f"parameters never read: {unread}"

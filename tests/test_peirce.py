@@ -16,6 +16,7 @@ from jbstar.errors import NotTripotent, VerificationFailed
 from jbstar.kernel import operator_norm
 from jbstar.peirce import (
     _lqe,
+    _peirce2_of,
     is_tripotent,
     kaup_identity_check,
     peirce2_algebra,
@@ -333,6 +334,36 @@ def test_peirce_system_forms_seven_products_past_lqe(A, monkeypatch):
     monkeypatch.setattr(jbstar.peirce, "_lqe", lambda A, x: tuple(m.view(Counted) for m in lqe(A, x)))
     peirce_system(A, random_element(A, 23, "projection"))
     assert count[0] == 7
+
+
+HERMITIAN_MODELS = [build_hermitian_matrix_algebra(n) for n in (3, 12)]
+HERMITIAN_MODELS += [build_spin_factor(n) for n in (4, 12)]
+HERMITIAN_MODELS += [build_direct_sum([H3, build_spin_factor(5)]), build_direct_sum([H2, H3])]
+HERMITIAN_MODELS.append(LQE_MODELS[-1])  # Peirce-2 algebra of diag(1, 1, 0, 0) in M_4
+
+
+@pytest.mark.parametrize("A", HERMITIAN_MODELS, ids=lambda A: A.id)
+def test_p2_is_hermitian_in_the_coordinates(A):
+    # the Peirce-2 carrier basis comes from eigh(P2), which reads one triangle
+    tripotents = [random_element(A, 24, flavor) for flavor in ("projection", "unitary")]
+    tripotents += _split_tripotents(A, 25, count=2)
+    for e in tripotents:
+        p2 = peirce_system(A, e).p2
+        assert np.linalg.norm(p2 - p2.conj().T) <= 1e-13
+        sub = peirce2_algebra(A, e)
+        assert sub.dim == round(np.trace(p2).real)
+        assert np.linalg.norm(sub.embed @ sub.embed.conj().T - p2) <= 1e-12
+
+
+def test_non_hermitian_p2_fails_the_peirce2_check():
+    A = build_hermitian_matrix_algebra(12)
+    x = random_element(A, 20, "projection").coords
+    p2 = peirce_system(A, A.element(x)).p2
+    defect = np.zeros_like(p2)
+    defect[0, -1] = 1e-6
+    with pytest.raises(VerificationFailed, match="hermitian"):
+        _peirce2_of(A, x, p2 + defect)
+    assert _peirce2_of(A, x, p2 + 1e-3 * defect).dim == peirce2_algebra(A, A.element(x)).dim
 
 
 def test_zero_tripotent_keeps_the_threshold_1e7(monkeypatch):

@@ -1,10 +1,13 @@
+import ast
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jbstar.samplers as samplers
 from jbstar.algebras import (
     Element,
     SpinFactor,
@@ -19,6 +22,7 @@ from jbstar.algebras import (
 from jbstar.calculus import exp_i, is_self_adjoint, u_operator
 from jbstar.cli import RunConfig, run
 from jbstar.kernel import Tolerance
+from jbstar.measures import vectorize_map, verify_linearity_theorem
 from jbstar.errors import (
     JBStarError,
     NotAFactor,
@@ -44,6 +48,7 @@ from jbstar.preservers import (
     verify_jordan_star_isomorphism,
     verify_unitary_preserver_form,
 )
+from jbstar.unitary import oc_unitary_equivalences_check, oc_unitary_product_check
 
 import oracles
 
@@ -52,6 +57,7 @@ H2 = build_hermitian_matrix_algebra(2)
 H3 = build_hermitian_matrix_algebra(3)
 S3 = build_spin_factor(3)
 HH = build_direct_sum([H3, H3])
+H3S3 = build_direct_sum([H3, S3])
 
 
 def identity_map(A):
@@ -81,13 +87,45 @@ def test_check_oc_additive_squaring_fails_with_witness():
     assert rep.witness is not None
 
 
-def test_check_oc_additive_sampler_violation():
-    bad = lambda rng: (
-        random_element(H2, int(rng.integers(1 << 30)), "self_adjoint"),
-        random_element(H2, int(rng.integers(1 << 30)), "self_adjoint"),
-    )
+# every consumer of samplers._draw_oc_pair, the only operator-commuting draw
+OC_DRAW_CONSUMERS = {
+    "check_oc_additive": lambda: check_oc_additive(identity_map(H3), trials=5, seed=4),
+    "check_oc_quadratic": lambda: check_oc_quadratic(identity_map(H3), trials=5, seed=4),
+    "recover_structure": lambda: recover_structure(identity_map(H3), trials=5, seed=4),
+    "check_piecewise_hom_on_unitaries": lambda: check_piecewise_hom_on_unitaries(
+        identity_map(H3), trials=5, seed=4
+    ),
+    "check_generator_properties": lambda: check_generator_properties(
+        identity_map(H3), trials=5, seed=4
+    ),
+    "verify_linearity_theorem": lambda: verify_linearity_theorem(
+        H3, vectorize_map(identity_map(H3).eval), trials=10, seed=4
+    ),
+    "oc_unitary_product_check": lambda: oc_unitary_product_check(H3, 5, 4),
+    "oc_unitary_equivalences_check": lambda: oc_unitary_equivalences_check(H3, 5, 4),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(OC_DRAW_CONSUMERS))
+def test_oc_draw_consumers_refuse_a_non_commuting_pair(monkeypatch, consumer):
+    # a non-commuting draw raises in every consumer; none is skipped
+    monkeypatch.setattr(samplers, "_same_generator_pair", samplers._noncommuting_pair)
     with pytest.raises(SamplerViolation):
-        check_oc_additive(identity_map(H2), sampler=bad, trials=50, seed=4)
+        OC_DRAW_CONSUMERS[consumer]()
+
+
+def test_oc_draw_consumers_are_all_listed():
+    src = Path(samplers.__file__).resolve().parent
+    callers = set()
+    for path in src.glob("*.py"):
+        for fn in ast.parse(path.read_text()).body:
+            if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(node, ast.Name) and node.id == "_draw_oc_pair" for node in ast.walk(fn)
+            ):
+                callers.add(fn.name)
+    # the two OC checks draw through _oc_pair_check
+    callers.discard("_oc_pair_check")
+    assert callers | {"check_oc_additive", "check_oc_quadratic"} == set(OC_DRAW_CONSUMERS)
 
 
 def test_check_oc_quadratic_identity_and_negation():
@@ -177,6 +215,22 @@ def test_derive_generator_map():
     theta = conjugation_map(H3, 13)
     got = derive_generator_map(theta, a)
     assert jbstar_norm(H3, got - theta.eval(a)) <= 1e-7 * (1 + jbstar_norm(H3, a))
+
+
+@pytest.mark.parametrize("seed", [13, 18])
+def test_generator_properties_on_large_spin_generators(seed):
+    # these seeds draw generators whose spin summand has norm above 16 pi:
+    # a log taken at t = 1/16 would cross the branch cut
+    rep = check_generator_properties(identity_map(H3S3), trials=20, seed=seed)
+    assert rep.passed, rep.max_residual
+
+
+@pytest.mark.parametrize("A", [H3, build_spin_factor(4), H3S3], ids=lambda A: A.id)
+def test_derive_generator_map_of_a_large_element(A):
+    a = random_element(A, 17, "self_adjoint")
+    a = (60.0 / jbstar_norm(A, a)) * a
+    got = derive_generator_map(identity_map(A), a)
+    assert jbstar_norm(A, got - a) <= 1e-9 * 60.0
 
 
 def test_check_generator_properties_positive_and_negative():
