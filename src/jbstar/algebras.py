@@ -18,6 +18,7 @@ values are safe to share between workers.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import math
 from dataclasses import dataclass
@@ -178,9 +179,13 @@ class AlgebraHandle:
         or unitary (nodes on the circle), of norm at most about 1.
 
         Returns (nodes, weights, raw): node j has the idempotent
-        ``weights[j] * raw[j]``, and |weights[j]|^2 is that idempotent's
-        squared coordinate norm, a node's mass.  Nodes may repeat; merging,
-        weighting and ordering are left to ``calculus._abelian_decomposition``.
+        ``weights[j] * raw[j]``, and |weights[j]|^2 is the node's mass, its
+        weight in a merged cluster.  Nodes may repeat; merging, weighting and
+        ordering are left to ``calculus._abelian_decomposition``.  The closed
+        forms of M_n, spin factors and direct sums return minimal idempotents
+        with weight 1, so there the mass is a rank; this generic form, which
+        only Peirce-2 algebras use, weighs each idempotent by its squared
+        coordinate norm.
 
         Arnoldi from the normalised unit, on y -> xn o y with classical
         Gram-Schmidt run twice, spans C(1, xn); it stops when the new
@@ -429,6 +434,28 @@ class SpinFactor(AlgebraHandle):
         e0[0] = 1.0
         return x[0] * np.eye(self.dim, dtype=complex) + np.outer(x, e0) - np.outer(e0, x)
 
+    def _eigenpieces(self, xn: np.ndarray, real_nodes: bool):
+        """Closed form: xn = x_0 1 + w with w = (0, x_1, ...) has w o w = s^2 1,
+        s = sqrt(-sum_{i>=1} x_i^2), so the nodes are x_0 -/+ s with the
+        minimal idempotents (1 -/+ w / s) / 2, weight 1 each; that form
+        subtracts nothing.  s = 0 gives the single node x_0 with idempotent 1;
+        a near-double root is left to the shared cluster merge, which sums
+        the pair back to 1."""
+        x0, w = complex(xn[0]), xn[1:]
+        s = cmath.sqrt(-complex(w @ w))
+        if real_nodes:
+            re = w.real
+            if abs(x0.imag) + math.sqrt(re @ re) > 1e-6 * (1.0 + abs(x0) + abs(s)):
+                raise NotSelfAdjoint("spin element is not self-adjoint")
+            x0, s = x0.real, abs(s)
+        if s == 0.0:
+            return np.array([x0]), np.ones(1), self.unit.coords[None]
+        raw = np.empty((2, self.dim), dtype=complex)
+        raw[:, 0] = 0.5
+        raw[1, 1:] = (0.5 / s) * w
+        raw[0, 1:] = -raw[1, 1:]
+        return np.array([x0 - s, x0 + s]), np.ones(2), raw
+
     def trace(self, x: np.ndarray) -> float:
         return float(x[0].real)
 
@@ -494,6 +521,16 @@ class DirectSum(AlgebraHandle):
         # U_x is block diagonal: its singular values are the summands' union
         ranges = [p._u_singular_range(x[s]) for p, s in self.summands]
         return max(top for top, _ in ranges), min(bottom for _, bottom in ranges)
+
+    def _eigenpieces(self, xn: np.ndarray, real_nodes: bool):
+        """Each summand's own pieces, raw rows zero-padded; the shared merge
+        joins equal nodes across summands."""
+        nodes, weights, raws = zip(*(p._eigenpieces(xn[s], real_nodes) for p, s in self.summands))
+        starts = np.cumsum([0] + [r.shape[0] for r in raws])
+        raw = np.zeros((starts[-1], self.dim), dtype=complex)
+        for r, i, (_, s) in zip(raws, starts, self.summands):
+            raw[i : i + r.shape[0], s] = r
+        return np.concatenate(nodes), np.concatenate(weights), raw
 
     def trace(self, x: np.ndarray) -> float:
         return sum(p.trace(x[s]) for p, s in self.summands)

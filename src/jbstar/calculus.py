@@ -14,13 +14,16 @@ in the associative subalgebra C(1, a) (powers of a single element are
 unambiguous by power associativity), and comes in two layers.  The model's
 ``_eigenpieces`` gives the eigenvalues of L_a on C(1, a) with raw
 idempotents: on M_n one n x n ``eigh`` of the matrix a (``eig`` for a
-unitary), each eigenvector u giving the projection u u^H; on every other
-model the generic Krylov compression, in which Arnoldi from the unit on
-x -> a o x spans C(1, a) and a small dense eigensolver diagonalises the
-compression of L_a to that span.  ``_abelian_decomposition`` then drops
-rounding-level pieces, merges clustered nodes and orders them the same way
-for every model.  The tests keep the Krylov route, called on M_n, as the
-oracle of the closed form.
+unitary), each eigenvector u giving the projection u u^H; on a spin factor
+the closed form a_0 -/+ s with idempotents (1 -/+ w / s) / 2, where
+a = a_0 1 + w and w o w = s^2 1; on a direct sum each summand's own pieces.
+Only Peirce-2 algebras take the generic Krylov compression, in which
+Arnoldi from the unit on x -> a o x spans C(1, a) and a small dense
+eigensolver diagonalises the compression of L_a to that span.
+``_abelian_decomposition`` then drops rounding-level pieces, merges
+clustered nodes (across summands too) and orders them the same way for
+every model.  The tests keep the Krylov route, called on M_n, spin factors
+and sums, as the oracle of the closed forms.
 """
 
 from __future__ import annotations
@@ -178,8 +181,10 @@ def _abelian_decomposition(
     unitary (nodes on the circle).
 
     The model's ``_eigenpieces`` of x / max(||x||, 1) gives nodes with
-    weighted raw idempotents: one n x n eigensolve on M_n, the Krylov
-    compression of L_x to C(1, x) elsewhere.  Nodes of the heavy pieces,
+    weighted raw idempotents: one n x n eigensolve on M_n, a closed form on
+    spin factors, the summands' pieces side by side on a direct sum, and
+    the Krylov compression of L_x to C(1, x) on a Peirce-2 algebra.  Nodes
+    of the heavy pieces,
     those not almost orthogonal to 1, that lie closer than cluster_eps are
     merged by single linkage; a cluster's node is the mass-weighted mean and
     its idempotent the sum.  Light pieces are directions outside C(1, x)
@@ -215,7 +220,8 @@ def jordan_spectrum(A: AlgebraHandle, a: Element) -> list[float]:
 
 def spectral_decomposition(A: AlgebraHandle, a: Element) -> SpectralDecomposition:
     """Eigenvalues and idempotents of a self-adjoint element: one n x n
-    eigensolve on M_n, a Krylov compression onto C(1, a) elsewhere."""
+    eigensolve on M_n, a closed form on spin factors, blockwise on direct
+    sums, and a Krylov compression onto C(1, a) on Peirce-2 algebras."""
     return _decompose(A, _owned(A, a))
 
 

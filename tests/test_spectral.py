@@ -4,16 +4,20 @@ two spectral routes against each other.
 Inputs are built in a faithful block-matrix representation with a known
 spectrum, often with one pair of eigenvalues only g apart; every check
 compares with ``np.linalg.eigvalsh``/``eigh`` (and ``scipy.linalg.expm``
-for exponentials) on that representation.  On M_n the decomposition comes
-from one n x n eigensolve of the matrix (``HermitianMatrixAlgebra._eigenpieces``);
-the generic Krylov route, ``AlgebraHandle._eigenpieces``, serves spin
-factors, direct sums and Peirce-2 algebras, and is called unbound here as
-the oracle of the closed form.
+for exponentials) on that representation; a Hypothesis property runs the
+same comparison over random spectra on every closed form.  On M_n the
+decomposition comes from one n x n eigensolve of the matrix
+(``HermitianMatrixAlgebra._eigenpieces``), on spin factors from the closed
+form x_0 -/+ s, and on direct sums from the summands' pieces.  The generic
+Krylov route, ``AlgebraHandle._eigenpieces``, serves only Peirce-2
+algebras; it is called unbound here as the oracle of the closed forms.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jbstar import calculus, unitary
 from jbstar.algebras import (
@@ -191,6 +195,36 @@ def test_broken_idempotents_fail_verification(monkeypatch):
         exp_i(M10, h, 1.0)
 
 
+# one model per hook: M_n, spin factors, and sums of both, nested too
+PROPERTY_MODELS = [
+    build_hermitian_matrix_algebra(2),
+    build_hermitian_matrix_algebra(5),
+    build_hermitian_matrix_algebra(12),
+    build_spin_factor(3),
+    S12,
+    H3S3,
+    M3S5,
+    build_direct_sum([build_spin_factor(4), build_direct_sum([build_hermitian_matrix_algebra(2), build_spin_factor(6)])]),
+]
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(
+    A=st.sampled_from(PROPERTY_MODELS),
+    seed=st.integers(0, 2**32 - 1),
+    width=st.floats(0.5, 50.0),
+    gap=st.one_of(st.just(0.0), st.floats(-6.0, -3.0).map(lambda e: 10.0**e)),
+)
+def test_spectral_decomposition_matches_eigvalsh_property(A, seed, width, gap):
+    # values on a grid of [-width, width], one pair planted gap (1 + width)
+    # apart: equal, or 10 to 10^4 times the cluster_eps merge distance
+    rng = np.random.default_rng(seed)
+    count = _slots(A)
+    vals = np.sort(rng.permutation(np.linspace(-width, width, 4 * count))[:count])
+    vals[1] = vals[0] + gap * (1.0 + width)
+    _check(A, _element(A, rng, rng.permutation(vals)))
+
+
 # -- the M_n closed form against the Krylov route ---------------------------
 
 
@@ -256,27 +290,158 @@ def test_matrix_closed_form_matches_krylov_route(monkeypatch, n, kind, unitary_e
         assert residual <= want_residual + 1e-12 * scale
 
 
+# -- the spin and direct-sum hooks against the Krylov route -----------------
+
+
+def _routes(monkeypatch, A, x, real):
+    """(nodes, idempotents) of x from the model's hook and from the Krylov
+    route, each in a route-independent order."""
+    with monkeypatch.context() as m:
+        _use_krylov(m, A)
+        want = calculus._abelian_decomposition(A, x, real)[:2]
+    return _by_angle(*calculus._abelian_decomposition(A, x, real)[:2]), _by_angle(*want)
+
+
+def _assert_routes_agree(monkeypatch, A, x, real):
+    (nodes, idems), (want_nodes, want_idems) = _routes(monkeypatch, A, x, real)
+    assert nodes.shape == want_nodes.shape, (nodes, want_nodes)
+    assert np.all(np.abs(nodes - want_nodes) <= 1e-12 * (1.0 + np.abs(want_nodes)))
+    for p, q in zip(idems, want_idems):
+        assert np.linalg.norm(oracles.to_block_matrix(A, p - q), 2) <= 1e-10
+    return nodes
+
+
+def _spin_element(A, rng, mid, half):
+    """mid 1 + half w with w = (0, i n) for a random real unit n, so that
+    w o w = 1: nodes mid -/+ half, real or on the circle."""
+    n = rng.standard_normal(A.dim - 1)
+    return np.concatenate([[mid], 1j * half * (n / np.linalg.norm(n))])
+
+
+S3 = build_spin_factor(3)
+# s = 5e-8 and below lie within cluster_eps (1 + |x_0|) / 2 = 5.1e-8 of x_0
+SPIN_CASES = {
+    "scalar": (0.02, 0.0, 1),
+    **{f"s={s:g}": (0.02, s, 1 if s <= 5e-8 else 2) for s in (1e-12, 1e-9, 5e-8, 1e-7, 3e-7, 1e-6)},
+    "norm-50": (30.0, 20.0, 2),
+    "negative": (-1.3, 0.4, 2),
+}
+
+
+@pytest.mark.parametrize("A", [S3, S12], ids=lambda A: A.id)
+@pytest.mark.parametrize("case", SPIN_CASES)
+def test_spin_closed_form_matches_krylov_route(monkeypatch, A, case):
+    mid, s, count = SPIN_CASES[case]
+    for seed in range(4):
+        x = _spin_element(A, np.random.default_rng(seed), mid, s)
+        assert _assert_routes_agree(monkeypatch, A, x, True).size == count
+
+
+@pytest.mark.parametrize("A", [S3, S12], ids=lambda A: A.id)
+def test_spin_closed_form_on_a_rounding_level_non_self_adjoint_input(monkeypatch, A):
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        x = _spin_element(A, rng, 0.4, 0.7) + 1e-15 * (rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim))
+        dev, thr, _ = calculus._self_adjoint_defect(A, x)
+        assert 0.0 < dev <= thr  # not self-adjoint, yet past _decompose's gate
+        assert _assert_routes_agree(monkeypatch, A, x, True).size == 2
+
+
+# node arguments (alpha, beta); the pair near -1 straddles the branch cut
+SPIN_UNITARY_CASES = {
+    "generic": (0.3, 2.1),
+    "scalar": (0.5, 0.5),
+    "near-double": (1.0, 1.0 + 1e-9),
+    "near-minus-one": (np.pi - 1e-3, np.pi - 3e-3),
+    "straddling-minus-one": (np.pi - 1e-4, -np.pi + 1e-4),
+}
+
+
+@pytest.mark.parametrize("A", [S3, S12], ids=lambda A: A.id)
+@pytest.mark.parametrize("case", SPIN_UNITARY_CASES)
+def test_spin_closed_form_matches_krylov_route_on_unitaries(monkeypatch, A, case):
+    lo, hi = np.exp(1j * np.array(SPIN_UNITARY_CASES[case]))
+    for seed in range(4):
+        x = _spin_element(A, np.random.default_rng(seed), 0.5 * (lo + hi), 0.5 * (hi - lo))
+        assert unitary._is_unitary(A, x)
+        nodes = _assert_routes_agree(monkeypatch, A, x, False)
+        assert nodes.size == (1 if abs(hi - lo) <= 1e-7 else 2)
+
+
+def test_spin_closed_form_refuses_a_non_self_adjoint_element():
+    # a real H^- coordinate (x o x = -1, nodes +/- i), then a complex scalar part
+    with pytest.raises(NotSelfAdjoint):
+        S3._eigenpieces(np.array([0.0, 1.0, 0.0], dtype=complex), True)
+    with pytest.raises(NotSelfAdjoint):
+        S3._eigenpieces(np.array([0.5j, 0.0, 0.3j]), True)
+
+
+NESTED = build_direct_sum(
+    [build_hermitian_matrix_algebra(2), build_direct_sum([build_spin_factor(4), build_hermitian_matrix_algebra(2)])]
+)
+M2M2 = build_direct_sum([build_hermitian_matrix_algebra(2), build_hermitian_matrix_algebra(2)])
+
+
+def _sum_values(A, rng, shared):
+    """Per-summand values from a grid on [-2, 2]: distinct throughout, or
+    drawn from one small pool (every summand shares a node with another)."""
+    count = _slots(A)
+    grid = rng.permutation(np.linspace(-2.0, 2.0, 4 * count))
+    if not shared:
+        return grid[:count]
+    pool = grid[: max(p.rank for p, _ in A.summands) + 1]
+    return np.concatenate([rng.choice(pool, size=p.rank, replace=False) for p, _ in A.summands])
+
+
+@pytest.mark.parametrize("unitary_element", [False, True], ids=["self_adjoint", "unitary"])
+@pytest.mark.parametrize("shared", [False, True], ids=["distinct", "shared"])
+@pytest.mark.parametrize("A", [H3S3, M3S5, NESTED], ids=["H3+S3", "M3+spin(5)", "nested"])
+def test_blockwise_sum_matches_krylov_route(monkeypatch, A, shared, unitary_element):
+    # a node shared by two summands is merged across them: its idempotent is
+    # the sum of the summands' idempotents in either route
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        values = _sum_values(A, rng, shared)
+        x = _element(A, rng, values).coords
+        if unitary_element:
+            x = calculus._exp_i(A, x, 1.0)
+        nodes = _assert_routes_agree(monkeypatch, A, x, not unitary_element)
+        assert nodes.size == np.unique(values).size
+
+
+def test_blockwise_sum_merges_equal_summands(monkeypatch):
+    x = random_element(M2M2.summands[0][0], 4, "self_adjoint").coords
+    for y, count in [(M2M2.unit.coords, 1), (np.concatenate([x, x]), 2)]:
+        for real, z in [(True, y), (False, calculus._exp_i(M2M2, y, 1.0))]:
+            assert _assert_routes_agree(monkeypatch, M2M2, z, real).size == count
+    nodes, idems = calculus._abelian_decomposition(M2M2, np.concatenate([x, x]), True)[:2]
+    assert np.allclose(idems[:, :4], idems[:, 4:], rtol=0.0, atol=1e-15)
+
+
 def test_matrix_spectra_skip_the_krylov_route(monkeypatch):
+    # M_n, spin factors and sums, nested ones too, all decompose in closed form
     H3 = build_hermitian_matrix_algebra(3)
+    M2M3 = build_direct_sum([build_hermitian_matrix_algebra(2), H3])
+    nested = build_direct_sum([M2M3, build_direct_sum([build_spin_factor(4), build_hermitian_matrix_algebra(1)])])
     sub = peirce2_algebra(H3, H3.element(np.diag([1.0, 1.0, 0.0]).ravel()))
-    others = [S12, H3S3, build_direct_sum([build_hermitian_matrix_algebra(2), H3]), sub]
-    samples = {A.id: random_element(A, 3, "self_adjoint") for A in others}
+    h_sub = random_element(sub, 3, "self_adjoint")
 
     def refuse(A, xn, real_nodes):
         raise AssertionError(f"Krylov route taken for {A.id}")
 
     monkeypatch.setattr(AlgebraHandle, "_eigenpieces", refuse)
-    for n in (1, 3, 12):
-        A = build_hermitian_matrix_algebra(n)
-        h = random_element(A, n, "self_adjoint")
+    closed = [build_hermitian_matrix_algebra(n) for n in (1, 3, 12)]
+    closed += [build_spin_factor(3), S12, H3S3, M2M3, nested]
+    for i, A in enumerate(closed):
+        h = random_element(A, i, "self_adjoint")
         spectral_decomposition(A, h)
         unitary_log(A, exp_i(A, h, 1.0))
-        random_element(A, n, "projection")
+        random_element(A, i, "projection")
         for seed in (0, 11):  # the spectral and the unitary branch
             sample_tripotent(A, np.random.default_rng(seed))
-    for A in others:
-        with pytest.raises(AssertionError, match="Krylov route"):
-            spectral_decomposition(A, samples[A.id])
+    # the Peirce-2 algebra is the one model left on the generic route
+    with pytest.raises(AssertionError, match="Krylov route"):
+        spectral_decomposition(sub, h_sub)
 
 
 @pytest.mark.parametrize(
