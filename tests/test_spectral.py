@@ -293,17 +293,12 @@ def test_matrix_closed_form_matches_krylov_route(monkeypatch, n, kind, unitary_e
 # -- the spin and direct-sum hooks against the Krylov route -----------------
 
 
-def _routes(monkeypatch, A, x, real):
-    """(nodes, idempotents) of x from the model's hook and from the Krylov
-    route, each in a route-independent order."""
+def _assert_routes_agree(monkeypatch, A, x, real):
+    """The model's hook against the Krylov route on x; returns the nodes."""
     with monkeypatch.context() as m:
         _use_krylov(m, A)
-        want = calculus._abelian_decomposition(A, x, real)[:2]
-    return _by_angle(*calculus._abelian_decomposition(A, x, real)[:2]), _by_angle(*want)
-
-
-def _assert_routes_agree(monkeypatch, A, x, real):
-    (nodes, idems), (want_nodes, want_idems) = _routes(monkeypatch, A, x, real)
+        want_nodes, want_idems = _by_angle(*calculus._abelian_decomposition(A, x, real)[:2])
+    nodes, idems = _by_angle(*calculus._abelian_decomposition(A, x, real)[:2])
     assert nodes.shape == want_nodes.shape, (nodes, want_nodes)
     assert np.all(np.abs(nodes - want_nodes) <= 1e-12 * (1.0 + np.abs(want_nodes)))
     for p, q in zip(idems, want_idems):
