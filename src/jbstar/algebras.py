@@ -181,7 +181,8 @@ class AlgebraHandle:
         Returns (nodes, weights, raw): node j has the idempotent
         ``weights[j] * raw[j]``, and |weights[j]|^2 is the node's mass, its
         weight in a merged cluster.  Nodes may repeat; merging, weighting and
-        ordering are left to ``calculus._abelian_decomposition``.  The closed
+        ordering are left to ``calculus._abelian_decomposition``, which skips
+        the merge when every weight is 1 and the nodes lie apart.  The closed
         forms of M_n, spin factors and direct sums return minimal idempotents
         with weight 1, so there the mass is a rank; this generic form, which
         only Peirce-2 algebras use, weighs each idempotent by its squared

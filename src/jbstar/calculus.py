@@ -20,10 +20,12 @@ a = a_0 1 + w and w o w = s^2 1; on a direct sum each summand's own pieces.
 Only Peirce-2 algebras take the generic Krylov compression, in which
 Arnoldi from the unit on x -> a o x spans C(1, a) and a small dense
 eigensolver diagonalises the compression of L_a to that span.
-``_abelian_decomposition`` then drops rounding-level pieces, merges
-clustered nodes (across summands too) and orders them the same way for
-every model.  The tests keep the Krylov route, called on M_n, spin factors
-and sums, as the oracle of the closed forms.
+``_abelian_decomposition`` then orders the pieces the same way for every
+model.  Well-separated weight-1 pieces, as the closed forms give for
+distinct eigenvalues, skip the merge; otherwise ``_merge_pieces`` drops
+rounding-level pieces and merges clustered nodes (across summands too).
+The tests keep the Krylov route, called on M_n, spin factors and sums, as
+the oracle of the closed forms.
 """
 
 from __future__ import annotations
@@ -183,21 +185,38 @@ def _abelian_decomposition(
     The model's ``_eigenpieces`` of x / max(||x||, 1) gives nodes with
     weighted raw idempotents: one n x n eigensolve on M_n, a closed form on
     spin factors, the summands' pieces side by side on a direct sum, and
-    the Krylov compression of L_x to C(1, x) on a Peirce-2 algebra.  Nodes
-    of the heavy pieces,
-    those not almost orthogonal to 1, that lie closer than cluster_eps are
-    merged by single linkage; a cluster's node is the mass-weighted mean and
-    its idempotent the sum.  Light pieces are directions outside C(1, x)
-    that rounding let in; they are dropped unless they lie that close to a
-    heavy node, where their vectors mix with its vector.  ``norm`` is ||x||
-    when the caller has it already.
+    the Krylov compression of L_x to C(1, x) on a Peirce-2 algebra.  When
+    every weight is 1 (the closed forms) and no two nodes lie within the
+    cluster gap cluster_eps (1 + max |node|) of each other, in the complex
+    distance, every piece is its own cluster: the pieces are only ordered,
+    and ``_merge_pieces`` would return them unchanged.  Otherwise it merges
+    them.  ``norm`` is ||x|| when the caller has it already.
     """
     scale = max(A._norm(x) if norm is None else norm, 1.0)
     nodes, weights, raw = A._eigenpieces(x / scale, real_nodes)
-    norm1 = np.linalg.norm(A.unit.coords)
-    mass = np.abs(weights) ** 2
     nodes = nodes * scale
-    heavy = np.flatnonzero(mass > A.tol.abs_eps * norm1**2)
+    gap = A.tol.cluster_eps * (1.0 + np.max(np.abs(nodes)))
+    if not (np.all(weights == 1) and np.count_nonzero(np.abs(nodes[:, None] - nodes) <= gap) == nodes.size):
+        nodes, raw = _merge_pieces(A, nodes, weights, raw)
+    order = np.argsort(nodes)
+    nodes, idems = nodes[order], raw[order]
+    residual = float(A._norm(nodes @ idems - x))
+    return nodes, idems, residual
+
+
+def _merge_pieces(A: AlgebraHandle, nodes: np.ndarray, weights: np.ndarray, raw: np.ndarray):
+    """Clustered (unordered) nodes and their idempotents (rows).
+
+    Nodes of the heavy pieces, those of weight 1 (minimal idempotents of a
+    closed form) or not almost orthogonal to 1, that lie closer than the
+    cluster gap are merged by single linkage; a cluster's node is the
+    mass-weighted mean and its idempotent the sum.  Light pieces are
+    directions outside C(1, x) that rounding let into the Krylov route; they
+    are dropped unless they lie that close to a heavy node, where their
+    vectors mix with its vector.
+    """
+    mass = np.abs(weights) ** 2
+    heavy = np.flatnonzero((weights == 1) | (mass > A.tol.abs_eps * np.linalg.norm(A.unit.coords) ** 2))
     gap = A.tol.cluster_eps * (1.0 + np.max(np.abs(nodes[heavy])))
     near = np.abs(nodes[heavy, None] - nodes[None, heavy]) <= gap
     for _ in range(heavy.size.bit_length() if near.sum() > heavy.size else 0):
@@ -205,12 +224,7 @@ def _abelian_decomposition(
     clusters = near[near.argmax(axis=1) == np.arange(heavy.size)]  # rows of first members
     dist = np.abs(nodes[:, None] - nodes[None, heavy])
     member = (clusters[:, dist.argmin(axis=1)] & (dist.min(axis=1) <= gap)).astype(float)
-    nodes = (member @ (mass * nodes)) / (member @ mass)
-    idems = member @ (weights[:, None] * raw)
-    order = np.argsort(nodes)
-    nodes, idems = nodes[order], idems[order]
-    residual = float(A._norm(nodes @ idems - x))
-    return nodes, idems, residual
+    return (member @ (mass * nodes)) / (member @ mass), member @ (weights[:, None] * raw)
 
 
 def jordan_spectrum(A: AlgebraHandle, a: Element) -> list[float]:

@@ -305,3 +305,13 @@ def test_counterexample_runs_on_the_configured_tolerance(monkeypatch):
     assert doc["config"]["abs_eps"] == 1e-3
     assert seen == [Tolerance(abs_eps=1e-3)]
     assert status == 0
+
+
+def test_peirce_runs_on_a_rank_above_one_over_abs_eps(tmp_path, capsys):
+    # rank 120 > 1 / abs_eps: the spectral calls once dropped every minimal
+    # idempotent as rounding and stopped with "error: ValueError"
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps({"kind": "direct_sum", "parts": [{"kind": "hermitian_matrix", "n": 3}] * 40}))
+    assert main(["peirce", "--algebra", str(alg), "--abs-eps", "0.009", "--trials", "50"]) == 0
+    out = capsys.readouterr()
+    assert out.out.startswith("PASS") and "error" not in out.err, out

@@ -1,5 +1,6 @@
-"""Spectral decompositions against numpy's hermitian eigensolver, and the
-two spectral routes against each other.
+"""Spectral decompositions against numpy's hermitian eigensolver, the
+two spectral routes against each other, and the no-merge fast path of
+``_abelian_decomposition`` against the cluster merge.
 
 Inputs are built in a faithful block-matrix representation with a known
 spectrum, often with one pair of eigenvalues only g apart; every check
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from jbstar import calculus, unitary
 from jbstar.algebras import (
     AlgebraHandle,
+    algebra_from_descriptor,
     build_direct_sum,
     build_hermitian_matrix_algebra,
     build_spin_factor,
@@ -36,6 +38,7 @@ from jbstar.calculus import (
     u_operator_matrix,
 )
 from jbstar.errors import NotSelfAdjoint, VerificationFailed
+from jbstar.kernel import Tolerance
 from jbstar.peirce import peirce2_algebra, sample_tripotent
 from jbstar.unitary import unitary_log, unitary_power
 
@@ -49,22 +52,23 @@ GAPS = (1e-2, 1e-4, 1e-6)
 SEEDS = range(50)
 
 
-def _element(A, rng, values):
+def _element(A, rng, values, unitary=False):
     """Self-adjoint element with the given eigenvalues per summand: n of
     them for M_n (random unitary frame), two for a spin factor (lambda +/-
-    r along a random H^- direction)."""
+    r along a random H^- direction); or the unitary with eigenvalues
+    exp(i value) in the same frame."""
     coords, i = [], 0
     for part, _ in A.summands:
         if part.kind == "hermitian_matrix":
             vals = values[i : i + part.n]
             q, _ = np.linalg.qr(rng.standard_normal((part.n, part.n)) + 1j * rng.standard_normal((part.n, part.n)))
-            m = (q * vals) @ q.conj().T
-            coords.append((0.5 * (m + m.conj().T)).ravel())
+            m = (q * (np.exp(1j * vals) if unitary else vals)) @ q.conj().T
+            coords.append((m if unitary else 0.5 * (m + m.conj().T)).ravel())
             i += part.n
         else:
-            lo, hi = sorted(values[i : i + 2])
+            lo, hi = np.exp(1j * np.sort(values[i : i + 2])) if unitary else sorted(values[i : i + 2])
             t = rng.standard_normal(part.dim - 1)
-            t *= 0.5 * (hi - lo) / np.linalg.norm(t)
+            t = t * (0.5 * (hi - lo) / np.linalg.norm(t))
             coords.append(np.concatenate([[0.5 * (lo + hi)], 1j * t]))
             i += 2
     return A.element(np.concatenate(coords))
@@ -482,3 +486,117 @@ def test_is_invertible_matches_the_full_u_operator_svd(smallest):
             singular = _full_svd_says_singular(A, A.element(x))
             assert singular == (smallest**2 <= 1.5**2 * A.tol.abs_eps)
             assert (is_invertible(A, A.element(x)) is None) == singular
+
+
+# -- the no-merge fast path ---------------------------------------------------
+
+FAST_PATH_MODELS = [build_hermitian_matrix_algebra(n) for n in range(1, 13)] + [S3, S12, H3S3, M3S5, NESTED]
+
+
+def _through_the_merge(A, x, real):
+    """``_abelian_decomposition`` of x with ``_merge_pieces`` run on the
+    hook's pieces whatever they are."""
+    scale = max(A._norm(x), 1.0)
+    nodes, weights, raw = A._eigenpieces(x / scale, real)
+    nodes, idems = calculus._merge_pieces(A, nodes * scale, weights, raw)
+    order = np.argsort(nodes)
+    return nodes[order], idems[order], float(A._norm(nodes[order] @ idems[order] - x))
+
+
+def _planted(A, rng, pair, factor, unitary_element):
+    """A self-adjoint element or a unitary whose nodes include a pair
+    ``factor`` cluster gaps apart, in the complex distance of the nodes,
+    and grid values well away from it.  ``pair`` places the pair: at -2
+    (self-adjoint), at angle 2, or straddling -1 on the circle."""
+    count = _slots(A)
+    if count < 2:
+        return _element(A, rng, np.array([0.7]), unitary_element).coords
+    # the gap is cluster_eps (1 + max |node|), and max |node| is 2, or 1 on the circle
+    d = factor * A.tol.cluster_eps * (2.0 if unitary_element else 3.0)
+    phi = 2.0 * np.arcsin(0.5 * d)  # the angle of a chord of length d
+    first, second = {
+        "at-minus-two": (-2.0, -2.0 + d),
+        "at-two": (2.0, 2.0 + phi),
+        "straddling-minus-one": (np.pi - 0.5 * phi, -np.pi + 0.5 * phi),
+    }[pair]
+    rest = rng.permutation(np.linspace(-1.5, 1.5, 4 * count))[: count - 2]
+    return _element(A, rng, rng.permutation([first, second, *rest]), unitary_element).coords
+
+
+def _merges(monkeypatch, A, x, real):
+    """Whether ``_abelian_decomposition`` of x runs ``_merge_pieces``."""
+    calls, merge = [], calculus._merge_pieces
+    with monkeypatch.context() as m:
+        m.setattr(calculus, "_merge_pieces", lambda *args: calls.append(args) or merge(*args))
+        calculus._abelian_decomposition(A, x, real)
+    return len(calls) == 1
+
+
+def _assert_fast_path_is_the_merge(A, x, real):
+    nodes, idems, residual = calculus._abelian_decomposition(A, x, real)
+    want_nodes, want_idems, want_residual = _through_the_merge(A, x, real)
+    assert np.array_equal(nodes, want_nodes) and nodes.dtype == want_nodes.dtype
+    assert np.array_equal(idems, want_idems)
+    assert residual == want_residual
+
+
+PLANTED = [("at-minus-two", False), ("at-two", True), ("straddling-minus-one", True)]
+
+
+@pytest.mark.parametrize("factor", [1.0 - 1e-3, 1.0 + 1e-3])
+@pytest.mark.parametrize("pair,unitary_element", PLANTED, ids=[p for p, _ in PLANTED])
+@pytest.mark.parametrize("A", FAST_PATH_MODELS, ids=lambda A: A.id)
+def test_fast_path_equals_the_merge_bit_for_bit(monkeypatch, A, pair, unitary_element, factor):
+    # a pair just inside the cluster gap takes the merge, just outside the
+    # fast path; both must give the merge's arrays exactly
+    for seed in range(3):
+        x = _planted(A, np.random.default_rng(seed), pair, factor, unitary_element)
+        assert _merges(monkeypatch, A, x, not unitary_element) == (factor < 1.0 and _slots(A) >= 2)
+        _assert_fast_path_is_the_merge(A, x, not unitary_element)
+        x = random_element(A, seed, "self_adjoint").coords
+        _assert_fast_path_is_the_merge(A, x, True)
+        _assert_fast_path_is_the_merge(A, calculus._exp_i(A, x, 1.0), False)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(
+    A=st.sampled_from(FAST_PATH_MODELS),
+    seed=st.integers(0, 2**32 - 1),
+    planted=st.sampled_from(PLANTED),
+    factor=st.floats(0.5, 2.0),
+)
+def test_fast_path_equals_the_merge_property(A, seed, planted, factor):
+    pair, unitary_element = planted
+    x = _planted(A, np.random.default_rng(seed), pair, factor, unitary_element)
+    _assert_fast_path_is_the_merge(A, x, not unitary_element)
+
+
+def test_merge_runs_only_for_clustered_or_weighted_pieces(monkeypatch):
+    rng = np.random.default_rng(3)
+    M4 = build_hermitian_matrix_algebra(4)
+    repeated = _in_frame(M4, rng, np.array([-1.5, 0.25, 0.25, 2.0]), False)
+    H3 = build_hermitian_matrix_algebra(3)
+    sub = peirce2_algebra(H3, H3.element(np.diag([1.0, 1.0, 0.0]).ravel()))
+    assert _merges(monkeypatch, M10, _clustered(M10, rng, 1e-8).coords, True)  # a pair within the gap
+    assert _merges(monkeypatch, M4, repeated, True)
+    assert _merges(monkeypatch, M4, calculus._exp_i(M4, repeated, 1.0), False)
+    assert _merges(monkeypatch, H3S3, H3S3.unit.coords, True)  # equal nodes across summands
+    assert _merges(monkeypatch, sub, random_element(sub, 3, "self_adjoint").coords, True)  # Krylov weights
+    for A in [M4, M10, S3, S12, H3S3, M3S5, NESTED]:
+        x = random_element(A, 5, "self_adjoint").coords
+        assert not _merges(monkeypatch, A, x, True)
+        assert not _merges(monkeypatch, A, calculus._exp_i(A, x, 1.0), False)
+
+
+@pytest.mark.parametrize("copies,n", [(40, 3), (12, 12)])
+def test_decompose_on_a_rank_above_one_over_abs_eps(copies, n):
+    # rank 120 or 144 > 1 / abs_eps: a minimal idempotent's mass 1 is below
+    # abs_eps ||1||^2, yet it is a piece of the spectrum, not rounding
+    tol = Tolerance(abs_eps=9e-3)
+    A = algebra_from_descriptor({"kind": "direct_sum", "parts": [{"kind": "hermitian_matrix", "n": n}] * copies}, tol)
+    x = random_element(A, 1, "self_adjoint").coords
+    blocks = [x[s].reshape(n, n) for _, s in A.summands]
+    for y, want in [(x, np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))), (A.unit.coords, [1.0])]:
+        dec = calculus._decompose(A, y)
+        assert np.max(np.abs(dec.values - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+        assert dec.residual <= 1e-12 * (1.0 + np.max(np.abs(want)))
