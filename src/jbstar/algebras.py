@@ -3,30 +3,31 @@
 Each model kind is a subclass of :class:`AlgebraHandle`: the full complex
 matrix algebra with the Jordan product (whose self-adjoint part is the
 hermitian matrices), spin factors over a complex n-space with componentwise
-conjugation, and finite direct sums of models.  A fourth, derived model
-carries Peirce-2 algebras of tripotents; it is constructed by
-:mod:`jbstar.peirce`.
+conjugation, and finite direct sums of models.  The Peirce-2 algebra of a
+tripotent is one of these models too: each model's ``_peirce2`` hook gives
+it as M_r, a spin factor or a sum, with the matrix of its embedding, and
+:mod:`jbstar.peirce` checks and tags it.
 
 A model owns its unit, product, involution, norm, multiplication matrix,
-trace, canonical projections, centre, rank and descriptor form.  Every
-element is a complex coordinate vector over the model's fixed basis, tagged
-with the algebra identity; ``_prod``, ``_inv``, ``_norm`` and ``_triple``
-also take coordinates with leading batch axes, (..., dim), and broadcast a
-stack against one vector.  Handles are immutable and operations are pure, so
-values are safe to share between workers.
+trace, canonical projections, spectral pieces, centre, rank, Peirce-2 model
+and descriptor form.  Every element is a complex coordinate vector over the
+model's fixed basis, tagged with the algebra identity; ``_prod``, ``_inv``,
+``_norm`` and ``_triple`` also take coordinates with leading batch axes,
+(..., dim), and broadcast a stack against one vector.  Handles are
+immutable and operations are pure, so values are safe to share between
+workers.
 """
 
 from __future__ import annotations
 
 import cmath
-import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import AlgebraMismatch, EmptyParts, NotSelfAdjoint, PreconditionFailed, SizeOutOfRange
+from .errors import AlgebraMismatch, EmptyParts, NotSelfAdjoint, SizeOutOfRange
 from .kernel import Tolerance, operator_norm
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
     "HermitianMatrixAlgebra",
     "SpinFactor",
     "DirectSum",
-    "Peirce2Algebra",
     "Element",
     "build_hermitian_matrix_algebra",
     "build_spin_factor",
@@ -89,9 +89,9 @@ class Element:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two square matrices, by one broadcast product."""
-    n, m = a.shape[0], b.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * m, n * m)
+    """``np.kron`` of two matrices, by one broadcast product."""
+    shape = (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(shape)
 
 
 def _normal_eig(h: np.ndarray, real_nodes: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -111,15 +111,25 @@ class AlgebraHandle:
     """Immutable JB*-algebra model; one subclass per model kind.
 
     Subclasses supply the coordinate formulas ``_prod``, ``_inv`` and
-    ``_norm`` and the unit; every other module works through these, the
-    multiplication matrix, the trace, the canonical projections, the centre
-    and the rank.  The generic forms defined here hold for any model; the
-    concrete models replace them by closed forms.
+    ``_norm``, the unit, and the closed forms ``_mult_matrix``,
+    ``_eigenpieces``, ``_center``, ``rank`` and ``_peirce2``; every other
+    module works through these, the trace and the canonical projections.
+    The U-operator matrix, commutator norm and U-operator singular values
+    defined here are products of multiplication matrices; M_n and direct
+    sums replace them by closed forms.
+
+    A Peirce-2 algebra (``jbstar.peirce.peirce2_algebra``) is a model whose
+    ``ambient``, ``e``, ``embed`` and ``project`` are set: its ambient model,
+    the tripotent's coordinates there, the embedding matrix (columns: the
+    images of the basis) and the matrix of the inverse map, which vanishes
+    on the other two Peirce spaces.
     """
 
     kind: str | None = None
     n: int | None = None
     parts: tuple | None = None
+    ambient: "AlgebraHandle | None" = None
+    e = embed = project = None
 
     def __init__(self, dim: int, tol: Tolerance, ident: str, unit: np.ndarray):
         self.dim = dim
@@ -155,10 +165,6 @@ class AlgebraHandle:
             self._prod(x, z), ys
         )
 
-    def _mult_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of y -> x o y in the algebra basis (basis products as columns)."""
-        return self._prod(x, np.eye(self.dim, dtype=complex)).T
-
     def _u_matrix(self, x: np.ndarray) -> np.ndarray:
         """Matrix of U_x = 2 M_x^2 - M_{x o x}."""
         m = self._mult_matrix(x)
@@ -174,68 +180,10 @@ class AlgebraHandle:
         sv = np.linalg.svd(self._u_matrix(x), compute_uv=False)
         return sv[0], sv[-1]
 
-    def _eigenpieces(self, xn: np.ndarray, real_nodes: bool):
-        """Eigenvalues of L_xn on C(1, xn), for xn self-adjoint (real nodes)
-        or unitary (nodes on the circle), of norm at most about 1.
-
-        Returns (nodes, weights, raw): node j has the idempotent
-        ``weights[j] * raw[j]``, and |weights[j]|^2 is the node's mass, its
-        weight in a merged cluster.  Nodes may repeat; merging, weighting and
-        ordering are left to ``calculus._abelian_decomposition``, which skips
-        the merge when every weight is 1 and the nodes lie apart.  The closed
-        forms of M_n, spin factors and direct sums return minimal idempotents
-        with weight 1, so there the mass is a rank; this generic form, which
-        only Peirce-2 algebras use, weighs each idempotent by its squared
-        coordinate norm.
-
-        Arnoldi from the normalised unit, on y -> xn o y with classical
-        Gram-Schmidt run twice, spans C(1, xn); it stops when the new
-        direction falls to rounding level (64 eps dim).  Both kinds of element
-        act normally on C(1, xn), so the compression H of L_xn to that span
-        goes to ``_normal_eig``, and an eigenvector v yields the idempotent
-        <v, 1> v: weight <v, 1>, raw row v.
-        """
-        d = self.dim
-        norm1 = np.linalg.norm(self.unit.coords)
-        Q = np.empty((d, d), dtype=complex)  # orthonormal rows
-        XQ = np.empty((d, d), dtype=complex)  # xn o q for every row q of Q
-        Q[0] = self.unit.coords / norm1
-        stop = 64.0 * np.finfo(float).eps * d
-        for k in range(1, d + 1):
-            XQ[k - 1] = self._prod(xn, Q[k - 1])
-            if k == d:
-                break
-            Qk = Q[:k]
-            w = XQ[k - 1] - Qk.T @ (Qk.conj() @ XQ[k - 1])
-            w -= Qk.T @ (Qk.conj() @ w)
-            beta = np.linalg.norm(w)
-            if beta <= stop:
-                break
-            Q[k] = w / beta
-        Q, XQ = Q[:k], XQ[:k]
-        nodes, V = _normal_eig(Q.conj() @ XQ.T, real_nodes)
-        # <v, 1>, as 1 = norm1 q_0 and q_0 is row 0 of Q
-        return nodes, norm1 * V[0].conj(), V.T @ Q
-
-    @cached_property
-    def rank(self) -> int:
-        """Number of distinct eigenvalues of a generic self-adjoint element (n
-        for type I_n), from one draw of a private fixed-seed generator."""
-        from . import calculus  # lazy: spectral machinery lives downstream
-
-        x = _random(self, np.random.default_rng(0), "self_adjoint")
-        return int(calculus._decompose(self, x).values.size)
-
     @property
     def is_type_i2(self) -> bool:
         """Type I_2 factor (spin, M_2): rank 2 and centre C 1, unlike C + C."""
         return self.rank == 2 and len(self._center_rows) == 1
-
-    def trace(self, x: np.ndarray) -> float:
-        raise PreconditionFailed(f"no trace defined on {self.id}")
-
-    def _canonical_projections(self) -> list[np.ndarray]:
-        return []
 
     @cached_property
     def _center_rows(self) -> np.ndarray:
@@ -243,29 +191,6 @@ class AlgebraHandle:
         rows = np.array(self._center())
         rows.flags.writeable = False
         return rows
-
-    def _center(self) -> list[np.ndarray]:
-        """Centre as the joint kernel of z -> [M_z, M_{e_k}] over the basis.
-
-        The normal equations of the stacked system have order d^5; the
-        kernel vectors are split into self-adjoint parts.
-        """
-        d = self.dim
-        eye = np.eye(d, dtype=complex)
-        mults = [self._mult_matrix(eye[j]) for j in range(d)]
-        gram = np.zeros((d, d), dtype=complex)
-        for k in range(d):
-            mk = mults[k]
-            cols = np.stack([(mj @ mk - mk @ mj).ravel() for mj in mults], axis=1)
-            gram += cols.conj().T @ cols
-        vals, vecs = np.linalg.eigh(gram)
-        thr = max(vals[-1], 1.0) * 1e-12
-        halves = []
-        for j in range(d):
-            if vals[j] <= thr:
-                z, zs = vecs[:, j], self._inv(vecs[:, j])
-                halves += [0.5 * (z + zs), -0.5j * (z - zs)]
-        return self._central_basis(halves)
 
     def _central_basis(self, vectors) -> list[np.ndarray]:
         """Gram-Schmidt over the normalised unit followed by ``vectors``
@@ -379,6 +304,18 @@ class HermitianMatrixAlgebra(AlgebraHandle):
     def _center(self) -> list[np.ndarray]:
         return self._central_basis([])  # a factor: the centre is C 1
 
+    def _peirce2(self, x: np.ndarray):
+        """M_r for the partial isometry e = x, with e e* = V V^H of rank r:
+        y -> V y V^H e, isometric in the coordinates, whose inverse
+        x -> V^H x e* V is its adjoint.  V = 1 for a unitary e (r = n)."""
+        e = x.reshape(self._square)
+        vals, vecs = np.linalg.eigh(e @ e.conj().T)
+        V = vecs[:, vals > 0.5]  # the eigenvalues of e e* are 0 and 1
+        if V.shape[1] == self.n:
+            V = np.eye(self.n, dtype=complex)
+        embed = _kron(V, (V.conj().T @ e).T)  # vec(V y W) = (V kron W^T) vec(y)
+        return HermitianMatrixAlgebra(V.shape[1], self.tol), embed, embed.conj().T
+
 
 class SpinFactor(AlgebraHandle):
     """Spin factor on C^n with componentwise conjugation and unit e_0.
@@ -469,6 +406,20 @@ class SpinFactor(AlgebraHandle):
     def _center(self) -> list[np.ndarray]:
         return self._central_basis([])  # a factor: the centre is C 1
 
+    def _peirce2(self, x: np.ndarray):
+        """A nonzero tripotent of a spin factor is minimal (|x|^2 = 1/2) or
+        unitary (|x|^2 = 1).  A minimal e gives M_1 with lambda -> lambda e,
+        not isometric in the coordinates, and inverse y -> 2 <y, e>.  A
+        unitary u gives the spin factor itself through U_v, a triple
+        automorphism with U_v 1 = v^2 = u, where v takes square roots of the
+        closed-form nodes of u (relative to the first node, so that nodes
+        close together keep close roots); the inverse is U_{v*}."""
+        if np.vdot(x, x).real < 0.75:
+            return HermitianMatrixAlgebra(1, self.tol), x[:, None], 2.0 * x.conj()[None]
+        nodes, _, raw = self._eigenpieces(x, False)
+        v = (np.sqrt(nodes / nodes[0]) * np.sqrt(nodes[0])) @ raw
+        return SpinFactor(self.n, self.tol), self._u_matrix(v), self._u_matrix(self._inv(v))
+
 
 class DirectSum(AlgebraHandle):
     """Componentwise direct sum; the norm is the max over the summands.
@@ -548,6 +499,17 @@ class DirectSum(AlgebraHandle):
         # the centre of a direct sum is the direct sum of the centres
         return self._central_basis(self._embedded(lambda p: p._center()))
 
+    def _peirce2(self, x: np.ndarray):
+        """The sum of the summands' models, block embedding and inverse; a
+        summand where the tripotent is zero (norm 0, not 1) is dropped."""
+        pieces = [(p._peirce2(x[s]), s) for p, s in self.summands if p._norm(x[s]) > 0.5]
+        offs = np.cumsum([0] + [model.dim for (model, _, _), _ in pieces])
+        embed = np.zeros((self.dim, offs[-1]), dtype=complex)
+        project = np.zeros((offs[-1], self.dim), dtype=complex)
+        for ((_, up, down), s), a, b in zip(pieces, offs, offs[1:]):
+            embed[s, a:b], project[a:b, s] = up, down
+        return DirectSum([model for (model, _, _), _ in pieces]), embed, project
+
     @classmethod
     def from_descriptor(cls, doc: dict, tol: Tolerance) -> "DirectSum":
         parts = doc.get("parts")
@@ -557,38 +519,6 @@ class DirectSum(AlgebraHandle):
 
     def to_descriptor(self) -> dict:
         return {"kind": self.kind, "parts": [p.to_descriptor() for p in self.parts]}
-
-
-class Peirce2Algebra(AlgebraHandle):
-    """Peirce-2 space of a tripotent e in an ambient model, with product
-    {x,e,y} and involution {e,x,e}, carried by the isometric embedding
-    ``embed`` (columns spanning the range of P2(e)).
-
-    Built by jbstar.peirce.peirce2_algebra; its centre is the generic one.
-    """
-
-    kind = "peirce2"
-
-    def __init__(self, ambient: AlgebraHandle, e: np.ndarray, embed: np.ndarray):
-        tag = hashlib.sha1(np.ascontiguousarray(e).tobytes()).hexdigest()[:12]
-        self.ambient = ambient
-        self.e = e
-        self.embed = embed
-        self._up, self._down = embed.T, embed.conj()  # x @ _up embeds, y @ _down projects
-        unit = e @ self._down
-        super().__init__(embed.shape[1], ambient.tol, f"peirce2[{ambient.id};{tag}]", unit)
-
-    def _prod(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.ambient._triple(x @ self._up, self.e, y @ self._up) @ self._down
-
-    def _inv(self, x: np.ndarray) -> np.ndarray:
-        return self.ambient._triple(self.e, x @ self._up, self.e) @ self._down
-
-    def _norm(self, x: np.ndarray):
-        return self.ambient._norm(x @ self._up)
-
-    def to_descriptor(self) -> dict:
-        raise ValueError(f"algebra kind {self.kind!r} has no descriptor form")
 
 
 # -- builders: the model constructors under their public names ---------------

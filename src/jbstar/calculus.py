@@ -17,15 +17,15 @@ idempotents: on M_n one n x n ``eigh`` of the matrix a (``eig`` for a
 unitary), each eigenvector u giving the projection u u^H; on a spin factor
 the closed form a_0 -/+ s with idempotents (1 -/+ w / s) / 2, where
 a = a_0 1 + w and w o w = s^2 1; on a direct sum each summand's own pieces.
-Only Peirce-2 algebras take the generic Krylov compression, in which
-Arnoldi from the unit on x -> a o x spans C(1, a) and a small dense
-eigensolver diagonalises the compression of L_a to that span.
-``_abelian_decomposition`` then orders the pieces the same way for every
-model.  Well-separated weight-1 pieces, as the closed forms give for
-distinct eigenvalues, skip the merge; otherwise ``_merge_pieces`` drops
-rounding-level pieces and merges clustered nodes (across summands too).
-The tests keep the Krylov route, called on M_n, spin factors and sums, as
-the oracle of the closed forms.
+A Peirce-2 algebra is one of these models.  ``_abelian_decomposition``
+then orders the pieces the same way for every model.  Well-separated
+weight-1 pieces, as the closed forms give for distinct eigenvalues, skip
+the merge; otherwise ``_merge_pieces`` merges clustered nodes (across
+summands too), and drops the rounding-level pieces of a weighted route.
+The tests keep such a route, the generic Krylov compression (Arnoldi from
+the unit on x -> a o x spans C(1, a), and a small dense eigensolver
+diagonalises the compression of L_a to that span), as the oracle of the
+closed forms.
 """
 
 from __future__ import annotations
@@ -143,9 +143,9 @@ def _operator_commutes(A: AlgebraHandle, x: np.ndarray, y: np.ndarray) -> Residu
 def center_basis(A: AlgebraHandle) -> list[Element]:
     """Orthonormal self-adjoint basis of the centre, the normalized unit first.
 
-    Closed form on the concrete models: C 1 for matrix algebras and spin
-    factors, the span of the summand centres for direct sums.  Peirce-2
-    algebras use the generic joint-commutator kernel.
+    Closed form on every model, Peirce-2 algebras included: C 1 for
+    matrix algebras and spin factors, the span of the summand centres for
+    direct sums.
     """
     return [Element(A.id, z) for z in A._center_rows]
 
@@ -185,8 +185,8 @@ def _abelian_decomposition(
     The model's ``_eigenpieces`` of x / max(||x||, 1) gives nodes with
     weighted raw idempotents: one n x n eigensolve on M_n, a closed form on
     spin factors, the summands' pieces side by side on a direct sum, and
-    the Krylov compression of L_x to C(1, x) on a Peirce-2 algebra.  When
-    every weight is 1 (the closed forms) and no two nodes lie within the
+    the weighted pieces of the test oracles' Krylov route.  When every
+    weight is 1 (the closed forms) and no two nodes lie within the
     cluster gap cluster_eps (1 + max |node|) of each other, in the complex
     distance, every piece is its own cluster: the pieces are only ordered,
     and ``_merge_pieces`` would return them unchanged.  Otherwise it merges
@@ -235,7 +235,7 @@ def jordan_spectrum(A: AlgebraHandle, a: Element) -> list[float]:
 def spectral_decomposition(A: AlgebraHandle, a: Element) -> SpectralDecomposition:
     """Eigenvalues and idempotents of a self-adjoint element: one n x n
     eigensolve on M_n, a closed form on spin factors, blockwise on direct
-    sums, and a Krylov compression onto C(1, a) on Peirce-2 algebras."""
+    sums."""
     return _decompose(A, _owned(A, a))
 
 

@@ -60,7 +60,7 @@ _SUITES = [
     ("unitary-piecewise", "Jordan products of operator-commuting unitary pairs stay unitary"),
     ("circle-inequality", "n||u-1|| <= (pi/2)||u^n-1|| on sampled unitaries"),
     ("peirce", "Peirce projection partition/idempotency/orthogonality invariants"),
-    ("kaup", "ambient triple product vs the Peirce-2 algebra triple product"),
+    ("kaup", "ambient triple product vs the triple product of the concrete Peirce-2 model"),
     ("preserver", "piecewise homomorphism and generator properties of a supplied map"),
     ("factor-dichotomy", "Phi = theta vs Phi = theta(u^{-1}) classification"),
     ("structure-recovery", "Peirce-2 structure recovery for an OC-additive quadratic map"),

@@ -3,21 +3,27 @@
 A tripotent e splits the space into the eigenspaces of L(e,e) at 1, 1/2, 0.
 The three Peirce projections are polynomials in L(e,e), which is formed,
 with the Q(e)^2 that checks P2, from the model's whole multiplication and
-U-operator matrices (closed forms on M_n and direct sums); the Peirce-2 range
-carries its own JB*-algebra structure with product {a,e,b} and involution
-{e,a,e}, which this module materializes as a derived AlgebraHandle.  The
-identities of the projections are measured in the Frobenius norm, an upper
-bound of the operator 2-norm, so a system's residual bounds the largest
-2-norm defect from above.
+U-operator matrices (closed forms on M_n and direct sums).  The identities
+of the projections are measured in the Frobenius norm, an upper bound of
+the operator 2-norm, so a system's residual bounds the largest 2-norm
+defect from above.
+
+The Peirce-2 range carries its own JB*-algebra structure, with product
+{a,e,b} and involution {e,a,e}.  The ambient model's ``_peirce2`` hook
+gives it as a concrete model: M_r on M_n, M_1 or the spin factor itself on
+a spin factor, the sum of the summands' models on a direct sum.  The hook
+also gives the embedding and its inverse, and this module checks, on fixed
+samples, that the embedding is a Jordan *-isomorphism onto range(P2).
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import AlgebraHandle, Element, Peirce2Algebra, _owned, _random
+from .algebras import AlgebraHandle, Element, _owned, _random
 from .calculus import _axiom_defects, _decompose
 from .errors import NotTripotent, VerificationFailed
 from .reports import CheckReport, ResidualCheck, WorstResidual, chunk_sizes, worst_over_trials
@@ -119,10 +125,13 @@ def _peirce_projections(A: AlgebraHandle, x: np.ndarray):
 def peirce2_algebra(A: AlgebraHandle, e: Element) -> AlgebraHandle:
     """JB*-algebra on the range of P2(e) with unit e.
 
-    The carrier basis is the eigenvectors of the hermitian P2 whose
-    eigenvalues clear abs_eps * max(||P2||, 1) in modulus; the norm is
-    inherited from the ambient algebra.  Jordan-identity and JB*-axiom
-    residuals are spot-checked on random samples of the derived algebra.
+    The carrier is the concrete model of the ambient's ``_peirce2`` hook,
+    carrying ``ambient``, ``e``, ``embed`` and ``project``.  P2 must be
+    hermitian in the coordinates, and its trace the model's dimension; the
+    inverse map must invert the embedding and give P2 after it; on fixed
+    samples, the embedding must carry the product and the involution to
+    {a,e,b} and {e,a,e}, and the model must pass Jordan-identity and
+    JB*-axiom spot checks.
     """
     return _peirce2_algebra(A, _owned(A, e))
 
@@ -133,36 +142,48 @@ def _peirce2_algebra(A: AlgebraHandle, x: np.ndarray) -> AlgebraHandle:
 
 def _peirce2_of(A: AlgebraHandle, x: np.ndarray, p2: np.ndarray) -> AlgebraHandle:
     """peirce2_algebra of the tripotent x from its verified projection P2."""
-    # eigh reads one triangle only, so P2 must be hermitian in the coordinates
     defect = np.linalg.norm(p2 - p2.conj().T)
     if defect > 1e-7:
         raise VerificationFailed(f"Peirce-2 projection is not hermitian (defect {defect:.3e})")
-    w, v = np.linalg.eigh(p2)
-    keep = np.abs(w) > A.tol.abs_eps * max(np.max(np.abs(w)), 1.0)
-    if not keep.any():
+    dim = round(np.trace(p2).real)
+    if dim == 0:
         raise NotTripotent("Peirce-2 range of the zero tripotent is trivial")
-    embed = v[:, keep]
-    sub = Peirce2Algebra(A, x, embed)
+    sub, embed, project = A._peirce2(x)
+    if sub.dim != dim:
+        raise VerificationFailed(f"Peirce-2 model of dimension {sub.dim}, but P2 has trace {dim}")
+    # the model is fresh: tag it as this Peirce-2 algebra
+    tag = hashlib.sha1(np.ascontiguousarray(x).tobytes()).hexdigest()[:12]
+    sub.id = f"peirce2[{A.id};{tag}]"
+    sub._unit = Element(sub.id, sub.unit.coords)
+    sub.ambient, sub.e, sub.embed, sub.project = A, x, embed, project
     rng = np.random.default_rng(20_624)
     a, b = np.stack([[_random(sub, rng) for _ in range(2)] for _ in range(6)], axis=1)
     jid, axiom, na, nb = _axiom_defects(sub, a, b)
     if np.any((jid > 1e-7 * (1.0 + na) * (1.0 + nb) ** 3) | (axiom > 1e-6 * (1.0 + na**3))):
         raise VerificationFailed("derived Peirce-2 algebra failed its axiom spot checks")
+    ea, eb = a @ embed.T, b @ embed.T
+    hom = A._norm(sub._prod(a, b) @ embed.T - A._triple(ea, x, eb))
+    star = A._norm(sub._inv(a) @ embed.T - A._triple(x, ea, x))
+    # project inverts embed, and embed project = P2 (so P2 embed = embed)
+    inverse = max(np.linalg.norm(project @ embed - np.eye(dim)), np.linalg.norm(embed @ project - p2))
+    if np.any(np.maximum(hom, star) > 1e-7 * (1.0 + na) * (1.0 + nb)) or inverse > 1e-7:
+        raise VerificationFailed("Peirce-2 model is not a Jordan *-isomorphism onto range(P2)")
     return sub
 
 
-def peirce2_embed(sub: Peirce2Algebra, x: Element) -> Element:
+def peirce2_embed(sub: AlgebraHandle, x: Element) -> Element:
     """Ambient element corresponding to a Peirce-2 coordinate vector."""
-    if not isinstance(sub, Peirce2Algebra):
+    if sub.ambient is None:
         raise ValueError("not a Peirce-2 algebra handle")
     return Element(sub.ambient.id, sub.embed @ _owned(sub, x))
 
 
-def peirce2_project(sub: Peirce2Algebra, y: Element) -> Element:
-    """Peirce-2 coordinates of an ambient element (orthogonal projection)."""
-    if not isinstance(sub, Peirce2Algebra):
+def peirce2_project(sub: AlgebraHandle, y: Element) -> Element:
+    """Peirce-2 coordinates of the Peirce-2 part of an ambient element: the
+    handle's inverse map, which vanishes on the other Peirce spaces."""
+    if sub.ambient is None:
         raise ValueError("not a Peirce-2 algebra handle")
-    return Element(sub.id, sub.embed.conj().T @ _owned(sub.ambient, y))
+    return Element(sub.id, sub.project @ _owned(sub.ambient, y))
 
 
 def sample_tripotent(A: AlgebraHandle, rng: np.random.Generator) -> Element:
@@ -196,8 +217,9 @@ def kaup_identity_check(A: AlgebraHandle, e: Element, trials: int, seed: int) ->
     """Ambient triple product vs the Peirce-2 algebra's own triple product.
 
     Both sides are evaluated through independent code paths: the ambient
-    handle's triple, and the derived algebra's product/involution fed into
-    the same triple formula.
+    handle's triple, and the concrete Peirce-2 model's product and
+    involution (M_r, spin or a sum) fed into the triple formula, on
+    coordinates mapped by the handle's inverse map and embedded back.
     """
     x = _owned(A, e)
     p2 = _peirce_projections(A, x)[0]
@@ -206,7 +228,7 @@ def kaup_identity_check(A: AlgebraHandle, e: Element, trials: int, seed: int) ->
     worst = WorstResidual(1e-7)
     for size in chunk_sizes(trials):
         ys = np.stack([[p2 @ _random(A, rng) for _ in range(3)] for _ in range(size)], axis=1)
-        inner = sub._triple(*(ys @ sub._down))  # as peirce2_project
+        inner = sub._triple(*(ys @ sub.project.T))  # as peirce2_project
         scale = np.prod(1.0 + A._norm(ys), axis=0)
-        worst.add(A._norm(A._triple(*ys) - inner @ sub._up) / scale)
+        worst.add(A._norm(A._triple(*ys) - inner @ sub.embed.T) / scale)
     return worst.report(f"kaup-identity[{A.id}]", threshold=worst.tol)

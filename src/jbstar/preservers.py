@@ -440,7 +440,7 @@ def recover_structure(
     if not trip:
         raise HypothesisFailed(f"Phi(1) is not a tripotent (residual {trip.residual:.3e})")
     sub = _peirce2_algebra(tgt, w)
-    project, embed = sub.embed.conj().T, sub.embed  # as peirce2_project and peirce2_embed
+    project, embed = sub.project, sub.embed  # as peirce2_project and peirce2_embed
     rng = np.random.default_rng(seed + 2)
     hom = 0.0
     for _ in range(trials):
@@ -689,7 +689,7 @@ def check_i_unit_image(m: MapUnderTest, trials: int = 20, seed: int = 0) -> Chec
         raise HypothesisFailed("Phi(1) is not a tripotent")
     sub = _peirce2_algebra(tgt, w)
     x = f(1j * src.unit.coords)
-    z = sub.embed.conj().T @ (0.5 * (w - 1j * x))  # as peirce2_project
+    z = sub.project @ (0.5 * (w - 1j * x))  # as peirce2_project
     r_proj = sub._norm(sub._prod(z, z) - z)
     r_sa = sub._norm(sub._inv(z) - z)
     recon = 1j * (2.0 * (sub.embed @ z) - w)

@@ -7,13 +7,25 @@ through a model's own operations: ``is_spin_summand``, a sampled type test
 that shares nothing with its type data, and
 ``peirce_identity_residual_2norm``, which measures the package's Peirce
 matrices in the operator 2-norm instead of the Frobenius norm.
+
+``GenericModel`` holds the generic forms of the model hooks: the
+multiplication matrix from basis products, the Krylov spectral route, the
+centre as a joint commutator kernel, and the rank from one fixed-seed draw.
+Called unbound on a concrete model they are the oracles of its closed
+forms; ``Peirce2Algebra``, the Peirce-2 algebra of a tripotent built from
+the ambient triple product on an eigenbasis of P2, runs on them alone and
+is the oracle of the concrete Peirce-2 models.
 """
+
+import hashlib
+from functools import cached_property
 
 import numpy as np
 
-from jbstar.algebras import AlgebraHandle, _random, selfadjoint_basis
+from jbstar import calculus
+from jbstar.algebras import AlgebraHandle, _normal_eig, _random, selfadjoint_basis
 from jbstar.kernel import operator_norm
-from jbstar.peirce import _lqe
+from jbstar.peirce import _lqe, _peirce_projections
 
 # Pauli matrices for the 2x2 embedding of small spin factors
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -276,3 +288,109 @@ def is_spin_summand(A: AlgebraHandle, samples: int = 10, seed: int = 7) -> bool:
         if np.linalg.norm(P @ c - sq) > 1e-8 * (1.0 + np.linalg.norm(sq)):
             return False
     return True
+
+
+class GenericModel(AlgebraHandle):
+    """The generic model hooks, which hold for any model (see the module
+    docstring); a subclass supplies ``_prod``, ``_inv`` and ``_norm``."""
+
+    def _mult_matrix(self, x):
+        """Matrix of y -> x o y in the algebra basis (basis products as columns)."""
+        return self._prod(x, np.eye(self.dim, dtype=complex)).T
+
+    def _eigenpieces(self, xn, real_nodes):
+        """Eigenvalues of L_xn on C(1, xn), for xn self-adjoint (real nodes)
+        or unitary (nodes on the circle), of norm at most about 1, as
+        (nodes, weights, raw) with idempotents ``weights[j] * raw[j]``; each
+        idempotent is weighed by its squared coordinate norm.
+
+        Arnoldi from the normalised unit, on y -> xn o y with classical
+        Gram-Schmidt run twice, spans C(1, xn); it stops when the new
+        direction falls to rounding level (64 eps dim).  Both kinds of element
+        act normally on C(1, xn), so the compression H of L_xn to that span
+        goes to ``_normal_eig``, and an eigenvector v yields the idempotent
+        <v, 1> v: weight <v, 1>, raw row v.
+        """
+        d = self.dim
+        norm1 = np.linalg.norm(self.unit.coords)
+        Q = np.empty((d, d), dtype=complex)  # orthonormal rows
+        XQ = np.empty((d, d), dtype=complex)  # xn o q for every row q of Q
+        Q[0] = self.unit.coords / norm1
+        stop = 64.0 * np.finfo(float).eps * d
+        for k in range(1, d + 1):
+            XQ[k - 1] = self._prod(xn, Q[k - 1])
+            if k == d:
+                break
+            Qk = Q[:k]
+            w = XQ[k - 1] - Qk.T @ (Qk.conj() @ XQ[k - 1])
+            w -= Qk.T @ (Qk.conj() @ w)
+            beta = np.linalg.norm(w)
+            if beta <= stop:
+                break
+            Q[k] = w / beta
+        Q, XQ = Q[:k], XQ[:k]
+        nodes, V = _normal_eig(Q.conj() @ XQ.T, real_nodes)
+        # <v, 1>, as 1 = norm1 q_0 and q_0 is row 0 of Q
+        return nodes, norm1 * V[0].conj(), V.T @ Q
+
+    @cached_property
+    def rank(self):
+        """Number of distinct eigenvalues of a generic self-adjoint element,
+        from one draw of a private fixed-seed generator."""
+        x = _random(self, np.random.default_rng(0), "self_adjoint")
+        return int(calculus._decompose(self, x).values.size)
+
+    def _center(self):
+        """Centre as the joint kernel of z -> [M_z, M_{e_k}] over the basis;
+        the kernel vectors are split into self-adjoint parts."""
+        d = self.dim
+        eye = np.eye(d, dtype=complex)
+        mults = [self._mult_matrix(eye[j]) for j in range(d)]
+        gram = np.zeros((d, d), dtype=complex)
+        for k in range(d):
+            mk = mults[k]
+            cols = np.stack([(mj @ mk - mk @ mj).ravel() for mj in mults], axis=1)
+            gram += cols.conj().T @ cols
+        vals, vecs = np.linalg.eigh(gram)
+        thr = max(vals[-1], 1.0) * 1e-12
+        halves = []
+        for j in range(d):
+            if vals[j] <= thr:
+                z, zs = vecs[:, j], self._inv(vecs[:, j])
+                halves += [0.5 * (z + zs), -0.5j * (z - zs)]
+        return self._central_basis(halves)
+
+
+class Peirce2Algebra(GenericModel):
+    """Peirce-2 space of a tripotent e in an ambient model, with product
+    {x,e,y} and involution {e,x,e}, carried by the isometric embedding
+    ``embed`` (columns spanning the range of P2(e)); ``project`` is its
+    adjoint, the orthogonal projection onto that range."""
+
+    kind = "peirce2"
+
+    def __init__(self, ambient, e, embed):
+        tag = hashlib.sha1(np.ascontiguousarray(e).tobytes()).hexdigest()[:12]
+        self.ambient, self.e, self.embed, self.project = ambient, e, embed, embed.conj().T
+        self._up, self._down = embed.T, embed.conj()  # x @ _up embeds, y @ _down projects
+        super().__init__(embed.shape[1], ambient.tol, f"oracle-peirce2[{ambient.id};{tag}]", e @ self._down)
+
+    def _prod(self, x, y):
+        return self.ambient._triple(x @ self._up, self.e, y @ self._up) @ self._down
+
+    def _inv(self, x):
+        return self.ambient._triple(self.e, x @ self._up, self.e) @ self._down
+
+    def _norm(self, x):
+        return self.ambient._norm(x @ self._up)
+
+    def to_descriptor(self):
+        raise ValueError(f"algebra kind {self.kind!r} has no descriptor form")
+
+
+def peirce2_oracle(A, x):
+    """Peirce2Algebra of the tripotent with coordinates x: the carrier basis
+    is the eigenvectors of the hermitian P2 whose eigenvalues clear
+    abs_eps * max(||P2||, 1) in modulus."""
+    w, v = np.linalg.eigh(_peirce_projections(A, x)[0])
+    return Peirce2Algebra(A, x, v[:, np.abs(w) > A.tol.abs_eps * max(np.max(np.abs(w)), 1.0)])

@@ -276,8 +276,8 @@ def _projector(vectors):
 
 @pytest.mark.parametrize("A", CENTRE_MODELS, ids=lambda A: A.id)
 def test_closed_form_centre_matches_kernel_oracle(A):
-    # the base-class route: joint kernel of z -> [M_z, M_{e_k}] over the basis
-    oracle = AlgebraHandle._center(A)
+    # the generic route: joint kernel of z -> [M_z, M_{e_k}] over the basis
+    oracle = oracles.GenericModel._center(A)
     got = [z.coords for z in center_basis(A)]
     assert len(got) == len(oracle) == len(A.summands)
     assert operator_norm(_projector(got) - _projector(oracle)) <= 1e-12
@@ -287,12 +287,14 @@ def test_concrete_centres_skip_the_kernel_route(monkeypatch):
     def refuse(A):
         raise AssertionError(f"generic centre computed for {A.id}")
 
-    monkeypatch.setattr(AlgebraHandle, "_center", refuse)
-    for A in CENTRE_MODELS:
+    monkeypatch.setattr(oracles.GenericModel, "_center", refuse)
+    sub = peirce2_algebra(H3, H3.element(np.diag([1.0, 1.0, 0.0]).ravel()))
+    for A in [*CENTRE_MODELS, sub, peirce2_algebra(H2, H2.unit)]:
         center_basis(A)
         A._center()  # the closed form itself, whether or not the handle cached it
+    # the oracle Peirce-2 algebra is the one model left on the generic route
     with pytest.raises(AssertionError):
-        center_basis(peirce2_algebra(H2, H2.unit))
+        center_basis(oracles.peirce2_oracle(H2, H2.unit.coords))
 
 
 def test_centre_is_computed_once_per_handle(monkeypatch):

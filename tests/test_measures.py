@@ -71,7 +71,7 @@ TYPE_CASES = {
     "P2[M3+spin3]": lambda: _peirce2(H3S3),
     "P2[M4,rank-3]": lambda: _peirce2(build_hermitian_matrix_algebra(4), [1, 1, 1, 0]),
 }
-FLAGGED = {"M2", "spin3", "spin4", "M3+spin3", "P2[M3,rank-2]", "P2[spin6]"}
+FLAGGED = {"M2", "spin3", "spin4", "M3+spin3", "P2[M3,rank-2]", "P2[spin6]", "P2[C+spin3]", "P2[M3+spin3]"}
 
 
 @pytest.mark.parametrize("case", list(TYPE_CASES))
@@ -95,7 +95,8 @@ def test_type_data_does_not_sample(monkeypatch):
         (build_direct_sum([M(3)]), [], PreconditionFailed),
         (build_direct_sum([build_spin_factor(4)]), [0], NotAFactor),
     ]
-    sub = _peirce2(M(3), [1, 1, 0])
+    cases.append((_peirce2(M(3), [1, 1, 0]), [0], NotAFactor))  # M_2
+    cases.append((_peirce2(build_direct_sum([M(3), build_spin_factor(3)])), [1], NotAFactor))
     other = M(4)
     theta = MapUnderTest(other, other, lambda a: a)  # refused right after the type test
 
@@ -108,8 +109,15 @@ def test_type_data_does_not_sample(monkeypatch):
         assert spin_summands(A) == [A.summands[i][0].id for i in flagged]
         with pytest.raises(raised):
             classify_factor_dichotomy(MapUnderTest(A, A, lambda a: a), theta, trials=5, seed=0)
-    with pytest.raises(AssertionError, match="type data sampled"):
-        spin_summands(sub)  # a Peirce-2 algebra computes its rank
+
+
+def test_type_i2_summands_of_a_peirce2_algebra_are_seen():
+    # the Peirce-2 algebra of the unit of M3 + spin(3) is M3 + spin(3) again,
+    # and its spin summand keeps the theorem-grade desk check from running
+    sub = _peirce2(H3S3)
+    assert spin_summands(sub) == [sub.summands[1][0].id] == [S3.id]
+    with pytest.raises(TypeI2Present):
+        verify_linearity_theorem(sub, lambda a: a.coords.real, trials=5, seed=0)
 
 
 def test_canonical_projections_are_projections_and_span():

@@ -82,3 +82,12 @@ def test_every_parameter_is_read():
             }
             unread += [f"{path.name}: {fn.name}({p})" for p in params if p not in read]
     assert not unread, f"parameters never read: {unread}"
+
+
+def test_every_model_has_its_closed_forms():
+    # the generic forms of these hooks live in the test oracles only
+    from jbstar.algebras import _MODELS, AlgebraHandle
+
+    hooks = ("_peirce2", "_eigenpieces", "_center", "rank")
+    assert not [f"{cls.__name__}.{h}" for cls in _MODELS.values() for h in hooks if h not in vars(cls)]
+    assert not [h for h in (*hooks[1:], "_mult_matrix") if hasattr(AlgebraHandle, h)]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from jbstar.algebras import (
-    Peirce2Algebra,
     build_direct_sum,
     build_hermitian_matrix_algebra,
     build_spin_factor,
@@ -166,7 +165,7 @@ def _non_normal_tripotent(A, rng):
     """A tripotent with [M_e, M_{e*}] != 0: u E_11 on each M_n summand (u a
     random unitary), (e_1 + i e_2)/2 on each spin summand, and E_12 of the
     corner on the Peirce-2 algebra of diag(1, 1, 0, 0) in M_4."""
-    if isinstance(A, Peirce2Algebra):
+    if A.ambient is not None:
         return peirce2_project(A, A.ambient.element(np.outer(np.eye(4)[0], np.eye(4)[1]).ravel()))
     parts = []
     for p, _ in A.summands:
@@ -344,7 +343,9 @@ HERMITIAN_MODELS.append(LQE_MODELS[-1])  # Peirce-2 algebra of diag(1, 1, 0, 0) 
 
 @pytest.mark.parametrize("A", HERMITIAN_MODELS, ids=lambda A: A.id)
 def test_p2_is_hermitian_in_the_coordinates(A):
-    # the Peirce-2 carrier basis comes from eigh(P2), which reads one triangle
+    # P2 is the orthogonal projection onto the range of the embedding; the
+    # embedding is isometric in the coordinates on M_n summands, not on a
+    # minimal tripotent of a spin factor (|e|^2 = 1/2)
     tripotents = [random_element(A, 24, flavor) for flavor in ("projection", "unitary")]
     tripotents += _split_tripotents(A, 25, count=2)
     for e in tripotents:
@@ -352,7 +353,9 @@ def test_p2_is_hermitian_in_the_coordinates(A):
         assert np.linalg.norm(p2 - p2.conj().T) <= 1e-13
         sub = peirce2_algebra(A, e)
         assert sub.dim == round(np.trace(p2).real)
-        assert np.linalg.norm(sub.embed @ sub.embed.conj().T - p2) <= 1e-12
+        assert np.linalg.norm(sub.embed @ np.linalg.pinv(sub.embed) - p2) <= 1e-12
+        if all(p.kind == "hermitian_matrix" for p, _ in A.summands):
+            assert np.linalg.norm(sub.embed @ sub.embed.conj().T - p2) <= 1e-12
 
 
 def test_non_hermitian_p2_fails_the_peirce2_check():
@@ -364,6 +367,22 @@ def test_non_hermitian_p2_fails_the_peirce2_check():
     with pytest.raises(VerificationFailed, match="hermitian"):
         _peirce2_of(A, x, p2 + defect)
     assert _peirce2_of(A, x, p2 + 1e-3 * defect).dim == peirce2_algebra(A, A.element(x)).dim
+
+
+@pytest.mark.parametrize("A", [H3, build_spin_factor(4), build_direct_sum([H2, S3])], ids=lambda A: A.id)
+def test_a_broken_peirce2_hook_fails_the_isomorphism_check(A, monkeypatch):
+    # an embedding off by a phase keeps range(P2) but not the product, and
+    # a model of the wrong size cannot match the trace of P2
+    e = random_element(A, 26, "unitary")
+    model, embed, project = A._peirce2(e.coords)
+    hooks = [
+        (lambda x: (model, 1j * embed, -1j * project), "isomorphism"),
+        (lambda x: (build_hermitian_matrix_algebra(1), embed[:, :1], project[:1]), "trace"),
+    ]
+    for hook, match in hooks:
+        monkeypatch.setattr(A, "_peirce2", hook)
+        with pytest.raises(VerificationFailed, match=match):
+            peirce2_algebra(A, e)
 
 
 def test_zero_tripotent_keeps_the_threshold_1e7(monkeypatch):

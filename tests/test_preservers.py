@@ -353,6 +353,19 @@ def test_recover_structure_isomorphism():
     assert rec.details["isometry_residual"] <= 1e-9
 
 
+def test_recover_structure_projects_through_the_inverse_map():
+    # lambda -> lambda e for a minimal projection e of spin(4): the Peirce-2
+    # algebra of e is M_1, embedded by lambda -> lambda e, not isometric in
+    # the coordinates (|e|^2 = 1/2), so its adjoint would halve every value
+    M1, S4 = build_hermitian_matrix_algebra(1), build_spin_factor(4)
+    e = 0.5 * (S4.unit.coords + 1j * np.eye(4)[1])
+    m = MapUnderTest(M1, S4, lambda a: S4.element(a.coords[0] * e), label="minimal-line")
+    rec = recover_structure(m, trials=40, seed=31)
+    assert rec.peirce2.dim == 1
+    assert rec.hom_residual <= 1e-12
+    assert rec.details["isometry_residual"] <= 1e-12
+
+
 def test_recover_structure_central_symmetry_flip():
     def flip(a):
         c = a.coords.copy()

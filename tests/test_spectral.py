@@ -9,9 +9,10 @@ for exponentials) on that representation; a Hypothesis property runs the
 same comparison over random spectra on every closed form.  On M_n the
 decomposition comes from one n x n eigensolve of the matrix
 (``HermitianMatrixAlgebra._eigenpieces``), on spin factors from the closed
-form x_0 -/+ s, and on direct sums from the summands' pieces.  The generic
-Krylov route, ``AlgebraHandle._eigenpieces``, serves only Peirce-2
-algebras; it is called unbound here as the oracle of the closed forms.
+form x_0 -/+ s, and on direct sums from the summands' pieces; Peirce-2
+algebras are models of these kinds.  The generic Krylov route,
+``oracles.GenericModel._eigenpieces``, is called unbound here as the oracle
+of the closed forms.
 """
 
 import numpy as np
@@ -22,7 +23,6 @@ from hypothesis import strategies as st
 
 from jbstar import calculus, unitary
 from jbstar.algebras import (
-    AlgebraHandle,
     algebra_from_descriptor,
     build_direct_sum,
     build_hermitian_matrix_algebra,
@@ -234,7 +234,7 @@ def test_spectral_decomposition_matches_eigvalsh_property(A, seed, width, gap):
 
 def _use_krylov(monkeypatch, A):
     """Make A decompose through the generic Krylov route."""
-    monkeypatch.setattr(A, "_eigenpieces", lambda xn, real: AlgebraHandle._eigenpieces(A, xn, real))
+    monkeypatch.setattr(A, "_eigenpieces", lambda xn, real: oracles.GenericModel._eigenpieces(A, xn, real))
 
 
 def _spectrum(n, rng, kind):
@@ -422,15 +422,17 @@ def test_matrix_spectra_skip_the_krylov_route(monkeypatch):
     H3 = build_hermitian_matrix_algebra(3)
     M2M3 = build_direct_sum([build_hermitian_matrix_algebra(2), H3])
     nested = build_direct_sum([M2M3, build_direct_sum([build_spin_factor(4), build_hermitian_matrix_algebra(1)])])
-    sub = peirce2_algebra(H3, H3.element(np.diag([1.0, 1.0, 0.0]).ravel()))
-    h_sub = random_element(sub, 3, "self_adjoint")
+    e = H3.element(np.diag([1.0, 1.0, 0.0]).ravel())
+    oracle = oracles.peirce2_oracle(H3, e.coords)
+    h_oracle = random_element(oracle, 3, "self_adjoint")
 
     def refuse(A, xn, real_nodes):
         raise AssertionError(f"Krylov route taken for {A.id}")
 
-    monkeypatch.setattr(AlgebraHandle, "_eigenpieces", refuse)
+    monkeypatch.setattr(oracles.GenericModel, "_eigenpieces", refuse)
     closed = [build_hermitian_matrix_algebra(n) for n in (1, 3, 12)]
     closed += [build_spin_factor(3), S12, H3S3, M2M3, nested]
+    closed += [peirce2_algebra(H3, e), peirce2_algebra(H3S3, H3S3.unit)]
     for i, A in enumerate(closed):
         h = random_element(A, i, "self_adjoint")
         spectral_decomposition(A, h)
@@ -438,9 +440,9 @@ def test_matrix_spectra_skip_the_krylov_route(monkeypatch):
         random_element(A, i, "projection")
         for seed in (0, 11):  # the spectral and the unitary branch
             sample_tripotent(A, np.random.default_rng(seed))
-    # the Peirce-2 algebra is the one model left on the generic route
+    # the oracle Peirce-2 algebra is the one model left on the generic route
     with pytest.raises(AssertionError, match="Krylov route"):
-        spectral_decomposition(sub, h_sub)
+        spectral_decomposition(oracle, h_oracle)
 
 
 @pytest.mark.parametrize(
@@ -451,8 +453,8 @@ def test_matrix_spectra_skip_the_krylov_route(monkeypatch):
     ids=lambda A: A.id,
 )
 def test_closed_form_rank_matches_the_generic_route(A):
-    # the generic default, called unbound: distinct eigenvalues of one draw
-    assert A.rank == AlgebraHandle.rank.func(A)
+    # the generic oracle, called unbound: distinct eigenvalues of one draw
+    assert A.rank == oracles.GenericModel.rank.func(A)
 
 
 def _with_singular_values(A, rng, sv):
@@ -576,13 +578,14 @@ def test_merge_runs_only_for_clustered_or_weighted_pieces(monkeypatch):
     M4 = build_hermitian_matrix_algebra(4)
     repeated = _in_frame(M4, rng, np.array([-1.5, 0.25, 0.25, 2.0]), False)
     H3 = build_hermitian_matrix_algebra(3)
-    sub = peirce2_algebra(H3, H3.element(np.diag([1.0, 1.0, 0.0]).ravel()))
+    e = H3.element(np.diag([1.0, 1.0, 0.0]).ravel())
+    oracle, sub = oracles.peirce2_oracle(H3, e.coords), peirce2_algebra(H3, e)
     assert _merges(monkeypatch, M10, _clustered(M10, rng, 1e-8).coords, True)  # a pair within the gap
     assert _merges(monkeypatch, M4, repeated, True)
     assert _merges(monkeypatch, M4, calculus._exp_i(M4, repeated, 1.0), False)
     assert _merges(monkeypatch, H3S3, H3S3.unit.coords, True)  # equal nodes across summands
-    assert _merges(monkeypatch, sub, random_element(sub, 3, "self_adjoint").coords, True)  # Krylov weights
-    for A in [M4, M10, S3, S12, H3S3, M3S5, NESTED]:
+    assert _merges(monkeypatch, oracle, random_element(oracle, 3, "self_adjoint").coords, True)  # Krylov weights
+    for A in [M4, M10, S3, S12, H3S3, M3S5, NESTED, sub]:
         x = random_element(A, 5, "self_adjoint").coords
         assert not _merges(monkeypatch, A, x, True)
         assert not _merges(monkeypatch, A, calculus._exp_i(A, x, 1.0), False)
