@@ -283,11 +283,10 @@ class HermitianMatrixAlgebra(AlgebraHandle):
 
     def _eigenpieces(self, xn: np.ndarray, real_nodes: bool):
         """One n x n eigensolve of the matrix xn: L_xn acts on C(1, xn) as
-        xn does by matrix products, so an eigenvector u of xn gives weight 1
-        and the raw row vec(u u^H), a rank-one projection."""
+        xn does by matrix products, so an eigenvector u of xn gives the
+        minimal idempotent vec(u u^H), a rank-one projection."""
         nodes, U = _normal_eig(xn.reshape(self._square), real_nodes)
-        raw = (U.T[:, :, None] * U.T.conj()[:, None, :]).reshape(self.n, self.dim)
-        return nodes, np.ones(self.n), raw
+        return nodes, (U.T[:, :, None] * U.T.conj()[:, None, :]).reshape(self.n, self.dim)
 
     def trace(self, x: np.ndarray) -> float:
         return float(np.trace(x.reshape(self.n, self.n)).real)
@@ -375,8 +374,8 @@ class SpinFactor(AlgebraHandle):
     def _eigenpieces(self, xn: np.ndarray, real_nodes: bool):
         """Closed form: xn = x_0 1 + w with w = (0, x_1, ...) has w o w = s^2 1,
         s = sqrt(-sum_{i>=1} x_i^2), so the nodes are x_0 -/+ s with the
-        minimal idempotents (1 -/+ w / s) / 2, weight 1 each; that form
-        subtracts nothing.  s = 0 gives the single node x_0 with idempotent 1;
+        minimal idempotents (1 -/+ w / s) / 2; that form subtracts
+        nothing.  s = 0 gives the single node x_0 with idempotent 1;
         a near-double root is left to the shared cluster merge, which sums
         the pair back to 1."""
         x0, w = complex(xn[0]), xn[1:]
@@ -387,12 +386,12 @@ class SpinFactor(AlgebraHandle):
                 raise NotSelfAdjoint("spin element is not self-adjoint")
             x0, s = x0.real, abs(s)
         if s == 0.0:
-            return np.array([x0]), np.ones(1), self.unit.coords[None]
+            return np.array([x0]), self.unit.coords[None]
         raw = np.empty((2, self.dim), dtype=complex)
         raw[:, 0] = 0.5
         raw[1, 1:] = (0.5 / s) * w
         raw[0, 1:] = -raw[1, 1:]
-        return np.array([x0 - s, x0 + s]), np.ones(2), raw
+        return np.array([x0 - s, x0 + s]), raw
 
     def trace(self, x: np.ndarray) -> float:
         return float(x[0].real)
@@ -416,7 +415,7 @@ class SpinFactor(AlgebraHandle):
         close together keep close roots); the inverse is U_{v*}."""
         if np.vdot(x, x).real < 0.75:
             return HermitianMatrixAlgebra(1, self.tol), x[:, None], 2.0 * x.conj()[None]
-        nodes, _, raw = self._eigenpieces(x, False)
+        nodes, raw = self._eigenpieces(x, False)
         v = (np.sqrt(nodes / nodes[0]) * np.sqrt(nodes[0])) @ raw
         return SpinFactor(self.n, self.tol), self._u_matrix(v), self._u_matrix(self._inv(v))
 
@@ -477,12 +476,12 @@ class DirectSum(AlgebraHandle):
     def _eigenpieces(self, xn: np.ndarray, real_nodes: bool):
         """Each summand's own pieces, raw rows zero-padded; the shared merge
         joins equal nodes across summands."""
-        nodes, weights, raws = zip(*(p._eigenpieces(xn[s], real_nodes) for p, s in self.summands))
+        nodes, raws = zip(*(p._eigenpieces(xn[s], real_nodes) for p, s in self.summands))
         starts = np.cumsum([0] + [r.shape[0] for r in raws])
         raw = np.zeros((starts[-1], self.dim), dtype=complex)
         for r, i, (_, s) in zip(raws, starts, self.summands):
             raw[i : i + r.shape[0], s] = r
-        return np.concatenate(nodes), np.concatenate(weights), raw
+        return np.concatenate(nodes), raw
 
     def trace(self, x: np.ndarray) -> float:
         return sum(p.trace(x[s]) for p, s in self.summands)

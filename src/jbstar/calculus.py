@@ -12,20 +12,19 @@ matrices elsewhere.
 The spectral decomposition of a self-adjoint element or a unitary a lives
 in the associative subalgebra C(1, a) (powers of a single element are
 unambiguous by power associativity), and comes in two layers.  The model's
-``_eigenpieces`` gives the eigenvalues of L_a on C(1, a) with raw
-idempotents: on M_n one n x n ``eigh`` of the matrix a (``eig`` for a
-unitary), each eigenvector u giving the projection u u^H; on a spin factor
-the closed form a_0 -/+ s with idempotents (1 -/+ w / s) / 2, where
-a = a_0 1 + w and w o w = s^2 1; on a direct sum each summand's own pieces.
-A Peirce-2 algebra is one of these models.  ``_abelian_decomposition``
-then orders the pieces the same way for every model.  Well-separated
-weight-1 pieces, as the closed forms give for distinct eigenvalues, skip
-the merge; otherwise ``_merge_pieces`` merges clustered nodes (across
-summands too), and drops the rounding-level pieces of a weighted route.
-The tests keep such a route, the generic Krylov compression (Arnoldi from
-the unit on x -> a o x spans C(1, a), and a small dense eigensolver
-diagonalises the compression of L_a to that span), as the oracle of the
-closed forms.
+``_eigenpieces`` gives the eigenvalues of L_a on C(1, a) with orthogonal
+idempotents that sum to 1: on M_n one n x n ``eigh`` of the matrix a
+(``eig`` for a unitary), each eigenvector u giving the projection u u^H; on
+a spin factor the closed form a_0 -/+ s with idempotents (1 -/+ w / s) / 2,
+where a = a_0 1 + w and w o w = s^2 1; on a direct sum each summand's own
+pieces.  A Peirce-2 algebra is one of these models.
+``_abelian_decomposition`` then orders the pieces the same way for every
+model.  Well-separated pieces, as the closed forms give for distinct
+eigenvalues, skip the merge; otherwise ``_merge_pieces`` merges clustered
+nodes (across summands too).  The tests keep the generic Krylov
+compression (Arnoldi from the unit on x -> a o x spans C(1, a), and a
+small dense eigensolver diagonalises the compression of L_a to that span),
+with its own weighted merge, as the oracle of the closed forms.
 """
 
 from __future__ import annotations
@@ -183,48 +182,37 @@ def _abelian_decomposition(
     unitary (nodes on the circle).
 
     The model's ``_eigenpieces`` of x / max(||x||, 1) gives nodes with
-    weighted raw idempotents: one n x n eigensolve on M_n, a closed form on
-    spin factors, the summands' pieces side by side on a direct sum, and
-    the weighted pieces of the test oracles' Krylov route.  When every
-    weight is 1 (the closed forms) and no two nodes lie within the
-    cluster gap cluster_eps (1 + max |node|) of each other, in the complex
-    distance, every piece is its own cluster: the pieces are only ordered,
-    and ``_merge_pieces`` would return them unchanged.  Otherwise it merges
-    them.  ``norm`` is ||x|| when the caller has it already.
+    orthogonal idempotents that sum to 1, minimal but for the unit of a
+    scalar spin element: one n x n eigensolve on M_n, a closed form on spin
+    factors, the summands' pieces side by side on a direct sum.  When no two
+    nodes lie within the cluster gap cluster_eps (1 + max |node|) of each
+    other, in the complex distance, every piece is its own cluster and the
+    pieces are only ordered; otherwise ``_merge_pieces`` merges them.
+    ``norm`` is ||x|| when the caller has it already.
     """
     scale = max(A._norm(x) if norm is None else norm, 1.0)
-    nodes, weights, raw = A._eigenpieces(x / scale, real_nodes)
+    nodes, raw = A._eigenpieces(x / scale, real_nodes)
     nodes = nodes * scale
-    gap = A.tol.cluster_eps * (1.0 + np.max(np.abs(nodes)))
-    if not (np.all(weights == 1) and np.count_nonzero(np.abs(nodes[:, None] - nodes) <= gap) == nodes.size):
-        nodes, raw = _merge_pieces(A, nodes, weights, raw)
+    near = np.abs(nodes[:, None] - nodes) <= A.tol.cluster_eps * (1.0 + np.max(np.abs(nodes)))
+    if np.count_nonzero(near) > nodes.size:
+        nodes, raw = _merge_pieces(nodes, raw, near)
     order = np.argsort(nodes)
     nodes, idems = nodes[order], raw[order]
     residual = float(A._norm(nodes @ idems - x))
     return nodes, idems, residual
 
 
-def _merge_pieces(A: AlgebraHandle, nodes: np.ndarray, weights: np.ndarray, raw: np.ndarray):
+def _merge_pieces(nodes: np.ndarray, raw: np.ndarray, near: np.ndarray):
     """Clustered (unordered) nodes and their idempotents (rows).
 
-    Nodes of the heavy pieces, those of weight 1 (minimal idempotents of a
-    closed form) or not almost orthogonal to 1, that lie closer than the
-    cluster gap are merged by single linkage; a cluster's node is the
-    mass-weighted mean and its idempotent the sum.  Light pieces are
-    directions outside C(1, x) that rounding let into the Krylov route; they
-    are dropped unless they lie that close to a heavy node, where their
-    vectors mix with its vector.
+    ``near`` marks the pairs of nodes within the cluster gap; its transitive
+    closure links the nodes by single linkage.  A cluster's node is the mean
+    of its nodes and its idempotent the sum of theirs.
     """
-    mass = np.abs(weights) ** 2
-    heavy = np.flatnonzero((weights == 1) | (mass > A.tol.abs_eps * np.linalg.norm(A.unit.coords) ** 2))
-    gap = A.tol.cluster_eps * (1.0 + np.max(np.abs(nodes[heavy])))
-    near = np.abs(nodes[heavy, None] - nodes[None, heavy]) <= gap
-    for _ in range(heavy.size.bit_length() if near.sum() > heavy.size else 0):
-        near = (near.astype(float) @ near) > 0  # transitive closure: single linkage
-    clusters = near[near.argmax(axis=1) == np.arange(heavy.size)]  # rows of first members
-    dist = np.abs(nodes[:, None] - nodes[None, heavy])
-    member = (clusters[:, dist.argmin(axis=1)] & (dist.min(axis=1) <= gap)).astype(float)
-    return (member @ (mass * nodes)) / (member @ mass), member @ (weights[:, None] * raw)
+    for _ in range(nodes.size.bit_length()):
+        near = (near.astype(float) @ near) > 0  # transitive closure
+    member = near[near.argmax(axis=1) == np.arange(nodes.size)].astype(float)  # rows of first members
+    return (member @ nodes) / member.sum(axis=1), member @ raw
 
 
 def jordan_spectrum(A: AlgebraHandle, a: Element) -> list[float]:

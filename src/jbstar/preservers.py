@@ -785,6 +785,8 @@ def _build_map(desc: dict, source: AlgebraHandle, tgt: AlgebraHandle) -> MapUnde
             inverse=_conjugation_eval(source, w, adjoint=True),
         )
     if kind == "composition":
+        if not isinstance(desc["maps"], list) or not desc["maps"]:
+            raise ValueError("composition needs a non-empty list of maps")
         maps = [map_from_descriptor(d, source, tgt) for d in desc["maps"]]
         f = functools.partial(_chain, [mp.eval for mp in reversed(maps)])
         inverse = None
@@ -824,5 +826,7 @@ def _beta_from_descriptor(desc: dict, source: AlgebraHandle, target: AlgebraHand
         return lambda a: target.zero()
     if kind == "scaled_trace":
         scale = float(desc["scale"])
+        if not math.isfinite(scale):
+            raise ValueError(f"scaled_trace scale must be finite, got {desc['scale']!r}")
         return lambda a: Element(target.id, (scale * source.trace(a.coords)) * target.unit.coords)
     raise ValueError(f"unknown beta descriptor kind {kind!r}")

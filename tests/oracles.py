@@ -9,8 +9,9 @@ that shares nothing with its type data, and
 matrices in the operator 2-norm instead of the Frobenius norm.
 
 ``GenericModel`` holds the generic forms of the model hooks: the
-multiplication matrix from basis products, the Krylov spectral route, the
-centre as a joint commutator kernel, and the rank from one fixed-seed draw.
+multiplication matrix from basis products, the Krylov spectral route with
+its weighted merge (``weighted_merge``), the centre as a joint commutator
+kernel, and the rank from one fixed-seed draw.
 Called unbound on a concrete model they are the oracles of its closed
 forms; ``Peirce2Algebra``, the Peirce-2 algebra of a tripotent built from
 the ambient triple product on an eigenbasis of P2, runs on them alone and
@@ -290,6 +291,29 @@ def is_spin_summand(A: AlgebraHandle, samples: int = 10, seed: int = 7) -> bool:
     return True
 
 
+def weighted_merge(A, nodes, weights, raw):
+    """Clustered (unordered) nodes and idempotents of the pieces
+    ``weights[j] * raw[j]``, each weighed by its mass |weights[j]|^2.
+
+    Nodes of the heavy pieces, those of weight 1 or not almost orthogonal
+    to 1 (mass above abs_eps ||1||^2), that lie within the cluster gap
+    cluster_eps (1 + max |heavy node|) are merged by single linkage; a
+    cluster's node is the mass-weighted mean and its idempotent the sum.
+    Light pieces are dropped unless they lie that close to a heavy node,
+    where their vectors mix with its vector.
+    """
+    mass = np.abs(weights) ** 2
+    heavy = np.flatnonzero((weights == 1) | (mass > A.tol.abs_eps * np.linalg.norm(A.unit.coords) ** 2))
+    gap = A.tol.cluster_eps * (1.0 + np.max(np.abs(nodes[heavy])))
+    near = np.abs(nodes[heavy, None] - nodes[None, heavy]) <= gap
+    for _ in range(heavy.size.bit_length()):
+        near = (near.astype(float) @ near) > 0  # transitive closure: single linkage
+    clusters = near[near.argmax(axis=1) == np.arange(heavy.size)]  # rows of first members
+    dist = np.abs(nodes[:, None] - nodes[None, heavy])
+    member = (clusters[:, dist.argmin(axis=1)] & (dist.min(axis=1) <= gap)).astype(float)
+    return (member @ (mass * nodes)) / (member @ mass), member @ (weights[:, None] * raw)
+
+
 class GenericModel(AlgebraHandle):
     """The generic model hooks, which hold for any model (see the module
     docstring); a subclass supplies ``_prod``, ``_inv`` and ``_norm``."""
@@ -301,15 +325,15 @@ class GenericModel(AlgebraHandle):
     def _eigenpieces(self, xn, real_nodes):
         """Eigenvalues of L_xn on C(1, xn), for xn self-adjoint (real nodes)
         or unitary (nodes on the circle), of norm at most about 1, as
-        (nodes, weights, raw) with idempotents ``weights[j] * raw[j]``; each
-        idempotent is weighed by its squared coordinate norm.
+        (nodes, idempotents), clustered by ``weighted_merge``.
 
         Arnoldi from the normalised unit, on y -> xn o y with classical
         Gram-Schmidt run twice, spans C(1, xn); it stops when the new
         direction falls to rounding level (64 eps dim).  Both kinds of element
         act normally on C(1, xn), so the compression H of L_xn to that span
         goes to ``_normal_eig``, and an eigenvector v yields the idempotent
-        <v, 1> v: weight <v, 1>, raw row v.
+        <v, 1> v: weight <v, 1>, raw row v.  Rounding lets directions
+        outside C(1, xn) into that span; their weights are at rounding level.
         """
         d = self.dim
         norm1 = np.linalg.norm(self.unit.coords)
@@ -331,7 +355,7 @@ class GenericModel(AlgebraHandle):
         Q, XQ = Q[:k], XQ[:k]
         nodes, V = _normal_eig(Q.conj() @ XQ.T, real_nodes)
         # <v, 1>, as 1 = norm1 q_0 and q_0 is row 0 of Q
-        return nodes, norm1 * V[0].conj(), V.T @ Q
+        return weighted_merge(self, nodes, norm1 * V[0].conj(), V.T @ Q)
 
     @cached_property
     def rank(self):

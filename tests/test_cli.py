@@ -172,6 +172,15 @@ def test_expected_fail_does_not_flip_verdict(files):
 
 
 H2 = {"kind": "hermitian_matrix", "n": 2}
+
+
+def _exp_form(scale):
+    """exp_form map on M_2 with beta the trace scaled by ``scale``."""
+    unit = {"coords": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}
+    beta = {"kind": "scaled_trace", "scale": scale}
+    return {"kind": "exp_form", "beta": beta, "c": unit, "theta": {"kind": "identity"}}
+
+
 # (suite, algebra descriptor or None, map descriptor or None, further arguments)
 BAD_INPUTS = {
     "spin-without-n": ("axioms", {"kind": "spin"}, None, []),
@@ -183,6 +192,10 @@ BAD_INPUTS = {
     "out-is-a-directory": ("axioms", H2, None, ["--out", "{dir}"]),
     "theta-conjugation-without-w": ("preserver", H2, {"kind": "theta_conjugation"}, []),
     "composition-without-maps": ("preserver", H2, {"kind": "composition"}, []),
+    "composition-of-no-maps": ("preserver", H2, {"kind": "composition", "maps": []}, []),
+    "composition-maps-not-a-list": ("structure-recovery", H2, {"kind": "composition", "maps": {}}, []),
+    "exp-form-nan-scale": ("preserver", H2, _exp_form(float("nan")), []),
+    "exp-form-infinite-scale": ("preserver", H2, _exp_form("Infinity"), []),
     "map-element-wrong-size": (
         "preserver",
         H2,

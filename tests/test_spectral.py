@@ -497,10 +497,12 @@ FAST_PATH_MODELS = [build_hermitian_matrix_algebra(n) for n in range(1, 13)] + [
 
 def _through_the_merge(A, x, real):
     """``_abelian_decomposition`` of x with ``_merge_pieces`` run on the
-    hook's pieces whatever they are."""
+    hook's pieces whether or not two nodes are near."""
     scale = max(A._norm(x), 1.0)
-    nodes, weights, raw = A._eigenpieces(x / scale, real)
-    nodes, idems = calculus._merge_pieces(A, nodes * scale, weights, raw)
+    nodes, raw = A._eigenpieces(x / scale, real)
+    nodes = nodes * scale
+    near = np.abs(nodes[:, None] - nodes) <= A.tol.cluster_eps * (1.0 + np.max(np.abs(nodes)))
+    nodes, idems = calculus._merge_pieces(nodes, raw, near)
     order = np.argsort(nodes)
     return nodes[order], idems[order], float(A._norm(nodes[order] @ idems[order] - x))
 
@@ -584,7 +586,8 @@ def test_merge_runs_only_for_clustered_or_weighted_pieces(monkeypatch):
     assert _merges(monkeypatch, M4, repeated, True)
     assert _merges(monkeypatch, M4, calculus._exp_i(M4, repeated, 1.0), False)
     assert _merges(monkeypatch, H3S3, H3S3.unit.coords, True)  # equal nodes across summands
-    assert _merges(monkeypatch, oracle, random_element(oracle, 3, "self_adjoint").coords, True)  # Krylov weights
+    # the Krylov oracle merges its weighted pieces itself, in oracles.weighted_merge
+    assert not _merges(monkeypatch, oracle, random_element(oracle, 3, "self_adjoint").coords, True)
     for A in [M4, M10, S3, S12, H3S3, M3S5, NESTED, sub]:
         x = random_element(A, 5, "self_adjoint").coords
         assert not _merges(monkeypatch, A, x, True)
@@ -593,7 +596,7 @@ def test_merge_runs_only_for_clustered_or_weighted_pieces(monkeypatch):
 
 @pytest.mark.parametrize("copies,n", [(40, 3), (12, 12)])
 def test_decompose_on_a_rank_above_one_over_abs_eps(copies, n):
-    # rank 120 or 144 > 1 / abs_eps: a minimal idempotent's mass 1 is below
+    # rank 120 or 144 > 1 / abs_eps: a minimal idempotent is small against
     # abs_eps ||1||^2, yet it is a piece of the spectrum, not rounding
     tol = Tolerance(abs_eps=9e-3)
     A = algebra_from_descriptor({"kind": "direct_sum", "parts": [{"kind": "hermitian_matrix", "n": n}] * copies}, tol)
@@ -603,3 +606,52 @@ def test_decompose_on_a_rank_above_one_over_abs_eps(copies, n):
         dec = calculus._decompose(A, y)
         assert np.max(np.abs(dec.values - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
         assert dec.residual <= 1e-12 * (1.0 + np.max(np.abs(want)))
+
+
+def test_oracle_weighted_merge_on_synthetic_pieces():
+    # M_2: ||1||^2 = 2, so a piece of mass below 2 abs_eps is light; the
+    # heavy nodes reach |-1|, so the gap is 2 cluster_eps and d lies within it
+    A = build_hermitian_matrix_algebra(2)
+    d = 0.5 * A.tol.cluster_eps
+    nodes = np.array([-1.0, -1.0 + d, 0.3, 0.3 + d, 0.8])
+    weights = np.array([0.5, 2.0, 1.0, 1e-6, 1e-6])  # the last two are light
+    raw = np.random.default_rng(0).standard_normal((5, A.dim)) + 0j
+    got_nodes, got_idems = oracles.weighted_merge(A, nodes, weights, raw)
+    order = np.argsort(got_nodes)
+    got_nodes, got_idems = got_nodes[order], got_idems[order]
+    # two heavy pieces take the mass-weighted mean (the plain mean lies
+    # 0.44 d from it); a light neighbour mixes in; the light piece at 0.8,
+    # far from every heavy node, is dropped
+    mass = weights**2
+    pairs = (slice(0, 2), slice(2, 4))
+    want_nodes = [mass[p] @ nodes[p] / mass[p].sum() for p in pairs]
+    want_idems = [weights[p] @ raw[p] for p in pairs]
+    assert np.allclose(got_nodes, want_nodes, rtol=0.0, atol=1e-15)
+    assert np.allclose(got_idems, want_idems, rtol=0.0, atol=1e-15)
+
+
+HOOK_MODELS = [build_hermitian_matrix_algebra(n) for n in (1, 3, 12)] + [S3, S12, H3S3, NESTED]
+
+
+@pytest.mark.parametrize("element", ["self_adjoint", "unitary", "scalar", "scalar_unitary"])
+@pytest.mark.parametrize("A", HOOK_MODELS, ids=lambda A: A.id)
+def test_eigenpieces_are_orthogonal_idempotents_summing_to_one(A, element):
+    # the contract the unweighted merge rests on: a cluster's idempotent is
+    # the plain sum of its pieces.  A scalar is s = 0 on a spin factor.
+    h = random_element(A, 2, "self_adjoint").coords
+    x = {
+        "self_adjoint": h / max(A._norm(h), 1.0),
+        "unitary": calculus._exp_i(A, h, 1.0),
+        "scalar": 0.3 * A.unit.coords,
+        "scalar_unitary": np.exp(0.3j) * A.unit.coords,
+    }[element]
+    pieces = A._eigenpieces(x, element in ("self_adjoint", "scalar"))
+    assert len(pieces) == 2 and all(isinstance(p, np.ndarray) for p in pieces)
+    nodes, raw = pieces
+    assert nodes.shape == (raw.shape[0],) and raw.shape[1] == A.dim
+    for i, e in enumerate(raw):
+        assert np.max(np.abs(A._prod(e, e) - e)) <= 1e-12
+        for f in raw[i + 1 :]:
+            assert np.max(np.abs(A._prod(e, f))) <= 1e-12
+    assert np.max(np.abs(raw.sum(axis=0) - A.unit.coords)) <= 1e-12
+    assert np.max(np.abs(nodes @ raw - x)) <= 1e-12
