@@ -281,11 +281,11 @@ class HermitianMatrixAlgebra(AlgebraHandle):
         sv = np.linalg.svd(x.reshape(self._square), compute_uv=False)
         return sv[0] * sv[0], sv[-1] * sv[-1]
 
-    def _eigenpieces(self, xn: np.ndarray, real_nodes: bool):
-        """One n x n eigensolve of the matrix xn: L_xn acts on C(1, xn) as
-        xn does by matrix products, so an eigenvector u of xn gives the
+    def _eigenpieces(self, x: np.ndarray, real_nodes: bool):
+        """One n x n eigensolve of the matrix x: L_x acts on C(1, x) as
+        x does by matrix products, so an eigenvector u of x gives the
         minimal idempotent vec(u u^H), a rank-one projection."""
-        nodes, U = _normal_eig(xn.reshape(self._square), real_nodes)
+        nodes, U = _normal_eig(x.reshape(self._square), real_nodes)
         return nodes, (U.T[:, :, None] * U.T.conj()[:, None, :]).reshape(self.n, self.dim)
 
     def trace(self, x: np.ndarray) -> float:
@@ -371,14 +371,14 @@ class SpinFactor(AlgebraHandle):
         e0[0] = 1.0
         return x[0] * np.eye(self.dim, dtype=complex) + np.outer(x, e0) - np.outer(e0, x)
 
-    def _eigenpieces(self, xn: np.ndarray, real_nodes: bool):
-        """Closed form: xn = x_0 1 + w with w = (0, x_1, ...) has w o w = s^2 1,
+    def _eigenpieces(self, x: np.ndarray, real_nodes: bool):
+        """Closed form: x = x_0 1 + w with w = (0, x_1, ...) has w o w = s^2 1,
         s = sqrt(-sum_{i>=1} x_i^2), so the nodes are x_0 -/+ s with the
         minimal idempotents (1 -/+ w / s) / 2; that form subtracts
         nothing.  s = 0 gives the single node x_0 with idempotent 1;
         a near-double root is left to the shared cluster merge, which sums
         the pair back to 1."""
-        x0, w = complex(xn[0]), xn[1:]
+        x0, w = complex(x[0]), x[1:]
         s = cmath.sqrt(-complex(w @ w))
         if real_nodes:
             re = w.real
@@ -473,10 +473,10 @@ class DirectSum(AlgebraHandle):
         ranges = [p._u_singular_range(x[s]) for p, s in self.summands]
         return max(top for top, _ in ranges), min(bottom for _, bottom in ranges)
 
-    def _eigenpieces(self, xn: np.ndarray, real_nodes: bool):
+    def _eigenpieces(self, x: np.ndarray, real_nodes: bool):
         """Each summand's own pieces, raw rows zero-padded; the shared merge
         joins equal nodes across summands."""
-        nodes, raws = zip(*(p._eigenpieces(xn[s], real_nodes) for p, s in self.summands))
+        nodes, raws = zip(*(p._eigenpieces(x[s], real_nodes) for p, s in self.summands))
         starts = np.cumsum([0] + [r.shape[0] for r in raws])
         raw = np.zeros((starts[-1], self.dim), dtype=complex)
         for r, i, (_, s) in zip(raws, starts, self.summands):

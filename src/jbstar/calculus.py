@@ -17,14 +17,17 @@ idempotents that sum to 1: on M_n one n x n ``eigh`` of the matrix a
 (``eig`` for a unitary), each eigenvector u giving the projection u u^H; on
 a spin factor the closed form a_0 -/+ s with idempotents (1 -/+ w / s) / 2,
 where a = a_0 1 + w and w o w = s^2 1; on a direct sum each summand's own
-pieces.  A Peirce-2 algebra is one of these models.
+pieces.  A Peirce-2 algebra is one of these models.  Each of these hooks
+is scale-covariant, so it takes a as it is.
 ``_abelian_decomposition`` then orders the pieces the same way for every
 model.  Well-separated pieces, as the closed forms give for distinct
 eigenvalues, skip the merge; otherwise ``_merge_pieces`` merges clustered
-nodes (across summands too).  The tests keep the generic Krylov
-compression (Arnoldi from the unit on x -> a o x spans C(1, a), and a
-small dense eigensolver diagonalises the compression of L_a to that span),
-with its own weighted merge, as the oracle of the closed forms.
+nodes (across summands too).  ``spectral_decomposition`` reports the
+reconstruction residual ||sum of node times idempotent - a||; nothing
+gates on it.  The tests keep the generic Krylov compression (Arnoldi from
+the unit on x -> a o x spans C(1, a), and a small dense eigensolver
+diagonalises the compression of L_a to that span), with its own weighted
+merge and its own scaling of a, as the oracle of the closed forms.
 """
 
 from __future__ import annotations
@@ -174,32 +177,25 @@ def is_invertible(A: AlgebraHandle, a: Element) -> Element | None:
 # -- spectral decomposition -------------------------------------------------
 
 
-def _abelian_decomposition(
-    A: AlgebraHandle, x: np.ndarray, real_nodes: bool, norm: float | None = None
-):
-    """Distinct spectral nodes, their idempotents (rows) and the
-    reconstruction residual of a self-adjoint element (real nodes) or a
-    unitary (nodes on the circle).
+def _abelian_decomposition(A: AlgebraHandle, x: np.ndarray, real_nodes: bool):
+    """Distinct spectral nodes, ascending, and their idempotents (rows) of a
+    self-adjoint element (real nodes) or a unitary (nodes on the circle).
 
-    The model's ``_eigenpieces`` of x / max(||x||, 1) gives nodes with
-    orthogonal idempotents that sum to 1, minimal but for the unit of a
-    scalar spin element: one n x n eigensolve on M_n, a closed form on spin
-    factors, the summands' pieces side by side on a direct sum.  When no two
-    nodes lie within the cluster gap cluster_eps (1 + max |node|) of each
-    other, in the complex distance, every piece is its own cluster and the
-    pieces are only ordered; otherwise ``_merge_pieces`` merges them.
-    ``norm`` is ||x|| when the caller has it already.
+    The model's ``_eigenpieces`` of x itself gives nodes with orthogonal
+    idempotents that sum to 1, minimal but for the unit of a scalar spin
+    element: one n x n eigensolve on M_n, a closed form on spin factors, the
+    summands' pieces side by side on a direct sum; all of them are
+    scale-covariant.  When no two nodes lie within the cluster gap
+    cluster_eps (1 + max |node|) of each other, in the complex distance,
+    every piece is its own cluster and the pieces are only ordered;
+    otherwise ``_merge_pieces`` merges them.
     """
-    scale = max(A._norm(x) if norm is None else norm, 1.0)
-    nodes, raw = A._eigenpieces(x / scale, real_nodes)
-    nodes = nodes * scale
+    nodes, raw = A._eigenpieces(x, real_nodes)
     near = np.abs(nodes[:, None] - nodes) <= A.tol.cluster_eps * (1.0 + np.max(np.abs(nodes)))
     if np.count_nonzero(near) > nodes.size:
         nodes, raw = _merge_pieces(nodes, raw, near)
     order = np.argsort(nodes)
-    nodes, idems = nodes[order], raw[order]
-    residual = float(A._norm(nodes @ idems - x))
-    return nodes, idems, residual
+    return nodes[order], raw[order]
 
 
 def _merge_pieces(nodes: np.ndarray, raw: np.ndarray, near: np.ndarray):
@@ -228,12 +224,12 @@ def spectral_decomposition(A: AlgebraHandle, a: Element) -> SpectralDecompositio
 
 
 def _decompose(A: AlgebraHandle, x: np.ndarray) -> SpectralDecomposition:
-    dev, thr, norm = _self_adjoint_defect(A, x)
+    dev, thr, _ = _self_adjoint_defect(A, x)
     if dev > thr:
         raise NotSelfAdjoint(f"deviation from self-adjointness {dev:.3e}")
-    nodes, idems, residual = _abelian_decomposition(A, x, True, norm)
+    nodes, idems = _abelian_decomposition(A, x, True)
     idems.flags.writeable = False
-    return SpectralDecomposition(A.id, nodes, idems, residual)
+    return SpectralDecomposition(A.id, nodes, idems, float(A._norm(nodes @ idems - x)))
 
 
 def functional_calculus(A: AlgebraHandle, a: Element, f) -> Element:

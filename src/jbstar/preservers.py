@@ -115,6 +115,8 @@ class MapUnderTest:
     def _checked(self, e: Element, codomain: AlgebraHandle, role: str = "") -> Element:
         if e.algebra_id != codomain.id:
             raise PreconditionFailed(f"map {self.label!r}{role} returned element of {e.algebra_id}")
+        if e.coords.shape != (codomain.dim,):
+            raise PreconditionFailed(f"map {self.label!r}{role} returned shape {e.coords.shape}")
         return e
 
 
@@ -719,14 +721,14 @@ def check_i_unit_image(m: MapUnderTest, trials: int = 20, seed: int = 0) -> Chec
 
 
 def _blockwise_eval(A: AlgebraHandle, act, name: str):
-    """Map applying ``act(part, coords)`` on each summand, all of which must
-    be hermitian-matrix algebras."""
+    """Map applying ``act(part, coords, slice)`` on each summand; refused
+    when it is built unless every summand is a hermitian-matrix algebra."""
+    if not all(isinstance(p, HermitianMatrixAlgebra) for p, _ in A.summands):
+        raise PreconditionFailed(f"{name} needs hermitian-matrix (sums) algebras")
 
     def f(a: Element) -> Element:
         out = np.empty(A.dim, dtype=complex)
         for p, s in A.summands:
-            if not isinstance(p, HermitianMatrixAlgebra):
-                raise PreconditionFailed(f"{name} needs hermitian-matrix (sums) algebras")
             out[s] = act(p, a.coords[s], s)
         return Element(A.id, out)
 
@@ -748,27 +750,27 @@ def _transpose_eval(A: AlgebraHandle):
     return _blockwise_eval(A, lambda p, coords, s: coords.reshape(p.n, p.n).T.ravel(), "transpose")
 
 
-def map_from_descriptor(
-    desc: dict, source: AlgebraHandle, target: AlgebraHandle | None = None
-) -> MapUnderTest:
-    """Build a MapUnderTest from its JSON descriptor.
+def map_from_descriptor(desc: dict, source: AlgebraHandle) -> MapUnderTest:
+    """Build a MapUnderTest of ``source`` to itself from its JSON descriptor.
 
     Kinds: identity | star | transpose | theta_conjugation {w} |
     composition {maps: [...]} (rightmost applied first) |
     spin_counterexample {epsilon} | exp_form {beta, c, theta}.  A malformed
-    descriptor raises ValueError.
+    descriptor raises ValueError; transpose and theta_conjugation on an
+    algebra with a spin summand, and spin_counterexample on one that is not
+    a spin factor, raise PreconditionFailed.
     """
     try:
-        return _build_map(desc, source, target or source)
+        return _build_map(desc, source)
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed map descriptor ({type(exc).__name__}: {exc})") from exc
 
 
-def _build_map(desc: dict, source: AlgebraHandle, tgt: AlgebraHandle) -> MapUnderTest:
+def _build_map(desc: dict, source: AlgebraHandle) -> MapUnderTest:
     kind = desc.get("kind")
     if kind == "identity":
-        f = lambda a: Element(tgt.id, a.coords)
-        return MapUnderTest(source, tgt, f, label="identity", inverse=f)
+        f = lambda a: a
+        return MapUnderTest(source, source, f, label="identity", inverse=f)
     if kind == "star":
         f = lambda a: Element(source.id, source._inv(_owned(source, a)))
         return MapUnderTest(source, source, f, label="star", inverse=f)
@@ -787,29 +789,28 @@ def _build_map(desc: dict, source: AlgebraHandle, tgt: AlgebraHandle) -> MapUnde
     if kind == "composition":
         if not isinstance(desc["maps"], list) or not desc["maps"]:
             raise ValueError("composition needs a non-empty list of maps")
-        maps = [map_from_descriptor(d, source, tgt) for d in desc["maps"]]
+        maps = [map_from_descriptor(d, source) for d in desc["maps"]]
         f = functools.partial(_chain, [mp.eval for mp in reversed(maps)])
         inverse = None
         if all(mp.inverse is not None for mp in maps):
             inverse = functools.partial(_chain, [mp.inverse for mp in maps])
         label = "composition(" + ",".join(mp.label for mp in maps) + ")"
-        return MapUnderTest(source, tgt, f, label=label, inverse=inverse)
+        return MapUnderTest(source, source, f, label=label, inverse=inverse)
     if kind == "spin_counterexample":
         if not isinstance(source, SpinFactor):
             raise PreconditionFailed("spin_counterexample needs a spin source algebra")
         return build_spin_counterexample(source.n, float(desc["epsilon"]), source.tol).map
     if kind == "exp_form":
-        theta = map_from_descriptor(desc["theta"], source, tgt)
-        c = element_from_json(tgt, desc["c"])
-        beta_desc = desc.get("beta", {"kind": "zero"})
-        beta = _beta_from_descriptor(beta_desc, source, tgt)
+        theta = map_from_descriptor(desc["theta"], source)
+        c = element_from_json(source, desc["c"])
+        beta = _beta_from_descriptor(desc.get("beta", {"kind": "zero"}), source)
 
         def f(u):
             h = unitary_log(source, u).h
-            arg = beta(h).coords + tgt._prod(c.coords, theta(h).coords)
-            return Element(tgt.id, _exp_i(tgt, arg, 1.0))
+            arg = beta(h).coords + source._prod(c.coords, theta(h).coords)
+            return Element(source.id, _exp_i(source, arg, 1.0))
 
-        return MapUnderTest(source, tgt, f, label="exp_form")
+        return MapUnderTest(source, source, f, label="exp_form")
     raise ValueError(f"unknown map descriptor kind {kind!r}")
 
 
@@ -820,13 +821,13 @@ def _chain(fns, a):
     return a
 
 
-def _beta_from_descriptor(desc: dict, source: AlgebraHandle, target: AlgebraHandle):
+def _beta_from_descriptor(desc: dict, A: AlgebraHandle):
     kind = desc.get("kind")
     if kind == "zero":
-        return lambda a: target.zero()
+        return lambda a: A.zero()
     if kind == "scaled_trace":
         scale = float(desc["scale"])
         if not math.isfinite(scale):
             raise ValueError(f"scaled_trace scale must be finite, got {desc['scale']!r}")
-        return lambda a: Element(target.id, (scale * source.trace(a.coords)) * target.unit.coords)
+        return lambda a: Element(A.id, (scale * A.trace(a.coords)) * A.unit.coords)
     raise ValueError(f"unknown beta descriptor kind {kind!r}")

@@ -29,14 +29,6 @@ class ResidualCheck:
         lo, hi = self.threshold / 10.0, self.threshold * 10.0
         return lo <= self.residual <= hi
 
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "residual": self.residual,
-            "threshold": self.threshold,
-            "borderline": self.borderline,
-        }
-
 
 @dataclass
 class CheckReport:

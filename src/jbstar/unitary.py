@@ -50,7 +50,6 @@ class UnitaryLog:
     """
 
     h: Element
-    branch: str = "principal"
     ambiguous: bool = False
 
 
@@ -83,7 +82,7 @@ def _unitary_decomposition(A: AlgebraHandle, x: np.ndarray) -> tuple[np.ndarray,
     chk = _is_unitary(A, x)
     if not chk:
         raise NotUnitary(f"unitarity defect {chk.residual:.3e} exceeds {chk.threshold:.3e}")
-    nodes, idems, _ = _abelian_decomposition(A, x, real_nodes=False)
+    nodes, idems = _abelian_decomposition(A, x, real_nodes=False)
     off = float(np.max(np.abs(np.abs(nodes) - 1.0)))
     if off > 1e-6:
         raise NotUnitary(f"spectrum points leave the unit circle by {off:.3e}")

@@ -322,20 +322,25 @@ class GenericModel(AlgebraHandle):
         """Matrix of y -> x o y in the algebra basis (basis products as columns)."""
         return self._prod(x, np.eye(self.dim, dtype=complex)).T
 
-    def _eigenpieces(self, xn, real_nodes):
-        """Eigenvalues of L_xn on C(1, xn), for xn self-adjoint (real nodes)
-        or unitary (nodes on the circle), of norm at most about 1, as
-        (nodes, idempotents), clustered by ``weighted_merge``.
+    def _eigenpieces(self, x, real_nodes):
+        """Eigenvalues of L_x on C(1, x), for x self-adjoint (real nodes) or
+        unitary (nodes on the circle), as (nodes, idempotents), clustered by
+        ``weighted_merge``.
 
-        Arnoldi from the normalised unit, on y -> xn o y with classical
-        Gram-Schmidt run twice, spans C(1, xn); it stops when the new
-        direction falls to rounding level (64 eps dim).  Both kinds of element
-        act normally on C(1, xn), so the compression H of L_xn to that span
-        goes to ``_normal_eig``, and an eigenvector v yields the idempotent
-        <v, 1> v: weight <v, 1>, raw row v.  Rounding lets directions
-        outside C(1, xn) into that span; their weights are at rounding level.
+        The Arnoldi stop and the merge's cluster gap are absolute, so the
+        route runs on xn = x / max(||x||, 1), of norm at most 1, and scales
+        the nodes back.  Arnoldi from the normalised unit, on y -> xn o y
+        with classical Gram-Schmidt run twice, spans C(1, xn); it stops when
+        the new direction falls to rounding level (64 eps dim).  Both kinds
+        of element act normally on C(1, xn), so the compression H of L_xn to
+        that span goes to ``_normal_eig``, and an eigenvector v yields the
+        idempotent <v, 1> v: weight <v, 1>, raw row v.  Rounding lets
+        directions outside C(1, xn) into that span; their weights are at
+        rounding level.
         """
         d = self.dim
+        scale = max(self._norm(x), 1.0)
+        xn = x / scale
         norm1 = np.linalg.norm(self.unit.coords)
         Q = np.empty((d, d), dtype=complex)  # orthonormal rows
         XQ = np.empty((d, d), dtype=complex)  # xn o q for every row q of Q
@@ -355,7 +360,8 @@ class GenericModel(AlgebraHandle):
         Q, XQ = Q[:k], XQ[:k]
         nodes, V = _normal_eig(Q.conj() @ XQ.T, real_nodes)
         # <v, 1>, as 1 = norm1 q_0 and q_0 is row 0 of Q
-        return weighted_merge(self, nodes, norm1 * V[0].conj(), V.T @ Q)
+        nodes, idems = weighted_merge(self, nodes, norm1 * V[0].conj(), V.T @ Q)
+        return nodes * scale, idems
 
     @cached_property
     def rank(self):

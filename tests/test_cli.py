@@ -202,6 +202,14 @@ BAD_INPUTS = {
         {"kind": "theta_conjugation", "w": {"coords": [[1.0, 0.0]] * 3}},
         [],
     ),
+    # matrix-only maps are refused on a spin summand when the map is built
+    "transpose-on-spin": ("preserver", {"kind": "spin", "n": 4}, {"kind": "transpose"}, []),
+    "theta-conjugation-on-spin-summand": (
+        "preserver",
+        {"kind": "direct_sum", "parts": [H2, {"kind": "spin", "n": 3}]},
+        {"kind": "theta_conjugation", "w": {"coords": [[float(c), 0.0] for c in (1, 0, 0, 1, 1, 0, 0)]}},
+        [],
+    ),
     "epsilon-out-of-range": ("counterexample", {"kind": "spin", "n": 3}, None, ["--epsilon", "0.7"]),
     "negative-seed": ("axioms", H2, None, ["--seed", "-1"]),
     # refused by the size bound before any dense matrix is allocated

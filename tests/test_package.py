@@ -84,6 +84,31 @@ def test_every_parameter_is_read():
     assert not unread, f"parameters never read: {unread}"
 
 
+def test_every_dataclass_field_is_read():
+    # no linter is installed: each annotated field of a @dataclass in
+    # src/jbstar is read as an attribute somewhere in src/ or tests/
+    src = Path(jbstar.__file__).resolve().parent
+    tests = Path(__file__).resolve().parent
+    trees = {path: ast.parse(path.read_text()) for d in (src, tests) for path in sorted(d.glob("*.py"))}
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{path.name}: {cls.name}.{stmt.target.id}"
+        for path, tree in trees.items()
+        if path.parent == src
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        and any(getattr(getattr(d, "func", d), "id", None) == "dataclass" for d in cls.decorator_list)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read
+    ]
+    assert not unread, f"dataclass fields never read: {unread}"
+
+
 def test_every_model_has_its_closed_forms():
     # the generic forms of these hooks live in the test oracles only
     from jbstar.algebras import _MODELS, AlgebraHandle

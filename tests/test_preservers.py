@@ -175,6 +175,19 @@ def test_inverse_of_the_wrong_algebra_fails_at_the_boundary():
         verify_jordan_star_isomorphism(wrong, trials=5, seed=2)
 
 
+def test_output_of_the_wrong_size_fails_at_the_boundary():
+    # the coordinate shape of an output, and of an inverse's output, is
+    # checked where it returns, not later by a numpy reshape
+    short = lambda a: Element(H3.id, np.zeros(4))
+    m = MapUnderTest(H3, H3, short, label="short-output")
+    for check in (check_oc_additive, recover_structure):
+        with pytest.raises(PreconditionFailed, match="short-output"):
+            check(m, trials=5, seed=1)
+    m = MapUnderTest(H3, H3, lambda a: a, label="short-inverse", inverse=short)
+    with pytest.raises(PreconditionFailed, match="short-inverse"):
+        recover_structure(m, trials=5, seed=1)
+
+
 def test_theta_between_other_algebras_is_refused():
     # theta is evaluated on the coordinates of Phi's elements, so it must map
     # between the same two algebras

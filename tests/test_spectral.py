@@ -188,8 +188,8 @@ def test_broken_idempotents_fail_verification(monkeypatch):
     route = calculus._abelian_decomposition
 
     def skewed(*args, **kwargs):
-        nodes, idems, residual = route(*args, **kwargs)
-        return nodes, 1.01 * idems, residual
+        nodes, idems = route(*args, **kwargs)
+        return nodes, 1.01 * idems
 
     monkeypatch.setattr(unitary, "_abelian_decomposition", skewed)
     with pytest.raises(VerificationFailed):
@@ -280,8 +280,9 @@ def test_matrix_closed_form_matches_krylov_route(monkeypatch, n, kind, unitary_e
         scale = max(A._norm(x), 1.0)
         with monkeypatch.context() as m:
             _use_krylov(m, A)
-            want_nodes, want_idems, want_residual = calculus._abelian_decomposition(A, x, real)
-        nodes, idems, residual = calculus._abelian_decomposition(A, x, real)
+            want_nodes, want_idems = calculus._abelian_decomposition(A, x, real)
+        nodes, idems = calculus._abelian_decomposition(A, x, real)
+        residual, want_residual = A._norm(nodes @ idems - x), A._norm(want_nodes @ want_idems - x)
         assert nodes.shape == want_nodes.shape
         nodes, idems = _by_angle(nodes, idems)
         want_nodes, want_idems = _by_angle(want_nodes, want_idems)
@@ -301,8 +302,8 @@ def _assert_routes_agree(monkeypatch, A, x, real):
     """The model's hook against the Krylov route on x; returns the nodes."""
     with monkeypatch.context() as m:
         _use_krylov(m, A)
-        want_nodes, want_idems = _by_angle(*calculus._abelian_decomposition(A, x, real)[:2])
-    nodes, idems = _by_angle(*calculus._abelian_decomposition(A, x, real)[:2])
+        want_nodes, want_idems = _by_angle(*calculus._abelian_decomposition(A, x, real))
+    nodes, idems = _by_angle(*calculus._abelian_decomposition(A, x, real))
     assert nodes.shape == want_nodes.shape, (nodes, want_nodes)
     assert np.all(np.abs(nodes - want_nodes) <= 1e-12 * (1.0 + np.abs(want_nodes)))
     for p, q in zip(idems, want_idems):
@@ -498,13 +499,11 @@ FAST_PATH_MODELS = [build_hermitian_matrix_algebra(n) for n in range(1, 13)] + [
 def _through_the_merge(A, x, real):
     """``_abelian_decomposition`` of x with ``_merge_pieces`` run on the
     hook's pieces whether or not two nodes are near."""
-    scale = max(A._norm(x), 1.0)
-    nodes, raw = A._eigenpieces(x / scale, real)
-    nodes = nodes * scale
+    nodes, raw = A._eigenpieces(x, real)
     near = np.abs(nodes[:, None] - nodes) <= A.tol.cluster_eps * (1.0 + np.max(np.abs(nodes)))
     nodes, idems = calculus._merge_pieces(nodes, raw, near)
     order = np.argsort(nodes)
-    return nodes[order], idems[order], float(A._norm(nodes[order] @ idems[order] - x))
+    return nodes[order], idems[order]
 
 
 def _planted(A, rng, pair, factor, unitary_element):
@@ -537,11 +536,10 @@ def _merges(monkeypatch, A, x, real):
 
 
 def _assert_fast_path_is_the_merge(A, x, real):
-    nodes, idems, residual = calculus._abelian_decomposition(A, x, real)
-    want_nodes, want_idems, want_residual = _through_the_merge(A, x, real)
+    nodes, idems = calculus._abelian_decomposition(A, x, real)
+    want_nodes, want_idems = _through_the_merge(A, x, real)
     assert np.array_equal(nodes, want_nodes) and nodes.dtype == want_nodes.dtype
     assert np.array_equal(idems, want_idems)
-    assert residual == want_residual
 
 
 PLANTED = [("at-minus-two", False), ("at-two", True), ("straddling-minus-one", True)]
@@ -655,3 +653,40 @@ def test_eigenpieces_are_orthogonal_idempotents_summing_to_one(A, element):
             assert np.max(np.abs(A._prod(e, f))) <= 1e-12
     assert np.max(np.abs(raw.sum(axis=0) - A.unit.coords)) <= 1e-12
     assert np.max(np.abs(nodes @ raw - x)) <= 1e-12
+
+
+# -- the spectral core takes the element as it is ---------------------------
+
+SCALE_MODELS = [build_hermitian_matrix_algebra(n) for n in (1, 3, 12)] + [S3, S12, H3S3]
+
+
+@pytest.mark.parametrize("A", SCALE_MODELS, ids=lambda A: A.id)
+def test_spectral_decomposition_is_scale_covariant(A):
+    # c a has the nodes c lambda and the idempotents of a.  c stays >= 1:
+    # the cluster gap has the absolute floor cluster_eps, so the close
+    # nodes of a small c a merge
+    for seed in range(20):
+        a = random_element(A, seed, "self_adjoint")
+        dec = spectral_decomposition(A, a)
+        top = 1.0 + np.max(np.abs(dec.values))
+        for c in (1.0, 1e3, 1e6, 1e9):
+            got = spectral_decomposition(A, a * c)
+            assert got.values.shape == dec.values.shape
+            assert np.max(np.abs(got.values - c * dec.values)) <= 1e-12 * c * top
+            assert np.max(np.abs(got.idempotents - dec.idempotents)) <= 1e-12
+            assert got.residual <= 1e-12 * c * top
+
+
+@pytest.mark.parametrize("A", [SCALE_MODELS[1], build_spin_factor(4), H3S3], ids=lambda A: A.id)
+def test_spectral_core_takes_no_norm(monkeypatch, A):
+    # the hook needs no scale and the residual is _decompose's alone, so a
+    # unitary's decomposition pays only the three norms of _is_unitary
+    h = random_element(A, 5, "self_adjoint").coords
+    u = calculus._exp_i(A, h, 1.0)
+    calls, norm = [], A._norm
+    monkeypatch.setattr(A, "_norm", lambda x: calls.append(x.shape) or norm(x))
+    calculus._abelian_decomposition(A, h, True)
+    calculus._abelian_decomposition(A, u, False)
+    assert not calls
+    unitary._unitary_decomposition(A, u)
+    assert len(calls) == 3
