@@ -97,9 +97,11 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _normal_eig(h: np.ndarray, real_nodes: bool) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and orthonormal eigenvectors (columns) of a matrix that is
     hermitian (``real_nodes``, checked) or normal: ``eigh``, or ``eig`` with
-    its vectors re-orthonormalised."""
+    its vectors re-orthonormalised.  A stack of hermitian matrices takes one
+    batched ``eigh``, each matrix checked."""
     if real_nodes:
-        if np.max(np.abs(h - h.conj().T)) > 1e-6 * (1.0 + np.max(np.abs(h))):
+        skew = np.abs(h - h.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        if (skew > 1e-6 * (1.0 + np.abs(h).max(axis=(-2, -1)))).any():
             raise NotSelfAdjoint("L_a on C(1, a) is not hermitian")
         return np.linalg.eigh(h)
     nodes, v = np.linalg.eig(h)
@@ -282,11 +284,13 @@ class HermitianMatrixAlgebra(AlgebraHandle):
         return sv[0] * sv[0], sv[-1] * sv[-1]
 
     def _eigenpieces(self, x: np.ndarray, real_nodes: bool):
-        """One n x n eigensolve of the matrix x: L_x acts on C(1, x) as
-        x does by matrix products, so an eigenvector u of x gives the
-        minimal idempotent vec(u u^H), a rank-one projection."""
-        nodes, U = _normal_eig(x.reshape(self._square), real_nodes)
-        return nodes, (U.T[:, :, None] * U.T.conj()[:, None, :]).reshape(self.n, self.dim)
+        """One n x n eigensolve of the matrix x (of each row of a stack):
+        L_x acts on C(1, x) as x does by matrix products, so an eigenvector
+        u of x gives the minimal idempotent vec(u u^H), a rank-one
+        projection."""
+        nodes, U = _normal_eig(self._mat(x), real_nodes)
+        V = U.swapaxes(-1, -2)  # eigenvectors as rows
+        return nodes, (V[..., None] * V.conj()[..., None, :]).reshape(x.shape[:-1] + (self.n, self.dim))
 
     def trace(self, x: np.ndarray) -> float:
         return float(np.trace(x.reshape(self.n, self.n)).real)
@@ -377,7 +381,22 @@ class SpinFactor(AlgebraHandle):
         minimal idempotents (1 -/+ w / s) / 2; that form subtracts
         nothing.  s = 0 gives the single node x_0 with idempotent 1;
         a near-double root is left to the shared cluster merge, which sums
-        the pair back to 1."""
+        the pair back to 1.  A stack takes the same form row by row, with
+        the double node x_0 and idempotents 1/2 at s = 0."""
+        if x.ndim > 1:  # the same form over the rows; matmul rows are 1-D dots bit for bit
+            x0, w = x[..., 0], x[..., 1:]
+            s = np.sqrt(-(w[..., None, :] @ w[..., :, None])[..., 0, 0])
+            if real_nodes:
+                re = w.real
+                off = np.abs(x0.imag) + np.sqrt((re[..., None, :] @ re[..., :, None])[..., 0, 0])
+                if (off > 1e-6 * (1.0 + np.abs(x0) + np.abs(s))).any():
+                    raise NotSelfAdjoint("spin element is not self-adjoint")
+                x0, s = x0.real, np.abs(s)
+            raw = np.empty(x.shape[:-1] + (2, self.dim), dtype=complex)
+            raw[..., :, 0] = 0.5
+            raw[..., 1, 1:] = (0.5 / np.where(s == 0.0, 1.0, s))[..., None] * w
+            raw[..., 0, 1:] = -raw[..., 1, 1:]
+            return np.stack([x0 - s, x0 + s], axis=-1), raw
         x0, w = complex(x[0]), x[1:]
         s = cmath.sqrt(-complex(w @ w))
         if real_nodes:
@@ -474,14 +493,15 @@ class DirectSum(AlgebraHandle):
         return max(top for top, _ in ranges), min(bottom for _, bottom in ranges)
 
     def _eigenpieces(self, x: np.ndarray, real_nodes: bool):
-        """Each summand's own pieces, raw rows zero-padded; the shared merge
-        joins equal nodes across summands."""
-        nodes, raws = zip(*(p._eigenpieces(x[s], real_nodes) for p, s in self.summands))
-        starts = np.cumsum([0] + [r.shape[0] for r in raws])
-        raw = np.zeros((starts[-1], self.dim), dtype=complex)
+        """Each summand's own pieces, raw rows zero-padded (side by side for
+        each row of a stack); the shared merge joins equal nodes across
+        summands."""
+        nodes, raws = zip(*(p._eigenpieces(x[..., s], real_nodes) for p, s in self.summands))
+        starts = np.cumsum([0] + [r.shape[-2] for r in raws])
+        raw = np.zeros(x.shape[:-1] + (starts[-1], self.dim), dtype=complex)
         for r, i, (_, s) in zip(raws, starts, self.summands):
-            raw[i : i + r.shape[0], s] = r
-        return np.concatenate(nodes), raw
+            raw[..., i : i + r.shape[-2], s] = r
+        return np.concatenate(nodes, axis=-1), raw
 
     def trace(self, x: np.ndarray) -> float:
         return sum(p.trace(x[s]) for p, s in self.summands)
@@ -571,12 +591,12 @@ def _random(A: AlgebraHandle, rng: np.random.Generator, flavor: str = "general")
     from . import calculus  # lazy: spectral machinery lives downstream
 
     if flavor == "projection":
-        dec = calculus._decompose(A, sa)
-        m = dec.values.size
+        idems = calculus._decompose(A, sa)[1]
+        m = idems.shape[0]
         bits = rng.integers(0, 2, size=m)
         if m >= 2 and (bits.sum() == 0 or bits.sum() == m):
             bits[int(rng.integers(0, m))] ^= 1
-        return bits @ dec.idempotents
+        return bits @ idems
     if flavor == "unitary":
         scale = rng.uniform(0.3, 2.2)
         return calculus._exp_i(A, scale * sa, 1.0)

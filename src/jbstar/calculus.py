@@ -22,12 +22,23 @@ is scale-covariant, so it takes a as it is.
 ``_abelian_decomposition`` then orders the pieces the same way for every
 model.  Well-separated pieces, as the closed forms give for distinct
 eigenvalues, skip the merge; otherwise ``_merge_pieces`` merges clustered
-nodes (across summands too).  ``spectral_decomposition`` reports the
-reconstruction residual ||sum of node times idempotent - a||; nothing
-gates on it.  The tests keep the generic Krylov compression (Arnoldi from
-the unit on x -> a o x spans C(1, a), and a small dense eigensolver
-diagonalises the compression of L_a to that span), with its own weighted
-merge and its own scaling of a, as the oracle of the closed forms.
+nodes (across summands too).  Only ``spectral_decomposition`` computes
+the reconstruction residual ||sum of node times idempotent - a||, which
+it reports; nothing gates on it, and the internal ``_decompose`` returns
+just the nodes and idempotents.
+
+The hooks, ``_exp`` and ``_exp_i`` also take (k, dim) stacks of elements:
+a batched ``eigh`` on M_n, the spin closed form over the rows, the
+summands side by side on a sum.  ``_decompose_rows`` gates and orders
+every row; a row with nodes within the cluster gap (a scalar spin
+summand gives a double node) is left to ``_decompose``, so each row of a
+stacked ``_exp_i`` takes the one-element computation, and a failing gate
+raises with the value of its first failing row.
+
+The tests keep the generic Krylov compression (Arnoldi from the unit on
+x -> a o x spans C(1, a), and a small dense eigensolver diagonalises the
+compression of L_a to that span), with its own weighted merge and its own
+scaling of a, as the oracle of the closed forms.
 """
 
 from __future__ import annotations
@@ -185,17 +196,24 @@ def _abelian_decomposition(A: AlgebraHandle, x: np.ndarray, real_nodes: bool):
     idempotents that sum to 1, minimal but for the unit of a scalar spin
     element: one n x n eigensolve on M_n, a closed form on spin factors, the
     summands' pieces side by side on a direct sum; all of them are
-    scale-covariant.  When no two nodes lie within the cluster gap
-    cluster_eps (1 + max |node|) of each other, in the complex distance,
-    every piece is its own cluster and the pieces are only ordered;
-    otherwise ``_merge_pieces`` merges them.
+    scale-covariant.  When no two nodes are ``_near``, every piece is its
+    own cluster and the pieces are only ordered; otherwise ``_merge_pieces``
+    merges them.
     """
     nodes, raw = A._eigenpieces(x, real_nodes)
-    near = np.abs(nodes[:, None] - nodes) <= A.tol.cluster_eps * (1.0 + np.max(np.abs(nodes)))
+    near = _near(A, nodes)
     if np.count_nonzero(near) > nodes.size:
         nodes, raw = _merge_pieces(nodes, raw, near)
     order = np.argsort(nodes)
     return nodes[order], raw[order]
+
+
+def _near(A: AlgebraHandle, nodes: np.ndarray) -> np.ndarray:
+    """The pairs of nodes within the cluster gap cluster_eps (1 + max |node|)
+    of each other, in the complex distance; for a (k, m) stack of nodes, the
+    pairs of each row within that row's gap."""
+    gap = A.tol.cluster_eps * (1.0 + np.abs(nodes).max(axis=-1))
+    return np.abs(nodes[..., :, None] - nodes[..., None, :]) <= gap[..., None, None]
 
 
 def _merge_pieces(nodes: np.ndarray, raw: np.ndarray, near: np.ndarray):
@@ -219,17 +237,41 @@ def jordan_spectrum(A: AlgebraHandle, a: Element) -> list[float]:
 def spectral_decomposition(A: AlgebraHandle, a: Element) -> SpectralDecomposition:
     """Eigenvalues and idempotents of a self-adjoint element: one n x n
     eigensolve on M_n, a closed form on spin factors, blockwise on direct
-    sums."""
-    return _decompose(A, _owned(A, a))
+    sums; with the reconstruction residual."""
+    x = _owned(A, a)
+    nodes, idems = _decompose(A, x)
+    idems.flags.writeable = False
+    return SpectralDecomposition(A.id, nodes, idems, float(A._norm(nodes @ idems - x)))
 
 
-def _decompose(A: AlgebraHandle, x: np.ndarray) -> SpectralDecomposition:
+def _decompose(A: AlgebraHandle, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes, ascending, and idempotents (rows) of a self-adjoint element;
+    NotSelfAdjoint on any other."""
     dev, thr, _ = _self_adjoint_defect(A, x)
     if dev > thr:
         raise NotSelfAdjoint(f"deviation from self-adjointness {dev:.3e}")
-    nodes, idems = _abelian_decomposition(A, x, True)
-    idems.flags.writeable = False
-    return SpectralDecomposition(A.id, nodes, idems, float(A._norm(nodes @ idems - x)))
+    return _abelian_decomposition(A, x, True)
+
+
+def _decompose_rows(A: AlgebraHandle, x: np.ndarray):
+    """``_decompose`` of each row of a (k, dim) stack, gated row by row:
+    the nodes, ascending, and idempotents of every row as (k, m) and
+    (k, m, dim) arrays, and the mask of the rows with ``_near`` nodes.
+    Those rows' pieces are left unmerged (a scalar spin summand gives a
+    double node), so a caller takes them through ``_decompose``."""
+    dev, thr, _ = _self_adjoint_defect(A, x)
+    _raise_first(dev > thr, dev, NotSelfAdjoint, "deviation from self-adjointness {:.3e}")
+    nodes, raw = A._eigenpieces(x, True)
+    clustered = np.count_nonzero(_near(A, nodes), axis=(-2, -1)) > nodes.shape[-1]
+    order = np.argsort(nodes, axis=-1)
+    return np.take_along_axis(nodes, order, -1), np.take_along_axis(raw, order[..., None], -2), clustered
+
+
+def _raise_first(bad, values, error, message: str) -> None:
+    """Raise ``error`` with the value of the first row that is ``bad``, if any
+    is: one element's gate (a bool and a float) or a stack's (arrays)."""
+    if bad is not False and np.any(bad):  # a passing single gate skips np.any, which costs microseconds
+        raise error(message.format(np.extract(bad, values)[0]))
 
 
 def functional_calculus(A: AlgebraHandle, a: Element, f) -> Element:
@@ -242,11 +284,14 @@ def functional_calculus(A: AlgebraHandle, a: Element, f) -> Element:
 
 
 def exp_from_decomposition(A: AlgebraHandle, dec: SpectralDecomposition, t: float) -> Element:
-    return Element(A.id, _exp(dec, t))
+    return Element(A.id, _exp(dec.values, dec.idempotents, t))
 
 
-def _exp(dec: SpectralDecomposition, t: float) -> np.ndarray:
-    return np.exp(1j * t * dec.values) @ dec.idempotents
+def _exp(nodes: np.ndarray, idems: np.ndarray, t: float) -> np.ndarray:
+    """Sum of exp(i t node) times idempotent, of one decomposition or of each
+    row of a stack of them."""
+    w = np.exp(1j * t * nodes)
+    return w @ idems if w.ndim == 1 else (w[:, None] @ idems)[:, 0]
 
 
 def exp_i(A: AlgebraHandle, h: Element, t: float) -> Element:
@@ -259,8 +304,19 @@ def exp_i(A: AlgebraHandle, h: Element, t: float) -> Element:
 
 
 def _exp_i(A: AlgebraHandle, x: np.ndarray, t: float) -> np.ndarray:
-    u = _exp(_decompose(A, x), t)
+    """exp(i t x) of one self-adjoint element or of each row of a (k, dim)
+    stack of them, checked unitary row by row.  A stack goes through
+    ``_decompose_rows``, and its rows with ``_near`` nodes through
+    ``_decompose``, as one element does; a gate that fails raises with the
+    value of its first failing row."""
+    if x.ndim == 1:
+        u = _exp(*_decompose(A, x), t)
+    else:
+        nodes, idems, clustered = _decompose_rows(A, x)
+        u = _exp(nodes, idems, t)
+        for i in np.flatnonzero(clustered):
+            u[i] = _exp(*_decompose(A, x[i]), t)
     r = A._norm(A._prod(u, A._inv(u)) - A.unit.coords)
-    if r > 1e-7 * (1.0 + A._norm(u)) ** 2:
-        raise VerificationFailed(f"exp_i produced a non-unitary element (residual {r:.3e})")
+    message = "exp_i produced a non-unitary element (residual {:.3e})"
+    _raise_first(r > 1e-7 * (1.0 + A._norm(u)) ** 2, r, VerificationFailed, message)
     return u

@@ -43,7 +43,7 @@ from .preservers import (
     recover_structure,
     verify_counterexample,
 )
-from .reports import CheckReport, WorstResidual, chunk_sizes, worst_over_trials
+from .reports import CheckReport, WorstResidual, chunk_sizes
 from .samplers import _commuting_projection_pair
 from .unitary import (
     _symmetric_difference_defects,
@@ -162,15 +162,15 @@ def _suite_axioms(A: AlgebraHandle, trials: int, seed: int) -> list[CheckReport]
 
 
 def _suite_symmetric_difference(A: AlgebraHandle, trials: int, seed: int) -> list[CheckReport]:
-    def trial(rng):
-        pq = _commuting_projection_pair(A, rng)
-        if pq is None:
-            return None
-        _, proj, ups = _symmetric_difference_defects(A, *pq)
-        return max(proj, ups), None
-
     rng = np.random.default_rng(seed)
-    return [worst_over_trials(f"symmetric-difference[{A.id}]", rng, trials, 1e-8, trial)]
+    acc = WorstResidual(1e-8)
+    for size in chunk_sizes(trials):
+        # a draw with a single spectral node (None) does not count
+        pairs = [pq for pq in (_commuting_projection_pair(A, rng) for _ in range(size)) if pq is not None]
+        if pairs:
+            _, proj, ups = _symmetric_difference_defects(A, *np.stack(pairs, axis=1))
+            acc.add(np.maximum(proj, ups))
+    return [acc.report(f"symmetric-difference[{A.id}]")]
 
 
 def _suite_kaup(A: AlgebraHandle, trials: int, seed: int) -> list[CheckReport]:

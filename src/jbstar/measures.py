@@ -200,8 +200,8 @@ def verify_linearity_theorem(
     agree = 0.0
     for _ in range(trials):
         a = _random(A, rng, "self_adjoint")
-        dec = _decompose(A, a)
-        total = dec.values @ np.stack([np.asarray(fx(p), dtype=float) for p in dec.idempotents])
+        nodes, idems = _decompose(A, a)
+        total = nodes @ np.stack([np.asarray(fx(p), dtype=float) for p in idems])
         fa = np.asarray(fx(a), dtype=float)
         scale = 1.0 + A._norm(a)
         spectral_dev = max(spectral_dev, _xnorm(fa - total) / scale)

@@ -195,7 +195,7 @@ def sample_tripotent(A: AlgebraHandle, rng: np.random.Generator) -> Element:
 def _sample_tripotent(A: AlgebraHandle, rng: np.random.Generator) -> np.ndarray:
     if rng.integers(0, 3) == 0:
         return _random(A, rng, "unitary")
-    P = _decompose(A, _random(A, rng, "self_adjoint")).idempotents
+    P = _decompose(A, _random(A, rng, "self_adjoint"))[1]
     signs = rng.choice([-1.0, 0.0, 1.0], size=P.shape[0])
     if not np.any(signs):
         signs[int(rng.integers(0, len(signs)))] = 1.0

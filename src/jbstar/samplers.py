@@ -82,7 +82,7 @@ def orthogonal_projection_pair(
 
 
 def _orthogonal_projection_pair(A: AlgebraHandle, rng: np.random.Generator):
-    P = _decompose(A, _random(A, rng, "self_adjoint")).idempotents
+    P = _decompose(A, _random(A, rng, "self_adjoint"))[1]
     m = P.shape[0]
     if m < 2:
         return None
@@ -101,7 +101,7 @@ def commuting_projection_pair(
 
 
 def _commuting_projection_pair(A: AlgebraHandle, rng: np.random.Generator):
-    P = _decompose(A, _random(A, rng, "self_adjoint")).idempotents
+    P = _decompose(A, _random(A, rng, "self_adjoint"))[1]
     m = P.shape[0]
     if m < 2:
         return None

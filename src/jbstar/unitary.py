@@ -25,7 +25,7 @@ from .calculus import (
     _u_operator,
 )
 from .errors import NotProjection, NotUnitary, VerificationFailed
-from .reports import CheckReport, ResidualCheck, worst_over_trials
+from .reports import CheckReport, ResidualCheck, WorstResidual, chunk_sizes, worst_over_trials
 from .samplers import _draw_oc_pair, _noncommuting_pair
 
 __all__ = [
@@ -59,9 +59,12 @@ def is_unitary(A: AlgebraHandle, u: Element) -> ResidualCheck:
 
 
 def _is_unitary(A: AlgebraHandle, x: np.ndarray) -> ResidualCheck:
+    """is_unitary on coordinates; on a (k, dim) stack, the residuals and
+    thresholds of its rows as arrays (the check has no truth value then)."""
     xs = A._inv(x)
     r1 = A._norm(A._prod(x, xs) - A.unit.coords)
-    residual = max(r1, A._norm(A._prod(A._prod(x, x), xs) - x))
+    r2 = A._norm(A._prod(A._prod(x, x), xs) - x)
+    residual = max(r1, r2) if x.ndim == 1 else np.maximum(r1, r2)
     threshold = A.tol.abs_eps * (1.0 + A._norm(x)) ** 3
     return ResidualCheck(residual <= threshold, residual, threshold)
 
@@ -121,17 +124,18 @@ def oc_unitary_product_check(A: AlgebraHandle, trials: int, seed: int) -> CheckR
     Pairs are built as exponentials of operator-commuting self-adjoint
     generators (``samplers._draw_oc_pair``, SamplerViolation on a pair that
     does not operator commute); each residual is the is_unitary defect of
-    u o v.
+    u o v.  The pairs are drawn one at a time and evaluated in chunks of at
+    most ``reports.CHUNK``: one stacked ``_exp_i`` for the h's, one for the
+    k's, and one stacked product and is_unitary defect.
     """
-
-    def trial(rng):
-        h, k = _draw_oc_pair(A, rng)
-        u, v = _exp_i(A, h, 1.0), _exp_i(A, k, 1.0)
-        chk = _is_unitary(A, A._prod(u, v))
-        return chk.residual, {"h": h.tolist(), "k": k.tolist()}
-
     rng = np.random.default_rng(seed)
-    return worst_over_trials(f"oc-unitary-product[{A.id}]", rng, trials, 1e-7, trial)
+    acc = WorstResidual(1e-7)
+    for size in chunk_sizes(trials):
+        h, k = np.stack([_draw_oc_pair(A, rng) for _ in range(size)], axis=1)
+        u, v = _exp_i(A, h, 1.0), _exp_i(A, k, 1.0)
+        residual = _is_unitary(A, A._prod(u, v)).residual
+        acc.add(residual, lambda i: {"h": h[i].tolist(), "k": k[i].tolist()})
+    return acc.report(f"oc-unitary-product[{A.id}]")
 
 
 def oc_unitary_equivalences_check(
@@ -153,8 +157,8 @@ def oc_unitary_equivalences_check(
 
     def table(x):
         """exp(i t x) for every exponent t, as rows (one stacked product)."""
-        dec = _decompose(A, x)
-        return np.exp(1j * np.multiply.outer(exponents, dec.values)) @ dec.idempotents
+        nodes, idems = _decompose(A, x)
+        return np.exp(1j * np.multiply.outer(exponents, nodes)) @ idems
 
     def trial(rng):
         h, k = _draw_oc_pair(A, rng)
@@ -215,14 +219,14 @@ def circle_inequality_check(A: AlgebraHandle, trials: int, seed: int) -> CheckRe
                 continue
             dec = _decompose(A, (1.0 / nh) * h)
             tau = rng.uniform(0.01, 0.6)
-            r = A._norm(_exp(dec, tau) - one)
+            r = A._norm(_exp(*dec, tau) - one)
             if r < 1e-9:
                 continue
             nmax = int(min(1.999 / r, 64.0))
             if nmax < 1:
                 continue
             n = int(rng.integers(1, nmax + 1))
-            margin = n * r - (math.pi / 2.0) * A._norm(_exp(dec, tau * n) - one)
+            margin = n * r - (math.pi / 2.0) * A._norm(_exp(*dec, tau * n) - one)
             return margin, {"n": n, "tau": tau}
 
     rng = np.random.default_rng(seed)
@@ -230,8 +234,9 @@ def circle_inequality_check(A: AlgebraHandle, trials: int, seed: int) -> CheckRe
     return worst_over_trials(name, rng, trials, 1e-9, trial, start=-math.inf, slack=1e-9)
 
 
-def _projection_defect(A: AlgebraHandle, x: np.ndarray) -> float:
-    return max(A._norm(A._prod(x, x) - x), A._norm(A._inv(x) - x))
+def _projection_defect(A: AlgebraHandle, x: np.ndarray):
+    """max(||x o x - x||, ||x* - x||), of one element or of each row of a stack."""
+    return np.maximum(A._norm(A._prod(x, x) - x), A._norm(A._inv(x) - x))
 
 
 def _require_projection(A: AlgebraHandle, x: np.ndarray, label: str, r: float):
@@ -240,11 +245,10 @@ def _require_projection(A: AlgebraHandle, x: np.ndarray, label: str, r: float):
         raise NotProjection(f"{label} is not a projection (residual {r:.3e})")
 
 
-def _symmetric_difference_defects(
-    A: AlgebraHandle, x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, float, float]:
+def _symmetric_difference_defects(A: AlgebraHandle, x: np.ndarray, y: np.ndarray):
     """x Delta y with its projection defect and the defect of
-    1 - 2(x Delta y) = (1 - 2x) o (1 - 2y)."""
+    1 - 2(x Delta y) = (1 - 2x) o (1 - 2y); on (k, dim) stacks, of each
+    pair of rows."""
     one = A.unit.coords
     d = x + y - 2.0 * A._prod(x, y)
     prod = A._prod(one - 2.0 * x, one - 2.0 * y)

@@ -1,10 +1,16 @@
 import json
 
+import numpy as np
 import pytest
 
 import jbstar.cli as cli
+from jbstar import calculus
+from jbstar.algebras import algebra_from_descriptor
 from jbstar.cli import RunConfig, list_suites, main, run
 from jbstar.kernel import Tolerance
+from jbstar.reports import CHUNK, _jsonable
+from jbstar.samplers import _commuting_projection_pair, _draw_oc_pair
+from jbstar.unitary import _is_unitary, _symmetric_difference_defects
 
 
 @pytest.fixture()
@@ -336,3 +342,47 @@ def test_peirce_runs_on_a_rank_above_one_over_abs_eps(tmp_path, capsys):
     assert main(["peirce", "--algebra", str(alg), "--abs-eps", "0.009", "--trials", "50"]) == 0
     out = capsys.readouterr()
     assert out.out.startswith("PASS") and "error" not in out.err, out
+
+
+def _rowwise_reference(suite, A, trials, seed):
+    """(trials, passed, max_residual, witness) of a suite, one draw at a time
+    over the suite's rng stream, with no stack."""
+    rng = np.random.default_rng(seed)
+    drawn = []
+    for _ in range(trials):
+        if suite == "unitary-piecewise":
+            h, k = _draw_oc_pair(A, rng)
+            u, v = calculus._exp_i(A, h, 1.0), calculus._exp_i(A, k, 1.0)
+            drawn.append((_is_unitary(A, A._prod(u, v)).residual, {"h": h.tolist(), "k": k.tolist()}))
+        else:
+            pq = _commuting_projection_pair(A, rng)
+            if pq is not None:
+                _, proj, ups = _symmetric_difference_defects(A, *pq)
+                drawn.append((max(proj, ups), None))
+    tol = 1e-7 if suite == "unitary-piecewise" else 1e-8
+    worst, witness = max(drawn, key=lambda d: d[0])  # the first of equal residuals
+    return len(drawn), worst <= tol, worst, _jsonable(witness) if worst > tol else None
+
+
+@pytest.mark.parametrize("suite", ["unitary-piecewise", "symmetric-difference"])
+@pytest.mark.parametrize(
+    "desc",
+    [
+        {"kind": "hermitian_matrix", "n": 5},
+        {"kind": "direct_sum", "parts": [{"kind": "hermitian_matrix", "n": 3}, {"kind": "spin", "n": 5}]},
+    ],
+    ids=["M5", "M3+spin(5)"],
+)
+def test_chunked_suites_match_a_rowwise_loop_across_chunk_boundaries(suite, desc, tmp_path):
+    # two full chunks and a short one
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(desc))
+    trials, seed = 2 * CHUNK + 3, 17
+    doc, status = run(RunConfig(command=suite, algebra_path=str(path), trials=trials, seed=seed))
+    (chk,) = doc["checks"]
+    want_trials, want_passed, want_worst, want_witness = _rowwise_reference(
+        suite, algebra_from_descriptor(desc), trials, seed
+    )
+    assert (chk["trials"], chk["passed"], chk.get("witness")) == (want_trials, want_passed, want_witness)
+    assert abs(chk["max_residual"] - want_worst) <= 1e-12 * (1.0 + abs(want_worst))
+    assert status == 0 and want_trials == trials  # every draw has two nodes or more

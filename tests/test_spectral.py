@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from jbstar import calculus, unitary
 from jbstar.algebras import (
     algebra_from_descriptor,
+    algebra_to_descriptor,
     build_direct_sum,
     build_hermitian_matrix_algebra,
     build_spin_factor,
@@ -601,7 +602,7 @@ def test_decompose_on_a_rank_above_one_over_abs_eps(copies, n):
     x = random_element(A, 1, "self_adjoint").coords
     blocks = [x[s].reshape(n, n) for _, s in A.summands]
     for y, want in [(x, np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))), (A.unit.coords, [1.0])]:
-        dec = calculus._decompose(A, y)
+        dec = spectral_decomposition(A, A.element(y))
         assert np.max(np.abs(dec.values - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
         assert dec.residual <= 1e-12 * (1.0 + np.max(np.abs(want)))
 
@@ -679,8 +680,9 @@ def test_spectral_decomposition_is_scale_covariant(A):
 
 @pytest.mark.parametrize("A", [SCALE_MODELS[1], build_spin_factor(4), H3S3], ids=lambda A: A.id)
 def test_spectral_core_takes_no_norm(monkeypatch, A):
-    # the hook needs no scale and the residual is _decompose's alone, so a
-    # unitary's decomposition pays only the three norms of _is_unitary
+    # the hook needs no scale and the residual is spectral_decomposition's
+    # alone: a unitary's decomposition pays only the three norms of
+    # _is_unitary, _decompose only the two of its gate
     h = random_element(A, 5, "self_adjoint").coords
     u = calculus._exp_i(A, h, 1.0)
     calls, norm = [], A._norm
@@ -690,3 +692,79 @@ def test_spectral_core_takes_no_norm(monkeypatch, A):
     assert not calls
     unitary._unitary_decomposition(A, u)
     assert len(calls) == 3
+    nodes, idems = calculus._decompose(A, h)
+    assert len(calls) == 3 + 2
+    dec = spectral_decomposition(A, A.element(h))
+    assert len(calls) == 5 + 3
+    assert np.array_equal(dec.values, nodes) and np.array_equal(dec.idempotents, idems)
+    assert dec.residual == norm(nodes @ idems - h)
+
+
+# -- stacks of self-adjoint elements ------------------------------------------
+
+M2 = build_hermitian_matrix_algebra(2)
+STACK_MODELS = [
+    M2,
+    build_hermitian_matrix_algebra(5),
+    build_spin_factor(4),
+    build_spin_factor(5),
+    build_direct_sum([M2, build_hermitian_matrix_algebra(3)]),
+    M3S5,
+]
+
+
+@pytest.mark.parametrize("A", STACK_MODELS, ids=lambda A: A.id)
+def test_stacked_exp_i_takes_close_and_scalar_spin_rows_through_decompose(monkeypatch, A):
+    # a row with two nodes 1e-9 apart (in the first summand) and, on a model
+    # with a spin summand, a row that is scalar there (s = 0) have nodes
+    # within the cluster gap: their own nodes send them through _decompose,
+    # which merges them; the generic rows stay in the stack
+    rng = np.random.default_rng(11)
+    values = np.linspace(-1.0, 1.5, _slots(A))
+    close = values.copy()
+    close[1] = close[0] + 1e-9
+    rows = [random_element(A, 1, "self_adjoint").coords, _element(A, rng, close).coords]
+    starts = np.cumsum([0] + [p.rank for p, _ in A.summands])
+    for (part, _), i in zip(A.summands, starts):
+        if part.kind == "spin":
+            scalar = values.copy()
+            scalar[i + 1] = scalar[i]
+            rows.append(_element(A, rng, scalar).coords)
+    rows.append(random_element(A, 2, "self_adjoint").coords)
+    x = np.stack(rows)
+    special = list(range(1, len(rows) - 1))
+    nodes, idems, clustered = calculus._decompose_rows(A, x)
+    assert list(np.flatnonzero(clustered)) == special
+    for i in special:
+        assert calculus._decompose(A, x[i])[0].size < nodes.shape[1]  # merged
+    seen, decompose = [], calculus._decompose
+    monkeypatch.setattr(calculus, "_decompose", lambda B, y: seen.append(y) or decompose(B, y))
+    u = calculus._exp_i(A, x, 1.0)
+    assert len(seen) == len(special) and all(np.array_equal(y, x[i]) for y, i in zip(seen, special))
+    monkeypatch.undo()
+    for i, row in enumerate(x):
+        want = calculus._exp_i(A, row, 1.0)
+        assert np.max(np.abs(u[i] - want)) <= (0.0 if i in special else 1e-15) * (1.0 + np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("A", STACK_MODELS, ids=lambda A: A.id)
+def test_stacked_gates_raise_what_the_first_failing_row_raises(A):
+    # _decompose's gate, with the value of the first failing row
+    rng = np.random.default_rng(5)
+    x = np.stack([random_element(A, seed, "self_adjoint").coords for seed in range(4)])
+    x[2] += 1e-3 * (rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim))
+    x[3] += 1e-2 * (rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim))
+    with pytest.raises(NotSelfAdjoint) as single:
+        calculus._exp_i(A, x[2], 1.0)
+    with pytest.raises(NotSelfAdjoint) as stacked:
+        calculus._exp_i(A, x, 1.0)
+    assert "deviation" in str(single.value) and str(stacked.value) == str(single.value)
+    # the hook's own gate: past a loose abs_eps, a row off by 1e-5 still fails it
+    loose = algebra_from_descriptor(algebra_to_descriptor(A), Tolerance(abs_eps=5e-3))
+    x = np.stack([random_element(loose, seed, "self_adjoint").coords for seed in range(3)])
+    x[1] += 1e-5 * (rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim))
+    with pytest.raises(NotSelfAdjoint) as single:
+        calculus._exp_i(loose, x[1], 1.0)
+    with pytest.raises(NotSelfAdjoint) as stacked:
+        calculus._exp_i(loose, x, 1.0)
+    assert "deviation" not in str(single.value) and str(stacked.value) == str(single.value)
