@@ -120,6 +120,15 @@ class AlgebraHandle:
     defined here are products of multiplication matrices; M_n and direct
     sums replace them by closed forms.
 
+    ``_norm_per_coord`` is a constant kappa with ||x|| <= kappa |x|_2 for
+    every x, |x|_2 the 2-norm of the coordinates: 1 on M_n (the operator
+    2-norm is at most the Frobenius norm, and the coordinates are matrix
+    units), sqrt 2 on a spin factor, the largest of the summands' on a
+    direct sum.  ``_commutator_bound`` is an upper bound of the commutator
+    norm.  Gates whose value is read only when they fail pass outright on
+    these bounds (``calculus._small``).  A model without kappa (None, as
+    here) takes the exact norm at every gate.
+
     A Peirce-2 algebra (``jbstar.peirce.peirce2_algebra``) is a model whose
     ``ambient``, ``e``, ``embed`` and ``project`` are set: its ambient model,
     the tripotent's coordinates there, the embedding matrix (columns: the
@@ -129,6 +138,7 @@ class AlgebraHandle:
 
     kind: str | None = None
     n: int | None = None
+    _norm_per_coord: float | None = None
     parts: tuple | None = None
     ambient: "AlgebraHandle | None" = None
     e = embed = project = None
@@ -176,6 +186,12 @@ class AlgebraHandle:
         """||[M_x, M_y]||; a closed form may differ from it by at most ``slack``."""
         mx, my = self._mult_matrix(x), self._mult_matrix(y)
         return operator_norm(mx @ my - my @ mx)
+
+    def _commutator_bound(self, x: np.ndarray, y: np.ndarray) -> float:
+        """An upper bound of ``_commutator_norm``: the Frobenius norm of
+        M_x M_y - M_y M_x."""
+        mx, my = self._mult_matrix(x), self._mult_matrix(y)
+        return float(np.linalg.norm(mx @ my - my @ mx))
 
     def _u_singular_range(self, x: np.ndarray) -> tuple[float, float]:
         """Largest and smallest singular value of U_x."""
@@ -229,6 +245,7 @@ class HermitianMatrixAlgebra(AlgebraHandle):
 
     kind = "hermitian_matrix"
     rank = property(lambda self: self.n)  # type I_n
+    _norm_per_coord = 1.0  # ||X||_2 <= ||X||_F
 
     def __init__(self, n: int, tol: Tolerance = Tolerance()):
         if not (1 <= n <= 12):
@@ -277,6 +294,14 @@ class HermitianMatrixAlgebra(AlgebraHandle):
             return super()._commutator_norm(x, y, slack)
         lam = np.linalg.eigvalsh(-0.5j * (c - ch))
         return float(0.25 * (lam[-1] - lam[0]))
+
+    def _commutator_bound(self, x: np.ndarray, y: np.ndarray) -> float:
+        """||ab - ba||_F / 2, since ||ad_c|| / 4 <= ||c||_2 / 2 <= ||c||_F / 2;
+        it also bounds the eigensolve route, whose value is at most
+        ||c - c*||_2 / 4."""
+        a, b = x.reshape(self._square), y.reshape(self._square)
+        c = a @ b - b @ a
+        return 0.5 * math.sqrt(np.vdot(c, c).real)
 
     def _u_singular_range(self, x: np.ndarray) -> tuple[float, float]:
         # the singular values of a kron a^T are the products sigma_i sigma_j
@@ -329,6 +354,7 @@ class SpinFactor(AlgebraHandle):
 
     kind = "spin"
     rank = 2  # type I_2
+    _norm_per_coord = math.sqrt(2.0)  # ||x||^2 = |x|^2 + 2|a ^ b| <= 2|x|^2
 
     def __init__(self, n: int, tol: Tolerance = Tolerance()):
         if not (3 <= n <= 144):
@@ -460,6 +486,8 @@ class DirectSum(AlgebraHandle):
         unit = np.concatenate([p.unit.coords for p in parts])
         super().__init__(int(offs[-1]), parts[0].tol, ident, unit)
         self.summands = tuple((p, slice(int(a), int(b))) for p, a, b in zip(leaves, offs, offs[1:]))
+        kappas = [p._norm_per_coord for p in leaves]
+        self._norm_per_coord = None if None in kappas else max(kappas)
 
     def _prod(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.concatenate([p._prod(x[..., s], y[..., s]) for p, s in self.summands], axis=-1)
@@ -486,6 +514,9 @@ class DirectSum(AlgebraHandle):
 
     def _commutator_norm(self, x: np.ndarray, y: np.ndarray, slack: float) -> float:
         return max(p._commutator_norm(x[s], y[s], slack) for p, s in self.summands)
+
+    def _commutator_bound(self, x: np.ndarray, y: np.ndarray) -> float:
+        return max(p._commutator_bound(x[s], y[s]) for p, s in self.summands)
 
     def _u_singular_range(self, x: np.ndarray) -> tuple[float, float]:
         # U_x is block diagonal: its singular values are the summands' union

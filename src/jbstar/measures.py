@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .algebras import AlgebraHandle, Element, _random, _realify, _sa_coords, selfadjoint_basis
-from .calculus import _decompose, _operator_commutes
+from .calculus import _commute_gate, _decompose
 from .errors import (
     AdditivityViolation,
     HypothesisFailed,
@@ -115,7 +115,7 @@ def measure_from_map(
         if pq is None:
             continue
         p, q = pq
-        if not _operator_commutes(A, p, q):
+        if not _commute_gate(A, p, q):
             raise PreconditionFailed("orthogonal projections failed to operator commute")
         fpq, fp, fq = fx(p + q), fx(p), fx(q)
         dev = _xnorm(fpq - fp - fq)

@@ -39,6 +39,7 @@ from .algebras import (
 )
 from .calculus import (
     _exp_i,
+    _is_self_adjoint,
     _operator_commutes,
     _self_adjoint_defect,
     _u_operator,
@@ -55,10 +56,10 @@ from .errors import (
     PreconditionFailed,
 )
 from .kernel import Tolerance
-from .peirce import _is_tripotent, _peirce2_algebra
+from .peirce import _is_tripotent, _peirce2_algebra, _tripotent_gate
 from .reports import CheckReport, worst_over_trials
 from .samplers import _commuting_projection_pair, _draw_oc_pair
-from .unitary import _is_symmetry, _is_unitary, _unitary_log, unitary_log
+from .unitary import _is_symmetry, _unitary_log, _unitary_gate, unitary_log
 
 __all__ = [
     "MapUnderTest",
@@ -209,7 +210,7 @@ def check_piecewise_hom_on_unitaries(
     src, tgt, f = m.source, m.target, m._eval
     rng = np.random.default_rng(seed)
     img_unit = f(src.unit.coords)
-    if not _is_unitary(tgt, img_unit):
+    if not _unitary_gate(tgt, img_unit):
         raise NonUnitaryImage("image of the unit is not unitary")
     unit_residual = tgt._norm(img_unit - tgt.unit.coords)
 
@@ -218,7 +219,7 @@ def check_piecewise_hom_on_unitaries(
         u, v = _exp_i(src, h, 1.0), _exp_i(src, k, 1.0)
         fu, fv = f(u), f(v)
         for name, x in (("u", fu), ("v", fv)):
-            if not _is_unitary(tgt, x):
+            if not _unitary_gate(tgt, x):
                 raise NonUnitaryImage(f"image of {name} is not unitary")
         mult = tgt._norm(f(src._prod(u, v)) - tgt._prod(fu, fv))
         occ = _operator_commutes(tgt, fu, fv)
@@ -330,8 +331,12 @@ def _central_projection_residual(A: AlgebraHandle, x: np.ndarray) -> float:
 
 
 def _is_central_self_adjoint(A: AlgebraHandle, x: np.ndarray) -> bool:
+    # the centre test needs ||x|| only when its residual exceeds 1e-8
+    central = _central_projection_residual(A, x)
+    if central <= 1e-8:
+        return _is_self_adjoint(A, x)
     dev, thr, norm = _self_adjoint_defect(A, x)
-    return dev <= thr and _central_projection_residual(A, x) <= 1e-8 * (1.0 + norm)
+    return dev <= thr and central <= 1e-8 * (1.0 + norm)
 
 
 def verify_unitary_preserver_form(
@@ -658,7 +663,7 @@ def check_central_preservation(
         coeffs = rng.standard_normal(len(zbasis))
         z = sum((float(cf) * zb for cf, zb in zip(coeffs, zbasis)), np.zeros(src.dim, complex))
         fu = f(_exp_i(src, z, 1.0))
-        r = max(0.0 if _is_unitary(tgt, fu) else 1.0, _central_projection_residual(tgt, fu))
+        r = max(0.0 if _unitary_gate(tgt, fu) else 1.0, _central_projection_residual(tgt, fu))
         # symmetry -> symmetry
         p = _random(src, rng, "projection")
         fs = f(one_s - 2.0 * p)
@@ -687,7 +692,7 @@ def check_i_unit_image(m: MapUnderTest, trials: int = 20, seed: int = 0) -> Chec
     """
     src, tgt, f = m.source, m.target, m._eval
     w = f(src.unit.coords)
-    if not _is_tripotent(tgt, w):
+    if not _tripotent_gate(tgt, w):
         raise HypothesisFailed("Phi(1) is not a tripotent")
     sub = _peirce2_algebra(tgt, w)
     x = f(1j * src.unit.coords)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebras import AlgebraHandle, Element, _random
-from .calculus import _decompose, _operator_commutes
+from .calculus import _commute_gate, _decompose, _operator_commutes
 from .errors import SamplerViolation
 
 __all__ = [
@@ -48,7 +48,7 @@ def _draw_oc_pair(A: AlgebraHandle, rng: np.random.Generator):
     """Coordinates of a same-generator pair, the only operator-commuting
     draw in the package; SamplerViolation unless the pair operator commutes."""
     x, y = _same_generator_pair(A, rng)
-    chk = _operator_commutes(A, x, y)
+    chk = _commute_gate(A, x, y)
     if not chk:
         raise SamplerViolation(
             f"sampler produced a non-commuting pair (residual {chk.residual:.3e})"

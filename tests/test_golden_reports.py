@@ -9,8 +9,12 @@ must match exactly and floats within 1e-12 * (1 + |recorded|).
 
 Run ``python tests/test_golden_reports.py`` to rewrite
 ``tests/golden_reports.json`` from the current code; the test only reads it.
+``python tests/test_golden_reports.py --diff`` prints every value of the
+current code's records that moved against the file, floats with their move
+in units of (1 + |recorded|), and writes nothing.
 """
 
+import argparse
 import json
 import math
 import os
@@ -77,7 +81,9 @@ def record_all() -> dict:
     return json.loads(json.dumps(records))
 
 
-def _mismatches(got, want, path="$"):
+def _mismatches(got, want, path="$", tol=1e-12):
+    """The values of ``got`` that differ from ``want``; a float counts only
+    when it moved by more than tol (1 + |recorded|)."""
     if isinstance(want, float) or isinstance(got, float):
         if isinstance(got, bool) or isinstance(want, bool):
             return [] if got is want else [f"{path}: {got!r} != {want!r}"]
@@ -85,18 +91,19 @@ def _mismatches(got, want, path="$"):
             return [f"{path}: {got!r} != {want!r}"]
         if got == want or (math.isnan(got) and math.isnan(want)):
             return []
-        if abs(got - want) <= 1e-12 * (1.0 + abs(want)):
+        move = abs(got - want) / (1.0 + abs(want))
+        if move <= tol:
             return []
-        return [f"{path}: {got!r} != {want!r}"]
+        return [f"{path}: {got!r} != {want!r} (moved {move:.2e})"]
     if isinstance(want, dict) and isinstance(got, dict):
         if got.keys() != want.keys():
             return [f"{path}: keys {sorted(got)} != {sorted(want)}"]
-        return [m for k in want for m in _mismatches(got[k], want[k], f"{path}.{k}")]
+        return [m for k in want for m in _mismatches(got[k], want[k], f"{path}.{k}", tol)]
     if isinstance(want, list) and isinstance(got, list):
         if len(got) != len(want):
             return [f"{path}: length {len(got)} != {len(want)}"]
         pairs = enumerate(zip(got, want))
-        return [m for i, (g, w) in pairs for m in _mismatches(g, w, f"{path}[{i}]")]
+        return [m for i, (g, w) in pairs for m in _mismatches(g, w, f"{path}[{i}]", tol)]
     return [] if got == want else [f"{path}: {got!r} != {want!r}"]
 
 
@@ -110,8 +117,16 @@ def test_fixed_seed_reports_match_the_recorded_file():
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Rewrite the golden file, or diff against it.")
+    parser.add_argument("--diff", action="store_true", help="print what moved against the file; write nothing")
+    args = parser.parse_args()
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(GOLDEN)), "src"))
-    with open(GOLDEN, "w", encoding="utf-8") as fh:
-        json.dump(record_all(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {GOLDEN}")
+    if args.diff:
+        with open(GOLDEN, encoding="utf-8") as fh:
+            moved = _mismatches(record_all(), json.load(fh), tol=0.0)
+        print("\n".join(moved + [f"{len(moved)} values moved against {GOLDEN}"]))
+    else:
+        with open(GOLDEN, "w", encoding="utf-8") as fh:
+            json.dump(record_all(), fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {GOLDEN}")

@@ -680,22 +680,20 @@ def test_spectral_decomposition_is_scale_covariant(A):
 
 @pytest.mark.parametrize("A", [SCALE_MODELS[1], build_spin_factor(4), H3S3], ids=lambda A: A.id)
 def test_spectral_core_takes_no_norm(monkeypatch, A):
-    # the hook needs no scale and the residual is spectral_decomposition's
-    # alone: a unitary's decomposition pays only the three norms of
-    # _is_unitary, _decompose only the two of its gate
+    # the hook needs no scale, the gates of a unitary's decomposition
+    # (_is_unitary) and of _decompose (self-adjointness) pass on the
+    # coordinate bound, and the residual is spectral_decomposition's one norm
     h = random_element(A, 5, "self_adjoint").coords
     u = calculus._exp_i(A, h, 1.0)
     calls, norm = [], A._norm
     monkeypatch.setattr(A, "_norm", lambda x: calls.append(x.shape) or norm(x))
     calculus._abelian_decomposition(A, h, True)
     calculus._abelian_decomposition(A, u, False)
-    assert not calls
     unitary._unitary_decomposition(A, u)
-    assert len(calls) == 3
     nodes, idems = calculus._decompose(A, h)
-    assert len(calls) == 3 + 2
+    assert not calls
     dec = spectral_decomposition(A, A.element(h))
-    assert len(calls) == 5 + 3
+    assert len(calls) == 1
     assert np.array_equal(dec.values, nodes) and np.array_equal(dec.idempotents, idems)
     assert dec.residual == norm(nodes @ idems - h)
 
