@@ -187,9 +187,11 @@ class AlgebraHandle:
         mx, my = self._mult_matrix(x), self._mult_matrix(y)
         return operator_norm(mx @ my - my @ mx)
 
-    def _commutator_bound(self, x: np.ndarray, y: np.ndarray) -> float:
+    def _commutator_bound(self, x: np.ndarray, y: np.ndarray):
         """An upper bound of ``_commutator_norm``: the Frobenius norm of
-        M_x M_y - M_y M_x."""
+        M_x M_y - M_y M_x; an array of them for (k, dim) stacks."""
+        if x.ndim > 1:
+            return np.array([self._commutator_bound(a, b) for a, b in zip(x, y)])
         mx, my = self._mult_matrix(x), self._mult_matrix(y)
         return float(np.linalg.norm(mx @ my - my @ mx))
 
@@ -295,13 +297,15 @@ class HermitianMatrixAlgebra(AlgebraHandle):
         lam = np.linalg.eigvalsh(-0.5j * (c - ch))
         return float(0.25 * (lam[-1] - lam[0]))
 
-    def _commutator_bound(self, x: np.ndarray, y: np.ndarray) -> float:
+    def _commutator_bound(self, x: np.ndarray, y: np.ndarray):
         """||ab - ba||_F / 2, since ||ad_c|| / 4 <= ||c||_2 / 2 <= ||c||_F / 2;
         it also bounds the eigensolve route, whose value is at most
-        ||c - c*||_2 / 4."""
-        a, b = x.reshape(self._square), y.reshape(self._square)
+        ||c - c*||_2 / 4.  Per row of (k, dim) stacks, by one batched product."""
+        a, b = self._mat(x), self._mat(y)
         c = a @ b - b @ a
-        return 0.5 * math.sqrt(np.vdot(c, c).real)
+        if x.ndim == 1:
+            return 0.5 * math.sqrt(np.vdot(c, c).real)
+        return 0.5 * np.sqrt(np.einsum("...ij,...ij->...", c.conj(), c).real)
 
     def _u_singular_range(self, x: np.ndarray) -> tuple[float, float]:
         # the singular values of a kron a^T are the products sigma_i sigma_j
@@ -395,6 +399,19 @@ class SpinFactor(AlgebraHandle):
         # the same operations row by row: rows equal 1-D calls bit for bit
         r = b - (ab / np.where(aa > 0.0, aa, 1.0))[..., None] * a
         return np.sqrt(aa + bb + 2.0 * np.sqrt(aa * (r * r).sum(axis=-1)))
+
+    def _commutator_bound(self, x: np.ndarray, y: np.ndarray):
+        """||[M_x, M_y]||_F in closed form, for one pair or per row of
+        stacks: with x' = x[1:], [M_x, M_y] = y'x'^T - x'y'^T on the
+        coordinates after the first, and zero elsewhere.  With r the part
+        of y' orthogonal to x', its Frobenius norm is sqrt 2 |x'| |r|,
+        which does not cancel as the Lagrange identity does near y' || x'."""
+        a, b = x[..., 1:], y[..., 1:]
+        aa = (a.real * a.real + a.imag * a.imag).sum(axis=-1)
+        ab = (a.conj() * b).sum(axis=-1)
+        r = b - (ab / np.where(aa > 0.0, aa, 1.0))[..., None] * a
+        bound = np.sqrt(2.0 * aa * (r.real * r.real + r.imag * r.imag).sum(axis=-1))
+        return float(bound) if x.ndim == 1 else bound
 
     def _mult_matrix(self, x: np.ndarray) -> np.ndarray:
         e0 = np.zeros(self.dim, dtype=complex)
@@ -515,8 +532,9 @@ class DirectSum(AlgebraHandle):
     def _commutator_norm(self, x: np.ndarray, y: np.ndarray, slack: float) -> float:
         return max(p._commutator_norm(x[s], y[s], slack) for p, s in self.summands)
 
-    def _commutator_bound(self, x: np.ndarray, y: np.ndarray) -> float:
-        return max(p._commutator_bound(x[s], y[s]) for p, s in self.summands)
+    def _commutator_bound(self, x: np.ndarray, y: np.ndarray):
+        bounds = [p._commutator_bound(x[..., s], y[..., s]) for p, s in self.summands]
+        return max(bounds) if x.ndim == 1 else np.max(bounds, axis=0)
 
     def _u_singular_range(self, x: np.ndarray) -> tuple[float, float]:
         # U_x is block diagonal: its singular values are the summands' union
@@ -611,6 +629,10 @@ def random_element(A: AlgebraHandle, seed: int, flavor: str = "general") -> Elem
 
 def _random(A: AlgebraHandle, rng: np.random.Generator, flavor: str = "general") -> np.ndarray:
     """Coordinates of a random element of the flavor (see random_element)."""
+    if flavor == "unitary":
+        from . import calculus  # lazy: spectral machinery lives downstream
+
+        return calculus._exp_i(A, _unitary_generator(A, rng), 1.0)
     g = rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim)
     if flavor == "general":
         return g
@@ -619,19 +641,23 @@ def _random(A: AlgebraHandle, rng: np.random.Generator, flavor: str = "general")
         return sa
     if flavor == "positive":
         return A._prod(sa, sa)
-    from . import calculus  # lazy: spectral machinery lives downstream
-
     if flavor == "projection":
+        from . import calculus
+
         idems = calculus._decompose(A, sa)[1]
         m = idems.shape[0]
         bits = rng.integers(0, 2, size=m)
         if m >= 2 and (bits.sum() == 0 or bits.sum() == m):
             bits[int(rng.integers(0, m))] ^= 1
         return bits @ idems
-    if flavor == "unitary":
-        scale = rng.uniform(0.3, 2.2)
-        return calculus._exp_i(A, scale * sa, 1.0)
     raise ValueError(f"unknown flavor {flavor!r}")
+
+
+def _unitary_generator(A: AlgebraHandle, rng: np.random.Generator) -> np.ndarray:
+    """The self-adjoint h of a ``unitary`` draw exp(i h), drawn as that draw
+    draws it, so that a caller can take the exponentials of a stack at once."""
+    sa = _random(A, rng, "self_adjoint")
+    return rng.uniform(0.3, 2.2) * sa
 
 
 # -- self-adjoint real structure --------------------------------------------

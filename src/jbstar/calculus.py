@@ -203,8 +203,17 @@ def _commute_gate(A: AlgebraHandle, x: np.ndarray, y: np.ndarray):
     """True when the model's ``_commutator_bound``, which bounds every route
     of the commutator norm, is at most (1 - 1e-12) abs_eps, so that
     ``_operator_commutes`` passes; that check otherwise.  For a caller that
-    reads the residual only when the check fails."""
-    return A._commutator_bound(x, y) <= _MARGIN * A.tol.abs_eps or _operator_commutes(A, x, y)
+    reads the residual only when the check fails.  On (k, dim) stacks, one
+    bound over the rows; a row it cannot decide takes the check, and the
+    gate is the check of the first row that fails, or True."""
+    bound = A._commutator_bound(x, y)
+    if x.ndim == 1:
+        return bound <= _MARGIN * A.tol.abs_eps or _operator_commutes(A, x, y)
+    for i in np.flatnonzero(bound > _MARGIN * A.tol.abs_eps):
+        chk = _operator_commutes(A, x[i], y[i])
+        if not chk:
+            return chk
+    return True
 
 
 def center_basis(A: AlgebraHandle) -> list[Element]:

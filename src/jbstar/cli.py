@@ -26,7 +26,6 @@ from .algebras import (
     _random,
     build_spin_factor,
     algebra_from_descriptor,
-    involution,
 )
 from .calculus import _axiom_defects
 from .errors import JBStarError, TypeI2Present
@@ -35,6 +34,7 @@ from .measures import verify_linearity_theorem, vectorize_map
 from .peirce import kaup_identity_check, peirce_invariants_check, sample_tripotent
 from .preservers import (
     MapUnderTest,
+    _chained,
     build_spin_counterexample,
     check_generator_properties,
     check_piecewise_hom_on_unitaries,
@@ -46,6 +46,7 @@ from .preservers import (
 from .reports import CheckReport, WorstResidual, chunk_sizes
 from .samplers import _commuting_projection_pair
 from .unitary import (
+    _projection_defect,
     _symmetric_difference_defects,
     circle_inequality_check,
     oc_unitary_equivalences_check,
@@ -168,8 +169,8 @@ def _suite_symmetric_difference(A: AlgebraHandle, trials: int, seed: int) -> lis
         # a draw with a single spectral node (None) does not count
         pairs = [pq for pq in (_commuting_projection_pair(A, rng) for _ in range(size)) if pq is not None]
         if pairs:
-            _, proj, ups = _symmetric_difference_defects(A, *np.stack(pairs, axis=1))
-            acc.add(np.maximum(proj, ups))
+            d, e = _symmetric_difference_defects(A, *np.stack(pairs, axis=1))
+            acc.add(np.maximum(_projection_defect(A, d), A._norm(e)))
     return [acc.report(f"symmetric-difference[{A.id}]")]
 
 
@@ -228,10 +229,11 @@ def _suite_structure_recovery(m: MapUnderTest, trials: int, seed: int) -> list[C
 
 
 def _suite_factor_dichotomy(theta: MapUnderTest, trials: int, seed: int) -> list[CheckReport]:
+    star = map_from_descriptor({"kind": "star"}, theta.source)
     phi_inv = MapUnderTest(
         theta.source,
         theta.target,
-        lambda a: theta.eval(involution(theta.source, a)),
+        _chained([star.eval, theta.eval]),  # stacked when theta is
         label=f"{theta.label}-o-star",
     )
     res_id = classify_factor_dichotomy(theta, theta, trials=trials, seed=seed)

@@ -183,7 +183,7 @@ def verify_linearity_theorem(
     fx = _on_coords(A, f)
     oc_dev = 0.0
     for _ in range(min(trials, 50)):
-        a, b = _draw_oc_pair(A, rng)
+        a, b = _draw_oc_pair(A, rng, 1)[:, 0]
         scale = 1.0 + A._norm(a) + A._norm(b)
         oc_dev = max(oc_dev, _xnorm(fx(a + b) - fx(a) - fx(b)) / scale)
     if oc_dev > pass_tol:

@@ -14,9 +14,22 @@ that thresholds are comparable across trials.
 
 Check bodies compute on coordinate arrays.  The maps take and return
 ``Element``s; ``MapUnderTest._eval`` and ``_inverse``, the map calls, are the
-only place a check body meets one.  Every operator-commuting pair is a
-same-generator draw from ``samplers._draw_oc_pair``, which raises
-SamplerViolation on a pair that does not operator commute.
+only place a check body meets one.  They also take (k, dim) stacks: a map
+callable that carries a ``rows`` attribute, its form on coordinate stacks,
+maps a stack in one call, and any other is called once per row.  The maps
+built from descriptors carry one, but for ``exp_form``.  Every
+operator-commuting pair is a same-generator draw from
+``samplers._draw_oc_pair``, which raises SamplerViolation on a pair that
+does not operator commute.
+
+The OC checks, the piecewise-homomorphism check, the loops of
+``recover_structure``, ``verify_counterexample`` and
+``classify_factor_dichotomy`` and ``verify_jordan_star_isomorphism``
+consume the generator as one draw at a time would, and evaluate chunks of
+at most ``reports.CHUNK`` draws as stacks whose rows equal the one-draw
+results bit for bit.  A chunk's draws are all taken, and its map calls all
+made, before any of its residuals is looked at: a draw's SamplerViolation
+comes before a map error of an earlier draw of its chunk.
 """
 
 from __future__ import annotations
@@ -35,6 +48,7 @@ from .algebras import (
     SpinFactor,
     _owned,
     _random,
+    _unitary_generator,
     element_from_json,
 )
 from .calculus import (
@@ -42,9 +56,9 @@ from .calculus import (
     _is_self_adjoint,
     _operator_commutes,
     _self_adjoint_defect,
+    _small,
     _u_operator,
     is_invertible,
-    is_self_adjoint,
 )
 from .errors import (
     BranchAmbiguity,
@@ -57,9 +71,9 @@ from .errors import (
 )
 from .kernel import Tolerance
 from .peirce import _is_tripotent, _peirce2_algebra, _tripotent_gate
-from .reports import CheckReport, worst_over_trials
+from .reports import CheckReport, WorstResidual, chunk_sizes, worst_over_trials
 from .samplers import _commuting_projection_pair, _draw_oc_pair
-from .unitary import _is_symmetry, _unitary_log, _unitary_gate, unitary_log
+from .unitary import _is_symmetry, _unitary_defects, _unitary_gate, _unitary_log, unitary_log
 
 __all__ = [
     "MapUnderTest",
@@ -90,7 +104,11 @@ class MapUnderTest:
 
     ``eval`` must be deterministic and reentrant.  ``inverse`` is optional;
     bijectivity is never inferred, only probed by round trips against a
-    supplied inverse.
+    supplied inverse.  Either callable may carry a ``rows`` attribute: the
+    same map on a (k, dim) stack of coordinates, returning the stack of the
+    images' coordinates, which the checks call on a chunk of draws in
+    place of k calls.  It travels with its callable, so a map rebuilt with
+    another ``eval`` or ``inverse`` never reaches the old stacked form.
     """
 
     source: AlgebraHandle
@@ -105,13 +123,30 @@ class MapUnderTest:
         return self._checked(self.eval(a), self.target)
 
     def _eval(self, x: np.ndarray) -> np.ndarray:
-        """The map on source coordinates, as target coordinates."""
-        return self._checked(self.eval(Element(self.source.id, x)), self.target).coords
+        """The map on source coordinates, as target coordinates; of one
+        element or of each row of a (k, dim) stack."""
+        return self._apply(self.eval, x, self.source, self.target, "")
 
     def _inverse(self, y: np.ndarray) -> np.ndarray:
         """The supplied inverse on target coordinates, as source coordinates."""
-        e = self.inverse(Element(self.target.id, y))
-        return self._checked(e, self.source, " inverse").coords
+        return self._apply(self.inverse, y, self.target, self.source, " inverse")
+
+    def _apply(self, fn, x, domain: AlgebraHandle, codomain: AlgebraHandle, role: str) -> np.ndarray:
+        """``fn`` on coordinates: one element through ``fn`` itself, a stack
+        through ``fn.rows`` when it has one and row by row otherwise.  A
+        stacked output of the wrong shape, or with a non-finite entry,
+        raises what ``_checked`` and ``Element`` raise for one element."""
+        if x.ndim == 1:
+            return self._checked(fn(Element(domain.id, x)), codomain, role).coords
+        rows = getattr(fn, "rows", None)
+        if rows is None:
+            return np.stack([self._checked(fn(Element(domain.id, r)), codomain, role).coords for r in x])
+        out = np.asarray(rows(x), dtype=complex)
+        if out.shape != (len(x), codomain.dim):
+            raise PreconditionFailed(f"map {self.label!r}{role} returned shape {out.shape}")
+        if not np.isfinite(out).all():
+            raise ValueError("element coordinates must be finite")
+        return out
 
     def _checked(self, e: Element, codomain: AlgebraHandle, role: str = "") -> Element:
         if e.algebra_id != codomain.id:
@@ -141,25 +176,30 @@ class DichotomyResult:
     witness: dict | None = None
 
 
+def _fmax(worst: float, *residuals) -> float:
+    """The largest of ``worst`` and the residual arrays; a NaN never wins."""
+    return float(np.fmax.reduce(np.concatenate([np.ravel(r) for r in residuals]), initial=worst))
+
+
+def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M @ x for each row x of a stack, as ``M @ x`` gives it for one row bit
+    for bit (``x @ M.T`` takes another BLAS route, which rounds otherwise)."""
+    return (M @ x[..., None])[..., 0]
+
+
 def _oc_pair_check(name, m: MapUnderTest, trials, seed, pass_tol, residual, **details):
     """Worst normalized residual over operator-commuting pairs, where
-    ``residual(x, y)`` returns (raw residual, scale) for pair coordinates.
-    The pairs are same-generator draws (``samplers._draw_oc_pair``)."""
-    worst_raw = 0.0
-
-    def trial(rng):
-        nonlocal worst_raw
-        x, y = _draw_oc_pair(m.source, rng)
-        r, scale = residual(x, y)
-        worst_raw = max(worst_raw, r)
-        return r / scale, {"a": x.tolist(), "b": y.tolist(), "residual": r}
-
+    ``residual(x, y)`` returns (raw residuals, scales) for (k, dim) stacks
+    of pair coordinates.  The pairs are same-generator draws
+    (``samplers._draw_oc_pair``), in chunks."""
     rng = np.random.default_rng(seed)
-    rep = worst_over_trials(
-        f"{name}[{m.label}]", rng, trials, pass_tol, trial, pass_tol=pass_tol, **details
-    )
-    rep.details["max_raw_residual"] = worst_raw
-    return rep
+    acc, worst_raw = WorstResidual(pass_tol), 0.0
+    for size in chunk_sizes(trials):
+        x, y = _draw_oc_pair(m.source, rng, size)
+        r, scale = residual(x, y)
+        worst_raw = _fmax(worst_raw, r)
+        acc.add(r / scale, lambda i: {"a": x[i].tolist(), "b": y[i].tolist(), "residual": float(r[i])})
+    return acc.report(f"{name}[{m.label}]", pass_tol=pass_tol, **details, max_raw_residual=worst_raw)
 
 
 def check_oc_additive(
@@ -213,22 +253,22 @@ def check_piecewise_hom_on_unitaries(
     if not _unitary_gate(tgt, img_unit):
         raise NonUnitaryImage("image of the unit is not unitary")
     unit_residual = tgt._norm(img_unit - tgt.unit.coords)
-
-    def trial(rng):
-        h, k = _draw_oc_pair(src, rng)
+    acc = WorstResidual(pass_tol, unit_residual)
+    for size in chunk_sizes(trials):
+        h, k = _draw_oc_pair(src, rng, size)
         u, v = _exp_i(src, h, 1.0), _exp_i(src, k, 1.0)
         fu, fv = f(u), f(v)
-        for name, x in (("u", fu), ("v", fv)):
-            if not _unitary_gate(tgt, x):
-                raise NonUnitaryImage(f"image of {name} is not unitary")
+        images = np.stack([fu, fv], axis=1)  # in draw order: u, then v, of each pair
+        if not all(_small(tgt, d, tgt.tol.abs_eps) for d in _unitary_defects(tgt, images)):
+            for i, j in np.ndindex(size, 2):
+                if not _unitary_gate(tgt, images[i, j]):
+                    raise NonUnitaryImage(f"image of {'uv'[j]} is not unitary")
         mult = tgt._norm(f(src._prod(u, v)) - tgt._prod(fu, fv))
-        occ = _operator_commutes(tgt, fu, fv)
-        r = max(mult, occ.residual)
-        return r, {"h": h.tolist(), "k": k.tolist(), "residual": r}
-
+        occ = [_operator_commutes(tgt, a, b).residual for a, b in zip(fu, fv)]
+        r = np.maximum(mult, occ)
+        acc.add(r, lambda i: {"h": h[i].tolist(), "k": k[i].tolist(), "residual": float(r[i])})
     name = f"piecewise-hom-unitaries[{m.label}]"
-    details = {"unit_residual": unit_residual, "pass_tol": pass_tol}
-    return worst_over_trials(name, rng, trials, pass_tol, trial, start=unit_residual, **details)
+    return acc.report(name, unit_residual=unit_residual, pass_tol=pass_tol)
 
 
 def derive_generator_map(m: MapUnderTest, a: Element, t_small: float = 1.0 / 16.0) -> Element:
@@ -269,7 +309,7 @@ def check_generator_properties(
 
     def trial(rng):
         nonlocal bound
-        a, b = _draw_oc_pair(src, rng)
+        a, b = _draw_oc_pair(src, rng, 1)[:, 0]
         fa, fb, fab = (_generator(m, x) for x in (a, b, a + b))
         r_add = tgt._norm(fab - fa - fb)
         tau = float(rng.choice([-2.0, -1.0, 0.5, 3.0]))
@@ -288,6 +328,14 @@ def check_generator_properties(
     return rep
 
 
+_ISOMORPHISM_FAILURES = (
+    "theta is not complex linear (residual {:.3e})",
+    "theta is not Jordan multiplicative ({:.3e})",
+    "theta does not preserve the involution ({:.3e})",
+    "theta round trip failed ({:.3e})",
+)
+
+
 def verify_jordan_star_isomorphism(
     theta: MapUnderTest, trials: int = 30, seed: int = 0, pass_tol: float = 1e-7
 ) -> float:
@@ -303,25 +351,26 @@ def verify_jordan_star_isomorphism(
     r = tgt._norm(f(src.unit.coords) - tgt.unit.coords)
     if r > pass_tol:
         raise PreconditionFailed(f"theta is not unital (residual {r:.3e})")
-    for _ in range(trials):
-        a, b = _random(src, rng), _random(src, rng)
-        al = complex(rng.standard_normal(), rng.standard_normal())
+    for size in chunk_sizes(trials):
+        drawn = [(_random(src, rng), _random(src, rng), rng.standard_normal(2)) for _ in range(size)]
+        a, b, normals = (np.array(column) for column in zip(*drawn))
+        al = np.array([complex(*pair) for pair in normals])[:, None]
         scale = (1.0 + src._norm(a)) * (1.0 + src._norm(b))
-        r_lin = tgt._norm(f(a * al + b) - f(a) * al - f(b))
-        if r_lin > pass_tol * scale:
-            raise PreconditionFailed(f"theta is not complex linear (residual {r_lin:.3e})")
-        r_mult = tgt._norm(f(src._prod(a, b)) - tgt._prod(f(a), f(b)))
-        if r_mult > pass_tol * scale:
-            raise PreconditionFailed(f"theta is not Jordan multiplicative ({r_mult:.3e})")
-        r_star = tgt._norm(f(src._inv(a)) - tgt._inv(f(a)))
-        if r_star > pass_tol * scale:
-            raise PreconditionFailed(f"theta does not preserve the involution ({r_star:.3e})")
+        fa, fb = f(a), f(b)
+        residuals = [
+            tgt._norm(f(a * al + b) - fa * al - fb),
+            tgt._norm(f(src._prod(a, b)) - tgt._prod(fa, fb)),
+            tgt._norm(f(src._inv(a)) - tgt._inv(fa)),
+        ]
         if theta.inverse is not None:
-            r_rt = src._norm(theta._inverse(f(a)) - a)
-            if r_rt > pass_tol * scale:
-                raise PreconditionFailed(f"theta round trip failed ({r_rt:.3e})")
-            worst = max(worst, r_rt)
-        worst = max(worst, r_lin, r_mult, r_star)
+            residuals.append(src._norm(theta._inverse(fa) - a))
+        residuals = np.array(residuals)
+        bad = residuals > pass_tol * scale
+        if bad.any():  # the first failing draw, and its first failing check
+            i = int(bad.any(axis=0).argmax())
+            c = int(bad[:, i].argmax())
+            raise PreconditionFailed(_ISOMORPHISM_FAILURES[c].format(residuals[c, i]))
+        worst = _fmax(worst, residuals)
     return worst
 
 
@@ -400,15 +449,17 @@ def classify_factor_dichotomy(
     rng = np.random.default_rng(seed)
     r_id = r_inv = 0.0
     worst_witness = None
-    for _ in range(trials):
-        u = _random(src, rng, "unitary")
+    for size in chunk_sizes(trials):
+        # the draws of _random(src, rng, "unitary"), exponentiated as one stack
+        u = _exp_i(src, np.array([_unitary_generator(src, rng) for _ in range(size)]), 1.0)
         fu = m._eval(u)
         scale = 1.0 + src._norm(u)
         d_id = tgt._norm(fu - theta._eval(u)) / scale
         d_inv = tgt._norm(fu - theta._eval(src._inv(u))) / scale
-        if max(d_id, d_inv) > max(r_id, r_inv):
-            worst_witness = {"u": u.tolist()}
-        r_id, r_inv = max(r_id, d_id), max(r_inv, d_inv)
+        for row, di, dv in zip(u, d_id.tolist(), d_inv.tolist()):
+            if max(di, dv) > max(r_id, r_inv):
+                worst_witness = {"u": row.tolist()}
+            r_id, r_inv = max(r_id, di), max(r_inv, dv)
     if r_id <= pass_tol:
         return DichotomyResult("identity_case", r_id, r_inv)
     if r_inv <= pass_tol:
@@ -449,34 +500,31 @@ def recover_structure(
     sub = _peirce2_algebra(tgt, w)
     project, embed = sub.project, sub.embed  # as peirce2_project and peirce2_embed
     rng = np.random.default_rng(seed + 2)
-    hom = 0.0
-    for _ in range(trials):
-        a, b = _draw_oc_pair(src, rng)
-        fa, fb = project @ f(a), project @ f(b)
+    hom = lin = isom = 0.0
+    for size in chunk_sizes(trials):
+        a, b = _draw_oc_pair(src, rng, size)
+        fa, fb = f(a), f(b)
         lhs = f(src._prod(a, b))
-        rhs = embed @ sub._prod(fa, fb)
+        rhs = _matvec(embed, sub._prod(_matvec(project, fa), _matvec(project, fb)))
         scale = (1.0 + src._norm(a)) * (1.0 + src._norm(b))
-        hom = max(hom, tgt._norm(lhs - rhs) / scale)
-        hom = max(hom, tgt._norm(f(a + b) - f(a) - f(b)) / scale)
-    lin = 0.0
-    for _ in range(trials):
-        a, b = _random(src, rng, "self_adjoint"), _random(src, rng, "self_adjoint")
-        al, be = (float(x) for x in rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], size=2))
+        hom = _fmax(hom, tgt._norm(lhs - rhs) / scale, tgt._norm(f(a + b) - fa - fb) / scale)
+    sa = lambda: _random(src, rng, "self_adjoint")
+    for size in chunk_sizes(trials):
+        drawn = [(sa(), sa(), rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], size=2)) for _ in range(size)]
+        a, b, coeffs = (np.array(column) for column in zip(*drawn))
+        al, be = coeffs[:, :1], coeffs[:, 1:]
         r = tgt._norm(f(al * a + be * b) - al * f(a) - be * f(b))
-        scale = 1.0 + abs(al) * src._norm(a) + abs(be) * src._norm(b)
-        lin = max(lin, r / scale)
+        scale = 1.0 + abs(al[:, 0]) * src._norm(a) + abs(be[:, 0]) * src._norm(b)
+        lin = _fmax(lin, r / scale)
     # sampled isometry of Phi into the Peirce-2 norm; reported, never gated
-    isom = 0.0
-    for _ in range(min(trials, 50)):
-        a = _random(src, rng, "self_adjoint")
+    for size in chunk_sizes(min(trials, 50)):
+        a = np.array([sa() for _ in range(size)])
         na = src._norm(a)
-        isom = max(isom, abs(sub._norm(project @ f(a)) - na) / (1.0 + na))
+        isom = _fmax(isom, abs(sub._norm(_matvec(project, f(a))) - na) / (1.0 + na))
     central_symmetry = None
     if m.inverse is not None:
-        rt = 0.0
-        for _ in range(10):
-            a = _random(src, rng, "self_adjoint")
-            rt = max(rt, src._norm(m._inverse(f(a)) - a) / (1.0 + src._norm(a)))
+        a = np.array([sa() for _ in range(10)])
+        rt = _fmax(0.0, src._norm(m._inverse(f(a)) - a) / (1.0 + src._norm(a)))
         if rt <= pass_tol:
             central_symmetry = bool(
                 _is_symmetry(tgt, w)
@@ -555,13 +603,17 @@ def build_spin_counterexample(
     V = SpinFactor(n, tol)
 
     def warp(invert: bool):
-        def f(a: Element) -> Element:
-            if not is_self_adjoint(V, a):
-                raise PreconditionFailed("counterexample map is defined on self-adjoints only")
-            v = _warp_vector(np.asarray(a.coords[1:].imag, dtype=float), epsilon, invert)
-            return V.element(np.concatenate([[complex(a.coords[0].real)], 1j * v]))
+        def rows(x: np.ndarray) -> np.ndarray:
+            # the self-adjoint gate: one bound over the stack, then row by row
+            if not _small(V, V._inv(x) - x, V.tol.abs_eps):
+                if not all(_is_self_adjoint(V, r) for r in x):
+                    raise PreconditionFailed("counterexample map is defined on self-adjoints only")
+            out = np.empty(x.shape, dtype=complex)
+            out[:, 0] = x[:, 0].real
+            out[:, 1:] = 1j * np.array([_warp_vector(r.imag, epsilon, invert) for r in x[:, 1:]])
+            return out
 
-        return f
+        return _with_rows(lambda a: Element(V.id, rows(_owned(V, a)[None])[0]), rows)
 
     label = f"spin-counterexample(n={n},eps={epsilon})"
     mp = MapUnderTest(V, V, warp(False), label=label, inverse=warp(True))
@@ -577,14 +629,22 @@ def spin_u_closed_form(V: AlgebraHandle, alpha: float, s: float, t: float, h: El
     verified against the associative 2x2 embedding and the a = b => a^3
     special case in the test suite.
     """
-    return Element(V.id, _spin_u_closed_form(V, alpha, s, t, _owned(V, h)))
+    return Element(V.id, _spin_u_closed_form(V, [alpha], [s], [t], _owned(V, h)[None])[0])
 
 
-def _spin_u_closed_form(V: AlgebraHandle, alpha: float, s: float, t: float, h: np.ndarray):
-    h2 = float(np.sum(np.abs(h) ** 2))
-    c1 = alpha**2 * t + s * alpha**3 + (3.0 * alpha * s + t) * h2
-    ch = 2.0 * alpha * t + 3.0 * s * alpha**2 + s * h2
-    return float(c1) * V.unit.coords + float(ch) * h
+def _spin_u_closed_form(V: AlgebraHandle, alphas, ss, ts, h: np.ndarray) -> np.ndarray:
+    """spin_u_closed_form of each row of a (k, dim) stack h, with the floats
+    alpha, s and t of each row.  The coefficients are Python float
+    arithmetic row by row: numpy's ``**`` on arrays rounds otherwise."""
+    h2s = np.sum(np.abs(h) ** 2, axis=-1).tolist()
+    coeffs = np.array([
+        (
+            alpha**2 * t + s * alpha**3 + (3.0 * alpha * s + t) * h2,
+            2.0 * alpha * t + 3.0 * s * alpha**2 + s * h2,
+        )
+        for alpha, s, t, h2 in zip(alphas, ss, ts, h2s)
+    ])
+    return coeffs[:, :1] * V.unit.coords + coeffs[:, 1:] * h
 
 
 def verify_counterexample(cx: SpinCounterexample, trials: int = 500, seed: int = 0) -> CheckReport:
@@ -603,24 +663,23 @@ def verify_counterexample(cx: SpinCounterexample, trials: int = 500, seed: int =
     add = check_oc_additive(m, trials, seed)
     quad = check_oc_quadratic(m, trials, seed + 1)
     rng = np.random.default_rng(seed + 2)
-    spot_worst = 0.0
-    for _ in range(50):
-        alpha, s, t = (float(x) for x in rng.standard_normal(3))
-        v = rng.standard_normal(V.dim - 1)
-        h = np.concatenate([[0.0 + 0j], 1j * v])
-        a = alpha * one + h
-        b = (t + s * alpha) * one + s * h
-        ua = _u_operator(V, a, b)
-        closed, closed_img = (_spin_u_closed_form(V, alpha, s, t, x) for x in (h, f(h)))
-        spot_worst = max(spot_worst, V._norm(ua - closed), V._norm(f(ua) - closed_img))
+    drawn = [(rng.standard_normal(3), rng.standard_normal(V.dim - 1)) for _ in range(50)]
+    normals, v = (np.array(column) for column in zip(*drawn))
+    alpha, s, t = normals.T[:, :, None]
+    h = np.zeros((50, V.dim), dtype=complex)
+    h[:, 1:] = 1j * v
+    a = alpha * one + h
+    b = (t + s * alpha) * one + s * h
+    ua = _u_operator(V, a, b)
+    closed, closed_img = (_spin_u_closed_form(V, *normals.T.tolist(), x) for x in (h, f(h)))
+    spot_worst = _fmax(0.0, V._norm(ua - closed), V._norm(f(ua) - closed_img))
     # global additivity witness: unit vectors along the two warped axes
     e1, e2 = 1j * np.eye(V.dim)[1:3]
     witness_gap = V._norm(f(e1) + f(e2) - f(e1 + e2))
     rt = 0.0
-    for _ in range(max(trials // 5, 1)):
-        a = _random(V, rng, "self_adjoint")
-        rt = max(rt, V._norm(m._inverse(f(a)) - a))
-        rt = max(rt, V._norm(f(m._inverse(a)) - a))
+    for size in chunk_sizes(max(trials // 5, 1)):
+        a = np.array([_random(V, rng, "self_adjoint") for _ in range(size)])
+        rt = _fmax(rt, V._norm(m._inverse(f(a)) - a), V._norm(f(m._inverse(a)) - a))
     verdicts = {
         "oc_additive": add.passed and add.details["max_raw_residual"] <= 1e-9,
         "oc_quadratic": quad.passed and spot_worst <= 1e-8,
@@ -725,19 +784,27 @@ def check_i_unit_image(m: MapUnderTest, trials: int = 20, seed: int = 0) -> Chec
 # -- JSON map descriptors -----------------------------------------------------
 
 
+def _with_rows(f, rows):
+    """The map callable ``f`` carrying ``rows``, its form on (k, dim)
+    coordinate stacks (see ``MapUnderTest``)."""
+    f.rows = rows
+    return f
+
+
 def _blockwise_eval(A: AlgebraHandle, act, name: str):
-    """Map applying ``act(part, coords, slice)`` on each summand; refused
-    when it is built unless every summand is a hermitian-matrix algebra."""
+    """Map applying ``act(part, coords, slice)`` on each summand, where
+    coords is one element's block or a stack of them; refused when it is
+    built unless every summand is a hermitian-matrix algebra."""
     if not all(isinstance(p, HermitianMatrixAlgebra) for p, _ in A.summands):
         raise PreconditionFailed(f"{name} needs hermitian-matrix (sums) algebras")
 
-    def f(a: Element) -> Element:
-        out = np.empty(A.dim, dtype=complex)
+    def rows(x: np.ndarray) -> np.ndarray:
+        out = np.empty(x.shape, dtype=complex)
         for p, s in A.summands:
-            out[s] = act(p, a.coords[s], s)
-        return Element(A.id, out)
+            out[..., s] = act(p, x[..., s], s)
+        return out
 
-    return f
+    return _with_rows(lambda a: Element(A.id, rows(a.coords)), rows)
 
 
 def _conjugation_eval(A: AlgebraHandle, w: Element, adjoint: bool):
@@ -745,14 +812,15 @@ def _conjugation_eval(A: AlgebraHandle, w: Element, adjoint: bool):
 
     def act(p: HermitianMatrixAlgebra, coords: np.ndarray, s: slice) -> np.ndarray:
         W = w.coords[s].reshape(p.n, p.n)
-        X = coords.reshape(p.n, p.n)
-        return (W.conj().T @ X @ W if adjoint else W @ X @ W.conj().T).ravel()
+        X = p._mat(coords)
+        return (W.conj().T @ X @ W if adjoint else W @ X @ W.conj().T).reshape(coords.shape)
 
     return _blockwise_eval(A, act, "theta_conjugation")
 
 
 def _transpose_eval(A: AlgebraHandle):
-    return _blockwise_eval(A, lambda p, coords, s: coords.reshape(p.n, p.n).T.ravel(), "transpose")
+    act = lambda p, coords, s: p._mat(coords).swapaxes(-1, -2).reshape(coords.shape)
+    return _blockwise_eval(A, act, "transpose")
 
 
 def map_from_descriptor(desc: dict, source: AlgebraHandle) -> MapUnderTest:
@@ -774,10 +842,10 @@ def map_from_descriptor(desc: dict, source: AlgebraHandle) -> MapUnderTest:
 def _build_map(desc: dict, source: AlgebraHandle) -> MapUnderTest:
     kind = desc.get("kind")
     if kind == "identity":
-        f = lambda a: a
+        f = _with_rows(lambda a: a, np.copy)
         return MapUnderTest(source, source, f, label="identity", inverse=f)
     if kind == "star":
-        f = lambda a: Element(source.id, source._inv(_owned(source, a)))
+        f = _with_rows(lambda a: Element(source.id, source._inv(_owned(source, a))), source._inv)
         return MapUnderTest(source, source, f, label="star", inverse=f)
     if kind == "transpose":
         f = _transpose_eval(source)
@@ -795,10 +863,10 @@ def _build_map(desc: dict, source: AlgebraHandle) -> MapUnderTest:
         if not isinstance(desc["maps"], list) or not desc["maps"]:
             raise ValueError("composition needs a non-empty list of maps")
         maps = [map_from_descriptor(d, source) for d in desc["maps"]]
-        f = functools.partial(_chain, [mp.eval for mp in reversed(maps)])
+        f = _chained([mp.eval for mp in reversed(maps)])
         inverse = None
         if all(mp.inverse is not None for mp in maps):
-            inverse = functools.partial(_chain, [mp.inverse for mp in maps])
+            inverse = _chained([mp.inverse for mp in maps])
         label = "composition(" + ",".join(mp.label for mp in maps) + ")"
         return MapUnderTest(source, source, f, label=label, inverse=inverse)
     if kind == "spin_counterexample":
@@ -817,6 +885,14 @@ def _build_map(desc: dict, source: AlgebraHandle) -> MapUnderTest:
 
         return MapUnderTest(source, source, f, label="exp_form")
     raise ValueError(f"unknown map descriptor kind {kind!r}")
+
+
+def _chained(fns):
+    """The map callables ``fns`` applied in turn, carrying their stacked
+    forms in turn when every one has one."""
+    f = functools.partial(_chain, fns)
+    forms = [getattr(fn, "rows", None) for fn in fns]
+    return f if any(r is None for r in forms) else _with_rows(f, functools.partial(_chain, forms))
 
 
 def _chain(fns, a):

@@ -4,10 +4,13 @@ Rejection sampling essentially never produces operator-commuting pairs, so
 the one operator-commuting draw is constructive: a polynomial in a common
 generator plus a central part, on every model.  In a spin factor
 a o a = 2 a_0 a - <a|a-bar> 1, so such a pair already lies on the spin
-line span{1, a}.  ``_draw_oc_pair`` verifies each pair before any check
-uses it and raises SamplerViolation otherwise.  Check bodies draw
-coordinate arrays from the private forms; the public forms return
-``Element``s.
+line span{1, a}.  ``_draw_oc_pair`` draws a stack of such pairs one after
+another, so a chunk of k pairs consumes the generator as k single draws
+do, and verifies the whole stack before any check uses it: one
+commutator bound over the rows, and the exact check only on a row the
+bound cannot decide.  It raises SamplerViolation on the first pair that
+does not operator commute.  Check bodies draw coordinate arrays from the
+private forms; the public forms return ``Element``s.
 """
 
 from __future__ import annotations
@@ -44,16 +47,19 @@ def _same_generator_pair(A: AlgebraHandle, rng: np.random.Generator):
     return a, b
 
 
-def _draw_oc_pair(A: AlgebraHandle, rng: np.random.Generator):
-    """Coordinates of a same-generator pair, the only operator-commuting
-    draw in the package; SamplerViolation unless the pair operator commutes."""
-    x, y = _same_generator_pair(A, rng)
-    chk = _commute_gate(A, x, y)
+def _draw_oc_pair(A: AlgebraHandle, rng: np.random.Generator, size: int):
+    """Coordinates of ``size`` same-generator pairs, drawn in turn, as a
+    (2, size, dim) stack: the only operator-commuting draw in the package.
+    The stack is gated at once (``calculus._commute_gate``); SamplerViolation,
+    with the residual of the first failing pair, unless every pair operator
+    commutes."""
+    pairs = np.stack([_same_generator_pair(A, rng) for _ in range(size)], axis=1)
+    chk = _commute_gate(A, *pairs)
     if not chk:
         raise SamplerViolation(
             f"sampler produced a non-commuting pair (residual {chk.residual:.3e})"
         )
-    return x, y
+    return pairs
 
 
 def noncommuting_pair(

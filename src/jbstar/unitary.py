@@ -142,14 +142,14 @@ def oc_unitary_product_check(A: AlgebraHandle, trials: int, seed: int) -> CheckR
     Pairs are built as exponentials of operator-commuting self-adjoint
     generators (``samplers._draw_oc_pair``, SamplerViolation on a pair that
     does not operator commute); each residual is the is_unitary defect of
-    u o v.  The pairs are drawn one at a time and evaluated in chunks of at
-    most ``reports.CHUNK``: one stacked ``_exp_i`` for the h's, one for the
-    k's, and one stacked product and is_unitary defect.
+    u o v.  The pairs are drawn and evaluated in chunks of at most
+    ``reports.CHUNK``: one stacked draw, one stacked ``_exp_i`` for the
+    h's, one for the k's, and one stacked product and is_unitary defect.
     """
     rng = np.random.default_rng(seed)
     acc = WorstResidual(1e-7)
     for size in chunk_sizes(trials):
-        h, k = np.stack([_draw_oc_pair(A, rng) for _ in range(size)], axis=1)
+        h, k = _draw_oc_pair(A, rng, size)
         u, v = _exp_i(A, h, 1.0), _exp_i(A, k, 1.0)
         residual = _is_unitary(A, A._prod(u, v)).residual
         acc.add(residual, lambda i: {"h": h[i].tolist(), "k": k[i].tolist()})
@@ -179,7 +179,7 @@ def oc_unitary_equivalences_check(
         return np.exp(1j * np.multiply.outer(exponents, nodes)) @ idems
 
     def trial(rng):
-        h, k = _draw_oc_pair(A, rng)
+        h, k = _draw_oc_pair(A, rng, 1)[:, 0]
         eh, ek = table(h), table(k)
         # (a) + (b): commutation of exponentials, including with the star
         pairs = [(u, w) for u, v in zip(eh[:4], ek[:4]) for w in (v, A._inv(v))]
@@ -252,39 +252,50 @@ def circle_inequality_check(A: AlgebraHandle, trials: int, seed: int) -> CheckRe
     return worst_over_trials(name, rng, trials, 1e-9, trial, start=-math.inf, slack=1e-9)
 
 
+def _projection_defects(A: AlgebraHandle, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x o x - x and x* - x, of one element or of each row of a stack."""
+    return A._prod(x, x) - x, A._inv(x) - x
+
+
 def _projection_defect(A: AlgebraHandle, x: np.ndarray):
     """max(||x o x - x||, ||x* - x||), of one element or of each row of a stack."""
-    return np.maximum(A._norm(A._prod(x, x) - x), A._norm(A._inv(x) - x))
+    return np.maximum(*(A._norm(d) for d in _projection_defects(A, x)))
 
 
-def _require_projection(A: AlgebraHandle, x: np.ndarray, label: str, r: float):
-    thr = A.tol.abs_eps * (1.0 + A._norm(x)) ** 2 + A.tol.cluster_eps
-    if r > thr:
+def _require_projection(A: AlgebraHandle, x: np.ndarray, label: str) -> None:
+    """NotProjection unless max(||x o x - x||, ||x* - x||) is at most
+    abs_eps (1 + ||x||)^2 + cluster_eps, decided by ``_small`` when it can."""
+    eps = A.tol.abs_eps + A.tol.cluster_eps
+    if all(_small(A, d, eps) for d in _projection_defects(A, x)):
+        return
+    r = _projection_defect(A, x)
+    if r > A.tol.abs_eps * (1.0 + A._norm(x)) ** 2 + A.tol.cluster_eps:
         raise NotProjection(f"{label} is not a projection (residual {r:.3e})")
 
 
 def _symmetric_difference_defects(A: AlgebraHandle, x: np.ndarray, y: np.ndarray):
-    """x Delta y with its projection defect and the defect of
-    1 - 2(x Delta y) = (1 - 2x) o (1 - 2y); on (k, dim) stacks, of each
-    pair of rows."""
+    """x Delta y and the defect of 1 - 2(x Delta y) = (1 - 2x) o (1 - 2y);
+    on (k, dim) stacks, of each pair of rows."""
     one = A.unit.coords
     d = x + y - 2.0 * A._prod(x, y)
-    prod = A._prod(one - 2.0 * x, one - 2.0 * y)
-    return d, _projection_defect(A, d), A._norm((one - 2.0 * d) - prod)
+    return d, (one - 2.0 * d) - A._prod(one - 2.0 * x, one - 2.0 * y)
 
 
 def symmetric_difference(A: AlgebraHandle, p: Element, q: Element) -> Element:
     """p Delta q = p + q - 2 p o q.
 
     When p and q operator commute the result is verified to be a projection
-    and to satisfy 1 - 2(p Delta q) = (1 - 2p) o (1 - 2q).
+    and to satisfy 1 - 2(p Delta q) = (1 - 2p) o (1 - 2q).  Every gate is
+    decided by ``_small`` or the commutator bound first.
     """
     x, y = _owned(A, p), _owned(A, q)
-    _require_projection(A, x, "p", _projection_defect(A, x))
-    _require_projection(A, y, "q", _projection_defect(A, y))
-    d, proj, r = _symmetric_difference_defects(A, x, y)
+    _require_projection(A, x, "p")
+    _require_projection(A, y, "q")
+    d, e = _symmetric_difference_defects(A, x, y)
     if _commute_gate(A, x, y):
-        _require_projection(A, d, "p Delta q", proj)
-        if r > 1e-8 * (1.0 + A._norm(x)) * (1.0 + A._norm(y)):
-            raise VerificationFailed(f"symmetric-difference identity violated ({r:.3e})")
+        _require_projection(A, d, "p Delta q")
+        if not _small(A, e, 1e-8):
+            r = A._norm(e)
+            if r > 1e-8 * (1.0 + A._norm(x)) * (1.0 + A._norm(y)):
+                raise VerificationFailed(f"symmetric-difference identity violated ({r:.3e})")
     return Element(A.id, d)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -10,7 +11,7 @@ from jbstar.cli import RunConfig, list_suites, main, run
 from jbstar.kernel import Tolerance
 from jbstar.reports import CHUNK, _jsonable
 from jbstar.samplers import _commuting_projection_pair, _draw_oc_pair
-from jbstar.unitary import _is_unitary, _symmetric_difference_defects
+from jbstar.unitary import _is_unitary, _projection_defect, _symmetric_difference_defects
 
 
 @pytest.fixture()
@@ -351,14 +352,14 @@ def _rowwise_reference(suite, A, trials, seed):
     drawn = []
     for _ in range(trials):
         if suite == "unitary-piecewise":
-            h, k = _draw_oc_pair(A, rng)
+            h, k = _draw_oc_pair(A, rng, 1)[:, 0]
             u, v = calculus._exp_i(A, h, 1.0), calculus._exp_i(A, k, 1.0)
             drawn.append((_is_unitary(A, A._prod(u, v)).residual, {"h": h.tolist(), "k": k.tolist()}))
         else:
             pq = _commuting_projection_pair(A, rng)
             if pq is not None:
-                _, proj, ups = _symmetric_difference_defects(A, *pq)
-                drawn.append((max(proj, ups), None))
+                d, e = _symmetric_difference_defects(A, *pq)
+                drawn.append((max(_projection_defect(A, d), A._norm(e)), None))
     tol = 1e-7 if suite == "unitary-piecewise" else 1e-8
     worst, witness = max(drawn, key=lambda d: d[0])  # the first of equal residuals
     return len(drawn), worst <= tol, worst, _jsonable(witness) if worst > tol else None
@@ -386,3 +387,53 @@ def test_chunked_suites_match_a_rowwise_loop_across_chunk_boundaries(suite, desc
     assert (chk["trials"], chk["passed"], chk.get("witness")) == (want_trials, want_passed, want_witness)
     assert abs(chk["max_residual"] - want_worst) <= 1e-12 * (1.0 + abs(want_worst))
     assert status == 0 and want_trials == trials  # every draw has two nodes or more
+
+
+def _plain(m):
+    """m with plain callables: without their stacked forms, every stack of
+    draws is mapped one row at a time."""
+    inverse = m.inverse and (lambda a, g=m.inverse: g(a))
+    return dataclasses.replace(m, eval=lambda a, g=m.eval: g(a), inverse=inverse)
+
+
+def _report(cfg):
+    try:
+        doc, status = run(cfg)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    for key in ("generated_at", "duration_s"):
+        doc.pop(key)
+    for key in ("algebra_path", "map_path"):
+        doc["config"].pop(key)
+    return status, json.dumps(doc, sort_keys=True)
+
+
+M5 = {"kind": "hermitian_matrix", "n": 5}
+M3_SPIN5 = {"kind": "direct_sum", "parts": [{"kind": "hermitian_matrix", "n": 3}, {"kind": "spin", "n": 5}]}
+W5 = [[float(v), 0.0] for v in np.eye(5)[[1, 2, 0, 4, 3]].ravel()]  # a permutation unitary
+
+
+@pytest.mark.parametrize("suite", ["structure-recovery", "counterexample", "factor-dichotomy", "preserver"])
+@pytest.mark.parametrize(
+    "desc,mp",
+    [
+        (M5, {"kind": "composition", "maps": [{"kind": "theta_conjugation", "w": {"coords": W5}}, {"kind": "transpose"}]}),
+        (M3_SPIN5, {"kind": "star"}),
+    ],
+    ids=["M5", "M3+spin(5)"],
+)
+def test_chunked_map_suites_match_their_maps_without_stacked_forms(suite, desc, mp, tmp_path, monkeypatch):
+    # two full chunks and a short one; the counterexample runs on spin(4)
+    alg, path = tmp_path / "algebra.json", tmp_path / "map.json"
+    alg.write_text(json.dumps({"kind": "spin", "n": 4} if suite == "counterexample" else desc))
+    path.write_text(json.dumps(mp))
+    cfg = RunConfig(command=suite, algebra_path=str(alg), map_path=str(path), trials=2 * CHUNK + 3, seed=19)
+    stacked = _report(cfg)
+    build_map, build_cx = cli.map_from_descriptor, cli.build_spin_counterexample
+    monkeypatch.setattr(cli, "map_from_descriptor", lambda d, A: _plain(build_map(d, A)))
+    monkeypatch.setattr(
+        cli, "build_spin_counterexample", lambda *a: (lambda cx: dataclasses.replace(cx, map=_plain(cx.map)))(build_cx(*a))
+    )
+    assert _report(cfg) == stacked
+    # the dichotomy applies to factors only
+    assert stacked[0] == ("NotAFactor" if (suite, desc) == ("factor-dichotomy", M3_SPIN5) else 0), stacked

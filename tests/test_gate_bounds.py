@@ -14,6 +14,7 @@ which sends every gate down its exact path.  The ``_norm`` and
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from jbstar.algebras import (
     build_spin_factor,
 )
 from jbstar.errors import (
+    NotProjection,
     NotSelfAdjoint,
     NotTripotent,
     NotUnitary,
@@ -136,6 +138,36 @@ def test_commutator_bound_dominates_every_route(A):
                 assert max(routes) <= bound + 1e-13 * thr / A.tol.abs_eps
             else:
                 assert max(routes) <= bound * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 40])
+def test_the_spin_commutator_bound_is_the_frobenius_norm(n):
+    # the closed form sqrt 2 |x'| |r| against the base class's product of
+    # multiplication matrices on general, self-adjoint and unitary pairs;
+    # rounding only on a commuting pair, zero against the unit
+    A = S(n)
+    rng = np.random.default_rng(n)
+    for flavor in ("general", "self_adjoint", "unitary"):
+        for _ in range(5):
+            x, y = _random(A, rng, flavor), _random(A, rng, flavor)
+            want = AlgebraHandle._commutator_bound(A, x, y)
+            assert abs(A._commutator_bound(x, y) - want) <= 1e-14 * want
+    x = _random(A, rng, "self_adjoint")
+    assert A._commutator_bound(x, 3.0 * x - 2.0 * A.unit.coords) <= 1e-15 * (1.0 + A._norm(x)) ** 2
+    assert A._commutator_bound(A.unit.coords, x) == 0.0
+
+
+ORACLE = oracles.peirce2_oracle(H(3), sample_tripotent(H(3), np.random.default_rng(1)).coords)
+
+
+@pytest.mark.parametrize("A", COMMUTATOR_MODELS + [ORACLE], ids=lambda A: A.id)
+def test_the_stacked_commutator_bound_is_the_bound_of_each_row(A):
+    rng = np.random.default_rng(18)
+    x, y = (np.stack([_random(A, rng) for _ in range(4)]) for _ in range(2))
+    got = A._commutator_bound(x, y)
+    want = [A._commutator_bound(a, b) for a, b in zip(x, y)]
+    assert got.shape == (4,)
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 # -- every gated site against its exact gate ------------------------------------
@@ -405,7 +437,7 @@ def _commutator_ratio(A, x, y):
 def test_oc_draw_commutation_gate(monkeypatch, A):
     # the defect is added to the drawn pair's second element
     rng = np.random.default_rng(41)
-    draws = [samplers._draw_oc_pair(A, rng) for _ in range(3)]
+    draws = [samplers._draw_oc_pair(A, rng, 1)[:, 0] for _ in range(3)]
     pair, shift = [None], [0.0]
     monkeypatch.setattr(samplers, "_same_generator_pair", lambda B, r: (pair[0][0], pair[0][1] + shift[0]))
     cases = []
@@ -414,11 +446,28 @@ def test_oc_draw_commutation_gate(monkeypatch, A):
 
         def call(t, x=x, y=y, g=g):
             pair[0], shift[0] = (x, y), t * g
-            return samplers._draw_oc_pair(A, None)
+            return samplers._draw_oc_pair(A, None, 1)
 
         cases.append((call, _commutator_ratio(A, x, lambda t, y=y, g=g: y + t * g)))
     # the exact gate: ||x||, ||y|| and the commutator norm
     _check_site(A, cases, SamplerViolation, gate=3)
+
+
+@pytest.mark.parametrize("A", SITE_MODELS, ids=lambda A: A.id)
+def test_a_stacked_oc_draw_refuses_its_first_non_commuting_pair(monkeypatch, A):
+    # a large commuting pair that the bound cannot decide (its rounding
+    # exceeds abs_eps) passes the exact check; the violation names the
+    # first non-commuting pair after it, not the second
+    rng = np.random.default_rng(45)
+    big = [1e4 * z for z in samplers._same_generator_pair(A, rng)]
+    assert A._commutator_bound(*big) > A.tol.abs_eps
+    good = samplers._same_generator_pair(A, rng)
+    bad = [samplers._noncommuting_pair(A, rng) for _ in range(2)]
+    stream = iter([good, big, good, bad[0], good, bad[1]])
+    monkeypatch.setattr(samplers, "_same_generator_pair", lambda B, r: next(stream))
+    residual = calculus._operator_commutes(A, *bad[0]).residual
+    with pytest.raises(SamplerViolation, match=re.escape(f"(residual {residual:.3e})")):
+        samplers._draw_oc_pair(A, None, 6)
 
 
 @pytest.mark.parametrize("A", SITE_MODELS, ids=lambda A: A.id)
@@ -468,3 +517,31 @@ def test_symmetric_difference_branch(A):
         assert len(calls) <= 1 and (rho <= 1.0 or calls)
         paths.add(len(calls))
     assert paths == {0, 1}
+
+
+@pytest.mark.parametrize("A", SITE_MODELS, ids=lambda A: A.id)
+def test_symmetric_difference_projection_gates(A):
+    # p or q is scaled by 1 + t: it still operator commutes with the other,
+    # and its projection defect (1 + t) t p is the one that fails first.
+    # The site's other gates then pass: p Delta q has about the same defect,
+    # and the identity 1 - 2(p Delta q) = (1 - 2p) o (1 - 2q) holds for any
+    # p and q.  Every gate decided by its bound: no _norm call at all.
+    rng = np.random.default_rng(44)
+    p, q = samplers._orthogonal_projection_pair(A, rng)
+    thr = lambda x: A.tol.abs_eps * (1.0 + A._norm(x)) ** 2 + A.tol.cluster_eps
+    for scaled in (0, 1):
+        x = p if scaled == 0 else q
+        ratio = lambda t, x=x: unitary._projection_defect(A, (1.0 + t) * x) / thr((1.0 + t) * x)
+        paths = set()
+        for rho in RATIOS:
+            t = _tuned(ratio, rho)
+            pair = [p, q]
+            pair[scaled] = (1.0 + t) * x
+            call = lambda: unitary.symmetric_difference(A, *(A.element(z) for z in pair))
+            out, calls = _run(A, call, exact=False)
+            assert _same(out, _run(A, call, exact=True)[0]), (rho, out)
+            failed = out[:2] == ("raised", NotProjection)
+            assert failed == (rho > 1.0), (rho, out)
+            assert not failed or "pq"[scaled] + " is not a projection" in out[2]
+            paths.add(calls == 0)
+        assert paths == {True, False}

@@ -10,6 +10,7 @@ import pytest
 import jbstar.samplers as samplers
 from jbstar.algebras import (
     Element,
+    _random,
     SpinFactor,
     build_direct_sum,
     build_hermitian_matrix_algebra,
@@ -25,6 +26,7 @@ from jbstar.kernel import Tolerance
 from jbstar.measures import vectorize_map, verify_linearity_theorem
 from jbstar.errors import (
     JBStarError,
+    NonUnitaryImage,
     NotAFactor,
     ParamOutOfRange,
     PreconditionFailed,
@@ -48,7 +50,7 @@ from jbstar.preservers import (
     verify_jordan_star_isomorphism,
     verify_unitary_preserver_form,
 )
-from jbstar.unitary import oc_unitary_equivalences_check, oc_unitary_product_check
+from jbstar.unitary import is_unitary, oc_unitary_equivalences_check, oc_unitary_product_check
 
 import oracles
 
@@ -591,3 +593,183 @@ def test_map_checks_do_no_element_arithmetic(tmp_path, monkeypatch):
     for op in ("__add__", "__sub__", "__mul__", "__rmul__", "__neg__"):
         monkeypatch.setattr(Element, op, refuse)
     assert _guarded_reports(tmp_path) == want
+
+
+# -- stacked map calls ----------------------------------------------------------
+
+M5 = build_hermitian_matrix_algebra(5)
+S4 = build_spin_factor(4)
+
+
+def _descriptors(A):
+    """A descriptor of every map kind that applies to A."""
+    out = {"identity": {"kind": "identity"}, "star": {"kind": "star"}}
+    if all(p.kind == "hermitian_matrix" for p, _ in A.summands):
+        w = element_to_json(random_element(A, 3, "unitary"))
+        out["transpose"] = {"kind": "transpose"}
+        out["theta_conjugation"] = {"kind": "theta_conjugation", "w": w}
+        out["composition"] = {
+            "kind": "composition",
+            "maps": [{"kind": "transpose"}, {"kind": "composition", "maps": [out["theta_conjugation"], {"kind": "star"}]}],
+        }
+    if isinstance(A, SpinFactor):
+        out["spin_counterexample"] = {"kind": "spin_counterexample", "epsilon": 0.3}
+        out["composition"] = {"kind": "composition", "maps": [out["spin_counterexample"], {"kind": "star"}]}
+    out["exp_form"] = {"kind": "exp_form", "c": element_to_json(A.unit), "theta": {"kind": "star"}}
+    return out
+
+
+@pytest.mark.parametrize("A", [H3, S4, H3S3, M5], ids=lambda A: A.id)
+def test_stacked_maps_equal_their_rows_bit_for_bit(A):
+    rng = np.random.default_rng(61)
+    stacked = set()
+    for kind, desc in _descriptors(A).items():
+        m = map_from_descriptor(desc, A)
+        flavor = "unitary" if kind == "exp_form" else "self_adjoint"  # the counterexample takes self-adjoints
+        x = np.stack([random_element(A, s, flavor).coords for s in range(5)])
+        for fn, call in ((m.eval, m._eval), (m.inverse, m._inverse)):
+            if fn is None:
+                continue
+            got = call(x)
+            assert np.array_equal(got, np.stack([call(row) for row in x])), kind
+            assert np.array_equal(got, np.stack([fn(A.element(row)).coords for row in x])), kind
+            if hasattr(fn, "rows"):
+                stacked.add(kind)
+    assert stacked == set(_descriptors(A)) - {"exp_form"}
+
+
+def test_a_plain_callable_is_called_once_per_row():
+    calls = []
+
+    def f(a):
+        calls.append(a.coords.shape)
+        return a
+
+    m = MapUnderTest(H3, H3, f, label="plain")
+    x = np.stack([random_element(H3, s, "self_adjoint").coords for s in range(4)])
+    assert np.array_equal(m._eval(x), x)
+    assert calls == [(9,)] * 4
+
+
+def test_a_replaced_callable_never_reaches_the_old_stacked_form():
+    m = map_from_descriptor({"kind": "transpose"}, H3)
+    x = np.stack([random_element(H3, s).coords for s in range(3)])
+    for field_name, call in (("eval", "_eval"), ("inverse", "_inverse")):
+        new = dataclasses.replace(m, **{field_name: lambda a: 2.0 * a})
+        assert np.array_equal(getattr(new, call)(x), 2.0 * x)
+
+
+def test_a_stacked_form_with_a_bad_output_raises_the_row_error():
+    x = np.stack([random_element(H3, s).coords for s in range(3)])
+
+    def stacked(rows):
+        f = lambda a: a
+        f.rows = rows
+        return MapUnderTest(H3, H3, f, label="stacked", inverse=f)
+
+    with pytest.raises(PreconditionFailed, match="'stacked' returned shape"):
+        stacked(lambda y: y[:, :4])._eval(x)
+    with pytest.raises(PreconditionFailed, match="'stacked' inverse returned shape"):
+        stacked(lambda y: y[:2])._inverse(x)
+
+    def blowup(y):
+        out = y.copy()
+        out[1, 0] = np.inf
+        return out
+
+    with pytest.raises(ValueError, match="finite"):
+        stacked(blowup)._eval(x)
+
+
+def test_the_counterexample_refuses_a_stack_with_one_non_self_adjoint_row():
+    m = build_spin_counterexample(4, 0.3).map
+    x = np.stack([random_element(S4, s, "self_adjoint").coords for s in range(3)])
+    x[2, 1] += 1e-3
+    with pytest.raises(PreconditionFailed, match="self-adjoints only"):
+        m._eval(x)
+    with pytest.raises(PreconditionFailed, match="self-adjoints only"):
+        m.eval(S4.element(x[2]))
+
+
+def test_a_chunk_of_map_suite_draws_builds_no_element_per_trial(tmp_path, monkeypatch):
+    # the stacked map calls build no Element; a lost stacked form would
+    # only show as Elements that grow with the trials
+    alg, mp = tmp_path / "h3.json", tmp_path / "transpose.json"
+    alg.write_text(json.dumps({"kind": "hermitian_matrix", "n": 3}))
+    mp.write_text(json.dumps({"kind": "transpose"}))
+    count, init = [0], Element.__post_init__
+    monkeypatch.setattr(Element, "__post_init__", lambda self: count.__setitem__(0, count[0] + 1) or init(self))
+    built = []
+    from jbstar.reports import CHUNK
+
+    for trials in (20, 2 * CHUNK + 3):
+        count[0] = 0
+        doc, status = run(RunConfig("structure-recovery", str(alg), str(mp), trials=trials, seed=42))
+        assert status == 0
+        built.append(count[0])
+    assert built[0] == built[1], built
+
+
+def _kinked(A, coord, level):
+    """x, but 1.5 x where Re x[coord] > level: each check fails on some
+    draws and not on others."""
+    f = lambda a: A.element(a.coords * (1.5 if a.coords[coord].real > level else 1.0))
+    return MapUnderTest(A, A, f, label="kinked", inverse=f)
+
+
+def _first_failure(call):
+    try:
+        call()
+    except PreconditionFailed as exc:
+        return str(exc)
+    except Exception as exc:  # a NonUnitaryImage, by name and message
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("level", [1.2, 3.5])  # at 3.5, seed 5 first fails in the second chunk
+def test_chunked_isomorphism_check_raises_what_one_draw_at_a_time_raises(seed, level):
+    # the reference: each draw's linearity, multiplicativity, star and round
+    # trip in turn, the first that fails raising
+    m = _kinked(H3, 1, level)
+    src, f = m.source, m._eval
+
+    def one_at_a_time(trials, pass_tol=1e-7):
+        rng = np.random.default_rng(seed)
+        for _ in range(trials):
+            a, b = _random(src, rng), _random(src, rng)
+            al = complex(rng.standard_normal(), rng.standard_normal())
+            scale = (1.0 + src._norm(a)) * (1.0 + src._norm(b))
+            for r, message in (
+                (src._norm(f(a * al + b) - f(a) * al - f(b)), "theta is not complex linear (residual {:.3e})"),
+                (src._norm(f(src._prod(a, b)) - src._prod(f(a), f(b))), "theta is not Jordan multiplicative ({:.3e})"),
+                (src._norm(f(src._inv(a)) - src._inv(f(a))), "theta does not preserve the involution ({:.3e})"),
+                (src._norm(m._inverse(f(a)) - a), "theta round trip failed ({:.3e})"),
+            ):
+                if r > pass_tol * scale:
+                    raise PreconditionFailed(message.format(r))
+
+    from jbstar.reports import CHUNK
+
+    got = _first_failure(lambda: verify_jordan_star_isomorphism(m, trials=2 * CHUNK + 3, seed=seed))
+    assert got is not None and got == _first_failure(lambda: one_at_a_time(2 * CHUNK + 3))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_chunked_piecewise_check_refuses_the_first_non_unitary_image(seed):
+    m = _kinked(H3, 1, 0.3)
+    src = m.source
+
+    def one_at_a_time(trials):
+        rng = np.random.default_rng(seed)
+        for _ in range(trials):
+            h, k = samplers._draw_oc_pair(src, rng, 1)[:, 0]
+            for name, x in (("u", h), ("v", k)):
+                if not is_unitary(H3, m(exp_i(H3, H3.element(x), 1.0))):
+                    raise NonUnitaryImage(f"image of {name} is not unitary")
+
+    from jbstar.reports import CHUNK
+
+    got = _first_failure(lambda: check_piecewise_hom_on_unitaries(m, trials=2 * CHUNK + 3, seed=seed))
+    assert got is not None and got == _first_failure(lambda: one_at_a_time(2 * CHUNK + 3))
