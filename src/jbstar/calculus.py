@@ -41,12 +41,16 @@ identities of ``is_invertible``, and ``_is_self_adjoint``) are decided by
 ``_small`` first: with the model's kappa, ||x|| <= kappa |x|_2 in the
 coordinate 2-norm, a defect d passes when kappa |d|_2 <= (1 - 1e-12) eps.
 Every such threshold is eps (1 + ||x||)^p or more, so this one-sided test
-never needs a lower bound of ||x||.  Only when it cannot decide do the
-exact norms run, and a failing gate raises with its exact value.
-``_commute_gate`` does the same for commutation with the model's
-``_commutator_bound``; ``operator_commutes`` and every reported residual
-stay exact.  The gates of ``unitary``, ``peirce``, ``samplers``,
-``measures`` and ``preservers`` use the same two tests.
+never needs a lower bound of ||x||.  ``_gate`` takes a gate's defects and
+its threshold, of one element or of every row of a stack: it is True when
+the bound decides, and otherwise the exact check, whose norms only then
+run.  ``_require`` raises with the residual and threshold of its first
+failing row; a NaN fails.  The gates of ``unitary``, ``peirce`` and
+``preservers`` go through the same pair.  ``_commute_gate`` does the same
+for commutation with the model's ``_commutator_bound``, for ``samplers``
+and ``measures`` too; ``operator_commutes`` and every reported residual
+stay exact.  ``spectral_decomposition`` refuses extreme nodes that are not
+finite (the spin closed form overflows past about 1e154).
 
 The tests keep the generic Krylov compression (Arnoldi from the unit on
 x -> a o x spans C(1, a), and a small dense eigensolver diagonalises the
@@ -122,6 +126,29 @@ def _small(A: AlgebraHandle, d: np.ndarray, eps: float) -> bool:
     return kappa * math.sqrt(sq) <= _MARGIN * eps
 
 
+def _gate(A: AlgebraHandle, defects: tuple, eps: float, threshold):
+    """True when every one of ``defects`` (arrays of one element, or stacks
+    of every row's) is ``_small`` at eps, so that the gate passes without
+    its norms; otherwise the exact check, the largest defect norm against
+    ``threshold()``, row by row on a stack, which a NaN fails.  For a
+    caller that reads the value only when the gate fails."""
+    for d in defects:
+        if not _small(A, d, eps):
+            residual, limit = np.maximum.reduce([A._norm(e) for e in defects]), threshold()
+            return ResidualCheck(residual <= limit, residual, limit)
+    return True
+
+
+def _require(check, error, message: str) -> None:
+    """Raise ``error`` unless the ``_gate`` ``check`` passed, with
+    ``message`` formatted by the residual and the threshold of its first
+    failing row (of its one element)."""
+    if check is not True and not np.all(check.ok):
+        first = np.argmin(check.ok)
+        residual, threshold = np.broadcast_arrays(check.residual, check.threshold)
+        raise error(message.format(residual.flat[first], threshold.flat[first]))
+
+
 def _self_adjoint_defect(A: AlgebraHandle, x: np.ndarray) -> tuple[float, float, float]:
     """(||x* - x||, threshold, ||x||) for the self-adjointness test."""
     dev = A._norm(A._inv(x) - x)
@@ -129,20 +156,15 @@ def _self_adjoint_defect(A: AlgebraHandle, x: np.ndarray) -> tuple[float, float,
     return dev, A.tol.abs_eps * (1.0 + norm), norm
 
 
+def _self_adjoint_gate(A: AlgebraHandle, x: np.ndarray):
+    """The self-adjointness test of one element or of every row of a stack,
+    as a ``_gate``."""
+    eps = A.tol.abs_eps
+    return _gate(A, (A._inv(x) - x,), eps, lambda: eps * (1.0 + A._norm(x)))
+
+
 def _is_self_adjoint(A: AlgebraHandle, x: np.ndarray) -> bool:
-    """The self-adjointness test, decided by ``_small`` when it can."""
-    if _small(A, A._inv(x) - x, A.tol.abs_eps):
-        return True
-    dev, thr, _ = _self_adjoint_defect(A, x)
-    return dev <= thr
-
-
-def _require_self_adjoint(A: AlgebraHandle, x: np.ndarray) -> None:
-    """NotSelfAdjoint unless x (every row of a stack) passes the
-    self-adjointness test, with the exact deviation of the first that fails."""
-    if not _small(A, A._inv(x) - x, A.tol.abs_eps):
-        dev, thr, _ = _self_adjoint_defect(A, x)
-        _raise_first(dev > thr, dev, NotSelfAdjoint, "deviation from self-adjointness {:.3e}")
+    return bool(_self_adjoint_gate(A, x))
 
 
 def is_self_adjoint(A: AlgebraHandle, a: Element) -> bool:
@@ -241,13 +263,13 @@ def is_invertible(A: AlgebraHandle, a: Element) -> Element | None:
         return None
     y = np.linalg.solve(A._u_matrix(x), x)
     eps = 100.0 * A.tol.abs_eps
-    defects = A._prod(x, y) - A.unit.coords, A._prod(A._prod(x, x), y) - x
-    if not (_small(A, defects[0], eps) and _small(A, defects[1], eps)):
-        nx, ny = A._norm(x), A._norm(y)
-        thr = eps * (1.0 + nx) * (1.0 + nx) * (1.0 + ny)
-        r = max(A._norm(defects[0]), A._norm(defects[1]))
-        if r > thr:
-            raise VerificationFailed(f"candidate inverse failed defining identities (residual {r:.3e})")
+
+    def threshold():
+        nx = A._norm(x)
+        return eps * (1.0 + nx) * (1.0 + nx) * (1.0 + A._norm(y))
+
+    check = _gate(A, (A._prod(x, y) - A.unit.coords, A._prod(A._prod(x, x), y) - x), eps, threshold)
+    _require(check, VerificationFailed, "candidate inverse failed defining identities (residual {:.3e})")
     return Element(A.id, y)
 
 
@@ -306,14 +328,19 @@ def spectral_decomposition(A: AlgebraHandle, a: Element) -> SpectralDecompositio
     sums; with the reconstruction residual."""
     x = _owned(A, a)
     nodes, idems = _decompose(A, x)
+    if not (math.isfinite(nodes[0]) and math.isfinite(nodes[-1])):
+        raise VerificationFailed(f"spectral nodes from {nodes[0]} to {nodes[-1]} are not finite")
     idems.flags.writeable = False
     return SpectralDecomposition(A.id, nodes, idems, float(A._norm(nodes @ idems - x)))
+
+
+_NOT_SELF_ADJOINT = "deviation from self-adjointness {:.3e}"
 
 
 def _decompose(A: AlgebraHandle, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodes, ascending, and idempotents (rows) of a self-adjoint element;
     NotSelfAdjoint on any other."""
-    _require_self_adjoint(A, x)
+    _require(_self_adjoint_gate(A, x), NotSelfAdjoint, _NOT_SELF_ADJOINT)
     return _abelian_decomposition(A, x, True)
 
 
@@ -323,18 +350,11 @@ def _decompose_rows(A: AlgebraHandle, x: np.ndarray):
     (k, m, dim) arrays, and the mask of the rows with ``_near`` nodes.
     Those rows' pieces are left unmerged (a scalar spin summand gives a
     double node), so a caller takes them through ``_decompose``."""
-    _require_self_adjoint(A, x)
+    _require(_self_adjoint_gate(A, x), NotSelfAdjoint, _NOT_SELF_ADJOINT)
     nodes, raw = A._eigenpieces(x, True)
     clustered = np.count_nonzero(_near(A, nodes), axis=(-2, -1)) > nodes.shape[-1]
     order = np.argsort(nodes, axis=-1)
     return np.take_along_axis(nodes, order, -1), np.take_along_axis(raw, order[..., None], -2), clustered
-
-
-def _raise_first(bad, values, error, message: str) -> None:
-    """Raise ``error`` with the value of the first row that is ``bad``, if any
-    is: one element's gate (a bool and a float) or a stack's (arrays)."""
-    if bad is not False and np.any(bad):  # a passing single gate skips np.any, which costs microseconds
-        raise error(message.format(np.extract(bad, values)[0]))
 
 
 def functional_calculus(A: AlgebraHandle, a: Element, f) -> Element:
@@ -379,9 +399,6 @@ def _exp_i(A: AlgebraHandle, x: np.ndarray, t: float) -> np.ndarray:
         u = _exp(nodes, idems, t)
         for i in np.flatnonzero(clustered):
             u[i] = _exp(*_decompose(A, x[i]), t)
-    d = A._prod(u, A._inv(u)) - A.unit.coords
-    if not _small(A, d, 1e-7):
-        r = A._norm(d)
-        message = "exp_i produced a non-unitary element (residual {:.3e})"
-        _raise_first(r > 1e-7 * (1.0 + A._norm(u)) ** 2, r, VerificationFailed, message)
+    check = _gate(A, (A._prod(u, A._inv(u)) - A.unit.coords,), 1e-7, lambda: 1e-7 * (1.0 + A._norm(u)) ** 2)
+    _require(check, VerificationFailed, "exp_i produced a non-unitary element (residual {:.3e})")
     return u

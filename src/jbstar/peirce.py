@@ -14,6 +14,8 @@ gives it as a concrete model: M_r on M_n, M_1 or the spin factor itself on
 a spin factor, the sum of the summands' models on a direct sum.  The hook
 also gives the embedding and its inverse, and this module checks, on fixed
 samples, that the embedding is a Jordan *-isomorphism onto range(P2).
+The tripotent gate is a ``calculus._gate``; the checks fold their draws
+into a ``reports.WorstResidual``.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebras import AlgebraHandle, Element, _owned, _random
-from .calculus import _axiom_defects, _decompose, _small
+from .calculus import _axiom_defects, _decompose, _gate, _require
 from .errors import NotTripotent, VerificationFailed
-from .reports import CheckReport, ResidualCheck, WorstResidual, chunk_sizes, worst_over_trials
+from .reports import CheckReport, ResidualCheck, WorstResidual, chunk_sizes
 
 __all__ = [
     "PeirceSystem",
@@ -69,10 +71,9 @@ def _is_tripotent(A: AlgebraHandle, x: np.ndarray) -> ResidualCheck:
 
 
 def _tripotent_gate(A: AlgebraHandle, x: np.ndarray):
-    """True when the defect {x,x,x} - x is ``_small``, so that x passes
-    ``_is_tripotent``; that check otherwise.  For a caller that reads the
-    residual only when the check fails."""
-    return _small(A, A._triple(x, x, x) - x, A.tol.abs_eps) or _is_tripotent(A, x)
+    """``_is_tripotent`` as a ``_gate``."""
+    eps = A.tol.abs_eps
+    return _gate(A, (A._triple(x, x, x) - x,), eps, lambda: eps * (1.0 + A._norm(x) ** 3))
 
 
 def _lqe(A: AlgebraHandle, x: np.ndarray):
@@ -104,9 +105,7 @@ def peirce_system(A: AlgebraHandle, e: Element) -> PeirceSystem:
 
 def _peirce_projections(A: AlgebraHandle, x: np.ndarray):
     """(P2, P1, P0, residual) of the tripotent with coordinates x."""
-    chk = _tripotent_gate(A, x)
-    if not chk:
-        raise NotTripotent(f"tripotent defect {chk.residual:.3e} exceeds {chk.threshold:.3e}")
+    _require(_tripotent_gate(A, x), NotTripotent, "tripotent defect {:.3e} exceeds {:.3e}")
     lee, q2 = _lqe(A, x)
     l2 = lee @ lee
     eye = np.eye(A.dim, dtype=complex)
@@ -211,13 +210,11 @@ def _sample_tripotent(A: AlgebraHandle, rng: np.random.Generator) -> np.ndarray:
 
 def peirce_invariants_check(A: AlgebraHandle, trials: int, seed: int) -> CheckReport:
     """Largest Peirce-identity residual (peirce_system) over random tripotents."""
-
-    def trial(rng):
-        return _peirce_projections(A, _sample_tripotent(A, rng))[3], None
-
     rng = np.random.default_rng(seed)
-    thr = 1e-8
-    return worst_over_trials(f"peirce-invariants[{A.id}]", rng, trials, thr, trial, threshold=thr)
+    worst = WorstResidual(1e-8)
+    for _ in range(trials):
+        worst.add(_peirce_projections(A, _sample_tripotent(A, rng))[3])
+    return worst.report(f"peirce-invariants[{A.id}]", threshold=worst.tol)
 
 
 def kaup_identity_check(A: AlgebraHandle, e: Element, trials: int, seed: int) -> CheckReport:

@@ -29,7 +29,10 @@ consume the generator as one draw at a time would, and evaluate chunks of
 at most ``reports.CHUNK`` draws as stacks whose rows equal the one-draw
 results bit for bit.  A chunk's draws are all taken, and its map calls all
 made, before any of its residuals is looked at: a draw's SamplerViolation
-comes before a map error of an earlier draw of its chunk.
+comes before a map error of an earlier draw of its chunk.  The checks left
+one draw at a time feed each draw to the same fold, ``reports.WorstResidual``,
+which also keeps the raw and unreported maxima.  The counterexample's
+domain gate is a ``calculus._gate`` over the stack.
 """
 
 from __future__ import annotations
@@ -55,7 +58,9 @@ from .calculus import (
     _exp_i,
     _is_self_adjoint,
     _operator_commutes,
+    _require,
     _self_adjoint_defect,
+    _self_adjoint_gate,
     _small,
     _u_operator,
     is_invertible,
@@ -71,7 +76,7 @@ from .errors import (
 )
 from .kernel import Tolerance
 from .peirce import _is_tripotent, _peirce2_algebra, _tripotent_gate
-from .reports import CheckReport, WorstResidual, chunk_sizes, worst_over_trials
+from .reports import CheckReport, WorstResidual, chunk_sizes
 from .samplers import _commuting_projection_pair, _draw_oc_pair
 from .unitary import _is_symmetry, _unitary_defects, _unitary_gate, _unitary_log, unitary_log
 
@@ -176,11 +181,6 @@ class DichotomyResult:
     witness: dict | None = None
 
 
-def _fmax(worst: float, *residuals) -> float:
-    """The largest of ``worst`` and the residual arrays; a NaN never wins."""
-    return float(np.fmax.reduce(np.concatenate([np.ravel(r) for r in residuals]), initial=worst))
-
-
 def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     """M @ x for each row x of a stack, as ``M @ x`` gives it for one row bit
     for bit (``x @ M.T`` takes another BLAS route, which rounds otherwise)."""
@@ -193,13 +193,13 @@ def _oc_pair_check(name, m: MapUnderTest, trials, seed, pass_tol, residual, **de
     of pair coordinates.  The pairs are same-generator draws
     (``samplers._draw_oc_pair``), in chunks."""
     rng = np.random.default_rng(seed)
-    acc, worst_raw = WorstResidual(pass_tol), 0.0
+    acc, raw = WorstResidual(pass_tol), WorstResidual()
     for size in chunk_sizes(trials):
         x, y = _draw_oc_pair(m.source, rng, size)
         r, scale = residual(x, y)
-        worst_raw = _fmax(worst_raw, r)
+        raw.add(r)
         acc.add(r / scale, lambda i: {"a": x[i].tolist(), "b": y[i].tolist(), "residual": float(r[i])})
-    return acc.report(f"{name}[{m.label}]", pass_tol=pass_tol, **details, max_raw_residual=worst_raw)
+    return acc.report(f"{name}[{m.label}]", pass_tol=pass_tol, **details, max_raw_residual=raw.worst)
 
 
 def check_oc_additive(
@@ -305,10 +305,8 @@ def check_generator_properties(
     generator map, with a boundedness estimate."""
     src, tgt = m.source, m.target
     rng = np.random.default_rng(seed)
-    bound = 0.0
-
-    def trial(rng):
-        nonlocal bound
+    acc, bound = WorstResidual(pass_tol), 0.0
+    for _ in range(trials):
         a, b = _draw_oc_pair(src, rng, 1)[:, 0]
         fa, fb, fab = (_generator(m, x) for x in (a, b, a + b))
         r_add = tgt._norm(fab - fa - fb)
@@ -316,16 +314,12 @@ def check_generator_properties(
         r_hom = tgt._norm(_generator(m, tau * a) - tau * fa)
         r_oc = _operator_commutes(tgt, fa, fb).residual
         scale = 1.0 + src._norm(a) + src._norm(b)
-        r = max(r_add, r_hom, r_oc) / scale
+        acc.add(max(r_add, r_hom, r_oc) / scale, lambda i: {"a": a.tolist(), "b": b.tolist()})
         na = src._norm(a)
         if na > 1e-9:
             bound = max(bound, tgt._norm(fa) / na)
-        return r, {"a": a.tolist(), "b": b.tolist()}
-
     name = f"generator-properties[{m.label}]"
-    rep = worst_over_trials(name, rng, trials, pass_tol, trial, pass_tol=pass_tol)
-    rep.details["bound_estimate"] = bound
-    return rep
+    return acc.report(name, pass_tol=pass_tol, bound_estimate=bound)
 
 
 _ISOMORPHISM_FAILURES = (
@@ -347,7 +341,7 @@ def verify_jordan_star_isomorphism(
     """
     src, tgt, f = theta.source, theta.target, theta._eval
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = WorstResidual()
     r = tgt._norm(f(src.unit.coords) - tgt.unit.coords)
     if r > pass_tol:
         raise PreconditionFailed(f"theta is not unital (residual {r:.3e})")
@@ -370,8 +364,8 @@ def verify_jordan_star_isomorphism(
             i = int(bad.any(axis=0).argmax())
             c = int(bad[:, i].argmax())
             raise PreconditionFailed(_ISOMORPHISM_FAILURES[c].format(residuals[c, i]))
-        worst = _fmax(worst, residuals)
-    return worst
+        worst.add(residuals)
+    return worst.worst
 
 
 def _central_projection_residual(A: AlgebraHandle, x: np.ndarray) -> float:
@@ -412,8 +406,9 @@ def verify_unitary_preserver_form(
     if is_invertible(tgt, c) is None:
         raise PreconditionFailed("c is not invertible")
     z_back = theta._inverse(z)
-
-    def trial(rng):
+    rng = np.random.default_rng(seed)
+    acc = WorstResidual(pass_tol)
+    for _ in range(trials):
         a = _random(src, rng, "self_adjoint")
         na = src._norm(a)
         if na > 2.5:
@@ -426,11 +421,8 @@ def verify_unitary_preserver_form(
         v1 = tgt._prod(phase, _exp_i(tgt, tgt._prod(z, th(a)), 1.0))
         v2 = tgt._prod(phase, th(_exp_i(src, src._prod(z_back, a), 1.0)))
         r = max(tgt._norm(v0 - v1), tgt._norm(v0 - v2), tgt._norm(v1 - v2))
-        return r, {"a": a.tolist(), "residual": r}
-
-    rng = np.random.default_rng(seed)
-    name = f"unitary-preserver-form[{m.label}]"
-    return worst_over_trials(name, rng, trials, pass_tol, trial, pass_tol=pass_tol)
+        acc.add(r, lambda i: {"a": a.tolist(), "residual": r})
+    return acc.report(f"unitary-preserver-form[{m.label}]", pass_tol=pass_tol)
 
 
 def classify_factor_dichotomy(
@@ -447,8 +439,7 @@ def classify_factor_dichotomy(
         raise PreconditionFailed("theta must map between the algebras of Phi")
     verify_jordan_star_isomorphism(theta, trials=10, seed=seed)
     rng = np.random.default_rng(seed)
-    r_id = r_inv = 0.0
-    worst_witness = None
+    r_id, r_inv, either = WorstResidual(), WorstResidual(), WorstResidual(pass_tol)
     for size in chunk_sizes(trials):
         # the draws of _random(src, rng, "unitary"), exponentiated as one stack
         u = _exp_i(src, np.array([_unitary_generator(src, rng) for _ in range(size)]), 1.0)
@@ -456,15 +447,15 @@ def classify_factor_dichotomy(
         scale = 1.0 + src._norm(u)
         d_id = tgt._norm(fu - theta._eval(u)) / scale
         d_inv = tgt._norm(fu - theta._eval(src._inv(u))) / scale
-        for row, di, dv in zip(u, d_id.tolist(), d_inv.tolist()):
-            if max(di, dv) > max(r_id, r_inv):
-                worst_witness = {"u": row.tolist()}
-            r_id, r_inv = max(r_id, di), max(r_inv, dv)
-    if r_id <= pass_tol:
-        return DichotomyResult("identity_case", r_id, r_inv)
-    if r_inv <= pass_tol:
-        return DichotomyResult("inverse_case", r_id, r_inv)
-    return DichotomyResult("neither", r_id, r_inv, witness=worst_witness)
+        r_id.add(d_id)
+        r_inv.add(d_inv)
+        either.add(np.fmax(d_id, d_inv), lambda i: {"u": u[i].tolist()})
+    residuals = r_id.worst, r_inv.worst
+    if r_id.worst <= pass_tol:
+        return DichotomyResult("identity_case", *residuals)
+    if r_inv.worst <= pass_tol:
+        return DichotomyResult("inverse_case", *residuals)
+    return DichotomyResult("neither", *residuals, witness=either.witness)
 
 
 def recover_structure(
@@ -500,14 +491,14 @@ def recover_structure(
     sub = _peirce2_algebra(tgt, w)
     project, embed = sub.project, sub.embed  # as peirce2_project and peirce2_embed
     rng = np.random.default_rng(seed + 2)
-    hom = lin = isom = 0.0
+    hom, lin, isom, rt = WorstResidual(), WorstResidual(), WorstResidual(), WorstResidual()
     for size in chunk_sizes(trials):
         a, b = _draw_oc_pair(src, rng, size)
         fa, fb = f(a), f(b)
         lhs = f(src._prod(a, b))
         rhs = _matvec(embed, sub._prod(_matvec(project, fa), _matvec(project, fb)))
         scale = (1.0 + src._norm(a)) * (1.0 + src._norm(b))
-        hom = _fmax(hom, tgt._norm(lhs - rhs) / scale, tgt._norm(f(a + b) - fa - fb) / scale)
+        hom.add([tgt._norm(lhs - rhs) / scale, tgt._norm(f(a + b) - fa - fb) / scale])
     sa = lambda: _random(src, rng, "self_adjoint")
     for size in chunk_sizes(trials):
         drawn = [(sa(), sa(), rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], size=2)) for _ in range(size)]
@@ -515,17 +506,17 @@ def recover_structure(
         al, be = coeffs[:, :1], coeffs[:, 1:]
         r = tgt._norm(f(al * a + be * b) - al * f(a) - be * f(b))
         scale = 1.0 + abs(al[:, 0]) * src._norm(a) + abs(be[:, 0]) * src._norm(b)
-        lin = _fmax(lin, r / scale)
+        lin.add(r / scale)
     # sampled isometry of Phi into the Peirce-2 norm; reported, never gated
     for size in chunk_sizes(min(trials, 50)):
         a = np.array([sa() for _ in range(size)])
         na = src._norm(a)
-        isom = _fmax(isom, abs(sub._norm(_matvec(project, f(a))) - na) / (1.0 + na))
+        isom.add(abs(sub._norm(_matvec(project, f(a))) - na) / (1.0 + na))
     central_symmetry = None
     if m.inverse is not None:
         a = np.array([sa() for _ in range(10)])
-        rt = _fmax(0.0, src._norm(m._inverse(f(a)) - a) / (1.0 + src._norm(a)))
-        if rt <= pass_tol:
+        rt.add(src._norm(m._inverse(f(a)) - a) / (1.0 + src._norm(a)))
+        if rt.worst <= pass_tol:
             central_symmetry = bool(
                 _is_symmetry(tgt, w)
                 and _central_projection_residual(tgt, w) <= 1e-7 * (1.0 + tgt._norm(w))
@@ -533,14 +524,14 @@ def recover_structure(
     return StructureRecovery(
         w=Element(tgt.id, w),
         peirce2=sub,
-        hom_residual=hom,
-        linearity_residual=lin,
+        hom_residual=hom.worst,
+        linearity_residual=lin.worst,
         w_central_symmetry=central_symmetry,
         details={
             "oc_additive": add.to_json(),
             "oc_quadratic": quad.to_json(),
             "tripotent_residual": trip.residual,
-            "isometry_residual": isom,
+            "isometry_residual": isom.worst,
         },
     )
 
@@ -604,10 +595,8 @@ def build_spin_counterexample(
 
     def warp(invert: bool):
         def rows(x: np.ndarray) -> np.ndarray:
-            # the self-adjoint gate: one bound over the stack, then row by row
-            if not _small(V, V._inv(x) - x, V.tol.abs_eps):
-                if not all(_is_self_adjoint(V, r) for r in x):
-                    raise PreconditionFailed("counterexample map is defined on self-adjoints only")
+            message = "counterexample map is defined on self-adjoints only"
+            _require(_self_adjoint_gate(V, x), PreconditionFailed, message)
             out = np.empty(x.shape, dtype=complex)
             out[:, 0] = x[:, 0].real
             out[:, 1:] = 1j * np.array([_warp_vector(r.imag, epsilon, invert) for r in x[:, 1:]])
@@ -672,19 +661,20 @@ def verify_counterexample(cx: SpinCounterexample, trials: int = 500, seed: int =
     b = (t + s * alpha) * one + s * h
     ua = _u_operator(V, a, b)
     closed, closed_img = (_spin_u_closed_form(V, *normals.T.tolist(), x) for x in (h, f(h)))
-    spot_worst = _fmax(0.0, V._norm(ua - closed), V._norm(f(ua) - closed_img))
+    spot = WorstResidual()
+    spot.add([V._norm(ua - closed), V._norm(f(ua) - closed_img)])
     # global additivity witness: unit vectors along the two warped axes
     e1, e2 = 1j * np.eye(V.dim)[1:3]
     witness_gap = V._norm(f(e1) + f(e2) - f(e1 + e2))
-    rt = 0.0
+    rt = WorstResidual()
     for size in chunk_sizes(max(trials // 5, 1)):
         a = np.array([_random(V, rng, "self_adjoint") for _ in range(size)])
-        rt = _fmax(rt, V._norm(m._inverse(f(a)) - a), V._norm(f(m._inverse(a)) - a))
+        rt.add([V._norm(m._inverse(f(a)) - a), V._norm(f(m._inverse(a)) - a)])
     verdicts = {
         "oc_additive": add.passed and add.details["max_raw_residual"] <= 1e-9,
-        "oc_quadratic": quad.passed and spot_worst <= 1e-8,
+        "oc_quadratic": quad.passed and spot.worst <= 1e-8,
         "global_additivity_witness": witness_gap >= 0.05,
-        "bijective_on_samples": rt <= 1e-9,
+        "bijective_on_samples": rt.worst <= 1e-9,
     }
     return CheckReport(
         name=f"spin-counterexample[eps={cx.epsilon}]",
@@ -695,9 +685,9 @@ def verify_counterexample(cx: SpinCounterexample, trials: int = 500, seed: int =
             "verdicts": verdicts,
             "oc_additive_raw": add.details["max_raw_residual"],
             "oc_quadratic_raw": quad.details["max_raw_residual"],
-            "closed_form_spot_residual": spot_worst,
+            "closed_form_spot_residual": spot.worst,
             "witness_gap": witness_gap,
-            "roundtrip_residual": rt,
+            "roundtrip_residual": rt.worst,
         },
     )
 
@@ -716,8 +706,8 @@ def check_central_preservation(
         raise PreconditionFailed("supplied inverse fails the round trip")
     zbasis = src._center_rows
     one_s, one_t = src.unit.coords, tgt.unit.coords
-
-    def trial(rng):
+    acc = WorstResidual(pass_tol)
+    for _ in range(trials):
         # central unitary -> central unitary
         coeffs = rng.standard_normal(len(zbasis))
         z = sum((float(cf) * zb for cf, zb in zip(coeffs, zbasis)), np.zeros(src.dim, complex))
@@ -735,10 +725,8 @@ def check_central_preservation(
             psi_p = 0.5 * (one_t - f(one_s - 2.0 * p1))
             psi_q = 0.5 * (one_t - f(one_s - 2.0 * q1))
             r = max(r, _operator_commutes(tgt, psi_p, psi_q).residual)
-        return r, {"z": z.tolist()}
-
-    name = f"central-preservation[{m.label}]"
-    return worst_over_trials(name, rng, trials, pass_tol, trial, pass_tol=pass_tol)
+        acc.add(r, lambda i: {"z": z.tolist()})
+    return acc.report(f"central-preservation[{m.label}]", pass_tol=pass_tol)
 
 
 def check_i_unit_image(m: MapUnderTest, trials: int = 20, seed: int = 0) -> CheckReport:
@@ -761,11 +749,12 @@ def check_i_unit_image(m: MapUnderTest, trials: int = 20, seed: int = 0) -> Chec
     recon = 1j * (2.0 * (sub.embed @ z) - w)
     r_recon = tgt._norm(x - recon)
     rng = np.random.default_rng(seed)
-    r_central = 0.0
+    central = WorstResidual()
     for _ in range(trials):
         # z central in a JBW*-algebra iff z o y = U_z(y) on self-adjoints
         y = _random(sub, rng, "self_adjoint")
-        r_central = max(r_central, sub._norm(sub._prod(z, y) - _u_operator(sub, z, y)))
+        central.add(sub._norm(sub._prod(z, y) - _u_operator(sub, z, y)))
+    r_central = central.worst
     worst = max(r_proj, r_sa, r_recon, r_central)
     return CheckReport(
         name=f"i-unit-image[{m.label}]",

@@ -1,7 +1,14 @@
-"""Result records for predicate and property checks."""
+"""Result records for predicate and property checks.
+
+``WorstResidual`` is the one fold of every check: a loop feeds it the
+residuals of each chunk of draws, or of each single draw, with a witness
+for each, and it keeps the worst residual and the witness of its first
+draw.  Without a tolerance it keeps just the largest residual.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -22,7 +29,7 @@ class ResidualCheck:
     threshold: float
 
     def __bool__(self) -> bool:
-        return self.ok
+        return bool(self.ok)
 
     @property
     def borderline(self) -> bool:
@@ -84,42 +91,28 @@ def chunk_sizes(trials: int) -> list[int]:
 
 @dataclass
 class WorstResidual:
-    """Worst residual of a check's draws, fed in draw order, counted from
-    ``start``: the first of equal residuals wins and a NaN never does; the
-    witness is kept only above ``tol``; a report of no draw does not pass."""
+    """Worst residual of a check's draws, fed in draw order, counted from a
+    start (the initial ``worst``): the first of equal residuals wins and a
+    NaN never does; the witness is kept only above ``tol``; a report of no
+    draw does not pass.  Without ``tol``, the largest residual alone."""
 
-    tol: float
+    tol: float = math.inf
     worst: float = 0.0
     witness: Any = None
     counted: int = 0
 
     def add(self, residuals, witness: Callable = lambda i: None) -> None:
-        """Fold in the residuals of a stack of draws; ``witness(i)`` is the
-        witness of its i-th draw."""
-        r = np.asarray(residuals, dtype=float).ravel()
-        self.counted += r.size
-        r = np.append(np.where(np.isnan(r), -np.inf, r), -np.inf)  # never empty
-        i = int(np.argmax(r))
-        if r[i] > self.worst:
-            self.worst = float(r[i])
-            if self.worst > self.tol:
-                self.witness = witness(i)
+        """Fold in the residuals of one draw or of a stack of draws;
+        ``witness(i)`` is the witness of its i-th draw."""
+        rows = np.ravel(residuals).tolist()
+        self.counted += len(rows)
+        best = None
+        for i, r in enumerate(rows):
+            if r > self.worst:
+                self.worst, best = r, i
+        if best is not None and self.worst > self.tol:
+            self.witness = witness(best)
 
     def report(self, name: str, **details) -> CheckReport:
         passed = self.counted > 0 and self.worst <= self.tol
         return CheckReport(name, passed, self.counted, self.worst, self.witness, details=details)
-
-
-def worst_over_trials(
-    name: str, rng, trials: int, tol: float, trial: Callable, start: float = 0.0, **details
-) -> CheckReport:
-    """Run ``trial(rng)`` ``trials`` times and keep the worst residual.
-
-    ``trial`` returns (residual, witness), or None for a draw that does not
-    count; ``trials`` in the report is the number of draws that counted.
-    """
-    acc = WorstResidual(tol, start)
-    for size in chunk_sizes(trials):
-        drawn = [d for d in (trial(rng) for _ in range(size)) if d is not None]
-        acc.add([r for r, _ in drawn], lambda i: drawn[i][1])
-    return acc.report(name, **details)

@@ -4,7 +4,10 @@ Unitary powers are always taken through the spectral decomposition of the
 unitary (equivalently, functional calculus on its log), never by repeated
 Jordan products: powers are only unambiguous inside the associative
 subalgebra generated by the unitary, and the spectral route stays there by
-construction.  The check bodies compute on coordinate arrays.
+construction.  The check bodies compute on coordinate arrays.  Each gate
+(unitarity, the log round trip, projections, the symmetric-difference
+identity) is a ``calculus._gate``, raised by ``calculus._require``, and
+each check folds its draws into a ``reports.WorstResidual``.
 """
 
 from __future__ import annotations
@@ -21,13 +24,15 @@ from .calculus import (
     _decompose,
     _exp,
     _exp_i,
+    _gate,
     _operator_commutes,
+    _require,
     _self_adjoint_defect,
     _small,
     _u_operator,
 )
 from .errors import NotProjection, NotUnitary, VerificationFailed
-from .reports import CheckReport, ResidualCheck, WorstResidual, chunk_sizes, worst_over_trials
+from .reports import CheckReport, ResidualCheck, WorstResidual, chunk_sizes
 from .samplers import _draw_oc_pair, _noncommuting_pair
 
 __all__ = [
@@ -76,11 +81,9 @@ def _is_unitary(A: AlgebraHandle, x: np.ndarray) -> ResidualCheck:
 
 
 def _unitary_gate(A: AlgebraHandle, x: np.ndarray):
-    """True when both defects of one element are ``_small``, so that it
-    passes ``_is_unitary``; that check otherwise.  For a caller that reads
-    the residual only when the check fails."""
-    d1, d2 = _unitary_defects(A, x)
-    return (_small(A, d1, A.tol.abs_eps) and _small(A, d2, A.tol.abs_eps)) or _is_unitary(A, x)
+    """``_is_unitary`` as a ``_gate``."""
+    eps = A.tol.abs_eps
+    return _gate(A, _unitary_defects(A, x), eps, lambda: eps * (1.0 + A._norm(x)) ** 3)
 
 
 def is_symmetry(A: AlgebraHandle, s: Element) -> bool:
@@ -98,9 +101,7 @@ def _is_symmetry(A: AlgebraHandle, x: np.ndarray) -> bool:
 
 def _unitary_decomposition(A: AlgebraHandle, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Circle-spectrum nodes and idempotents (rows) of a unitary element."""
-    chk = _unitary_gate(A, x)
-    if not chk:
-        raise NotUnitary(f"unitarity defect {chk.residual:.3e} exceeds {chk.threshold:.3e}")
+    _require(_unitary_gate(A, x), NotUnitary, "unitarity defect {:.3e} exceeds {:.3e}")
     nodes, idems = _abelian_decomposition(A, x, real_nodes=False)
     off = float(np.max(np.abs(np.abs(nodes) - 1.0)))
     if off > 1e-6:
@@ -121,11 +122,8 @@ def _unitary_log(A: AlgebraHandle, x: np.ndarray) -> tuple[np.ndarray, bool]:
     # carry a tiny negative imaginary part that would flip the sign
     at_cut = np.abs(nodes + 1.0) <= A.tol.cluster_eps
     h = np.where(at_cut, math.pi, np.angle(nodes)) @ idems
-    d = _exp_i(A, h, 1.0) - x
-    if not _small(A, d, 1e-6):
-        r = A._norm(d)
-        if r > 1e-6 * (1.0 + A._norm(x)):
-            raise VerificationFailed(f"log round trip failed (residual {r:.3e})")
+    check = _gate(A, (_exp_i(A, h, 1.0) - x,), 1e-6, lambda: 1e-6 * (1.0 + A._norm(x)))
+    _require(check, VerificationFailed, "log round trip failed (residual {:.3e})")
     return h, bool(at_cut.any())
 
 
@@ -178,7 +176,9 @@ def oc_unitary_equivalences_check(
         nodes, idems = _decompose(A, x)
         return np.exp(1j * np.multiply.outer(exponents, nodes)) @ idems
 
-    def trial(rng):
+    rng = np.random.default_rng(seed)
+    acc = WorstResidual(1e-7)
+    for _ in range(trials):
         h, k = _draw_oc_pair(A, rng, 1)[:, 0]
         eh, ek = table(h), table(k)
         # (a) + (b): commutation of exponentials, including with the star
@@ -196,11 +196,8 @@ def oc_unitary_equivalences_check(
         defects.append(lhs - _u_operator(A, ek[None, :4], eh[4:, None]))
         defects.append(lhs - A._triple(uth, ek[None, :3:-1], uth))
         residual = max(residual, *(np.max(A._norm(d)) for d in defects))
-        return float(residual), {"h": h.tolist(), "k": k.tolist()}
-
-    rng = np.random.default_rng(seed)
-    name = f"oc-unitary-equivalences[{A.id}]"
-    rep = worst_over_trials(name, rng, trials, 1e-7, trial, grid=list(grid))
+        acc.add(residual, lambda i: {"h": h.tolist(), "k": k.tolist()})
+    rep = acc.report(f"oc-unitary-equivalences[{A.id}]", grid=list(grid))
     if adversarial:
         min_violation = math.inf
         found = 0
@@ -226,11 +223,11 @@ def oc_unitary_equivalences_check(
 
 def circle_inequality_check(A: AlgebraHandle, trials: int, seed: int) -> CheckReport:
     """n ||u - 1|| <= (pi/2) ||u^n - 1|| for unitaries with n ||u - 1|| < 2."""
-
     one = A.unit.coords
-
-    def trial(rng):
-        while True:
+    rng = np.random.default_rng(seed)
+    acc = WorstResidual(1e-9, -math.inf)
+    for _ in range(trials):
+        while True:  # redraw until n ||u - 1|| < 2 leaves a choice of n
             h = _random(A, rng, "self_adjoint")
             nh = A._norm(h)
             if nh < 1e-12:
@@ -241,15 +238,12 @@ def circle_inequality_check(A: AlgebraHandle, trials: int, seed: int) -> CheckRe
             if r < 1e-9:
                 continue
             nmax = int(min(1.999 / r, 64.0))
-            if nmax < 1:
-                continue
-            n = int(rng.integers(1, nmax + 1))
-            margin = n * r - (math.pi / 2.0) * A._norm(_exp(*dec, tau * n) - one)
-            return margin, {"n": n, "tau": tau}
-
-    rng = np.random.default_rng(seed)
-    name = f"circle-inequality[{A.id}]"
-    return worst_over_trials(name, rng, trials, 1e-9, trial, start=-math.inf, slack=1e-9)
+            if nmax >= 1:
+                break
+        n = int(rng.integers(1, nmax + 1))
+        margin = n * r - (math.pi / 2.0) * A._norm(_exp(*dec, tau * n) - one)
+        acc.add(margin, lambda i: {"n": n, "tau": tau})
+    return acc.report(f"circle-inequality[{A.id}]", slack=1e-9)
 
 
 def _projection_defects(A: AlgebraHandle, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,13 +258,11 @@ def _projection_defect(A: AlgebraHandle, x: np.ndarray):
 
 def _require_projection(A: AlgebraHandle, x: np.ndarray, label: str) -> None:
     """NotProjection unless max(||x o x - x||, ||x* - x||) is at most
-    abs_eps (1 + ||x||)^2 + cluster_eps, decided by ``_small`` when it can."""
-    eps = A.tol.abs_eps + A.tol.cluster_eps
-    if all(_small(A, d, eps) for d in _projection_defects(A, x)):
-        return
-    r = _projection_defect(A, x)
-    if r > A.tol.abs_eps * (1.0 + A._norm(x)) ** 2 + A.tol.cluster_eps:
-        raise NotProjection(f"{label} is not a projection (residual {r:.3e})")
+    abs_eps (1 + ||x||)^2 + cluster_eps, as a ``_gate``."""
+    tol = A.tol
+    threshold = lambda: tol.abs_eps * (1.0 + A._norm(x)) ** 2 + tol.cluster_eps
+    check = _gate(A, _projection_defects(A, x), tol.abs_eps + tol.cluster_eps, threshold)
+    _require(check, NotProjection, f"{label} is not a projection (residual {{:.3e}})")
 
 
 def _symmetric_difference_defects(A: AlgebraHandle, x: np.ndarray, y: np.ndarray):
@@ -294,8 +286,6 @@ def symmetric_difference(A: AlgebraHandle, p: Element, q: Element) -> Element:
     d, e = _symmetric_difference_defects(A, x, y)
     if _commute_gate(A, x, y):
         _require_projection(A, d, "p Delta q")
-        if not _small(A, e, 1e-8):
-            r = A._norm(e)
-            if r > 1e-8 * (1.0 + A._norm(x)) * (1.0 + A._norm(y)):
-                raise VerificationFailed(f"symmetric-difference identity violated ({r:.3e})")
+        check = _gate(A, (e,), 1e-8, lambda: 1e-8 * (1.0 + A._norm(x)) * (1.0 + A._norm(y)))
+        _require(check, VerificationFailed, "symmetric-difference identity violated ({:.3e})")
     return Element(A.id, d)

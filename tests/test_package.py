@@ -84,6 +84,19 @@ def test_every_parameter_is_read():
     assert not unread, f"parameters never read: {unread}"
 
 
+def test_no_trial_closure_rebinds_an_outer_name():
+    # every check folds its draws into reports.WorstResidual in a plain
+    # loop; no closure carries state out of a trial through nonlocal
+    src = Path(jbstar.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Nonlocal)
+    ]
+    assert not found, f"nonlocal statements: {found}"
+
+
 def test_every_dataclass_field_is_read():
     # no linter is installed: each annotated field of a @dataclass in
     # src/jbstar is read as an attribute somewhere in src/ or tests/

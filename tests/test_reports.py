@@ -5,54 +5,8 @@ import numpy as np
 
 from jbstar import reports
 from jbstar.cli import RunConfig, run
-from jbstar.reports import WorstResidual, chunk_sizes, worst_over_trials
+from jbstar.reports import WorstResidual, chunk_sizes
 from test_golden_reports import _mismatches
-
-
-def _replay(draws):
-    """Trial callable returning the given draws in order."""
-    it = iter(draws)
-    return lambda rng: next(it)
-
-
-def test_worst_over_trials_keeps_the_worst_witness_above_tol():
-    draws = [(0.1, "a"), (0.5, "b"), (0.3, "c")]
-    rep = worst_over_trials("x", None, 3, 0.2, _replay(draws))
-    assert (rep.passed, rep.trials, rep.max_residual, rep.witness) == (False, 3, 0.5, "b")
-
-
-def test_worst_over_trials_drops_the_witness_below_tol():
-    draws = [(0.1, "a"), (0.15, "b")]
-    rep = worst_over_trials("x", None, 2, 0.2, _replay(draws), threshold=0.2)
-    assert (rep.passed, rep.max_residual, rep.witness) == (True, 0.15, None)
-    assert rep.details == {"threshold": 0.2}
-
-
-def test_worst_over_trials_counts_only_the_draws_that_count():
-    draws = [None, (0.1, "a"), None, (0.05, "b")]
-    rep = worst_over_trials("x", None, 4, 0.2, _replay(draws))
-    assert rep.passed and rep.trials == 2 and rep.max_residual == 0.1
-
-
-def test_worst_over_trials_with_no_counted_draw_fails():
-    rep = worst_over_trials("x", None, 3, 0.2, _replay([None] * 3))
-    assert not rep.passed and rep.trials == 0 and rep.max_residual == 0.0
-
-
-def test_worst_over_trials_starts_from_start_and_passes_the_generator():
-    rng = np.random.default_rng(0)
-    seen = []
-
-    def trial(g):
-        seen.append(g)
-        return -1.0, "w"
-
-    rep = worst_over_trials("x", rng, 2, 0.0, trial, start=-math.inf)
-    assert seen == [rng, rng]
-    assert rep.passed and rep.max_residual == -1.0 and rep.witness is None
-    # a start above tol fails the report even though every draw is below it
-    rep = worst_over_trials("x", rng, 2, 0.0, trial, start=0.5)
-    assert not rep.passed and rep.max_residual == 0.5 and rep.witness is None
 
 
 def test_worst_residual_ties_go_to_the_first_draw():
@@ -89,6 +43,61 @@ def test_worst_residual_with_an_empty_stack_fails():
     acc.add(np.zeros(0))
     rep = acc.report("x")
     assert not rep.passed and rep.trials == 0 and rep.max_residual == 0.0
+
+
+def test_worst_residual_without_tol_is_the_largest_residual():
+    acc = WorstResidual()
+    acc.add(np.array([[0.1, float("nan")], [3.0, 2.0]]), lambda i: i)
+    acc.add(1.5)
+    assert (acc.worst, acc.witness, acc.counted) == (3.0, None, 5)
+
+
+def _reference_fold(tol, start, stacks):
+    """(worst, witness, counted) of feeding ``stacks`` in turn, each stack's
+    worst found by numpy: NaN as -inf, the first of equal maxima by argmax."""
+    worst, witness, counted = start, None, 0
+    for k, stack in enumerate(stacks):
+        r = np.asarray(stack, dtype=float).ravel()
+        counted += r.size
+        r = np.append(np.where(np.isnan(r), -np.inf, r), -np.inf)
+        i = int(np.argmax(r))
+        if r[i] > worst:
+            worst = float(r[i])
+            if worst > tol:
+                witness = (k, i)
+    return worst, witness, counted
+
+
+def _random_stack(rng):
+    """A scalar (float, numpy scalar or 0-d array), an empty stack, or a 1-D
+    or 2-D stack, of values that tie often and hold NaNs and negatives."""
+    values = np.array([np.nan, -1.0, 0.0, 0.1, 0.25, 0.5, 0.5, 0.75, 2.0])
+    draw = lambda shape: rng.choice(values, size=shape) if rng.random() < 0.7 else rng.uniform(-1, 2, shape)
+    kind = int(rng.integers(0, 6))
+    if kind == 0:
+        return float(draw(()))
+    if kind == 1:
+        return np.float64(draw(()))
+    if kind == 2:
+        return np.asarray(draw(()))
+    if kind == 3:
+        return np.zeros((0,)) if rng.random() < 0.5 else []
+    if kind == 4:
+        return draw((int(rng.integers(1, 9)),))
+    return draw((int(rng.integers(1, 4)), int(rng.integers(1, 4))))
+
+
+def test_worst_residual_matches_the_reference_fold():
+    rng = np.random.default_rng(23)
+    for _ in range(2000):
+        tol = float(rng.choice([0.0, 0.2, 0.5, math.inf]))
+        start = float(rng.choice([-math.inf, 0.0, 0.5]))
+        stacks = [_random_stack(rng) for _ in range(int(rng.integers(0, 6)))]
+        acc = WorstResidual(tol, start)
+        for k, stack in enumerate(stacks):
+            acc.add(stack, lambda i, k=k: (k, i))
+        assert (acc.worst, acc.witness, acc.counted) == _reference_fold(tol, start, stacks), stacks
+        assert type(acc.worst) is float
 
 
 def test_chunk_sizes_cover_the_trials():

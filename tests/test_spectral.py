@@ -678,6 +678,28 @@ def test_spectral_decomposition_is_scale_covariant(A):
             assert got.residual <= 1e-12 * c * top
 
 
+@pytest.mark.parametrize(
+    "A, scale",
+    [(build_spin_factor(4), 1e154), (build_direct_sum([build_hermitian_matrix_algebra(2), build_spin_factor(3)]), 1e155)],
+    ids=["spin(4)", "M2+spin(3)"],
+)
+def test_spectral_decomposition_refuses_nodes_that_overflow(A, scale):
+    # the spin closed form squares w, which overflows past about 1e154;
+    # the decomposition refuses its infinite or NaN nodes before any norm
+    a = random_element(A, 3, "self_adjoint")
+    with np.errstate(all="ignore"), pytest.raises(VerificationFailed, match="not finite"):
+        spectral_decomposition(A, A.element(scale * a.coords))
+
+
+def test_spectral_decomposition_of_a_huge_matrix_stays_finite():
+    A = build_hermitian_matrix_algebra(3)
+    a = random_element(A, 3, "self_adjoint")
+    dec = spectral_decomposition(A, A.element(1e300 * a.coords))
+    want = 1e300 * np.linalg.eigvalsh(A._mat(a.coords))
+    assert np.all(np.isfinite(dec.values)) and np.isfinite(dec.residual)
+    assert np.max(np.abs(dec.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("A", [SCALE_MODELS[1], build_spin_factor(4), H3S3], ids=lambda A: A.id)
 def test_spectral_core_takes_no_norm(monkeypatch, A):
     # the hook needs no scale, the gates of a unitary's decomposition
