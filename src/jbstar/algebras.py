@@ -534,7 +534,7 @@ class DirectSum(AlgebraHandle):
 
     def _commutator_bound(self, x: np.ndarray, y: np.ndarray):
         bounds = [p._commutator_bound(x[..., s], y[..., s]) for p, s in self.summands]
-        return max(bounds) if x.ndim == 1 else np.max(bounds, axis=0)
+        return np.max(bounds, axis=0)  # NaN in any summand, unlike max()
 
     def _u_singular_range(self, x: np.ndarray) -> tuple[float, float]:
         # U_x is block diagonal: its singular values are the summands' union

@@ -35,22 +35,20 @@ summand gives a double node) is left to ``_decompose``, so each row of a
 stacked ``_exp_i`` takes the one-element computation, and a failing gate
 raises with the value of its first failing row.
 
-Gates whose value is read only when they fail (the self-adjointness gate
-of ``_decompose``, the unitarity check of ``_exp_i``, the defining
-identities of ``is_invertible``, and ``_is_self_adjoint``) are decided by
-``_small`` first: with the model's kappa, ||x|| <= kappa |x|_2 in the
-coordinate 2-norm, a defect d passes when kappa |d|_2 <= (1 - 1e-12) eps.
-Every such threshold is eps (1 + ||x||)^p or more, so this one-sided test
-never needs a lower bound of ||x||.  ``_gate`` takes a gate's defects and
-its threshold, of one element or of every row of a stack: it is True when
-the bound decides, and otherwise the exact check, whose norms only then
-run.  ``_require`` raises with the residual and threshold of its first
-failing row; a NaN fails.  The gates of ``unitary``, ``peirce`` and
-``preservers`` go through the same pair.  ``_commute_gate`` does the same
-for commutation with the model's ``_commutator_bound``, for ``samplers``
-and ``measures`` too; ``operator_commutes`` and every reported residual
-stay exact.  ``spectral_decomposition`` refuses extreme nodes that are not
-finite (the spin closed form overflows past about 1e154).
+Every gate (a check whose value is read only when it fails) is a
+``_gate`` of a Jordan predicate stated once as its defects, eps and
+threshold: ``_self_adjoint`` here, ``_unitary``, ``_symmetry`` and
+``_projection`` in ``unitary``, ``_tripotent`` in ``peirce``, ``_central``
+in ``preservers``.  ``_small`` decides it first: with the model's kappa,
+||x|| <= kappa |x|_2, a defect d passes when kappa |d|_2 <= (1 - 1e-12) eps,
+and every threshold is eps (1 + ||x||)^p or more.  Otherwise ``_exact``,
+which also gives what ``is_unitary`` and ``is_tripotent`` report, runs the
+norms; it fails a non-finite defect before any norm, an SVD on M_n.
+``_require`` raises with the residual and threshold of the first failing
+row.  ``_commute_gate`` decides commutation likewise, by the model's
+``_commutator_bound``.  Reported residuals stay exact.
+``spectral_decomposition`` refuses extreme nodes that are not finite (the
+spin closed form overflows past about 1e154).
 
 The tests keep the generic Krylov compression (Arnoldi from the unit on
 x -> a o x spans C(1, a), and a small dense eigensolver diagonalises the
@@ -114,61 +112,64 @@ _MARGIN = 1.0 - 1e-12
 
 
 def _small(A: AlgebraHandle, d: np.ndarray, eps: float) -> bool:
-    """Whether kappa |d|_2 <= (1 - 1e-12) eps, for one defect or for every
-    row of a stack of them (kappa: ``A._norm_per_coord``).  Every gate
-    threshold has the form eps (1 + ||x||)^p ... >= eps, so a defect this
-    small passes its gate, and the gate's norms are not needed; a model
-    without kappa is never small."""
+    """Whether kappa |d|_2 <= (1 - 1e-12) eps, for one defect, a 0-d one (a
+    norm already taken; kappa >= 1), or every row of a stack of them (kappa:
+    ``A._norm_per_coord``).  Every gate threshold is eps (1 + ||x||)^p ...
+    >= eps, so a defect this small passes its gate without the gate's
+    norms; a model without kappa is never small."""
     kappa = A._norm_per_coord
     if kappa is None:
         return False
-    sq = np.vdot(d, d).real if d.ndim == 1 else np.einsum("...i,...i->...", d.conj(), d).real.max()
+    sq = np.vdot(d, d).real if d.ndim <= 1 else np.einsum("...i,...i->...", d.conj(), d).real.max()
     return kappa * math.sqrt(sq) <= _MARGIN * eps
 
 
 def _gate(A: AlgebraHandle, defects: tuple, eps: float, threshold):
-    """True when every one of ``defects`` (arrays of one element, or stacks
-    of every row's) is ``_small`` at eps, so that the gate passes without
-    its norms; otherwise the exact check, the largest defect norm against
-    ``threshold()``, row by row on a stack, which a NaN fails.  For a
-    caller that reads the value only when the gate fails."""
+    """True when every one of ``defects`` (of one element, or stacks of
+    every row's) is ``_small`` at eps, so that the gate passes without its
+    norms; otherwise ``_exact``.  A predicate gives the arguments after A."""
     for d in defects:
         if not _small(A, d, eps):
-            residual, limit = np.maximum.reduce([A._norm(e) for e in defects]), threshold()
-            return ResidualCheck(residual <= limit, residual, limit)
+            return _exact(A, defects, threshold)
     return True
 
 
-def _require(check, error, message: str) -> None:
+def _exact(A: AlgebraHandle, defects: tuple, threshold) -> ResidualCheck:
+    """The largest defect norm (a 0-d defect is its own) against
+    ``threshold()``, row by row on a stack; when that gives one limit per
+    defect (of one element), each within its own, reported by the nearest.
+    A non-finite defect fails it before any norm, residual and threshold NaN."""
+    if not all(np.isfinite(d).all() for d in defects):
+        nan = np.full(defects[0].shape[:-1], np.nan)[()]
+        return ResidualCheck(nan <= nan, nan, nan)
+    residuals, limits = [A._norm(d) if d.ndim else d for d in defects], threshold()
+    if isinstance(limits, tuple):
+        residual, limit = max(zip(residuals, limits), key=lambda pair: pair[0] / pair[1])
+        return ResidualCheck(all(r <= lim for r, lim in zip(residuals, limits)), residual, limit)
+    residual = np.maximum.reduce(residuals)
+    return ResidualCheck(residual <= limits, residual, limits)
+
+
+def _require(check, error, message) -> None:
     """Raise ``error`` unless the ``_gate`` ``check`` passed, with
     ``message`` formatted by the residual and the threshold of its first
-    failing row (of its one element)."""
+    failing row (of its one element); ``message`` is one string, or one per
+    row, broadcast against the rows as the residuals are."""
     if check is not True and not np.all(check.ok):
         first = np.argmin(check.ok)
-        residual, threshold = np.broadcast_arrays(check.residual, check.threshold)
-        raise error(message.format(residual.flat[first], threshold.flat[first]))
+        residual, threshold, text = np.broadcast_arrays(check.residual, check.threshold, message)
+        raise error(str(text.flat[first]).format(residual.flat[first], threshold.flat[first]))
 
 
-def _self_adjoint_defect(A: AlgebraHandle, x: np.ndarray) -> tuple[float, float, float]:
-    """(||x* - x||, threshold, ||x||) for the self-adjointness test."""
-    dev = A._norm(A._inv(x) - x)
-    norm = A._norm(x)
-    return dev, A.tol.abs_eps * (1.0 + norm), norm
-
-
-def _self_adjoint_gate(A: AlgebraHandle, x: np.ndarray):
-    """The self-adjointness test of one element or of every row of a stack,
-    as a ``_gate``."""
+def _self_adjoint(A: AlgebraHandle, x: np.ndarray):
+    """Self-adjointness of one element or of every row of a stack, as a
+    predicate: ||x* - x|| <= abs_eps (1 + ||x||)."""
     eps = A.tol.abs_eps
-    return _gate(A, (A._inv(x) - x,), eps, lambda: eps * (1.0 + A._norm(x)))
-
-
-def _is_self_adjoint(A: AlgebraHandle, x: np.ndarray) -> bool:
-    return bool(_self_adjoint_gate(A, x))
+    return (A._inv(x) - x,), eps, lambda: eps * (1.0 + A._norm(x))
 
 
 def is_self_adjoint(A: AlgebraHandle, a: Element) -> bool:
-    return _is_self_adjoint(A, _owned(A, a))
+    return bool(_gate(A, *_self_adjoint(A, _owned(A, a))))
 
 
 def mult_operator(A: AlgebraHandle, a: Element) -> np.ndarray:
@@ -223,16 +224,17 @@ def _operator_commutes(A: AlgebraHandle, x: np.ndarray, y: np.ndarray) -> Residu
 
 def _commute_gate(A: AlgebraHandle, x: np.ndarray, y: np.ndarray):
     """True when the model's ``_commutator_bound``, which bounds every route
-    of the commutator norm, is at most (1 - 1e-12) abs_eps, so that
-    ``_operator_commutes`` passes; that check otherwise.  For a caller that
-    reads the residual only when the check fails.  On (k, dim) stacks, one
-    bound over the rows; a row it cannot decide takes the check, and the
-    gate is the check of the first row that fails, or True."""
-    bound = A._commutator_bound(x, y)
-    if x.ndim == 1:
-        return bound <= _MARGIN * A.tol.abs_eps or _operator_commutes(A, x, y)
-    for i in np.flatnonzero(bound > _MARGIN * A.tol.abs_eps):
-        chk = _operator_commutes(A, x[i], y[i])
+    of the commutator norm, is at most (1 - 1e-12) abs_eps, or when
+    ``_operator_commutes`` passes; otherwise that failing check.  On (k, dim)
+    stacks, one bound over the rows; a row it cannot decide takes the
+    check, and the gate is the check of the first row that fails.  A pair
+    with a non-finite entry fails, residual and threshold NaN, before any norm."""
+    undecided = np.logical_not(A._commutator_bound(x, y) <= _MARGIN * A.tol.abs_eps)
+    for i in np.flatnonzero(undecided):
+        a, b = (x, y) if x.ndim == 1 else (x[i], y[i])
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            return ResidualCheck(False, math.nan, math.nan)
+        chk = _operator_commutes(A, a, b)
         if not chk:
             return chk
     return True
@@ -252,16 +254,20 @@ def is_invertible(A: AlgebraHandle, a: Element) -> Element | None:
     """Inverse of a when it exists, None otherwise.
 
     a is invertible when U_a is, decided from the extreme singular values
-    of U_a (those of a, squared, on M_n).  The candidate U_a^{-1}(a) is
-    always verified against the defining identities a o b = 1 and
-    a^2 o b = a; a failing candidate raises VerificationFailed to flag
-    tolerance breakdown.
+    of U_a (those of a, squared, on M_n), on x / s when the largest
+    coordinate m lies outside (2^-400, 2^400): s, the power of two above m,
+    divides exactly, and U_{x/s} = U_x / s^2, so y = U_{x/s}^{-1}(x/s) / s.
+    The candidate is always verified against the defining identities
+    a o b = 1 and a^2 o b = a; a failing candidate (or an overflowing one)
+    raises VerificationFailed to flag tolerance breakdown.
     """
     x = _owned(A, a)
-    top, bottom = A._u_singular_range(x)
+    m = np.abs(x).max()
+    s = 1.0 if 2.0**-400 < m < 2.0**400 else 2.0 ** math.frexp(m)[1]
+    top, bottom = A._u_singular_range(x / s)
     if top == 0.0 or bottom <= A.tol.abs_eps * top:
         return None
-    y = np.linalg.solve(A._u_matrix(x), x)
+    y = np.linalg.solve(A._u_matrix(x / s), x / s) / s
     eps = 100.0 * A.tol.abs_eps
 
     def threshold():
@@ -340,7 +346,7 @@ _NOT_SELF_ADJOINT = "deviation from self-adjointness {:.3e}"
 def _decompose(A: AlgebraHandle, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodes, ascending, and idempotents (rows) of a self-adjoint element;
     NotSelfAdjoint on any other."""
-    _require(_self_adjoint_gate(A, x), NotSelfAdjoint, _NOT_SELF_ADJOINT)
+    _require(_gate(A, *_self_adjoint(A, x)), NotSelfAdjoint, _NOT_SELF_ADJOINT)
     return _abelian_decomposition(A, x, True)
 
 
@@ -350,7 +356,7 @@ def _decompose_rows(A: AlgebraHandle, x: np.ndarray):
     (k, m, dim) arrays, and the mask of the rows with ``_near`` nodes.
     Those rows' pieces are left unmerged (a scalar spin summand gives a
     double node), so a caller takes them through ``_decompose``."""
-    _require(_self_adjoint_gate(A, x), NotSelfAdjoint, _NOT_SELF_ADJOINT)
+    _require(_gate(A, *_self_adjoint(A, x)), NotSelfAdjoint, _NOT_SELF_ADJOINT)
     nodes, raw = A._eigenpieces(x, True)
     clustered = np.count_nonzero(_near(A, nodes), axis=(-2, -1)) > nodes.shape[-1]
     order = np.argsort(nodes, axis=-1)

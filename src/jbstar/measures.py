@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .algebras import AlgebraHandle, Element, _random, _realify, _sa_coords, selfadjoint_basis
-from .calculus import _commute_gate, _decompose
+from .calculus import _commute_gate, _decompose, _require
 from .errors import (
     AdditivityViolation,
     HypothesisFailed,
@@ -115,8 +115,8 @@ def measure_from_map(
         if pq is None:
             continue
         p, q = pq
-        if not _commute_gate(A, p, q):
-            raise PreconditionFailed("orthogonal projections failed to operator commute")
+        message = "orthogonal projections failed to operator commute"
+        _require(_commute_gate(A, p, q), PreconditionFailed, message)
         fpq, fp, fq = fx(p + q), fx(p), fx(q)
         dev = _xnorm(fpq - fp - fq)
         if dev > 1e-7 * (1.0 + _xnorm(fp) + _xnorm(fq)):

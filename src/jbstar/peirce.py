@@ -14,8 +14,9 @@ gives it as a concrete model: M_r on M_n, M_1 or the spin factor itself on
 a spin factor, the sum of the summands' models on a direct sum.  The hook
 also gives the embedding and its inverse, and this module checks, on fixed
 samples, that the embedding is a Jordan *-isomorphism onto range(P2).
-The tripotent gate is a ``calculus._gate``; the checks fold their draws
-into a ``reports.WorstResidual``.
+Tripotency is stated once, as the predicate ``_tripotent``: the gate of
+the Peirce projections is its ``calculus._gate``, and ``is_tripotent`` its
+exact check.  The checks fold their draws into a ``reports.WorstResidual``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebras import AlgebraHandle, Element, _owned, _random
-from .calculus import _axiom_defects, _decompose, _gate, _require
+from .calculus import _axiom_defects, _decompose, _exact, _gate, _require
 from .errors import NotTripotent, VerificationFailed
 from .reports import CheckReport, ResidualCheck, WorstResidual, chunk_sizes
 
@@ -64,16 +65,15 @@ def is_tripotent(A: AlgebraHandle, e: Element) -> ResidualCheck:
     return _is_tripotent(A, _owned(A, e))
 
 
-def _is_tripotent(A: AlgebraHandle, x: np.ndarray) -> ResidualCheck:
-    residual = A._norm(A._triple(x, x, x) - x)
-    threshold = A.tol.abs_eps * (1.0 + A._norm(x) ** 3)
-    return ResidualCheck(residual <= threshold, residual, threshold)
-
-
-def _tripotent_gate(A: AlgebraHandle, x: np.ndarray):
-    """``_is_tripotent`` as a ``_gate``."""
+def _tripotent(A: AlgebraHandle, x: np.ndarray):
+    """Tripotency as a predicate: ||{x,x,x} - x|| <= abs_eps (1 + ||x||^3)."""
     eps = A.tol.abs_eps
-    return _gate(A, (A._triple(x, x, x) - x,), eps, lambda: eps * (1.0 + A._norm(x) ** 3))
+    return (A._triple(x, x, x) - x,), eps, lambda: eps * (1.0 + A._norm(x) ** 3)
+
+
+def _is_tripotent(A: AlgebraHandle, x: np.ndarray) -> ResidualCheck:
+    defects, _, threshold = _tripotent(A, x)
+    return _exact(A, defects, threshold)
 
 
 def _lqe(A: AlgebraHandle, x: np.ndarray):
@@ -105,7 +105,7 @@ def peirce_system(A: AlgebraHandle, e: Element) -> PeirceSystem:
 
 def _peirce_projections(A: AlgebraHandle, x: np.ndarray):
     """(P2, P1, P0, residual) of the tripotent with coordinates x."""
-    _require(_tripotent_gate(A, x), NotTripotent, "tripotent defect {:.3e} exceeds {:.3e}")
+    _require(_gate(A, *_tripotent(A, x)), NotTripotent, "tripotent defect {:.3e} exceeds {:.3e}")
     lee, q2 = _lqe(A, x)
     l2 = lee @ lee
     eye = np.eye(A.dim, dtype=complex)

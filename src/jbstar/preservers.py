@@ -31,8 +31,10 @@ results bit for bit.  A chunk's draws are all taken, and its map calls all
 made, before any of its residuals is looked at: a draw's SamplerViolation
 comes before a map error of an earlier draw of its chunk.  The checks left
 one draw at a time feed each draw to the same fold, ``reports.WorstResidual``,
-which also keeps the raw and unreported maxima.  The counterexample's
-domain gate is a ``calculus._gate`` over the stack.
+which also keeps the raw and unreported maxima.  Every gate, on the
+images of unitaries, the generator's halving, unitality, round trips,
+centrality (the predicate ``_central``) or the counterexample's domain,
+goes through ``calculus._gate`` and ``calculus._require``.
 """
 
 from __future__ import annotations
@@ -54,17 +56,7 @@ from .algebras import (
     _unitary_generator,
     element_from_json,
 )
-from .calculus import (
-    _exp_i,
-    _is_self_adjoint,
-    _operator_commutes,
-    _require,
-    _self_adjoint_defect,
-    _self_adjoint_gate,
-    _small,
-    _u_operator,
-    is_invertible,
-)
+from .calculus import _exp_i, _gate, _operator_commutes, _require, _self_adjoint, _u_operator, is_invertible
 from .errors import (
     BranchAmbiguity,
     HypothesisFailed,
@@ -75,10 +67,10 @@ from .errors import (
     PreconditionFailed,
 )
 from .kernel import Tolerance
-from .peirce import _is_tripotent, _peirce2_algebra, _tripotent_gate
+from .peirce import _is_tripotent, _peirce2_algebra, _tripotent
 from .reports import CheckReport, WorstResidual, chunk_sizes
 from .samplers import _commuting_projection_pair, _draw_oc_pair
-from .unitary import _is_symmetry, _unitary_defects, _unitary_gate, _unitary_log, unitary_log
+from .unitary import _symmetry, _unitary, _unitary_log, unitary_log
 
 __all__ = [
     "MapUnderTest",
@@ -242,6 +234,9 @@ def check_oc_quadratic(
     return _oc_pair_check("oc-quadratic", m, trials, seed, pass_tol, residual, starred=starred)
 
 
+_NOT_UNITARY_IMAGES = np.array(["image of u is not unitary", "image of v is not unitary"])
+
+
 def check_piecewise_hom_on_unitaries(
     m: MapUnderTest, trials: int = 100, seed: int = 0, pass_tol: float = 1e-7
 ) -> CheckReport:
@@ -250,8 +245,7 @@ def check_piecewise_hom_on_unitaries(
     src, tgt, f = m.source, m.target, m._eval
     rng = np.random.default_rng(seed)
     img_unit = f(src.unit.coords)
-    if not _unitary_gate(tgt, img_unit):
-        raise NonUnitaryImage("image of the unit is not unitary")
+    _require(_gate(tgt, *_unitary(tgt, img_unit)), NonUnitaryImage, "image of the unit is not unitary")
     unit_residual = tgt._norm(img_unit - tgt.unit.coords)
     acc = WorstResidual(pass_tol, unit_residual)
     for size in chunk_sizes(trials):
@@ -259,10 +253,7 @@ def check_piecewise_hom_on_unitaries(
         u, v = _exp_i(src, h, 1.0), _exp_i(src, k, 1.0)
         fu, fv = f(u), f(v)
         images = np.stack([fu, fv], axis=1)  # in draw order: u, then v, of each pair
-        if not all(_small(tgt, d, tgt.tol.abs_eps) for d in _unitary_defects(tgt, images)):
-            for i, j in np.ndindex(size, 2):
-                if not _unitary_gate(tgt, images[i, j]):
-                    raise NonUnitaryImage(f"image of {'uv'[j]} is not unitary")
+        _require(_gate(tgt, *_unitary(tgt, images)), NonUnitaryImage, _NOT_UNITARY_IMAGES)
         mult = tgt._norm(f(src._prod(u, v)) - tgt._prod(fu, fv))
         occ = [_operator_commutes(tgt, a, b).residual for a, b in zip(fu, fv)]
         r = np.maximum(mult, occ)
@@ -291,10 +282,9 @@ def _generator(m: MapUnderTest, x: np.ndarray, t_small: float = 1.0 / 16.0) -> n
 
     f1 = f_at(step)
     f2 = f_at(step / 2.0)
-    dev = tgt._norm(f1 - f2)
-    thr = 10.0 * tgt.tol.abs_eps * (1.0 + tgt._norm(f1)) + 1e-9
-    if dev > thr:
-        raise Inconsistent(f"halving t_small moved the generator by {dev:.3e}")
+    eps = 10.0 * tgt.tol.abs_eps
+    check = _gate(tgt, (f1 - f2,), eps + 1e-9, lambda: eps * (1.0 + tgt._norm(f1)) + 1e-9)
+    _require(check, Inconsistent, "halving t_small moved the generator by {:.3e}")
     return f1
 
 
@@ -342,9 +332,8 @@ def verify_jordan_star_isomorphism(
     src, tgt, f = theta.source, theta.target, theta._eval
     rng = np.random.default_rng(seed)
     worst = WorstResidual()
-    r = tgt._norm(f(src.unit.coords) - tgt.unit.coords)
-    if r > pass_tol:
-        raise PreconditionFailed(f"theta is not unital (residual {r:.3e})")
+    check = _gate(tgt, (f(src.unit.coords) - tgt.unit.coords,), pass_tol, lambda: pass_tol)
+    _require(check, PreconditionFailed, "theta is not unital (residual {:.3e})")
     for size in chunk_sizes(trials):
         drawn = [(_random(src, rng), _random(src, rng), rng.standard_normal(2)) for _ in range(size)]
         a, b, normals = (np.array(column) for column in zip(*drawn))
@@ -368,18 +357,18 @@ def verify_jordan_star_isomorphism(
     return worst.worst
 
 
-def _central_projection_residual(A: AlgebraHandle, x: np.ndarray) -> float:
+def _central_projection_residual(A: AlgebraHandle, x: np.ndarray) -> np.floating:
+    """The coordinate 2-norm of x's part off the centre."""
     B = np.stack(A._center_rows, axis=1)
-    return float(np.linalg.norm(x - B @ (B.conj().T @ x)))
+    return np.linalg.norm(x - B @ (B.conj().T @ x))
 
 
-def _is_central_self_adjoint(A: AlgebraHandle, x: np.ndarray) -> bool:
-    # the centre test needs ||x|| only when its residual exceeds 1e-8
-    central = _central_projection_residual(A, x)
-    if central <= 1e-8:
-        return _is_self_adjoint(A, x)
-    dev, thr, norm = _self_adjoint_defect(A, x)
-    return dev <= thr and central <= 1e-8 * (1.0 + norm)
+def _central(A: AlgebraHandle, x: np.ndarray, eps: float):
+    """Central self-adjointness as a predicate: ``_self_adjoint``, and
+    ``_central_projection_residual`` at most eps (1 + ||x||), on one ||x||."""
+    (skew,), sa_eps, _ = _self_adjoint(A, x)
+    limits = lambda n: (sa_eps * n, eps * n)  # of n = 1 + ||x||
+    return (skew, _central_projection_residual(A, x)), min(sa_eps, eps), lambda: limits(1.0 + A._norm(x))
 
 
 def verify_unitary_preserver_form(
@@ -401,8 +390,7 @@ def verify_unitary_preserver_form(
     if theta.inverse is None:
         raise PreconditionFailed("theta must carry an inverse for the second closed form")
     z = _owned(tgt, c)
-    if not _is_central_self_adjoint(tgt, z):
-        raise PreconditionFailed("c is not central self-adjoint")
+    _require(_gate(tgt, *_central(tgt, z, 1e-8)), PreconditionFailed, "c is not central self-adjoint")
     if is_invertible(tgt, c) is None:
         raise PreconditionFailed("c is not invertible")
     z_back = theta._inverse(z)
@@ -414,8 +402,8 @@ def verify_unitary_preserver_form(
         if na > 2.5:
             a = (2.5 / na) * a
         ba = _owned(tgt, beta(Element(src.id, a)))
-        if not _is_central_self_adjoint(tgt, ba):
-            raise PreconditionFailed("beta(a) is not central self-adjoint")
+        message = "beta(a) is not central self-adjoint"
+        _require(_gate(tgt, *_central(tgt, ba, 1e-8)), PreconditionFailed, message)
         v0 = f(_exp_i(src, a, 1.0))
         phase = _exp_i(tgt, ba, 1.0)
         v1 = tgt._prod(phase, _exp_i(tgt, tgt._prod(z, th(a)), 1.0))
@@ -486,8 +474,7 @@ def recover_structure(
         raise HypothesisFailed(f"OC-quadratic identity fails (residual {quad.max_residual:.3e})")
     w = f(src.unit.coords)
     trip = _is_tripotent(tgt, w)
-    if not trip:
-        raise HypothesisFailed(f"Phi(1) is not a tripotent (residual {trip.residual:.3e})")
+    _require(trip, HypothesisFailed, "Phi(1) is not a tripotent (residual {:.3e})")
     sub = _peirce2_algebra(tgt, w)
     project, embed = sub.project, sub.embed  # as peirce2_project and peirce2_embed
     rng = np.random.default_rng(seed + 2)
@@ -517,10 +504,7 @@ def recover_structure(
         a = np.array([sa() for _ in range(10)])
         rt.add(src._norm(m._inverse(f(a)) - a) / (1.0 + src._norm(a)))
         if rt.worst <= pass_tol:
-            central_symmetry = bool(
-                _is_symmetry(tgt, w)
-                and _central_projection_residual(tgt, w) <= 1e-7 * (1.0 + tgt._norm(w))
-            )
+            central_symmetry = bool(_gate(tgt, *_symmetry(tgt, w)) and _gate(tgt, *_central(tgt, w, 1e-7)))
     return StructureRecovery(
         w=Element(tgt.id, w),
         peirce2=sub,
@@ -596,7 +580,7 @@ def build_spin_counterexample(
     def warp(invert: bool):
         def rows(x: np.ndarray) -> np.ndarray:
             message = "counterexample map is defined on self-adjoints only"
-            _require(_self_adjoint_gate(V, x), PreconditionFailed, message)
+            _require(_gate(V, *_self_adjoint(V, x)), PreconditionFailed, message)
             out = np.empty(x.shape, dtype=complex)
             out[:, 0] = x[:, 0].real
             out[:, 1:] = 1j * np.array([_warp_vector(r.imag, epsilon, invert) for r in x[:, 1:]])
@@ -702,8 +686,8 @@ def check_central_preservation(
         raise PreconditionFailed("central-preservation check needs a supplied inverse")
     rng = np.random.default_rng(seed)
     a0 = _random(src, rng, "unitary")
-    if src._norm(m._inverse(f(a0)) - a0) > 1e-6 * (1.0 + src._norm(a0)):
-        raise PreconditionFailed("supplied inverse fails the round trip")
+    check = _gate(src, (m._inverse(f(a0)) - a0,), 1e-6, lambda: 1e-6 * (1.0 + src._norm(a0)))
+    _require(check, PreconditionFailed, "supplied inverse fails the round trip")
     zbasis = src._center_rows
     one_s, one_t = src.unit.coords, tgt.unit.coords
     acc = WorstResidual(pass_tol)
@@ -712,11 +696,11 @@ def check_central_preservation(
         coeffs = rng.standard_normal(len(zbasis))
         z = sum((float(cf) * zb for cf, zb in zip(coeffs, zbasis)), np.zeros(src.dim, complex))
         fu = f(_exp_i(src, z, 1.0))
-        r = max(0.0 if _unitary_gate(tgt, fu) else 1.0, _central_projection_residual(tgt, fu))
+        r = max(0.0 if _gate(tgt, *_unitary(tgt, fu)) else 1.0, _central_projection_residual(tgt, fu))
         # symmetry -> symmetry
         p = _random(src, rng, "projection")
         fs = f(one_s - 2.0 * p)
-        if not _is_symmetry(tgt, fs):
+        if not _gate(tgt, *_symmetry(tgt, fs)):
             r = max(r, tgt._norm(tgt._prod(fs, fs) - one_t))
         # induced projection map preserves operator commutativity
         pq = _commuting_projection_pair(src, rng)
@@ -739,8 +723,7 @@ def check_i_unit_image(m: MapUnderTest, trials: int = 20, seed: int = 0) -> Chec
     """
     src, tgt, f = m.source, m.target, m._eval
     w = f(src.unit.coords)
-    if not _tripotent_gate(tgt, w):
-        raise HypothesisFailed("Phi(1) is not a tripotent")
+    _require(_gate(tgt, *_tripotent(tgt, w)), HypothesisFailed, "Phi(1) is not a tripotent")
     sub = _peirce2_algebra(tgt, w)
     x = f(1j * src.unit.coords)
     z = sub.project @ (0.5 * (w - 1j * x))  # as peirce2_project

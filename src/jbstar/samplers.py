@@ -8,7 +8,8 @@ line span{1, a}.  ``_draw_oc_pair`` draws a stack of such pairs one after
 another, so a chunk of k pairs consumes the generator as k single draws
 do, and verifies the whole stack before any check uses it: one
 commutator bound over the rows, and the exact check only on a row the
-bound cannot decide.  It raises SamplerViolation on the first pair that
+bound cannot decide (``calculus._commute_gate``).  It raises
+SamplerViolation, through ``calculus._require``, on the first pair that
 does not operator commute.  Check bodies draw coordinate arrays from the
 private forms; the public forms return ``Element``s.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebras import AlgebraHandle, Element, _random
-from .calculus import _commute_gate, _decompose, _operator_commutes
+from .calculus import _commute_gate, _decompose, _operator_commutes, _require
 from .errors import SamplerViolation
 
 __all__ = [
@@ -54,11 +55,8 @@ def _draw_oc_pair(A: AlgebraHandle, rng: np.random.Generator, size: int):
     with the residual of the first failing pair, unless every pair operator
     commutes."""
     pairs = np.stack([_same_generator_pair(A, rng) for _ in range(size)], axis=1)
-    chk = _commute_gate(A, *pairs)
-    if not chk:
-        raise SamplerViolation(
-            f"sampler produced a non-commuting pair (residual {chk.residual:.3e})"
-        )
+    message = "sampler produced a non-commuting pair (residual {:.3e})"
+    _require(_commute_gate(A, *pairs), SamplerViolation, message)
     return pairs
 
 

@@ -4,10 +4,13 @@ Unitary powers are always taken through the spectral decomposition of the
 unitary (equivalently, functional calculus on its log), never by repeated
 Jordan products: powers are only unambiguous inside the associative
 subalgebra generated by the unitary, and the spectral route stays there by
-construction.  The check bodies compute on coordinate arrays.  Each gate
-(unitarity, the log round trip, projections, the symmetric-difference
+construction.  The check bodies compute on coordinate arrays.  Unitarity,
+symmetry and projections are each stated once, as a predicate
+(``_unitary``, ``_symmetry``, ``_projection``) of defects and threshold;
+every gate (those three, the log round trip, the symmetric-difference
 identity) is a ``calculus._gate``, raised by ``calculus._require``, and
-each check folds its draws into a ``reports.WorstResidual``.
+``is_unitary`` is the predicate's exact check.  Each check folds its draws
+into a ``reports.WorstResidual``.
 """
 
 from __future__ import annotations
@@ -22,13 +25,12 @@ from .calculus import (
     _abelian_decomposition,
     _commute_gate,
     _decompose,
+    _exact,
     _exp,
     _exp_i,
     _gate,
     _operator_commutes,
     _require,
-    _self_adjoint_defect,
-    _small,
     _u_operator,
 )
 from .errors import NotProjection, NotUnitary, VerificationFailed
@@ -65,43 +67,37 @@ def is_unitary(A: AlgebraHandle, u: Element) -> ResidualCheck:
     return _is_unitary(A, _owned(A, u))
 
 
-def _unitary_defects(A: AlgebraHandle, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x o x* - 1 and x^2 o x* - x, whose norms is_unitary measures."""
-    xs = A._inv(x)
-    return A._prod(x, xs) - A.unit.coords, A._prod(A._prod(x, x), xs) - x
+def _unitary(A: AlgebraHandle, x: np.ndarray):
+    """Unitarity of one element or of every row of a stack, as a predicate:
+    ||x o x* - 1|| and ||x^2 o x* - x|| at most abs_eps (1 + ||x||)^3."""
+    xs, eps = A._inv(x), A.tol.abs_eps
+    defects = A._prod(x, xs) - A.unit.coords, A._prod(A._prod(x, x), xs) - x
+    return defects, eps, lambda: eps * (1.0 + A._norm(x)) ** 3
 
 
 def _is_unitary(A: AlgebraHandle, x: np.ndarray) -> ResidualCheck:
     """is_unitary on coordinates; on a (k, dim) stack, the residuals and
     thresholds of its rows as arrays (the check has no truth value then)."""
-    r1, r2 = (A._norm(d) for d in _unitary_defects(A, x))
-    residual = max(r1, r2) if x.ndim == 1 else np.maximum(r1, r2)
-    threshold = A.tol.abs_eps * (1.0 + A._norm(x)) ** 3
-    return ResidualCheck(residual <= threshold, residual, threshold)
-
-
-def _unitary_gate(A: AlgebraHandle, x: np.ndarray):
-    """``_is_unitary`` as a ``_gate``."""
-    eps = A.tol.abs_eps
-    return _gate(A, _unitary_defects(A, x), eps, lambda: eps * (1.0 + A._norm(x)) ** 3)
+    defects, _, threshold = _unitary(A, x)
+    return _exact(A, defects, threshold)
 
 
 def is_symmetry(A: AlgebraHandle, s: Element) -> bool:
     """Self-adjoint with s o s = 1."""
-    return _is_symmetry(A, _owned(A, s))
+    return bool(_gate(A, *_symmetry(A, _owned(A, s))))
 
 
-def _is_symmetry(A: AlgebraHandle, x: np.ndarray) -> bool:
-    eps, d = A.tol.abs_eps, A._prod(x, x) - A.unit.coords
-    if _small(A, A._inv(x) - x, eps) and _small(A, d, eps):
-        return True
-    dev, thr, norm = _self_adjoint_defect(A, x)
-    return dev <= thr and A._norm(d) <= eps * (1.0 + norm) ** 2
+def _symmetry(A: AlgebraHandle, x: np.ndarray):
+    """Symmetry as a predicate: ||x* - x|| <= abs_eps (1 + ||x||) and
+    ||x o x - 1|| <= abs_eps (1 + ||x||)^2, on one ||x||."""
+    eps = A.tol.abs_eps
+    limits = lambda n: (eps * n, eps * n**2)  # of n = 1 + ||x||
+    return (A._inv(x) - x, A._prod(x, x) - A.unit.coords), eps, lambda: limits(1.0 + A._norm(x))
 
 
 def _unitary_decomposition(A: AlgebraHandle, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Circle-spectrum nodes and idempotents (rows) of a unitary element."""
-    _require(_unitary_gate(A, x), NotUnitary, "unitarity defect {:.3e} exceeds {:.3e}")
+    _require(_gate(A, *_unitary(A, x)), NotUnitary, "unitarity defect {:.3e} exceeds {:.3e}")
     nodes, idems = _abelian_decomposition(A, x, real_nodes=False)
     off = float(np.max(np.abs(np.abs(nodes) - 1.0)))
     if off > 1e-6:
@@ -246,23 +242,22 @@ def circle_inequality_check(A: AlgebraHandle, trials: int, seed: int) -> CheckRe
     return acc.report(f"circle-inequality[{A.id}]", slack=1e-9)
 
 
-def _projection_defects(A: AlgebraHandle, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x o x - x and x* - x, of one element or of each row of a stack."""
-    return A._prod(x, x) - x, A._inv(x) - x
+def _projection(A: AlgebraHandle, x: np.ndarray):
+    """Projection as a predicate, of one element or of each row of a stack:
+    ||x o x - x|| and ||x* - x|| at most abs_eps (1 + ||x||)^2 + cluster_eps."""
+    tol = A.tol
+    threshold = lambda: tol.abs_eps * (1.0 + A._norm(x)) ** 2 + tol.cluster_eps
+    return (A._prod(x, x) - x, A._inv(x) - x), tol.abs_eps + tol.cluster_eps, threshold
 
 
 def _projection_defect(A: AlgebraHandle, x: np.ndarray):
     """max(||x o x - x||, ||x* - x||), of one element or of each row of a stack."""
-    return np.maximum(*(A._norm(d) for d in _projection_defects(A, x)))
+    return np.maximum(*(A._norm(d) for d in _projection(A, x)[0]))
 
 
 def _require_projection(A: AlgebraHandle, x: np.ndarray, label: str) -> None:
-    """NotProjection unless max(||x o x - x||, ||x* - x||) is at most
-    abs_eps (1 + ||x||)^2 + cluster_eps, as a ``_gate``."""
-    tol = A.tol
-    threshold = lambda: tol.abs_eps * (1.0 + A._norm(x)) ** 2 + tol.cluster_eps
-    check = _gate(A, _projection_defects(A, x), tol.abs_eps + tol.cluster_eps, threshold)
-    _require(check, NotProjection, f"{label} is not a projection (residual {{:.3e}})")
+    """NotProjection unless x is a projection (``_projection``)."""
+    _require(_gate(A, *_projection(A, x)), NotProjection, f"{label} is not a projection (residual {{:.3e}})")
 
 
 def _symmetric_difference_defects(A: AlgebraHandle, x: np.ndarray, y: np.ndarray):

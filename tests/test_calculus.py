@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from jbstar.calculus import (
     u_operator,
     u_operator_matrix,
 )
-from jbstar.errors import NotSelfAdjoint
+from jbstar.errors import NotSelfAdjoint, VerificationFailed
 from jbstar.kernel import operator_norm
 from jbstar.peirce import peirce2_algebra
 from jbstar.samplers import same_generator_pair
@@ -328,6 +329,29 @@ def test_is_invertible():
     inv = is_invertible(H2, d)
     assert np.allclose(oracles.to_matrix(H2, inv), np.diag([0.5, 1.0]))
     assert is_invertible(H2, H2.element(np.diag([1.0, 0.0]).ravel())) is None
+
+
+OVERFLOW_MODELS = [build_spin_factor(4), build_direct_sum([H2, build_spin_factor(3)]), H3]
+
+
+@pytest.mark.parametrize("A", OVERFLOW_MODELS, ids=lambda A: A.id)
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+def test_is_invertible_of_a_large_finite_element(A, scale):
+    # U_x itself would overflow; on the scaled element the decision and the
+    # solve are finite, and then the identity x^2 o y = x overflows, which
+    # the verification refuses; a singular element stays singular
+    x = random_element(A, 3).coords
+    with pytest.raises(VerificationFailed, match=re.escape("defining identities (residual nan)")):
+        is_invertible(A, A.element(scale * x))
+    assert is_invertible(A, A.element(scale * random_element(A, 3, "projection").coords)) is None
+
+
+@pytest.mark.parametrize("A", OVERFLOW_MODELS, ids=lambda A: A.id)
+@pytest.mark.parametrize("scale", [1e-160, 1e-100, 1e100])
+def test_is_invertible_scales_as_the_inverse(A, scale):
+    x = random_element(A, 3).coords
+    y = is_invertible(A, A.element(x)).coords
+    assert np.allclose(scale * is_invertible(A, A.element(scale * x)).coords, y, rtol=1e-9, atol=0.0)
 
 
 def test_jordan_spectrum_examples():

@@ -101,7 +101,7 @@ def test_oracle_models_keep_the_exact_path(monkeypatch):
     x = _random(oracle, np.random.default_rng(2), "self_adjoint")
     calls, norm = [], oracle._norm
     monkeypatch.setattr(oracle, "_norm", lambda y: calls.append(1) or norm(y))
-    assert calculus._is_self_adjoint(oracle, x)
+    assert calculus._gate(oracle, *calculus._self_adjoint(oracle, x))
     assert len(calls) == 2  # the exact gate: ||x* - x|| and ||x||
 
 
@@ -245,8 +245,14 @@ def _unit_norm(A, x):
     return x / A._norm(x)
 
 
+def _self_adjoint_defect(A, x):
+    """(||x* - x||, threshold, ||x||) of the self-adjointness test."""
+    norm = A._norm(x)
+    return A._norm(A._inv(x) - x), A.tol.abs_eps * (1.0 + norm), norm
+
+
 def _self_adjoint_ratio(A, x):
-    return lambda t: (lambda dev, thr, _: dev / thr)(*calculus._self_adjoint_defect(A, x(t)))
+    return lambda t: (lambda dev, thr, _: dev / thr)(*_self_adjoint_defect(A, x(t)))
 
 
 SELF_ADJOINT_SITES = {
@@ -404,11 +410,11 @@ def test_is_symmetry_gate(A):
         x = lambda t, s=s, g=g: s + t * g
 
         def ratio(t, x=x):
-            dev, thr, norm = calculus._self_adjoint_defect(A, x(t))
+            dev, thr, norm = _self_adjoint_defect(A, x(t))
             square = A._norm(A._prod(x(t), x(t)) - A.unit.coords)
             return max(dev / thr, square / (eps * (1.0 + norm) ** 2))
 
-        cases.append((lambda t, x=x: unitary._is_symmetry(A, x(t)), ratio))
+        cases.append((lambda t, x=x: unitary.is_symmetry(A, A.element(x(t))), ratio))
     # a failing self-adjointness test skips the norm of the square
     _check_site(A, cases, None, gate=3, fail=(2, 3))
 
@@ -422,10 +428,10 @@ def test_central_self_adjoint_gate(A):
         x = lambda t, c=c, g=g: c * A.unit.coords + t * g
 
         def ratio(t, x=x):
-            dev, thr, norm = calculus._self_adjoint_defect(A, x(t))
+            dev, thr, norm = _self_adjoint_defect(A, x(t))
             return max(dev / thr, preservers._central_projection_residual(A, x(t)) / (1e-8 * (1.0 + norm)))
 
-        cases.append((lambda t, x=x: preservers._is_central_self_adjoint(A, x(t)), ratio))
+        cases.append((lambda t, x=x: bool(calculus._gate(A, *preservers._central(A, x(t), 1e-8))), ratio))
     _check_site(A, cases, None, gate=2)
 
 

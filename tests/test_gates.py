@@ -13,14 +13,18 @@ import re
 import numpy as np
 import pytest
 
-from jbstar import calculus, peirce, preservers, samplers, unitary
-from jbstar.algebras import _random, build_spin_factor
+from jbstar import calculus, measures, peirce, preservers, samplers, unitary
+from jbstar.algebras import _random, build_direct_sum, build_hermitian_matrix_algebra, build_spin_factor
 from jbstar.errors import (
+    HypothesisFailed,
+    Inconsistent,
+    NonUnitaryImage,
     NotProjection,
     NotSelfAdjoint,
     NotTripotent,
     NotUnitary,
     PreconditionFailed,
+    SamplerViolation,
     VerificationFailed,
 )
 from jbstar.reports import ResidualCheck
@@ -94,7 +98,7 @@ def test_nan_fails_the_self_adjoint_gates():
         calculus._decompose(S4, x)
     with pytest.raises(NotSelfAdjoint):
         calculus._decompose_rows(S4, np.stack([_self_adjoint(), x]))
-    assert not calculus._is_self_adjoint(S4, x)
+    assert not calculus._gate(S4, *calculus._self_adjoint(S4, x))
 
 
 def test_nan_fails_the_exp_i_unitarity_check(monkeypatch):
@@ -119,7 +123,7 @@ def test_nan_fails_the_unitary_gates(monkeypatch):
     u = _random(S4, np.random.default_rng(4), "unitary")
     with pytest.raises(NotUnitary):
         unitary._unitary_decomposition(S4, _with_nan(u))
-    assert not unitary._unitary_gate(S4, _with_nan(u))
+    assert not calculus._gate(S4, *unitary._unitary(S4, _with_nan(u)))
     exp_i = unitary._exp_i
     monkeypatch.setattr(unitary, "_exp_i", lambda B, y, t: _with_nan(exp_i(B, y, t)))
     with pytest.raises(VerificationFailed, match="round trip"):
@@ -141,7 +145,7 @@ def test_nan_fails_the_tripotent_gate():
     e = peirce._sample_tripotent(S4, np.random.default_rng(6))
     with pytest.raises(NotTripotent):
         peirce._peirce_projections(S4, _with_nan(e))
-    assert not peirce._tripotent_gate(S4, _with_nan(e))
+    assert not calculus._gate(S4, *peirce._tripotent(S4, _with_nan(e)))
 
 
 def test_nan_fails_the_counterexample_domain_gate():
@@ -180,3 +184,190 @@ def test_the_unitary_and_tripotent_messages_print_residual_and_threshold():
     with pytest.raises(NotTripotent) as raised:
         peirce._peirce_projections(S4, x)
     assert str(raised.value) == f"tripotent defect {chk.residual:.3e} exceeds {chk.threshold:.3e}"
+
+
+# -- a NaN row at every raising site, where the exact norm is an SVD --------------
+
+M3 = build_hermitian_matrix_algebra(3)
+M2S3 = build_direct_sum([build_hermitian_matrix_algebra(2), build_spin_factor(3)])
+
+
+def _identity(A):
+    f = lambda a: a
+    return preservers.MapUnderTest(A, A, f, label="identity", inverse=f)
+
+
+def _nan_from(fn, at=0):
+    """``fn``, but with a NaN coordinate in every row of the value of its
+    call numbered ``at`` (from 0)."""
+    count = [0]
+
+    def f(*args):
+        count[0] += 1
+        out = fn(*args)
+        return _with_nan(out) if count[0] - 1 == at else out
+
+    return f
+
+
+def _site_decompose(A, mp):
+    calculus._decompose(A, _with_nan(_random(A, np.random.default_rng(3), "self_adjoint")))
+
+
+def _site_decompose_rows(A, mp):
+    rng = np.random.default_rng(3)
+    x = np.stack([_random(A, rng, "self_adjoint") for _ in range(3)])
+    x[1] = _with_nan(x[1])
+    calculus._decompose_rows(A, x)
+
+
+def _site_exp_i(A, mp):
+    mp.setattr(calculus, "_exp", _nan_from(calculus._exp))
+    calculus._exp_i(A, _random(A, np.random.default_rng(3), "self_adjoint"), 1.0)
+
+
+def _site_exp_i_rows(A, mp):
+    mp.setattr(calculus, "_exp", _nan_from(calculus._exp))
+    rng = np.random.default_rng(3)
+    calculus._exp_i(A, np.stack([_random(A, rng, "self_adjoint") for _ in range(3)]), 1.0)
+
+
+def _site_inverse(A, mp):
+    mp.setattr(np.linalg, "solve", _nan_from(np.linalg.solve))
+    calculus.is_invertible(A, A.element(_random(A, np.random.default_rng(3), "self_adjoint") + 3.0 * A.unit.coords))
+
+
+def _site_unitary_decomposition(A, mp):
+    unitary._unitary_decomposition(A, _with_nan(_random(A, np.random.default_rng(4), "unitary")))
+
+
+def _site_unitary_log(A, mp):
+    mp.setattr(unitary, "_exp_i", _nan_from(unitary._exp_i))
+    unitary._unitary_log(A, _random(A, np.random.default_rng(4), "unitary"))
+
+
+def _site_projection(A, mp):
+    p, _ = samplers._orthogonal_projection_pair(A, np.random.default_rng(5))
+    unitary._require_projection(A, _with_nan(p), "p")
+
+
+def _site_symmetric_difference(A, mp):
+    defects = unitary._symmetric_difference_defects
+    mp.setattr(unitary, "_symmetric_difference_defects", lambda B, x, y: (lambda d, e: (d, _with_nan(e)))(*defects(B, x, y)))
+    p, q = samplers._orthogonal_projection_pair(A, np.random.default_rng(5))
+    unitary.symmetric_difference(A, A.element(p), A.element(q))
+
+
+def _site_tripotent(A, mp):
+    peirce._peirce_projections(A, _with_nan(peirce._sample_tripotent(A, np.random.default_rng(6))))
+
+
+def _site_oc_draw(A, mp):
+    draw = samplers._same_generator_pair
+    mp.setattr(samplers, "_same_generator_pair", lambda B, r: (lambda a, b: (a, _with_nan(b)))(*draw(B, r)))
+    samplers._draw_oc_pair(A, np.random.default_rng(7), 3)
+
+
+def _site_orthogonal_pair(A, mp):
+    pair = samplers._orthogonal_projection_pair
+    mp.setattr(measures, "_orthogonal_projection_pair", lambda B, r: (lambda p, q: (p, _with_nan(q)))(*pair(B, r)))
+    measures.measure_from_map(A, lambda a: a.coords.real, bound_probe=1)
+
+
+def _site_unit_image(A, mp):
+    m = _identity(A)
+    m._eval = _nan_from(m._eval)
+    preservers.check_piecewise_hom_on_unitaries(m, trials=3)
+
+
+def _site_unitary_images(A, mp):
+    m = _identity(A)
+    m._eval = _nan_from(m._eval, at=1)  # the stack of the u's
+    preservers.check_piecewise_hom_on_unitaries(m, trials=3)
+
+
+def _site_generator(A, mp):
+    # the log at t / 2, the second of _generator's two
+    log = _nan_from(lambda B, y, log=preservers._unitary_log: log(B, y)[0], at=1)
+    mp.setattr(preservers, "_unitary_log", lambda B, y, log=log: (log(B, y), False))
+    preservers._generator(_identity(A), _random(A, np.random.default_rng(8), "self_adjoint"))
+
+
+def _site_unital(A, mp):
+    m = _identity(A)
+    m._eval = _nan_from(m._eval)
+    preservers.verify_jordan_star_isomorphism(m, trials=2)
+
+
+def _site_central_round_trip(A, mp):
+    m = _identity(A)
+    m._inverse = _nan_from(m._inverse)
+    preservers.check_central_preservation(m, trials=2)
+
+
+def _site_central_c(A, mp):
+    mp.setattr(preservers, "_owned", lambda B, e: _with_nan(e.coords))
+    m = _identity(A)
+    preservers.verify_unitary_preserver_form(m, m, lambda a: A.zero(), A.unit, trials=2)
+
+
+def _site_central_beta(A, mp):
+    owned = preservers._owned
+    mp.setattr(preservers, "_owned", _nan_from(lambda B, e: owned(B, e), at=1))
+    m = _identity(A)
+    preservers.verify_unitary_preserver_form(m, m, lambda a: A.zero(), A.unit, trials=2)
+
+
+def _site_i_unit_image(A, mp):
+    m = _identity(A)
+    m._eval = _nan_from(m._eval)
+    preservers.check_i_unit_image(m, trials=2)
+
+
+NAN_SITES = {
+    "decompose": (_site_decompose, NotSelfAdjoint, "deviation from self-adjointness nan"),
+    "decompose_rows": (_site_decompose_rows, NotSelfAdjoint, "deviation from self-adjointness nan"),
+    "exp_i": (_site_exp_i, VerificationFailed, "exp_i produced a non-unitary element (residual nan)"),
+    "exp_i_rows": (_site_exp_i_rows, VerificationFailed, "exp_i produced a non-unitary element (residual nan)"),
+    "inverse": (_site_inverse, VerificationFailed, "candidate inverse failed defining identities (residual nan)"),
+    "unitary_decomposition": (_site_unitary_decomposition, NotUnitary, "unitarity defect nan exceeds nan"),
+    "unitary_log": (_site_unitary_log, VerificationFailed, "log round trip failed (residual nan)"),
+    "projection": (_site_projection, NotProjection, "p is not a projection (residual nan)"),
+    "symmetric_difference": (_site_symmetric_difference, VerificationFailed, "symmetric-difference identity violated (nan)"),
+    "tripotent": (_site_tripotent, NotTripotent, "tripotent defect nan exceeds nan"),
+    "oc_draw": (_site_oc_draw, SamplerViolation, "sampler produced a non-commuting pair (residual nan)"),
+    "orthogonal_pair": (_site_orthogonal_pair, PreconditionFailed, "orthogonal projections failed to operator commute"),
+    "unit_image": (_site_unit_image, NonUnitaryImage, "image of the unit is not unitary"),
+    "unitary_images": (_site_unitary_images, NonUnitaryImage, "image of u is not unitary"),
+    "generator": (_site_generator, Inconsistent, "halving t_small moved the generator by nan"),
+    "unital": (_site_unital, PreconditionFailed, "theta is not unital (residual nan)"),
+    "central_round_trip": (_site_central_round_trip, PreconditionFailed, "supplied inverse fails the round trip"),
+    "central_c": (_site_central_c, PreconditionFailed, "c is not central self-adjoint"),
+    "central_beta": (_site_central_beta, PreconditionFailed, "beta(a) is not central self-adjoint"),
+    "i_unit_image": (_site_i_unit_image, HypothesisFailed, "Phi(1) is not a tripotent"),
+}
+
+
+@pytest.mark.parametrize("A", [M3, S4], ids=lambda A: A.id)
+@pytest.mark.parametrize("site", NAN_SITES)
+def test_a_nan_row_fails_every_raising_site(A, site):
+    call, error, message = NAN_SITES[site]
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(error) as raised:
+        call(A, mp)
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_exp_i_of_an_overflowing_element_fails_verification():
+    # the spin closed form overflows to NaN nodes; the M2 block's norm is an SVD
+    h = 1e160 * _random(M2S3, np.random.default_rng(3), "self_adjoint")
+    with pytest.raises(VerificationFailed, match=re.escape("exp_i produced a non-unitary element (residual nan)")):
+        calculus.exp_i(M2S3, M2S3.element(h), 1.0)
+
+
+def test_a_nan_in_a_later_summand_fails_the_commutation_gate():
+    # the sum's bound is the largest of its summands', which a NaN must not lose
+    p, q = samplers._orthogonal_projection_pair(M2S3, np.random.default_rng(5))
+    q = q.copy()
+    q[-1] = np.nan
+    chk = calculus._commute_gate(M2S3, p, q)
+    assert chk is not True and not chk and np.isnan(chk.residual)

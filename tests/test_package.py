@@ -129,3 +129,19 @@ def test_every_model_has_its_closed_forms():
     hooks = ("_peirce2", "_eigenpieces", "_center", "rank")
     assert not [f"{cls.__name__}.{h}" for cls in _MODELS.values() for h in hooks if h not in vars(cls)]
     assert not [h for h in (*hooks[1:], "_mult_matrix") if hasattr(AlgebraHandle, h)]
+
+
+def test_every_gate_goes_through_the_one_gate():
+    # the bound-first test _small is called in calculus._gate alone, and no
+    # helper states a predicate's defects or threshold a second time
+    src = Path(jbstar.__file__).resolve().parent
+    callers, defined = set(), set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined.update(node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "_small" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    callers.add((path.name, getattr(top, "name", None)))
+    assert callers == {("calculus.py", "_gate")}
+    assert not defined & {"_self_adjoint_defect", "_is_self_adjoint", "_unitary_defects"}
