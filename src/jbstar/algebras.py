@@ -435,9 +435,12 @@ class SpinFactor(AlgebraHandle):
                 if (off > 1e-6 * (1.0 + np.abs(x0) + np.abs(s))).any():
                     raise NotSelfAdjoint("spin element is not self-adjoint")
                 x0, s = x0.real, np.abs(s)
+                half = 0.5 / np.where(s == 0.0, 1.0, s)
+            else:  # Python's complex division, as one element takes it: numpy's rounds otherwise
+                half = np.array([0.5 / v if v else 0.5 for v in s.ravel().tolist()]).reshape(s.shape)
             raw = np.empty(x.shape[:-1] + (2, self.dim), dtype=complex)
             raw[..., :, 0] = 0.5
-            raw[..., 1, 1:] = (0.5 / np.where(s == 0.0, 1.0, s))[..., None] * w
+            raw[..., 1, 1:] = half[..., None] * w
             raw[..., 0, 1:] = -raw[..., 1, 1:]
             return np.stack([x0 - s, x0 + s], axis=-1), raw
         x0, w = complex(x[0]), x[1:]
@@ -514,7 +517,10 @@ class DirectSum(AlgebraHandle):
 
     def _norm(self, x: np.ndarray):
         norms = [p._norm(x[..., s]) for p, s in self.summands]
-        return max(norms) if x.ndim == 1 else np.max(norms, axis=0)
+        if x.ndim > 1:
+            return np.max(norms, axis=0)
+        total = sum(norms)  # NaN when any summand's is: max() would drop a later one
+        return max(norms) if total == total else total
 
     def _blockwise(self, operator, x: np.ndarray) -> np.ndarray:
         """Block-diagonal matrix of ``operator(p, x[s])`` over the summands."""

@@ -29,11 +29,13 @@ just the nodes and idempotents.
 
 The hooks, ``_exp`` and ``_exp_i`` also take (k, dim) stacks of elements:
 a batched ``eigh`` on M_n, the spin closed form over the rows, the
-summands side by side on a sum.  ``_decompose_rows`` gates and orders
-every row; a row with nodes within the cluster gap (a scalar spin
-summand gives a double node) is left to ``_decompose``, so each row of a
-stacked ``_exp_i`` takes the one-element computation, and a failing gate
-raises with the value of its first failing row.
+summands side by side on a sum.  ``_abelian_rows`` orders every row, and
+``_decompose_rows`` gates it first; a row with nodes within the cluster
+gap (a scalar spin summand gives a double node) is left to the
+one-element form, so each row of a stacked ``_exp_i`` (or of the stacked
+``unitary._unitary_log``) takes the one-element computation, and a
+failing gate raises with the value of its first failing row.  A stacked
+``_exp_i`` also takes several exponents per row from one decomposition.
 
 Every gate (a check whose value is read only when it fails) is a
 ``_gate`` of a Jordan predicate stated once as its defects, eps and
@@ -351,13 +353,19 @@ def _decompose(A: AlgebraHandle, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _decompose_rows(A: AlgebraHandle, x: np.ndarray):
-    """``_decompose`` of each row of a (k, dim) stack, gated row by row:
-    the nodes, ascending, and idempotents of every row as (k, m) and
+    """``_decompose`` of each row of a (k, dim) stack, gated row by row
+    (``_abelian_rows``)."""
+    _require(_gate(A, *_self_adjoint(A, x)), NotSelfAdjoint, _NOT_SELF_ADJOINT)
+    return _abelian_rows(A, x, True)
+
+
+def _abelian_rows(A: AlgebraHandle, x: np.ndarray, real_nodes: bool):
+    """``_abelian_decomposition`` of each row of a (k, dim) stack: the
+    nodes, ascending, and idempotents of every row as (k, m) and
     (k, m, dim) arrays, and the mask of the rows with ``_near`` nodes.
     Those rows' pieces are left unmerged (a scalar spin summand gives a
-    double node), so a caller takes them through ``_decompose``."""
-    _require(_gate(A, *_self_adjoint(A, x)), NotSelfAdjoint, _NOT_SELF_ADJOINT)
-    nodes, raw = A._eigenpieces(x, True)
+    double node), so a caller takes them through the one-element form."""
+    nodes, raw = A._eigenpieces(x, real_nodes)
     clustered = np.count_nonzero(_near(A, nodes), axis=(-2, -1)) > nodes.shape[-1]
     order = np.argsort(nodes, axis=-1)
     return np.take_along_axis(nodes, order, -1), np.take_along_axis(raw, order[..., None], -2), clustered
@@ -392,19 +400,24 @@ def exp_i(A: AlgebraHandle, h: Element, t: float) -> Element:
     return Element(A.id, _exp_i(A, _owned(A, h), t))
 
 
-def _exp_i(A: AlgebraHandle, x: np.ndarray, t: float) -> np.ndarray:
+def _exp_i(A: AlgebraHandle, x: np.ndarray, t) -> np.ndarray:
     """exp(i t x) of one self-adjoint element or of each row of a (k, dim)
     stack of them, checked unitary row by row.  A stack goes through
     ``_decompose_rows``, and its rows with ``_near`` nodes through
     ``_decompose``, as one element does; a gate that fails raises with the
-    value of its first failing row."""
+    value of its first failing row.  For a stack, t may also be a (k, j)
+    array of j exponents per row: then the k j exponentials, each row's
+    in turn, come from that one decomposition."""
     if x.ndim == 1:
         u = _exp(*_decompose(A, x), t)
     else:
         nodes, idems, clustered = _decompose_rows(A, x)
+        if np.ndim(t):  # every row, and its pieces, once per exponent
+            nodes, idems, clustered, x = (np.repeat(p, t.shape[1], axis=0) for p in (nodes, idems, clustered, x))
+            t = t.reshape(-1, 1)
         u = _exp(nodes, idems, t)
         for i in np.flatnonzero(clustered):
-            u[i] = _exp(*_decompose(A, x[i]), t)
+            u[i] = _exp(*_decompose(A, x[i]), t if np.ndim(t) == 0 else t[i])
     check = _gate(A, (A._prod(u, A._inv(u)) - A.unit.coords,), 1e-7, lambda: 1e-7 * (1.0 + A._norm(u)) ** 2)
     _require(check, VerificationFailed, "exp_i produced a non-unitary element (residual {:.3e})")
     return u

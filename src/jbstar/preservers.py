@@ -16,20 +16,21 @@ Check bodies compute on coordinate arrays.  The maps take and return
 ``Element``s; ``MapUnderTest._eval`` and ``_inverse``, the map calls, are the
 only place a check body meets one.  They also take (k, dim) stacks: a map
 callable that carries a ``rows`` attribute, its form on coordinate stacks,
-maps a stack in one call, and any other is called once per row.  The maps
-built from descriptors carry one, but for ``exp_form``.  Every
-operator-commuting pair is a same-generator draw from
-``samplers._draw_oc_pair``, which raises SamplerViolation on a pair that
-does not operator commute.
+maps a stack in one call, and any other is called once per row.  Every
+map built from a descriptor carries one.  Every operator-commuting pair is
+a same-generator draw from ``samplers._draw_oc_pair``, which raises
+SamplerViolation on a pair that does not operator commute.
 
 The OC checks, the piecewise-homomorphism check, the loops of
 ``recover_structure``, ``verify_counterexample`` and
-``classify_factor_dichotomy`` and ``verify_jordan_star_isomorphism``
-consume the generator as one draw at a time would, and evaluate chunks of
-at most ``reports.CHUNK`` draws as stacks whose rows equal the one-draw
-results bit for bit.  A chunk's draws are all taken, and its map calls all
-made, before any of its residuals is looked at: a draw's SamplerViolation
-comes before a map error of an earlier draw of its chunk.  The checks left
+``classify_factor_dichotomy``, ``verify_jordan_star_isomorphism`` and
+``check_generator_properties`` consume the generator as one draw at a time
+would, and evaluate chunks of at most ``reports.CHUNK`` draws as stacks
+whose rows equal the one-draw results bit for bit; the generator map of a
+stack (``_generator``) takes one spectral decomposition, one map call and
+one stacked ``unitary._unitary_log``.  A chunk's draws are all taken, and
+its map calls all made, before any of its residuals is looked at: a draw's
+SamplerViolation comes before a map error of an earlier draw of its chunk.  The checks left
 one draw at a time feed each draw to the same fold, ``reports.WorstResidual``,
 which also keeps the raw and unreported maxima.  Every gate, on the
 images of unitaries, the generator's halving, unitality, round trips,
@@ -70,7 +71,7 @@ from .kernel import Tolerance
 from .peirce import _is_tripotent, _peirce2_algebra, _tripotent
 from .reports import CheckReport, WorstResidual, chunk_sizes
 from .samplers import _commuting_projection_pair, _draw_oc_pair
-from .unitary import _symmetry, _unitary, _unitary_log, unitary_log
+from .unitary import _symmetry, _unitary, _unitary_log
 
 __all__ = [
     "MapUnderTest",
@@ -266,22 +267,23 @@ def derive_generator_map(m: MapUnderTest, a: Element, t_small: float = 1.0 / 16.
     """Generator f(a) with Phi(exp(i t a)) = exp(i t f(a)), from the log at
     t = min(t_small, 1/|a|), consistency-checked against t/2; t |a| <= 1
     keeps the spectrum of exp(i t a) away from the branch cut of the log."""
-    return Element(m.target.id, _generator(m, _owned(m.source, a), t_small))
+    return Element(m.target.id, _generator(m, _owned(m.source, a)[None], t_small)[0])
 
 
 def _generator(m: MapUnderTest, x: np.ndarray, t_small: float = 1.0 / 16.0) -> np.ndarray:
-    """derive_generator_map on coordinates."""
+    """derive_generator_map of each row of a (k, dim) stack, as one stack:
+    one ``_decompose_rows`` of x serves both t and t/2, the map takes the
+    2k exponentials (each row's at t, then at t/2) in one call, and one
+    stacked ``_unitary_log`` takes their images.  Each stage, and the
+    branch and halving gates after them, raises with its first failing row."""
     tgt = m.target
-    step = t_small / max(1.0, t_small * m.source._norm(x))  # min(t_small, 1/|x|)
-
-    def f_at(t: float) -> np.ndarray:
-        h, ambiguous = _unitary_log(tgt, m._eval(_exp_i(m.source, x, t)))
-        if ambiguous:
-            raise BranchAmbiguity("image spectrum touches -1; shrink t_small")
-        return (1.0 / t) * h
-
-    f1 = f_at(step)
-    f2 = f_at(step / 2.0)
+    step = t_small / np.maximum(1.0, t_small * m.source._norm(x))  # min(t_small, 1/|x|)
+    t = np.stack([step, step / 2.0], axis=-1)
+    h, ambiguous = _unitary_log(tgt, m._eval(_exp_i(m.source, x, t)))
+    if np.any(ambiguous):
+        raise BranchAmbiguity("image spectrum touches -1; shrink t_small")
+    f = ((1.0 / t).reshape(-1, 1) * h).reshape(len(x), 2, -1)
+    f1, f2 = f[:, 0], f[:, 1]
     eps = 10.0 * tgt.tol.abs_eps
     check = _gate(tgt, (f1 - f2,), eps + 1e-9, lambda: eps * (1.0 + tgt._norm(f1)) + 1e-9)
     _require(check, Inconsistent, "halving t_small moved the generator by {:.3e}")
@@ -292,24 +294,27 @@ def check_generator_properties(
     m: MapUnderTest, trials: int = 20, seed: int = 0, pass_tol: float = 1e-6
 ) -> CheckReport:
     """Homogeneity, OC-additivity, and OC-preservation of the derived
-    generator map, with a boundedness estimate."""
+    generator map, with a boundedness estimate.  Each chunk of draws, taken
+    in the order of one draw at a time (its pair, then its factor tau),
+    goes through ``_generator`` as one stack of a, b, a + b and tau a."""
     src, tgt = m.source, m.target
     rng = np.random.default_rng(seed)
-    acc, bound = WorstResidual(pass_tol), 0.0
-    for _ in range(trials):
-        a, b = _draw_oc_pair(src, rng, 1)[:, 0]
-        fa, fb, fab = (_generator(m, x) for x in (a, b, a + b))
+    acc, bound = WorstResidual(pass_tol), WorstResidual()
+    draw = lambda: (*_draw_oc_pair(src, rng, 1)[:, 0], rng.choice([-2.0, -1.0, 0.5, 3.0]))
+    for size in chunk_sizes(trials):
+        a, b, tau = (np.array(column) for column in zip(*(draw() for _ in range(size))))
+        tau = tau[:, None]
+        fa, fb, fab, fta = _generator(m, np.concatenate([a, b, a + b, tau * a])).reshape(4, size, -1)
         r_add = tgt._norm(fab - fa - fb)
-        tau = float(rng.choice([-2.0, -1.0, 0.5, 3.0]))
-        r_hom = tgt._norm(_generator(m, tau * a) - tau * fa)
-        r_oc = _operator_commutes(tgt, fa, fb).residual
-        scale = 1.0 + src._norm(a) + src._norm(b)
-        acc.add(max(r_add, r_hom, r_oc) / scale, lambda i: {"a": a.tolist(), "b": b.tolist()})
+        r_hom = tgt._norm(fta - tau * fa)
+        r_oc = [_operator_commutes(tgt, x, y).residual for x, y in zip(fa, fb)]
         na = src._norm(a)
-        if na > 1e-9:
-            bound = max(bound, tgt._norm(fa) / na)
+        scale = 1.0 + na + src._norm(b)
+        r = np.maximum(np.maximum(r_add, r_hom), r_oc) / scale
+        acc.add(r, lambda i: {"a": a[i].tolist(), "b": b[i].tolist()})
+        bound.add(tgt._norm(fa)[na > 1e-9] / na[na > 1e-9])
     name = f"generator-properties[{m.label}]"
-    return acc.report(name, pass_tol=pass_tol, bound_estimate=bound)
+    return acc.report(name, pass_tol=pass_tol, bound_estimate=bound.worst)
 
 
 _ISOMORPHISM_FAILURES = (
@@ -850,11 +855,11 @@ def _build_map(desc: dict, source: AlgebraHandle) -> MapUnderTest:
         c = element_from_json(source, desc["c"])
         beta = _beta_from_descriptor(desc.get("beta", {"kind": "zero"}), source)
 
-        def f(u):
-            h = unitary_log(source, u).h
-            arg = beta(h).coords + source._prod(c.coords, theta(h).coords)
-            return Element(source.id, _exp_i(source, arg, 1.0))
+        def rows(x: np.ndarray) -> np.ndarray:
+            h = _unitary_log(source, x)[0]
+            return _exp_i(source, beta(h) + source._prod(c.coords, theta._eval(h)), 1.0)
 
+        f = _with_rows(lambda u: Element(source.id, rows(_owned(source, u))), rows)
         return MapUnderTest(source, source, f, label="exp_form")
     raise ValueError(f"unknown map descriptor kind {kind!r}")
 
@@ -875,12 +880,14 @@ def _chain(fns, a):
 
 
 def _beta_from_descriptor(desc: dict, A: AlgebraHandle):
+    """beta on the coordinates of one element or of each row of a stack."""
     kind = desc.get("kind")
     if kind == "zero":
-        return lambda a: A.zero()
+        return lambda x: np.zeros(x.shape, dtype=complex)
     if kind == "scaled_trace":
         scale = float(desc["scale"])
         if not math.isfinite(scale):
             raise ValueError(f"scaled_trace scale must be finite, got {desc['scale']!r}")
-        return lambda a: Element(A.id, (scale * A.trace(a.coords)) * A.unit.coords)
+        trace = lambda x: A.trace(x) if x.ndim == 1 else np.array([A.trace(r) for r in x])[:, None]
+        return lambda x: (scale * trace(x)) * A.unit.coords
     raise ValueError(f"unknown beta descriptor kind {kind!r}")

@@ -92,9 +92,10 @@ def chunk_sizes(trials: int) -> list[int]:
 @dataclass
 class WorstResidual:
     """Worst residual of a check's draws, fed in draw order, counted from a
-    start (the initial ``worst``): the first of equal residuals wins and a
-    NaN never does; the witness is kept only above ``tol``; a report of no
-    draw does not pass.  Without ``tol``, the largest residual alone."""
+    start (the initial ``worst``): the first of equal residuals wins, and
+    the first NaN wins for good, so that its report fails; the witness is
+    kept only above ``tol`` (or at a NaN); a report of no draw does not
+    pass.  Without ``tol``, the largest residual alone, or NaN."""
 
     tol: float = math.inf
     worst: float = 0.0
@@ -108,9 +109,9 @@ class WorstResidual:
         self.counted += len(rows)
         best = None
         for i, r in enumerate(rows):
-            if r > self.worst:
+            if r > self.worst or (r != r and self.worst == self.worst):
                 self.worst, best = r, i
-        if best is not None and self.worst > self.tol:
+        if best is not None and not self.worst <= self.tol:
             self.witness = witness(best)
 
     def report(self, name: str, **details) -> CheckReport:

@@ -10,7 +10,8 @@ symmetry and projections are each stated once, as a predicate
 every gate (those three, the log round trip, the symmetric-difference
 identity) is a ``calculus._gate``, raised by ``calculus._require``, and
 ``is_unitary`` is the predicate's exact check.  Each check folds its draws
-into a ``reports.WorstResidual``.
+into a ``reports.WorstResidual``.  The log also takes a (k, dim) stack of
+unitaries, with one batched eigensolve, row by row as one element.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from .algebras import AlgebraHandle, Element, _owned, _random
 from .calculus import (
     _abelian_decomposition,
+    _abelian_rows,
     _commute_gate,
     _decompose,
     _exact,
@@ -95,13 +97,17 @@ def _symmetry(A: AlgebraHandle, x: np.ndarray):
     return (A._inv(x) - x, A._prod(x, x) - A.unit.coords), eps, lambda: limits(1.0 + A._norm(x))
 
 
+_NOT_UNITARY = "unitarity defect {:.3e} exceeds {:.3e}"
+_OFF_CIRCLE = "spectrum points leave the unit circle by {:.3e}"
+
+
 def _unitary_decomposition(A: AlgebraHandle, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Circle-spectrum nodes and idempotents (rows) of a unitary element."""
-    _require(_gate(A, *_unitary(A, x)), NotUnitary, "unitarity defect {:.3e} exceeds {:.3e}")
+    _require(_gate(A, *_unitary(A, x)), NotUnitary, _NOT_UNITARY)
     nodes, idems = _abelian_decomposition(A, x, real_nodes=False)
     off = float(np.max(np.abs(np.abs(nodes) - 1.0)))
     if off > 1e-6:
-        raise NotUnitary(f"spectrum points leave the unit circle by {off:.3e}")
+        raise NotUnitary(_OFF_CIRCLE.format(off))
     return nodes, idems
 
 
@@ -111,16 +117,44 @@ def unitary_log(A: AlgebraHandle, u: Element) -> UnitaryLog:
     return UnitaryLog(h=Element(A.id, h), ambiguous=ambiguous)
 
 
-def _unitary_log(A: AlgebraHandle, x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """(h, ambiguous) of unitary_log on coordinates."""
-    nodes, idems = _unitary_decomposition(A, x)
+def _unitary_log(A: AlgebraHandle, x: np.ndarray):
+    """(h, ambiguous) of unitary_log on coordinates; of each row of a
+    (k, dim) stack, the (k, dim) logs and the (k,) mask of ambiguous rows.
+
+    A stack is taken as ``_decompose_rows`` takes one: the unitarity gate
+    over the rows, one batched ``_eigenpieces``, the rows with ``_near``
+    nodes through ``_abelian_decomposition``, then the off-circle test of
+    each row and one stacked round trip.  Each row equals its one-element
+    log bit for bit, and a stage that fails raises with its first failing
+    row."""
+    if x.ndim == 1:
+        h, ambiguous = _log(A, *_unitary_decomposition(A, x))
+    else:
+        _require(_gate(A, *_unitary(A, x)), NotUnitary, _NOT_UNITARY)
+        nodes, idems, clustered = _abelian_rows(A, x, False)
+        off = np.max(np.abs(np.abs(nodes) - 1.0), axis=-1)
+        h, ambiguous = _log(A, nodes, idems)
+        for i in np.flatnonzero(clustered):
+            nodes, idems = _abelian_decomposition(A, x[i], real_nodes=False)
+            off[i] = np.max(np.abs(np.abs(nodes) - 1.0))
+            h[i], ambiguous[i] = _log(A, nodes, idems)
+        bad = off > 1e-6
+        if bad.any():
+            raise NotUnitary(_OFF_CIRCLE.format(off[bad.argmax()]))
+    check = _gate(A, (_exp_i(A, h, 1.0) - x,), 1e-6, lambda: 1e-6 * (1.0 + A._norm(x)))
+    _require(check, VerificationFailed, "log round trip failed (residual {:.3e})")
+    return (h, bool(ambiguous)) if x.ndim == 1 else (h, ambiguous)
+
+
+def _log(A: AlgebraHandle, nodes: np.ndarray, idems: np.ndarray):
+    """Sum of arg(node) times idempotent, arguments in (-pi, pi], and
+    whether a node sits at the cut; of one decomposition or of each row of
+    a stack of them."""
     # the branch cut is pinned at arg = pi; nodes numerically at -1 may
     # carry a tiny negative imaginary part that would flip the sign
     at_cut = np.abs(nodes + 1.0) <= A.tol.cluster_eps
-    h = np.where(at_cut, math.pi, np.angle(nodes)) @ idems
-    check = _gate(A, (_exp_i(A, h, 1.0) - x,), 1e-6, lambda: 1e-6 * (1.0 + A._norm(x)))
-    _require(check, VerificationFailed, "log round trip failed (residual {:.3e})")
-    return h, bool(at_cut.any())
+    w = np.where(at_cut, math.pi, np.angle(nodes))
+    return (w @ idems if w.ndim == 1 else (w[:, None] @ idems)[:, 0]), at_cut.any(axis=-1)
 
 
 def unitary_power(A: AlgebraHandle, u: Element, n: int) -> Element:

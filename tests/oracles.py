@@ -7,6 +7,9 @@ through a model's own operations: ``is_spin_summand``, a sampled type test
 that shares nothing with its type data, and
 ``peirce_identity_residual_2norm``, which measures the package's Peirce
 matrices in the operator 2-norm instead of the Frobenius norm.
+``generator_one_at_a_time`` runs the package's one-element exponential and
+log in turn, one element and one t at a time: it is the reference of the
+stacked generator.
 
 ``GenericModel`` holds the generic forms of the model hooks: the
 multiplication matrix from basis products, the Krylov spectral route with
@@ -25,8 +28,10 @@ import numpy as np
 
 from jbstar import calculus
 from jbstar.algebras import AlgebraHandle, _normal_eig, _random, selfadjoint_basis
+from jbstar.errors import BranchAmbiguity, Inconsistent
 from jbstar.kernel import operator_norm
 from jbstar.peirce import _lqe, _peirce_projections
+from jbstar.unitary import _unitary_log
 
 # Pauli matrices for the 2x2 embedding of small spin factors
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -289,6 +294,29 @@ def is_spin_summand(A: AlgebraHandle, samples: int = 10, seed: int = 7) -> bool:
         if np.linalg.norm(P @ c - sq) > 1e-8 * (1.0 + np.linalg.norm(sq)):
             return False
     return True
+
+
+def generator_one_at_a_time(m, x, t_small=1.0 / 16.0):
+    """The generator of ``preservers._generator`` at one element, from its
+    one-element parts in turn: exp(i t x), the map, the log and the branch
+    test at t = min(t_small, 1/||x||), then again at t/2, then the halving
+    gate.  The stacked generator must equal it row by row, and raise what
+    it raises."""
+    tgt = m.target
+    step = t_small / max(1.0, t_small * m.source._norm(x))
+
+    def f_at(t):
+        h, ambiguous = _unitary_log(tgt, m._eval(calculus._exp_i(m.source, x, t)))
+        if ambiguous:
+            raise BranchAmbiguity("image spectrum touches -1; shrink t_small")
+        return (1.0 / t) * h
+
+    f1 = f_at(step)
+    f2 = f_at(step / 2.0)
+    eps = 10.0 * tgt.tol.abs_eps
+    check = calculus._gate(tgt, (f1 - f2,), eps + 1e-9, lambda: eps * (1.0 + tgt._norm(f1)) + 1e-9)
+    calculus._require(check, Inconsistent, "halving t_small moved the generator by {:.3e}")
+    return f1
 
 
 def weighted_merge(A, nodes, weights, raw):

@@ -356,6 +356,9 @@ def test_unitary_log_round_trip_gate(monkeypatch, A):
 
         ratio = lambda t, g=g: A._norm(back + t * g - u) / (1e-6 * (1.0 + A._norm(u)))
         cases.append((call, ratio))
+    # a stack of two equal rows: one stacked norm of the defects, one of x
+    stacked = lambda t: (shift.__setitem__(0, t * g), unitary._unitary_log(A, np.stack([u, u])))[1]
+    cases.append((stacked, ratio))
     _check_site(A, cases, VerificationFailed, gate=2)
 
 

@@ -287,10 +287,14 @@ def _site_unitary_images(A, mp):
 
 
 def _site_generator(A, mp):
-    # the log at t / 2, the second of _generator's two
-    log = _nan_from(lambda B, y, log=preservers._unitary_log: log(B, y)[0], at=1)
-    mp.setattr(preservers, "_unitary_log", lambda B, y, log=log: (log(B, y), False))
-    preservers._generator(_identity(A), _random(A, np.random.default_rng(8), "self_adjoint"))
+    # the logs at t / 2, the second row of each element in _generator's one stacked log
+    def log(B, y, log=preservers._unitary_log):
+        h = log(B, y)[0]
+        h[1::2] = _with_nan(h[1::2])
+        return h, False
+
+    mp.setattr(preservers, "_unitary_log", log)
+    preservers.derive_generator_map(_identity(A), A.element(_random(A, np.random.default_rng(8), "self_adjoint")))
 
 
 def _site_unital(A, mp):
@@ -371,3 +375,16 @@ def test_a_nan_in_a_later_summand_fails_the_commutation_gate():
     q[-1] = np.nan
     chk = calculus._commute_gate(M2S3, p, q)
     assert chk is not True and not chk and np.isnan(chk.residual)
+
+
+@pytest.mark.parametrize("at", [4, 6])
+def test_the_one_element_and_stacked_sum_norms_agree_on_nan_rows(at):
+    # max() over the summands' norms kept a finite one and dropped a NaN of
+    # a later summand (the spin(3) one, coordinates 4 to 6; an SVD refuses a
+    # NaN in the M2 one); the stacked form's np.max carries it
+    x = _random(M2S3, np.random.default_rng(9))
+    y = x.copy()
+    y[at] = np.nan
+    stacked = M2S3._norm(np.stack([x, y]))
+    assert M2S3._norm(x) == stacked[0] == max(p._norm(x[s]) for p, s in M2S3.summands)
+    assert np.isnan(M2S3._norm(y)) and np.isnan(stacked[1])

@@ -616,6 +616,12 @@ def _descriptors(A):
         out["spin_counterexample"] = {"kind": "spin_counterexample", "epsilon": 0.3}
         out["composition"] = {"kind": "composition", "maps": [out["spin_counterexample"], {"kind": "star"}]}
     out["exp_form"] = {"kind": "exp_form", "c": element_to_json(A.unit), "theta": {"kind": "star"}}
+    out["exp_form(scaled_trace)"] = {
+        "kind": "exp_form",
+        "c": element_to_json(1.5 * A.unit),
+        "theta": {"kind": "identity"},
+        "beta": {"kind": "scaled_trace", "scale": 0.3},
+    }
     return out
 
 
@@ -625,7 +631,7 @@ def test_stacked_maps_equal_their_rows_bit_for_bit(A):
     stacked = set()
     for kind, desc in _descriptors(A).items():
         m = map_from_descriptor(desc, A)
-        flavor = "unitary" if kind == "exp_form" else "self_adjoint"  # the counterexample takes self-adjoints
+        flavor = "unitary" if kind.startswith("exp_form") else "self_adjoint"  # the counterexample takes self-adjoints
         x = np.stack([random_element(A, s, flavor).coords for s in range(5)])
         for fn, call in ((m.eval, m._eval), (m.inverse, m._inverse)):
             if fn is None:
@@ -635,7 +641,7 @@ def test_stacked_maps_equal_their_rows_bit_for_bit(A):
             assert np.array_equal(got, np.stack([fn(A.element(row)).coords for row in x])), kind
             if hasattr(fn, "rows"):
                 stacked.add(kind)
-    assert stacked == set(_descriptors(A)) - {"exp_form"}
+    assert stacked == set(_descriptors(A))
 
 
 def test_a_plain_callable_is_called_once_per_row():

@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from jbstar import reports
 from jbstar.cli import RunConfig, run
@@ -24,8 +25,8 @@ def test_worst_residual_keeps_a_witness_only_above_tol():
     rep = acc.report("x", threshold=0.2)
     assert (rep.passed, rep.trials, rep.max_residual, rep.witness) == (True, 2, 0.15, None)
     assert rep.details == {"threshold": 0.2}
-    acc.add([float("nan"), 0.25], lambda i: i)  # a NaN never becomes the worst
-    assert (acc.worst, acc.witness, acc.counted) == (0.25, 1, 4)
+    acc.add([0.25, 0.3], lambda i: i)
+    assert (acc.worst, acc.witness, acc.counted) == (0.3, 1, 4)
 
 
 def test_worst_residual_respects_start():
@@ -47,19 +48,37 @@ def test_worst_residual_with_an_empty_stack_fails():
 
 def test_worst_residual_without_tol_is_the_largest_residual():
     acc = WorstResidual()
-    acc.add(np.array([[0.1, float("nan")], [3.0, 2.0]]), lambda i: i)
+    acc.add(np.array([[0.1, 0.5], [3.0, 2.0]]), lambda i: i)
     acc.add(1.5)
     assert (acc.worst, acc.witness, acc.counted) == (3.0, None, 5)
 
 
+@pytest.mark.parametrize("tol", [1e-7, math.inf])
+def test_a_nan_residual_wins_for_good_and_fails_the_report(tol):
+    acc = WorstResidual(tol)
+    acc.add([float("nan"), float("nan")], lambda i: i)
+    rep = acc.report("x")
+    assert not rep.passed and math.isnan(rep.max_residual) and rep.witness == 0
+    acc = WorstResidual(tol)
+    acc.add([0.1, 2.0, float("nan"), 5.0], lambda i: i)  # neither a later nor a larger value replaces it
+    acc.add([float("nan"), 7.0], lambda i: ("later", i))
+    assert math.isnan(acc.worst) and acc.witness == 2 and not acc.report("x").passed
+
+
 def _reference_fold(tol, start, stacks):
     """(worst, witness, counted) of feeding ``stacks`` in turn, each stack's
-    worst found by numpy: NaN as -inf, the first of equal maxima by argmax."""
+    worst found by numpy: the first NaN, which stays the worst, or else the
+    first of equal maxima by argmax."""
     worst, witness, counted = start, None, 0
     for k, stack in enumerate(stacks):
         r = np.asarray(stack, dtype=float).ravel()
         counted += r.size
-        r = np.append(np.where(np.isnan(r), -np.inf, r), -np.inf)
+        if math.isnan(worst):
+            continue
+        if np.isnan(r).any():
+            worst, witness = math.nan, (k, int(np.argmax(np.isnan(r))))
+            continue
+        r = np.append(r, -np.inf)
         i = int(np.argmax(r))
         if r[i] > worst:
             worst = float(r[i])
@@ -96,7 +115,8 @@ def test_worst_residual_matches_the_reference_fold():
         acc = WorstResidual(tol, start)
         for k, stack in enumerate(stacks):
             acc.add(stack, lambda i, k=k: (k, i))
-        assert (acc.worst, acc.witness, acc.counted) == _reference_fold(tol, start, stacks), stacks
+        got, want = (acc.worst, acc.witness, acc.counted), _reference_fold(tol, start, stacks)
+        assert str(got) == str(want), stacks  # str: NaN equals NaN
         assert type(acc.worst) is float
 
 
