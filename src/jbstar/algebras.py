@@ -116,9 +116,11 @@ class AlgebraHandle:
     ``_norm``, the unit, and the closed forms ``_mult_matrix``,
     ``_eigenpieces``, ``_center``, ``rank`` and ``_peirce2``; every other
     module works through these, the trace and the canonical projections.
-    The U-operator matrix, commutator norm and U-operator singular values
-    defined here are products of multiplication matrices; M_n and direct
-    sums replace them by closed forms.
+    The U-operator matrix, commutator norm, U-operator singular values,
+    U-solve (``_u_solve``) and Peirce operators (``_lqe``) defined here are
+    products of multiplication matrices, or a dense solve with them; M_n
+    and direct sums replace them by closed forms (n x n products and solves
+    on M_n, blockwise on sums).
 
     ``_norm_per_coord`` is a constant kappa with ||x|| <= kappa |x|_2 for
     every x, |x|_2 the 2-norm of the coordinates: 1 on M_n (the operator
@@ -181,6 +183,22 @@ class AlgebraHandle:
         """Matrix of U_x = 2 M_x^2 - M_{x o x}."""
         m = self._mult_matrix(x)
         return 2.0 * (m @ m) - self._mult_matrix(self._prod(x, x))
+
+    def _u_solve(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The solution y of U_x y = b, by one dense solve."""
+        return np.linalg.solve(self._u_matrix(x), b)
+
+    def _lqe(self, x: np.ndarray):
+        """Matrices of L(e,e) and of Q(e)^2 (e = x), from whole operator matrices.
+
+        L(e,e) = M_{e o e*} + M_e M_{e*} - M_{e*} M_e.  Q(e) y = {e,y,e} =
+        U_e(y*) is conjugate-linear, but Q(e)^2 = U_e U_{e*} is linear, so no
+        conjugate-linear matrix is formed.
+        """
+        xs = self._inv(x)
+        me, mes = self._mult_matrix(x), self._mult_matrix(xs)
+        lee = self._mult_matrix(self._prod(x, xs)) + me @ mes - mes @ me
+        return lee, self._u_matrix(x) @ self._u_matrix(xs)
 
     def _commutator_norm(self, x: np.ndarray, y: np.ndarray, slack: float) -> float:
         """||[M_x, M_y]||; a closed form may differ from it by at most ``slack``."""
@@ -282,6 +300,21 @@ class HermitianMatrixAlgebra(AlgebraHandle):
     def _u_matrix(self, x: np.ndarray) -> np.ndarray:
         a = x.reshape(self.n, self.n)
         return _kron(a, a.T)  # vec(a X a) = (a kron a^T) vec(X)
+
+    def _u_solve(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """y = a^-1 b a^-1, since U_a y = a y a: two n x n solves."""
+        a = x.reshape(self._square)
+        w = np.linalg.solve(a, b.reshape(self._square))  # a^-1 b
+        return np.linalg.solve(a.T, w.T).T.ravel()  # w a^-1 = (a^-T w^T)^T
+
+    def _lqe(self, x: np.ndarray):
+        """L(e,e) y = (P y + y Q) / 2 and Q(e)^2 y = P y Q, with P = e e* and
+        Q = e* e: (P kron I + I kron Q^T) / 2 and P kron Q^T, from two n x n
+        products."""
+        e = x.reshape(self._square)
+        p, q = e @ e.conj().T, e.conj().T @ e
+        eye = np.eye(self.n, dtype=complex)
+        return 0.5 * (_kron(p, eye) + _kron(eye, q.T)), _kron(p, q.T)
 
     def _commutator_norm(self, x: np.ndarray, y: np.ndarray, slack: float) -> float:
         """[L_a, L_b] = ad_c / 4 with c = ab - ba.  For skew-hermitian c,
@@ -534,6 +567,15 @@ class DirectSum(AlgebraHandle):
 
     def _u_matrix(self, x: np.ndarray) -> np.ndarray:
         return self._blockwise(lambda p, v: p._u_matrix(v), x)
+
+    def _u_solve(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.concatenate([p._u_solve(x[s], b[s]) for p, s in self.summands])
+
+    def _lqe(self, x: np.ndarray):
+        lee, q2 = np.zeros((2, self.dim, self.dim), dtype=complex)
+        for p, s in self.summands:
+            lee[s, s], q2[s, s] = p._lqe(x[s])
+        return lee, q2
 
     def _commutator_norm(self, x: np.ndarray, y: np.ndarray, slack: float) -> float:
         return max(p._commutator_norm(x[s], y[s], slack) for p, s in self.summands)

@@ -4,10 +4,10 @@ Multiplication operators, U-operators, triple products, operator
 commutativity, centre, invertibility, Jordan spectrum, and the functional
 calculus built on it.  Each public function unwraps its ``Element`` inputs
 once; its private array form serves the other modules' check bodies.
-U-operator matrices and commutator norms come from the model: closed forms
-on M_n (a kron a^T, and one n x n eigensolve for a skew-hermitian
-commutator) and blockwise on direct sums, products of multiplication
-matrices elsewhere.
+U-operator matrices, U-solves and commutator norms come from the model:
+closed forms on M_n (a kron a^T, a^-1 b a^-1 by two n x n solves, and one
+n x n eigensolve for a skew-hermitian commutator) and blockwise on direct
+sums, products of multiplication matrices and a dense solve elsewhere.
 
 The spectral decomposition of a self-adjoint element or a unitary a lives
 in the associative subalgebra C(1, a) (powers of a single element are
@@ -259,26 +259,30 @@ def is_invertible(A: AlgebraHandle, a: Element) -> Element | None:
     of U_a (those of a, squared, on M_n), on x / s when the largest
     coordinate m lies outside (2^-400, 2^400): s, the power of two above m,
     divides exactly, and U_{x/s} = U_x / s^2, so y = U_{x/s}^{-1}(x/s) / s.
-    The candidate is always verified against the defining identities
-    a o b = 1 and a^2 o b = a; a failing candidate (or an overflowing one)
-    raises VerificationFailed to flag tolerance breakdown.
+    The model's ``_u_solve`` solves U_{x/s} z = x/s (two n x n solves on
+    M_n, blockwise on sums).  The candidate z, the inverse of x/s, is always
+    verified against the defining identities (x/s) o z = 1 and
+    (x/s)^2 o z = x/s, which hold where those of x and y = z / s overflow;
+    a failing candidate raises VerificationFailed to flag tolerance
+    breakdown.
     """
     x = _owned(A, a)
     m = np.abs(x).max()
     s = 1.0 if 2.0**-400 < m < 2.0**400 else 2.0 ** math.frexp(m)[1]
-    top, bottom = A._u_singular_range(x / s)
+    x = x / s
+    top, bottom = A._u_singular_range(x)
     if top == 0.0 or bottom <= A.tol.abs_eps * top:
         return None
-    y = np.linalg.solve(A._u_matrix(x / s), x / s) / s
+    z = A._u_solve(x, x)
     eps = 100.0 * A.tol.abs_eps
 
     def threshold():
         nx = A._norm(x)
-        return eps * (1.0 + nx) * (1.0 + nx) * (1.0 + A._norm(y))
+        return eps * (1.0 + nx) * (1.0 + nx) * (1.0 + A._norm(z))
 
-    check = _gate(A, (A._prod(x, y) - A.unit.coords, A._prod(A._prod(x, x), y) - x), eps, threshold)
+    check = _gate(A, (A._prod(x, z) - A.unit.coords, A._prod(A._prod(x, x), z) - x), eps, threshold)
     _require(check, VerificationFailed, "candidate inverse failed defining identities (residual {:.3e})")
-    return Element(A.id, y)
+    return Element(A.id, z / s)
 
 
 # -- spectral decomposition -------------------------------------------------

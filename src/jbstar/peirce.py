@@ -1,9 +1,11 @@
 """Tripotents, Peirce projections, and Peirce-2 algebras.
 
 A tripotent e splits the space into the eigenspaces of L(e,e) at 1, 1/2, 0.
-The three Peirce projections are polynomials in L(e,e), which is formed,
-with the Q(e)^2 that checks P2, from the model's whole multiplication and
-U-operator matrices (closed forms on M_n and direct sums).  The identities
+The three Peirce projections are polynomials in L(e,e).  The model's
+``_lqe`` hook gives L(e,e) with the Q(e)^2 that checks P2: on M_n, with
+P = e e* and Q = e* e, the Kronecker forms (P kron I + I kron Q^T) / 2 and
+P kron Q^T of two n x n products; blockwise on direct sums; from whole
+multiplication and U-operator matrices on spin factors.  The identities
 of the projections are measured in the Frobenius norm, an upper bound of
 the operator 2-norm, so a system's residual bounds the largest 2-norm
 defect from above.
@@ -77,16 +79,10 @@ def _is_tripotent(A: AlgebraHandle, x: np.ndarray) -> ResidualCheck:
 
 
 def _lqe(A: AlgebraHandle, x: np.ndarray):
-    """Matrices of L(e,e) and of Q(e)^2 (e = x), from whole operator matrices.
-
-    L(e,e) = M_{e o e*} + M_e M_{e*} - M_{e*} M_e.  Q(e) y = {e,y,e} =
-    U_e(y*) is conjugate-linear, but Q(e)^2 = U_e U_{e*} is linear, so no
-    conjugate-linear matrix is formed.
-    """
-    xs = A._inv(x)
-    me, mes = A._mult_matrix(x), A._mult_matrix(xs)
-    lee = A._mult_matrix(A._prod(x, xs)) + me @ mes - mes @ me
-    return lee, A._u_matrix(x) @ A._u_matrix(xs)
+    """Matrices of L(e,e) and of Q(e)^2 (e = x): the model's ``_lqe``, from
+    two n x n products on M_n, blockwise on direct sums, and from whole
+    multiplication and U-operator matrices elsewhere."""
+    return A._lqe(x)
 
 
 def peirce_system(A: AlgebraHandle, e: Element) -> PeirceSystem:

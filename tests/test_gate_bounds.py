@@ -364,11 +364,12 @@ def test_unitary_log_round_trip_gate(monkeypatch, A):
 
 @pytest.mark.parametrize("A", SITE_MODELS, ids=lambda A: A.id)
 def test_is_invertible_identity_gate(monkeypatch, A):
-    # the defect is added to the U-operator matrix, which moves the candidate
+    # the defect is added to the U-operator matrix of the solve, which moves
+    # the candidate
     rng = np.random.default_rng(37)
     x = _random(A, rng) + 3.0 * A.unit.coords
     u_matrix, shift = A._u_matrix, [0.0]
-    monkeypatch.setattr(A, "_u_matrix", lambda y: u_matrix(y) + shift[0])
+    monkeypatch.setattr(A, "_u_solve", lambda y, b: np.linalg.solve(u_matrix(y) + shift[0], b))
     cases = []
     for _ in range(2):
         E = rng.standard_normal((A.dim, A.dim)) + 1j * rng.standard_normal((A.dim, A.dim))

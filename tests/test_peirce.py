@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from jbstar.algebras import (
+    AlgebraHandle,
     build_direct_sum,
     build_hermitian_matrix_algebra,
     build_spin_factor,
@@ -256,6 +257,51 @@ def test_peirce_system_takes_no_operator_svd(A, monkeypatch):
     tripotents = [sample_tripotent(A, rng) for _ in range(3)] + [random_element(A, 19, "projection")]
     monkeypatch.setattr(np.linalg, "svd", guarded_svd)
     monkeypatch.setattr(jbstar.kernel, "operator_norm", no_operator_norm)
+    for e in tripotents:
+        assert peirce_system(A, e).residual <= 1e-12
+
+
+HHH = build_direct_sum([H2, H3, H4])
+MATRIX_LQE_MODELS = [build_hermitian_matrix_algebra(n) for n in (1, 2, 12)]
+MATRIX_LQE_MODELS += [HHH, LQE_MODELS[-1], GUARD_MODELS[-1], peirce2_algebra(HHH, random_element(HHH, 29, "projection"))]
+
+
+@pytest.mark.parametrize("A", MATRIX_LQE_MODELS, ids=lambda A: A.id)
+def test_matrix_peirce_operators_match_the_generic_form(A):
+    # L(e,e) and Q(e)^2 from two n x n products on each M_n summand against
+    # the generic products of whole multiplication and U-operator matrices,
+    # and against the triple product one basis column at a time; the
+    # non-normal partial isometry needs an ambient M_4 on a Peirce-2 model
+    rng = np.random.default_rng(30)
+    tripotents = [sample_tripotent(A, rng) for _ in range(3)]
+    if A.ambient in (None, H4):
+        tripotents.append(_non_normal_tripotent(A, rng))
+    for e in tripotents:
+        assert is_tripotent(A, e)
+        lee, q2 = A._lqe(e.coords)
+        for want_lee, want_q2 in (AlgebraHandle._lqe(A, e.coords), oracles.peirce_operators_by_columns(A, e)):
+            assert operator_norm(lee - want_lee) <= 1e-13
+            assert operator_norm(q2 - want_q2) <= 1e-13
+
+
+MATRIX_GUARD_MODELS = [A for A in GUARD_MODELS if any(p.kind == "hermitian_matrix" for p, _ in A.summands)]
+
+
+@pytest.mark.parametrize("A", MATRIX_GUARD_MODELS, ids=lambda A: A.id)
+def test_peirce_system_forms_no_operator_matrix_of_a_matrix_summand(A, monkeypatch):
+    # on an M_n summand L(e,e) and Q(e)^2 come from n x n products: neither
+    # its multiplication nor its U-operator matrix is formed
+    def refused(name):
+        def hook(*args):
+            raise AssertionError(f"{name} of an M_n summand called")
+
+        return hook
+
+    rng = np.random.default_rng(18)
+    tripotents = [sample_tripotent(A, rng) for _ in range(3)] + [random_element(A, 19, "projection")]
+    for p in (p for p, _ in A.summands if p.kind == "hermitian_matrix"):
+        for name in ("_mult_matrix", "_u_matrix"):
+            monkeypatch.setattr(p, name, refused(name))
     for e in tripotents:
         assert peirce_system(A, e).residual <= 1e-12
 
