@@ -2,7 +2,7 @@
 
 Models (hermitian-matrix algebras, spin factors, direct sums), Jordan
 calculus (U-operators, triple products, operator commutativity, spectrum,
-functional calculus), Peirce decompositions, unitary structure, and
+exponentials), Peirce decompositions, unitary structure, and
 verification harnesses for piecewise Jordan homomorphisms and quadratic
 maps on operator-commuting elements.
 """

@@ -1,11 +1,11 @@
 """Derived Jordan-algebraic operators and predicates.
 
 Multiplication operators, U-operators, triple products, operator
-commutativity, centre, invertibility, Jordan spectrum, and the functional
-calculus built on it.  Each public function unwraps its ``Element`` inputs
+commutativity, centre, invertibility, Jordan spectrum, and the
+exponential built on it.  Each public function unwraps its ``Element`` inputs
 once; its private array form serves the other modules' check bodies.
 U-operator matrices, U-solves and commutator norms come from the model:
-closed forms on M_n (a kron a^T, a^-1 b a^-1 by two n x n solves, and one
+closed forms on M_n (a kron a^T, a^-1 b a^-1 from one n x n inverse, and one
 n x n eigensolve for a skew-hermitian commutator) and blockwise on direct
 sums, products of multiplication matrices and a dense solve elsewhere.
 
@@ -80,7 +80,6 @@ __all__ = [
     "is_invertible",
     "jordan_spectrum",
     "spectral_decomposition",
-    "functional_calculus",
     "exp_i",
     "exp_from_decomposition",
     "is_self_adjoint",
@@ -259,7 +258,7 @@ def is_invertible(A: AlgebraHandle, a: Element) -> Element | None:
     of U_a (those of a, squared, on M_n), on x / s when the largest
     coordinate m lies outside (2^-400, 2^400): s, the power of two above m,
     divides exactly, and U_{x/s} = U_x / s^2, so y = U_{x/s}^{-1}(x/s) / s.
-    The model's ``_u_solve`` solves U_{x/s} z = x/s (two n x n solves on
+    The model's ``_u_solve`` solves U_{x/s} z = x/s (one n x n inverse on
     M_n, blockwise on sums).  The candidate z, the inverse of x/s, is always
     verified against the defining identities (x/s) o z = 1 and
     (x/s)^2 o z = x/s, which hold where those of x and y = z / s overflow;
@@ -373,15 +372,6 @@ def _abelian_rows(A: AlgebraHandle, x: np.ndarray, real_nodes: bool):
     clustered = np.count_nonzero(_near(A, nodes), axis=(-2, -1)) > nodes.shape[-1]
     order = np.argsort(nodes, axis=-1)
     return np.take_along_axis(nodes, order, -1), np.take_along_axis(raw, order[..., None], -2), clustered
-
-
-def functional_calculus(A: AlgebraHandle, a: Element, f) -> Element:
-    """Sum of f(eigenvalue) times idempotent over the spectral decomposition."""
-    dec = spectral_decomposition(A, a)
-    vals = np.array([complex(f(lam)) for lam in dec.eigenvalues])
-    if not np.isfinite(vals).all():
-        raise ValueError(f"function value not finite on the spectrum {dec.eigenvalues}")
-    return Element(A.id, vals @ dec.idempotents)
 
 
 def exp_from_decomposition(A: AlgebraHandle, dec: SpectralDecomposition, t: float) -> Element:

@@ -55,26 +55,6 @@ from .unitary import (
 
 __all__ = ["RunConfig", "run", "list_suites", "main"]
 
-_SUITES = [
-    ("axioms", "Jordan identity, JB*-axiom, and involution isometry residuals"),
-    ("oc-equivalences", "operator-commutativity equivalences for unitary exponentials"),
-    ("unitary-piecewise", "Jordan products of operator-commuting unitary pairs stay unitary"),
-    ("circle-inequality", "n||u-1|| <= (pi/2)||u^n-1|| on sampled unitaries"),
-    ("peirce", "Peirce projection partition/idempotency/orthogonality invariants"),
-    ("kaup", "ambient triple product vs the triple product of the concrete Peirce-2 model"),
-    ("preserver", "piecewise homomorphism and generator properties of a supplied map"),
-    ("factor-dichotomy", "Phi = theta vs Phi = theta(u^{-1}) classification"),
-    ("structure-recovery", "Peirce-2 structure recovery for an OC-additive quadratic map"),
-    ("counterexample", "spin-factor sharpness example with its expected additivity failure"),
-    ("linearity", "linearity-from-boundedness desk check"),
-    ("symmetric-difference", "p Delta q projection and symmetry product identities"),
-]
-
-
-def list_suites() -> list[tuple[str, str]]:
-    """Stable (name, description) pairs for every runnable suite."""
-    return list(_SUITES)
-
 
 @dataclass
 class RunConfig:
@@ -179,9 +159,10 @@ def _suite_kaup(A: AlgebraHandle, trials: int, seed: int) -> list[CheckReport]:
     tripotents = [A.unit] + [sample_tripotent(A, rng) for _ in range(2)]
     per = max(trials // len(tripotents), 10)
     reports = [kaup_identity_check(A, e, per, seed + i) for i, e in enumerate(tripotents)]
-    worst = max(r.max_residual for r in reports)
+    worst = WorstResidual()
+    worst.add([r.max_residual for r in reports])
     passed, counted = all(r.passed for r in reports), sum(r.trials for r in reports)
-    return [CheckReport(f"kaup-identity[{A.id}]", passed, counted, worst)]  # kaup keeps no witness
+    return [CheckReport(f"kaup-identity[{A.id}]", passed, counted, worst.worst)]  # kaup keeps no witness
 
 
 def _suite_preserver(m: MapUnderTest, trials: int, seed: int) -> list[CheckReport]:
@@ -277,6 +258,42 @@ def _suite_linearity(
     return [rep]
 
 
+# name -> (description, body(config, A, m)), in `jbstar list` order; m()
+# loads the map, so only the suites that take one read --map
+_SUITES = {
+    "axioms": ("Jordan identity, JB*-axiom, and involution isometry residuals",
+               lambda c, A, m: _suite_axioms(A, c.trials, c.seed)),
+    "oc-equivalences": ("operator-commutativity equivalences for unitary exponentials",
+                        lambda c, A, m: [oc_unitary_equivalences_check(A, c.trials, c.seed,
+                                                                       adversarial=max(c.trials // 4, 5))]),
+    "unitary-piecewise": ("Jordan products of operator-commuting unitary pairs stay unitary",
+                          lambda c, A, m: [oc_unitary_product_check(A, c.trials, c.seed)]),
+    "circle-inequality": ("n||u-1|| <= (pi/2)||u^n-1|| on sampled unitaries",
+                          lambda c, A, m: [circle_inequality_check(A, c.trials, c.seed)]),
+    "peirce": ("Peirce projection partition/idempotency/orthogonality invariants",
+               lambda c, A, m: [peirce_invariants_check(A, max(c.trials // 10, 5), c.seed)]),
+    "kaup": ("ambient triple product vs the triple product of the concrete Peirce-2 model",
+             lambda c, A, m: _suite_kaup(A, c.trials, c.seed)),
+    "preserver": ("piecewise homomorphism and generator properties of a supplied map",
+                  lambda c, A, m: _suite_preserver(m(), c.trials, c.seed)),
+    "factor-dichotomy": ("Phi = theta vs Phi = theta(u^{-1}) classification",
+                         lambda c, A, m: _suite_factor_dichotomy(m(), c.trials, c.seed)),
+    "structure-recovery": ("Peirce-2 structure recovery for an OC-additive quadratic map",
+                           lambda c, A, m: _suite_structure_recovery(m(), c.trials, c.seed)),
+    "counterexample": ("spin-factor sharpness example with its expected additivity failure",
+                       lambda c, A, m: _suite_counterexample(c, A)),
+    "linearity": ("linearity-from-boundedness desk check",
+                  lambda c, A, m: _suite_linearity(A, m(), c.trials, c.seed, c.exploratory)),
+    "symmetric-difference": ("p Delta q projection and symmetry product identities",
+                             lambda c, A, m: _suite_symmetric_difference(A, c.trials, c.seed)),
+}
+
+
+def list_suites() -> list[tuple[str, str]]:
+    """Stable (name, description) pairs for every runnable suite."""
+    return [(name, desc) for name, (desc, _) in _SUITES.items()]
+
+
 def run(config: RunConfig) -> tuple[dict, int]:
     """Dispatch a suite and build the report document.
 
@@ -285,32 +302,14 @@ def run(config: RunConfig) -> tuple[dict, int]:
     """
     started = time.time()
     cmd = config.command
-    if cmd not in {name for name, _ in _SUITES}:
+    if cmd not in _SUITES:
         raise UsageError(f"unknown suite {cmd!r}; see `jbstar list`")
     A = _need_algebra(config)
-    trials, seed = config.trials, config.seed
-    if trials < 1:
+    if config.trials < 1:
         raise UsageError("--trials must be >= 1")
-    if seed < 0:
+    if config.seed < 0:
         raise UsageError("--seed must be >= 0")
-    m = lambda: _need_map(config, A)  # only the suites that take a map load one
-    suites = {
-        "axioms": lambda: _suite_axioms(A, trials, seed),
-        "oc-equivalences": lambda: [
-            oc_unitary_equivalences_check(A, trials, seed, adversarial=max(trials // 4, 5))
-        ],
-        "unitary-piecewise": lambda: [oc_unitary_product_check(A, trials, seed)],
-        "circle-inequality": lambda: [circle_inequality_check(A, trials, seed)],
-        "peirce": lambda: [peirce_invariants_check(A, max(trials // 10, 5), seed)],
-        "kaup": lambda: _suite_kaup(A, trials, seed),
-        "preserver": lambda: _suite_preserver(m(), trials, seed),
-        "factor-dichotomy": lambda: _suite_factor_dichotomy(m(), trials, seed),
-        "structure-recovery": lambda: _suite_structure_recovery(m(), trials, seed),
-        "counterexample": lambda: _suite_counterexample(config, A),
-        "linearity": lambda: _suite_linearity(A, m(), trials, seed, config.exploratory),
-        "symmetric-difference": lambda: _suite_symmetric_difference(A, trials, seed),
-    }
-    checks = suites[cmd]()
+    checks = _SUITES[cmd][1](config, A, lambda: _need_map(config, A))
     verdict = "pass" if all(c.passed for c in checks if not c.expected_fail) else "fail"
     document = {
         "schema": 1,
@@ -334,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list available suites")
     # a string default goes through type=int, so a bad JBSTAR_SEED is a usage error
     default_seed = os.environ.get("JBSTAR_SEED", "42")
-    for name, desc in _SUITES:
+    for name, desc in list_suites():
         p = sub.add_parser(name, help=desc)
         p.add_argument("--algebra", dest="algebra_path", help="algebra descriptor JSON file")
         p.add_argument("--map", dest="map_path", help="map descriptor JSON file")

@@ -10,10 +10,6 @@ class DegenerateInput(JBStarError):
     pass
 
 
-class RankDeficient(JBStarError):
-    pass
-
-
 # algebra construction
 class SizeOutOfRange(JBStarError):
     pass

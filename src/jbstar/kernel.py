@@ -1,9 +1,8 @@
-"""Dense complex linear algebra and scalar root finding.
+"""Comparison thresholds, operator norms and scalar root finding.
 
-Everything downstream (algebra models, spectral machinery, harnesses) goes
-through this module for matrix work.  Matrices are plain 2-D complex
-``numpy`` arrays (``operator_norm`` also takes stacks); the helpers here add
-the contract checks (rank, finiteness) that the rest of the package relies on.
+``Tolerance`` holds the thresholds every model carries.  ``operator_norm``
+is the largest singular value of a complex matrix or of each matrix of a
+stack; ``real_roots`` gives the distinct real roots of a real polynomial.
 """
 
 from __future__ import annotations
@@ -12,14 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, RankDeficient
+from .errors import DegenerateInput
 
 __all__ = [
     "Tolerance",
-    "as_complex_matrix",
     "operator_norm",
     "real_roots",
-    "solve_least_squares",
 ]
 
 
@@ -39,16 +36,6 @@ class Tolerance:
             v = getattr(self, name)
             if not (0.0 < v < 1e-2):
                 raise ValueError(f"{name} must lie strictly in (0, 1e-2), got {v}")
-
-
-def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a finite 2-D complex array."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    return a
 
 
 def operator_norm(m):
@@ -103,24 +90,3 @@ def real_roots(coeffs, tol: Tolerance = Tolerance()) -> list[float]:
         else:
             merged.append([r])
     return [float(np.mean(group)) for group in merged]
-
-
-def solve_least_squares(a, b, tol: Tolerance = Tolerance()) -> tuple[np.ndarray, float]:
-    """Minimize ||a x - b||_F; returns (x, residual).
-
-    Raises RankDeficient when the smallest singular value of ``a`` drops
-    below ``abs_eps * ||a||``.
-    """
-    am = as_complex_matrix(a)
-    bm = np.asarray(b, dtype=complex)
-    squeeze = bm.ndim == 1
-    if squeeze:
-        bm = bm[:, None]
-    if am.shape[0] < am.shape[1]:
-        raise ValueError("need at least as many rows as columns")
-    sv = np.linalg.svd(am, compute_uv=False)
-    if sv.size and sv[-1] < tol.abs_eps * sv[0]:
-        raise RankDeficient(f"smallest singular value {sv[-1]:.3e} below threshold")
-    x, *_ = np.linalg.lstsq(am, bm, rcond=None)
-    residual = float(np.linalg.norm(am @ x - bm))
-    return (x[:, 0] if squeeze else x), residual

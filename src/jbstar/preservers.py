@@ -88,7 +88,6 @@ __all__ = [
     "classify_factor_dichotomy",
     "recover_structure",
     "build_spin_counterexample",
-    "spin_u_closed_form",
     "verify_counterexample",
     "check_central_preservation",
     "check_i_unit_image",
@@ -598,22 +597,15 @@ def build_spin_counterexample(
     return SpinCounterexample(algebra=V, epsilon=epsilon, map=mp)
 
 
-def spin_u_closed_form(V: AlgebraHandle, alpha: float, s: float, t: float, h: Element) -> Element:
-    """Closed-form U_a(b) for a = alpha 1 + h and b = (t + s alpha) 1 + s h.
-
-    The coefficients are
+def _spin_u_closed_form(V: AlgebraHandle, alphas, ss, ts, h: np.ndarray) -> np.ndarray:
+    """Closed-form U_a(b) for a = alpha 1 + h and b = (t + s alpha) 1 + s h,
+    for each row of a (k, dim) stack h, with the floats alpha, s and t of
+    each row.  The coefficients are
         (alpha^2 t + s alpha^3 + (3 alpha s + t) |h|^2) 1
       + (2 alpha t + 3 s alpha^2 + s |h|^2) h,
     verified against the associative 2x2 embedding and the a = b => a^3
-    special case in the test suite.
-    """
-    return Element(V.id, _spin_u_closed_form(V, [alpha], [s], [t], _owned(V, h)[None])[0])
-
-
-def _spin_u_closed_form(V: AlgebraHandle, alphas, ss, ts, h: np.ndarray) -> np.ndarray:
-    """spin_u_closed_form of each row of a (k, dim) stack h, with the floats
-    alpha, s and t of each row.  The coefficients are Python float
-    arithmetic row by row: numpy's ``**`` on arrays rounds otherwise."""
+    special case in the test suite.  They are Python float arithmetic row
+    by row: numpy's ``**`` on arrays rounds otherwise."""
     h2s = np.sum(np.abs(h) ** 2, axis=-1).tolist()
     coeffs = np.array([
         (

@@ -24,8 +24,6 @@ from .errors import SamplerViolation
 
 __all__ = [
     "same_generator_pair",
-    "noncommuting_pair",
-    "orthogonal_projection_pair",
     "commuting_projection_pair",
 ]
 
@@ -60,15 +58,9 @@ def _draw_oc_pair(A: AlgebraHandle, rng: np.random.Generator, size: int):
     return pairs
 
 
-def noncommuting_pair(
-    A: AlgebraHandle, rng: np.random.Generator, min_factor: float = 10.0, attempts: int = 200
-) -> tuple[Element, Element] | None:
+def _noncommuting_pair(A: AlgebraHandle, rng: np.random.Generator, min_factor=10.0, attempts=200):
     """Self-adjoint pair whose commutator residual clears the threshold by
     min_factor; None when the model has no such pair (e.g. dimension 1)."""
-    return _elements(A, _noncommuting_pair(A, rng, min_factor, attempts))
-
-
-def _noncommuting_pair(A: AlgebraHandle, rng: np.random.Generator, min_factor=10.0, attempts=200):
     for _ in range(attempts):
         a = _random(A, rng, "self_adjoint")
         b = _random(A, rng, "self_adjoint")
@@ -78,14 +70,8 @@ def _noncommuting_pair(A: AlgebraHandle, rng: np.random.Generator, min_factor=10
     return None
 
 
-def orthogonal_projection_pair(
-    A: AlgebraHandle, rng: np.random.Generator
-) -> tuple[Element, Element] | None:
-    """Orthogonal projections from a common spectral decomposition."""
-    return _elements(A, _orthogonal_projection_pair(A, rng))
-
-
 def _orthogonal_projection_pair(A: AlgebraHandle, rng: np.random.Generator):
+    """Orthogonal projections from a common spectral decomposition."""
     P = _decompose(A, _random(A, rng, "self_adjoint"))[1]
     m = P.shape[0]
     if m < 2:

@@ -1,7 +1,7 @@
 """Unitaries, symmetries, logs, and metric inequalities as executable checks.
 
-Unitary powers are always taken through the spectral decomposition of the
-unitary (equivalently, functional calculus on its log), never by repeated
+Logs of unitaries, and the powers exp(i n t h) of the circle inequality,
+are always taken through a spectral decomposition, never by repeated
 Jordan products: powers are only unambiguous inside the associative
 subalgebra generated by the unitary, and the spectral route stays there by
 construction.  The check bodies compute on coordinate arrays.  Unitarity,
@@ -44,7 +44,6 @@ __all__ = [
     "is_unitary",
     "is_symmetry",
     "unitary_log",
-    "unitary_power",
     "oc_unitary_product_check",
     "oc_unitary_equivalences_check",
     "circle_inequality_check",
@@ -155,13 +154,6 @@ def _log(A: AlgebraHandle, nodes: np.ndarray, idems: np.ndarray):
     at_cut = np.abs(nodes + 1.0) <= A.tol.cluster_eps
     w = np.where(at_cut, math.pi, np.angle(nodes))
     return (w @ idems if w.ndim == 1 else (w[:, None] @ idems)[:, 0]), at_cut.any(axis=-1)
-
-
-def unitary_power(A: AlgebraHandle, u: Element, n: int) -> Element:
-    """u^n through the spectral decomposition (stays in the generated
-    associative subalgebra)."""
-    nodes, idems = _unitary_decomposition(A, _owned(A, u))
-    return Element(A.id, (nodes / np.abs(nodes)) ** n @ idems)
 
 
 def oc_unitary_product_check(A: AlgebraHandle, trials: int, seed: int) -> CheckReport:

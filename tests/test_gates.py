@@ -13,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from jbstar import calculus, measures, peirce, preservers, samplers, unitary
+from jbstar import calculus, cli, measures, peirce, preservers, samplers, unitary
 from jbstar.algebras import _random, build_direct_sum, build_hermitian_matrix_algebra, build_spin_factor
 from jbstar.errors import (
     HypothesisFailed,
@@ -27,7 +27,7 @@ from jbstar.errors import (
     SamplerViolation,
     VerificationFailed,
 )
-from jbstar.reports import ResidualCheck
+from jbstar.reports import CheckReport, ResidualCheck
 
 S4 = build_spin_factor(4)
 
@@ -112,9 +112,9 @@ def test_nan_fails_the_exp_i_unitarity_check(monkeypatch):
 
 
 def test_nan_fails_the_inverse_identities(monkeypatch):
-    # the candidate inverse is what the solve returns
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: _with_nan(solve(a, b)))
+    # the candidate inverse is what the model's U-solve returns
+    solve = S4._u_solve
+    monkeypatch.setattr(S4, "_u_solve", lambda x, b: _with_nan(solve(x, b)))
     with pytest.raises(VerificationFailed, match="defining identities"):
         calculus.is_invertible(S4, S4.element(_self_adjoint() + 3.0 * S4.unit.coords))
 
@@ -233,7 +233,7 @@ def _site_exp_i_rows(A, mp):
 
 
 def _site_inverse(A, mp):
-    mp.setattr(np.linalg, "solve", _nan_from(np.linalg.solve))
+    mp.setattr(A, "_u_solve", _nan_from(A._u_solve))
     calculus.is_invertible(A, A.element(_random(A, np.random.default_rng(3), "self_adjoint") + 3.0 * A.unit.coords))
 
 
@@ -388,3 +388,12 @@ def test_the_one_element_and_stacked_sum_norms_agree_on_nan_rows(at):
     stacked = M2S3._norm(np.stack([x, y]))
     assert M2S3._norm(x) == stacked[0] == max(p._norm(x[s]) for p, s in M2S3.summands)
     assert np.isnan(M2S3._norm(y)) and np.isnan(stacked[1])
+
+
+def test_the_kaup_suite_keeps_a_nan_residual_of_a_later_tripotent(monkeypatch):
+    # the builtin max kept the unit's finite residual and dropped the NaN
+    residuals = iter([1e-16, float("nan"), 2e-16])
+    fake = lambda A, e, per, seed: CheckReport("kaup", True, per, next(residuals))
+    monkeypatch.setattr(cli, "kaup_identity_check", fake)
+    (rep,) = cli._suite_kaup(M3, 30, 0)
+    assert np.isnan(rep.max_residual)

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from jbstar.errors import DegenerateInput, RankDeficient
-from jbstar.kernel import (
-    Tolerance,
-    as_complex_matrix,
-    operator_norm,
-    real_roots,
-    solve_least_squares,
-)
+from jbstar.errors import DegenerateInput
+from jbstar.kernel import Tolerance, operator_norm, real_roots
 
 
 def test_tolerance_validation():
@@ -64,47 +58,3 @@ def test_real_roots_merges_clusters():
     got = real_roots(coeffs)
     assert len(got) == 2
     assert np.allclose(got, [1.0, 2.0], atol=1e-6)
-
-
-def test_solve_least_squares_identity():
-    b = np.array([[1.0 + 2j], [3.0]])
-    x, res = solve_least_squares(np.eye(2), b)
-    assert np.allclose(x, b)
-    assert res <= 1e-12
-
-
-def test_solve_least_squares_consistent_overdetermined():
-    a = np.array([[1.0, 2.0], [0.0, 1.0], [1.0, 2.0], [0.0, 1.0]])
-    x_true = np.array([[2.0], [5.0]])
-    x, res = solve_least_squares(a, a @ x_true)
-    assert np.allclose(x, x_true)
-    assert res <= 1e-12
-
-
-def test_solve_least_squares_normal_equations_case():
-    x, res = solve_least_squares(np.array([[1.0], [1.0]]), np.array([[0.0], [2.0]]))
-    assert np.allclose(x, [[1.0]])
-    assert abs(res - np.sqrt(2.0)) <= 1e-12
-
-
-def test_solve_least_squares_rank_deficient():
-    with pytest.raises(RankDeficient):
-        solve_least_squares(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2))
-
-
-def test_least_squares_accepts_strided_input():
-    # every other column: the last axis is not contiguous
-    a = np.eye(4, dtype=complex)[:, ::2]
-    x, res = solve_least_squares(a, np.ones(4))
-    assert np.allclose(x, [1.0, 1.0])
-    assert abs(res - np.sqrt(2.0)) <= 1e-12
-
-
-def test_as_complex_matrix_rejects_non_finite_entries():
-    for bad in (np.nan, np.inf, complex(0.0, np.inf)):
-        m = np.eye(4, dtype=complex)
-        m[2, 2] = bad
-        with pytest.raises(ValueError, match="finite"):
-            as_complex_matrix(m[:, ::2])
-        with pytest.raises(ValueError, match="finite"):
-            as_complex_matrix(m)

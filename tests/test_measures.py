@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from jbstar import algebras, calculus
+from jbstar import algebras, calculus, measures
 from jbstar.algebras import (
+    _realify,
     build_direct_sum,
     build_hermitian_matrix_algebra,
     build_spin_factor,
@@ -11,16 +14,17 @@ from jbstar.algebras import (
     sa_coords,
     selfadjoint_basis,
 )
-from jbstar.calculus import functional_calculus, operator_commutes
+from jbstar.calculus import _decompose, operator_commutes
 from jbstar.errors import (
     AdditivityViolation,
     HypothesisFailed,
     NotAFactor,
     PreconditionFailed,
+    ProjectionsDoNotSpan,
     TypeI2Present,
 )
 from jbstar.measures import (
-    canonical_projections,
+    ProjectionMeasure,
     linear_reconstruction,
     measure_from_map,
     spin_summands,
@@ -29,7 +33,7 @@ from jbstar.measures import (
 )
 from jbstar.peirce import peirce2_algebra
 from jbstar.preservers import MapUnderTest, build_spin_counterexample, classify_factor_dichotomy
-from jbstar.samplers import orthogonal_projection_pair
+from jbstar.samplers import _orthogonal_projection_pair
 
 import oracles
 
@@ -124,7 +128,7 @@ def test_canonical_projections_are_projections_and_span():
     from jbstar.algebras import involution, jordan_product
 
     for A in (H2, H3, S3):
-        projs = canonical_projections(A)
+        projs = [A.element(p) for p in A._canonical_projections()]
         basis = selfadjoint_basis(A)
         rows = np.stack([sa_coords(A, p, basis) for p in projs])
         assert np.linalg.matrix_rank(rows, tol=1e-9) == len(basis)
@@ -136,9 +140,9 @@ def test_canonical_projections_are_projections_and_span():
 def test_orthogonal_projections_operator_commute():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        pq = orthogonal_projection_pair(H3, rng)
+        pq = _orthogonal_projection_pair(H3, rng)
         assert pq is not None
-        p, q = pq
+        p, q = (H3.element(x) for x in pq)
         from jbstar.algebras import jordan_product
 
         assert jbstar_norm(H3, jordan_product(H3, p, q)) <= 1e-9
@@ -239,8 +243,87 @@ def test_verify_linearity_theorem_nonadditive_candidate_rejected():
     # homogeneous-looking but fails OC-additivity; the harness must find
     # the hypothesis violation rather than certify linearity
     def f(a):
-        out = functional_calculus(H3, a, lambda t: t + 0.1 * t**3)
-        return np.concatenate([out.coords.real, out.coords.imag])
+        nodes, idems = _decompose(H3, a.coords)
+        out = (nodes + 0.1 * nodes**3) @ idems
+        return np.concatenate([out.real, out.imag])
 
     with pytest.raises(HypothesisFailed):
         verify_linearity_theorem(H3, f, trials=30, seed=22)
+
+
+def _nan_above(A, cut):
+    """The realified identity, but NaN wherever a coordinate exceeds cut."""
+    return lambda a: np.full(2 * A.dim, np.nan) if np.abs(a.coords).max() > cut else _realify(a.coords)
+
+
+def test_a_map_that_returns_nan_fails_the_linearity_check():
+    # the builtin max(0.0, nan) is 0.0: folded that way, this map passed
+    # with max_residual 1.7e-15
+    with pytest.raises(HypothesisFailed, match=r"residual nan"):
+        verify_linearity_theorem(H3, _nan_above(H3, 1.5), trials=60, seed=3)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (1, PreconditionFailed, "map is not homogeneous (residual nan)"),
+        (2 * 10 + 1, AdditivityViolation, "measure not additive on an orthogonal pair (residual nan)"),
+    ],
+)
+def test_a_nan_fails_each_measure_gate(call, error, message):
+    # NaN at the first homogeneity call, or at f(p + q) of the first
+    # orthogonal pair, past 10 homogeneity draws of two calls
+    f, _, _ = linear_f(H3, 1)
+    calls = []
+
+    def g(a):
+        calls.append(a)
+        return np.full(3, np.nan) if len(calls) == call else f(a)
+
+    with pytest.raises(error) as raised:
+        measure_from_map(H3, g, bound_probe=20, seed=2)
+    assert str(raised.value) == message
+
+
+def test_a_nan_on_one_projection_is_the_measure_bound():
+    # NaN at the 7th call of the bound loop, past 10 homogeneity draws of
+    # two calls and 20 orthogonal pairs of three
+    f, _, _ = linear_f(H3, 1)
+    calls = []
+
+    def g(a):
+        calls.append(a)
+        return np.full(3, np.nan) if len(calls) == 2 * 10 + 3 * 20 + 7 else f(a)
+
+    mu = measure_from_map(H3, g, bound_probe=20, seed=2)
+    assert np.isnan(mu.bound)
+
+
+def test_a_nan_spectral_or_reconstruction_residual_fails_the_report(monkeypatch):
+    f, _, _ = linear_f(H3, 16)
+    decompose, calls = measures._decompose, []
+
+    def nan_fifth(A, x):
+        calls.append(x)
+        nodes, idems = decompose(A, x)
+        return (np.full_like(nodes, np.nan) if len(calls) == 5 else nodes), idems
+
+    monkeypatch.setattr(measures, "_decompose", nan_fifth)
+    rep = verify_linearity_theorem(H3, f, trials=40, seed=17)
+    assert not rep.passed and np.isnan(rep.details["spectral_identity_residual"])
+    monkeypatch.undo()
+    nan_misfit = lambda mu, **kw: dataclasses.replace(linear_reconstruction(mu, **kw), residual=float("nan"))
+    monkeypatch.setattr(measures, "linear_reconstruction", nan_misfit)
+    rep = verify_linearity_theorem(H3, f, trials=40, seed=17)
+    assert not rep.passed and np.isnan(rep.max_residual)
+
+
+def test_projections_that_do_not_span_are_refused(monkeypatch):
+    # two projections of M3, once and repeated: rank 2 of 9 either way
+    A = build_hermitian_matrix_algebra(3)
+    two = A._canonical_projections()[:2]
+    mu = ProjectionMeasure(A, lambda a: _realify(a.coords), 1.0)
+    for copies in (1, 10):
+        monkeypatch.setattr(A, "_canonical_projections", lambda: [p.copy() for p in two * copies])
+        with pytest.raises(ProjectionsDoNotSpan, match="spans only rank 2 of 9"):
+            linear_reconstruction(mu, probes=2)

@@ -34,6 +34,7 @@ from jbstar.errors import (
 )
 from jbstar.preservers import (
     MapUnderTest,
+    _spin_u_closed_form,
     build_spin_counterexample,
     check_central_preservation,
     check_generator_properties,
@@ -45,7 +46,6 @@ from jbstar.preservers import (
     derive_generator_map,
     map_from_descriptor,
     recover_structure,
-    spin_u_closed_form,
     verify_counterexample,
     verify_jordan_star_isomorphism,
     verify_unitary_preserver_form,
@@ -445,10 +445,8 @@ def test_spin_u_closed_form_consistency():
         h = V.element(np.concatenate([[0.0 + 0j], 1j * rng.standard_normal(2)]))
         a = alpha * V.unit + h
         b = (t + s * alpha) * V.unit + s * h
-        assert (
-            jbstar_norm(V, u_operator(V, a, b) - spin_u_closed_form(V, alpha, s, t, h))
-            <= 1e-10
-        )
+        closed = V.element(_spin_u_closed_form(V, [alpha], [s], [t], h.coords[None])[0])
+        assert jbstar_norm(V, u_operator(V, a, b) - closed) <= 1e-10
 
 
 def test_verify_counterexample():
