@@ -13,9 +13,12 @@ trace, canonical projections, spectral pieces, centre, rank, Peirce-2 model
 and descriptor form.  Every element is a complex coordinate vector over the
 model's fixed basis, tagged with the algebra identity; ``_prod``, ``_inv``,
 ``_norm`` and ``_triple`` also take coordinates with leading batch axes,
-(..., dim), and broadcast a stack against one vector.  Handles are
-immutable and operations are pure, so values are safe to share between
-workers.
+(..., dim), and broadcast a stack against one vector.  The triple product
+is five Jordan products, but on M_n (x y* z + z y* x) / 2, four n x n
+products.  ``_random_rows`` draws k ``general`` or ``self_adjoint``
+elements from one block of normals, consuming the generator as k
+``_random`` calls do.  Handles are immutable and operations are pure, so
+values are safe to share between workers.
 """
 
 from __future__ import annotations
@@ -173,7 +176,8 @@ class AlgebraHandle:
         return Element(self.id, np.zeros(self.dim, dtype=complex))
 
     def _triple(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """{x,y,z} = (x o y*) o z + (z o y*) o x - (x o z) o y*."""
+        """{x,y,z} = (x o y*) o z + (z o y*) o x - (x o z) o y*: five Jordan
+        products (M_n replaces them by four matrix products)."""
         ys = self._inv(y)
         return self._prod(self._prod(x, ys), z) + self._prod(self._prod(z, ys), x) - self._prod(
             self._prod(x, z), ys
@@ -296,6 +300,14 @@ class HermitianMatrixAlgebra(AlgebraHandle):
         eye = np.eye(self.n, dtype=complex)
         # row-major vec: vec(MX) = (M kron I) vec(X), vec(XM) = (I kron M^T) vec(X)
         return 0.5 * (_kron(m, eye) + _kron(eye, m.T))
+
+    def _triple(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """{x,y,z} = (x y* z + z y* x) / 2: four n x n products (per matrix
+        of stacks, which broadcast against one element)."""
+        a, c = self._mat(x), self._mat(z)
+        bs = self._mat(y).swapaxes(-1, -2).conj()
+        t = 0.5 * ((a @ bs) @ c + (c @ bs) @ a)
+        return t.reshape(t.shape[:-2] + (self.dim,))
 
     def _u_matrix(self, x: np.ndarray) -> np.ndarray:
         a = x.reshape(self.n, self.n)
@@ -681,12 +693,9 @@ def _random(A: AlgebraHandle, rng: np.random.Generator, flavor: str = "general")
         from . import calculus  # lazy: spectral machinery lives downstream
 
         return calculus._exp_i(A, _unitary_generator(A, rng), 1.0)
-    g = rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim)
-    if flavor == "general":
-        return g
-    sa = 0.5 * (g + A._inv(g))
-    if flavor == "self_adjoint":
-        return sa
+    if flavor in ("general", "self_adjoint"):
+        return _random_rows(A, rng, 1, flavor)[0]
+    sa = _random_rows(A, rng, 1, "self_adjoint")[0]
     if flavor == "positive":
         return A._prod(sa, sa)
     if flavor == "projection":
@@ -698,6 +707,25 @@ def _random(A: AlgebraHandle, rng: np.random.Generator, flavor: str = "general")
         if m >= 2 and (bits.sum() == 0 or bits.sum() == m):
             bits[int(rng.integers(0, m))] ^= 1
         return bits @ idems
+    raise ValueError(f"unknown flavor {flavor!r}")
+
+
+def _random_rows(A: AlgebraHandle, rng: np.random.Generator, k: int, flavor: str = "general") -> np.ndarray:
+    """k ``general`` or ``self_adjoint`` draws as a (k, dim) stack, from one
+    (k, 2, dim) block of normals: the generator is consumed as k ``_random``
+    calls consume it, and row i is the i-th call's draw bit for bit."""
+    return _rows_from_normals(A, rng.standard_normal((k, 2, A.dim)), flavor)
+
+
+def _rows_from_normals(A: AlgebraHandle, z: np.ndarray, flavor: str) -> np.ndarray:
+    """The ``general`` element g = re + i im, or the ``self_adjoint`` one
+    (g + g*) / 2, of each (2, dim) block of normals (re, im) of a (..., 2, dim)
+    array."""
+    g = z[..., 0, :] + 1j * z[..., 1, :]
+    if flavor == "general":
+        return g
+    if flavor == "self_adjoint":
+        return 0.5 * (g + A._inv(g))
     raise ValueError(f"unknown flavor {flavor!r}")
 
 

@@ -23,7 +23,7 @@ from . import __version__
 from .algebras import (
     AlgebraHandle,
     SpinFactor,
-    _random,
+    _random_rows,
     build_spin_factor,
     algebra_from_descriptor,
 )
@@ -44,7 +44,7 @@ from .preservers import (
     verify_counterexample,
 )
 from .reports import CheckReport, WorstResidual, chunk_sizes
-from .samplers import _commuting_projection_pair
+from .samplers import _commuting_projection_pairs
 from .unitary import (
     _projection_defect,
     _symmetric_difference_defects,
@@ -130,7 +130,7 @@ def _suite_axioms(A: AlgebraHandle, trials: int, seed: int) -> list[CheckReport]
     rng = np.random.default_rng(seed)
     jid, axiom, isom = WorstResidual(1e-8), WorstResidual(1e-6), WorstResidual(1e-9)
     for size in chunk_sizes(trials):
-        a, b = np.stack([[_random(A, rng) for _ in range(2)] for _ in range(size)], axis=1)
+        a, b = _random_rows(A, rng, 2 * size).reshape(size, 2, A.dim).swapaxes(0, 1)
         jd, ad, na, nb = _axiom_defects(A, a, b)
         jid.add(jd / ((1.0 + na) * (1.0 + nb) ** 3))
         axiom.add(ad / (1.0 + na**3))
@@ -146,10 +146,9 @@ def _suite_symmetric_difference(A: AlgebraHandle, trials: int, seed: int) -> lis
     rng = np.random.default_rng(seed)
     acc = WorstResidual(1e-8)
     for size in chunk_sizes(trials):
-        # a draw with a single spectral node (None) does not count
-        pairs = [pq for pq in (_commuting_projection_pair(A, rng) for _ in range(size)) if pq is not None]
-        if pairs:
-            d, e = _symmetric_difference_defects(A, *np.stack(pairs, axis=1))
+        p, q = _commuting_projection_pairs(A, rng, size)  # a draw with a single spectral node does not count
+        if len(p):
+            d, e = _symmetric_difference_defects(A, p, q)
             acc.add(np.maximum(_projection_defect(A, d), A._norm(e)))
     return [acc.report(f"symmetric-difference[{A.id}]")]
 
@@ -198,7 +197,7 @@ def _suite_structure_recovery(m: MapUnderTest, trials: int, seed: int) -> list[C
             name=f"structure-recovery[{m.label}]",
             passed=passed,
             trials=trials,
-            max_residual=max(rec.hom_residual, rec.linearity_residual),
+            max_residual=float(np.max([rec.hom_residual, rec.linearity_residual])),  # a NaN wins
             details={
                 "hom_residual": rec.hom_residual,
                 "linearity_residual": rec.linearity_residual,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import AlgebraHandle, Element, _owned, _random
+from .algebras import AlgebraHandle, Element, _owned, _random, _random_rows
 from .calculus import _axiom_defects, _decompose, _exact, _gate, _require
 from .errors import NotTripotent, VerificationFailed
 from .reports import CheckReport, ResidualCheck, WorstResidual, chunk_sizes
@@ -159,7 +159,7 @@ def _peirce2_of(A: AlgebraHandle, x: np.ndarray, p2: np.ndarray) -> AlgebraHandl
     sub._unit = Element(sub.id, sub.unit.coords)
     sub.ambient, sub.e, sub.embed, sub.project = A, x, embed, project
     rng = np.random.default_rng(20_624)
-    a, b = np.stack([[_random(sub, rng) for _ in range(2)] for _ in range(6)], axis=1)
+    a, b = _random_rows(sub, rng, 12).reshape(6, 2, sub.dim).swapaxes(0, 1)
     jid, axiom, na, nb = _axiom_defects(sub, a, b)
     if np.any((jid > 1e-7 * (1.0 + na) * (1.0 + nb) ** 3) | (axiom > 1e-6 * (1.0 + na**3))):
         raise VerificationFailed("derived Peirce-2 algebra failed its axiom spot checks")
@@ -227,7 +227,8 @@ def kaup_identity_check(A: AlgebraHandle, e: Element, trials: int, seed: int) ->
     rng = np.random.default_rng(seed)
     worst = WorstResidual(1e-7)
     for size in chunk_sizes(trials):
-        ys = np.stack([[p2 @ _random(A, rng) for _ in range(3)] for _ in range(size)], axis=1)
+        g = _random_rows(A, rng, 3 * size).reshape(size, 3, A.dim).swapaxes(0, 1)
+        ys = (p2 @ g[..., None])[..., 0]  # p2 @ each draw, as a matrix-vector product rounds it
         inner = sub._triple(*(ys @ sub.project.T))  # as peirce2_project
         scale = np.prod(1.0 + A._norm(ys), axis=0)
         worst.add(A._norm(A._triple(*ys) - inner @ sub.embed.T) / scale)

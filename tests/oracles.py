@@ -9,7 +9,11 @@ that shares nothing with its type data, and
 matrices in the operator 2-norm instead of the Frobenius norm.
 ``generator_one_at_a_time`` runs the package's one-element exponential and
 log in turn, one element and one t at a time: it is the reference of the
-stacked generator.
+stacked generator.  ``random_one_at_a_time``,
+``same_generator_pair_one_at_a_time`` and
+``commuting_projection_pair_one_at_a_time`` draw one element or one pair,
+call by call on the generator: they are the references of the stacked
+draws, which must consume the generator alike.
 
 ``GenericModel`` holds the generic forms of the model hooks: the
 multiplication matrix from basis products, the Krylov spectral route with
@@ -317,6 +321,36 @@ def generator_one_at_a_time(m, x, t_small=1.0 / 16.0):
     check = calculus._gate(tgt, (f1 - f2,), eps + 1e-9, lambda: eps * (1.0 + tgt._norm(f1)) + 1e-9)
     calculus._require(check, Inconsistent, "halving t_small moved the generator by {:.3e}")
     return f1
+
+
+def random_one_at_a_time(A, rng, flavor="general"):
+    """A ``general`` or ``self_adjoint`` draw of one element: the real and
+    then the imaginary part, dim normals each."""
+    g = rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim)
+    return g if flavor == "general" else 0.5 * (g + A._inv(g))
+
+
+def same_generator_pair_one_at_a_time(A, rng):
+    """One same-generator pair (a, b): a self-adjoint a, then c1 and c2,
+    b = c1 a + c2 a o a, then one normal per central basis row."""
+    a = random_one_at_a_time(A, rng, "self_adjoint")
+    c1, c2 = rng.standard_normal(2)
+    b = float(c1) * a + float(c2) * A._prod(a, a)
+    for z in A._center_rows:
+        b = b + float(rng.standard_normal()) * z
+    return a, b
+
+
+def commuting_projection_pair_one_at_a_time(A, rng):
+    """One commuting projection pair (bits_p @ P, bits_q @ P) over the m
+    idempotents P of a self-adjoint draw, or None when m < 2."""
+    P = calculus._decompose(A, random_one_at_a_time(A, rng, "self_adjoint"))[1]
+    m = P.shape[0]
+    if m < 2:
+        return None
+    bits_p = rng.integers(0, 2, size=m)
+    bits_q = rng.integers(0, 2, size=m)
+    return bits_p @ P, bits_q @ P
 
 
 def weighted_merge(A, nodes, weights, raw):

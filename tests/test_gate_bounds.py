@@ -127,7 +127,7 @@ def test_commutator_bound_dominates_every_route(A):
     for flavor in ("self_adjoint", "unitary", "general", "commuting"):
         for _ in range(5):
             if flavor == "commuting":
-                x, y = samplers._same_generator_pair(A, rng)
+                x, y = samplers._same_generator_pair(A, rng, 1)[:, 0]
             else:
                 x, y = _random(A, rng, flavor), _random(A, rng, flavor)
             bound = A._commutator_bound(x, y)
@@ -449,7 +449,8 @@ def test_oc_draw_commutation_gate(monkeypatch, A):
     rng = np.random.default_rng(41)
     draws = [samplers._draw_oc_pair(A, rng, 1)[:, 0] for _ in range(3)]
     pair, shift = [None], [0.0]
-    monkeypatch.setattr(samplers, "_same_generator_pair", lambda B, r: (pair[0][0], pair[0][1] + shift[0]))
+    shifted = lambda B, r, k: np.stack([pair[0][0], pair[0][1] + shift[0]])[:, None]  # a one-pair stack
+    monkeypatch.setattr(samplers, "_same_generator_pair", shifted)
     cases = []
     for x, y in draws:
         g = _unit_norm(A, _random(A, rng, "self_adjoint"))
@@ -469,12 +470,13 @@ def test_a_stacked_oc_draw_refuses_its_first_non_commuting_pair(monkeypatch, A):
     # exceeds abs_eps) passes the exact check; the violation names the
     # first non-commuting pair after it, not the second
     rng = np.random.default_rng(45)
-    big = [1e4 * z for z in samplers._same_generator_pair(A, rng)]
+    big = 1e4 * samplers._same_generator_pair(A, rng, 1)[:, 0]
     assert A._commutator_bound(*big) > A.tol.abs_eps
-    good = samplers._same_generator_pair(A, rng)
+    good = samplers._same_generator_pair(A, rng, 1)[:, 0]
     bad = [samplers._noncommuting_pair(A, rng) for _ in range(2)]
     stream = iter([good, big, good, bad[0], good, bad[1]])
-    monkeypatch.setattr(samplers, "_same_generator_pair", lambda B, r: next(stream))
+    drawn = lambda B, r, k: np.stack([next(stream) for _ in range(k)], axis=1)
+    monkeypatch.setattr(samplers, "_same_generator_pair", drawn)
     residual = calculus._operator_commutes(A, *bad[0]).residual
     with pytest.raises(SamplerViolation, match=re.escape(f"(residual {residual:.3e})")):
         samplers._draw_oc_pair(A, None, 6)

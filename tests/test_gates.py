@@ -8,6 +8,8 @@ with a NaN coordinate on spin(4), whose norm is a closed form that carries
 the NaN through.
 """
 
+import dataclasses
+import math
 import re
 
 import numpy as np
@@ -264,7 +266,8 @@ def _site_tripotent(A, mp):
 
 def _site_oc_draw(A, mp):
     draw = samplers._same_generator_pair
-    mp.setattr(samplers, "_same_generator_pair", lambda B, r: (lambda a, b: (a, _with_nan(b)))(*draw(B, r)))
+    with_nan = lambda B, r, k: (lambda a, b: np.stack([a, _with_nan(b)]))(*draw(B, r, k))
+    mp.setattr(samplers, "_same_generator_pair", with_nan)
     samplers._draw_oc_pair(A, np.random.default_rng(7), 3)
 
 
@@ -397,3 +400,76 @@ def test_the_kaup_suite_keeps_a_nan_residual_of_a_later_tripotent(monkeypatch):
     monkeypatch.setattr(cli, "kaup_identity_check", fake)
     (rep,) = cli._suite_kaup(M3, 30, 0)
     assert np.isnan(rep.max_residual)
+
+
+# -- folds that keep a NaN of a later residual ----------------------------------
+# max(1.0, nan) is 1.0: each site once kept its finite residuals over a NaN
+# after them.  Without the NaN, each report is still the largest of its
+# parts.  On spin(4), whose closed-form norm carries a NaN (an SVD refuses it).
+
+
+def test_the_unitary_preserver_form_keeps_a_nan_of_its_second_closed_form():
+    m, theta = _identity(S4), _identity(S4)
+    form = lambda: preservers.verify_unitary_preserver_form(m, theta, lambda a: S4.zero(), S4.unit, trials=2)
+    rep = form()
+    assert rep.passed and math.isfinite(rep.max_residual)
+    # theta's calls: 6 in its isomorphism check, then per draw theta(a) and
+    # theta of the second closed form's exponential, which gets the NaN
+    theta._eval = _nan_from(theta._eval, at=7)
+    rep = form()
+    assert np.isnan(rep.max_residual) and not rep.passed
+
+
+def test_the_counterexample_keeps_a_nan_quadratic_residual(monkeypatch):
+    run = lambda: preservers.verify_counterexample(preservers.build_spin_counterexample(4, 0.3), trials=10, seed=1)
+    rep = run()
+    assert rep.max_residual == max(rep.details["oc_additive_raw"], rep.details["oc_quadratic_raw"])
+    # the second U-operator is the right side of the quadratic check's first chunk
+    monkeypatch.setattr(preservers, "_u_operator", _nan_from(preservers._u_operator, at=1))
+    rep = run()
+    assert np.isnan(rep.details["oc_quadratic_raw"]) and np.isnan(rep.max_residual) and not rep.passed
+
+
+def _central_preservation():
+    return preservers.check_central_preservation(_identity(S4), trials=2)
+
+
+def test_central_preservation_keeps_a_nan_central_part(monkeypatch):
+    # the unitarity gate passes (0.0), and max(0.0, nan) is 0.0
+    assert _central_preservation().passed
+    monkeypatch.setattr(preservers, "_central_projection_residual", lambda B, x: np.float64(np.nan))
+    rep = _central_preservation()
+    assert np.isnan(rep.max_residual) and not rep.passed
+
+
+def test_central_preservation_keeps_a_nan_symmetry_defect():
+    m = _identity(S4)
+    m._eval = _nan_from(m._eval, at=2)  # the round trip, the first draw's unitary, then its symmetry
+    rep = preservers.check_central_preservation(m, trials=2)
+    assert np.isnan(rep.max_residual) and not rep.passed
+
+
+def test_central_preservation_keeps_a_nan_commutation_residual(monkeypatch):
+    nan = ResidualCheck(False, math.nan, math.nan)
+    monkeypatch.setattr(preservers, "_operator_commutes", lambda B, x, y: nan)
+    rep = _central_preservation()
+    assert np.isnan(rep.max_residual) and not rep.passed
+
+
+def test_the_i_unit_image_keeps_a_nan_centrality_residual(monkeypatch):
+    parts = ("projection_residual", "selfadjoint_residual", "reconstruction_residual", "centrality_residual")
+    rep = preservers.check_i_unit_image(_identity(S4), trials=2)
+    assert rep.passed and rep.max_residual == max(rep.details[k] for k in parts)
+    monkeypatch.setattr(preservers, "_u_operator", _nan_from(preservers._u_operator))
+    rep = preservers.check_i_unit_image(_identity(S4), trials=2)
+    assert np.isnan(rep.details["centrality_residual"]) and np.isnan(rep.max_residual) and not rep.passed
+
+
+def test_the_structure_recovery_suite_keeps_a_nan_linearity_residual(monkeypatch):
+    (rep,) = cli._suite_structure_recovery(_identity(S4), 20, 0)
+    assert rep.passed and rep.max_residual == max(rep.details["hom_residual"], rep.details["linearity_residual"])
+    recover = cli.recover_structure
+    with_nan = lambda m, **kw: dataclasses.replace(recover(m, **kw), linearity_residual=math.nan)
+    monkeypatch.setattr(cli, "recover_structure", with_nan)
+    (rep,) = cli._suite_structure_recovery(_identity(S4), 20, 0)
+    assert np.isnan(rep.max_residual) and not rep.passed

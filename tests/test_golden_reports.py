@@ -12,6 +12,9 @@ Run ``python tests/test_golden_reports.py`` to rewrite
 ``python tests/test_golden_reports.py --diff`` prints every value of the
 current code's records that moved against the file, floats with their move
 in units of (1 + |recorded|), and writes nothing.
+``python tests/test_golden_reports.py --trials N --out PATH`` writes the
+records of N-trial runs to PATH, for comparing two commits at a trial count
+that crosses a chunk boundary; only 20-trial records go to the golden file.
 """
 
 import argparse
@@ -37,7 +40,7 @@ MAP_SUITES = {"preserver", "factor-dichotomy", "structure-recovery", "linearity"
 CHECK_FIELDS = ("name", "passed", "trials", "expected_fail", "max_residual", "details", "witness")
 
 
-def _runs(workdir):
+def _runs(workdir, trials):
     """(key, RunConfig) for every suite x algebra (x map for map suites)."""
     from jbstar.cli import RunConfig, list_suites
 
@@ -57,19 +60,20 @@ def _runs(workdir):
                     command=suite,
                     algebra_path=alg_path,
                     map_path=maps[mp] if mp else None,
-                    trials=TRIALS,
+                    trials=trials,
                     seed=SEED,
                 )
                 yield key, cfg
 
 
-def record_all() -> dict:
-    """Run every golden configuration and return its records by key."""
+def record_all(trials: int = TRIALS) -> dict:
+    """Run every golden configuration, at ``trials`` trials, and return its
+    records by key."""
     from jbstar.cli import run
 
     records = {}
     with tempfile.TemporaryDirectory() as workdir:
-        for key, cfg in _runs(workdir):
+        for key, cfg in _runs(workdir, trials):
             try:
                 doc, status = run(cfg)
             except Exception as exc:  # recorded, so a change of exception shows up
@@ -118,15 +122,20 @@ def test_fixed_seed_reports_match_the_recorded_file():
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Rewrite the golden file, or diff against it.")
-    parser.add_argument("--diff", action="store_true", help="print what moved against the file; write nothing")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--diff", action="store_true", help="print what moved against the file; write nothing")
+    mode.add_argument("--out", default=GOLDEN, help="write the records here (default: the golden file)")
+    parser.add_argument("--trials", type=int, default=TRIALS, help=f"trials per run (default {TRIALS})")
     args = parser.parse_args()
+    if args.trials != TRIALS and (args.diff or os.path.abspath(args.out) == GOLDEN):
+        parser.error(f"the golden file holds {TRIALS}-trial records: --trials {args.trials} needs another --out")
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(GOLDEN)), "src"))
     if args.diff:
         with open(GOLDEN, encoding="utf-8") as fh:
             moved = _mismatches(record_all(), json.load(fh), tol=0.0)
         print("\n".join(moved + [f"{len(moved)} values moved against {GOLDEN}"]))
     else:
-        with open(GOLDEN, "w", encoding="utf-8") as fh:
-            json.dump(record_all(), fh, indent=1, sort_keys=True)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(record_all(args.trials), fh, indent=1, sort_keys=True)
             fh.write("\n")
-        print(f"wrote {GOLDEN}")
+        print(f"wrote {args.out}")

@@ -111,7 +111,8 @@ OC_DRAW_CONSUMERS = {
 @pytest.mark.parametrize("consumer", sorted(OC_DRAW_CONSUMERS))
 def test_oc_draw_consumers_refuse_a_non_commuting_pair(monkeypatch, consumer):
     # a non-commuting draw raises in every consumer; none is skipped
-    monkeypatch.setattr(samplers, "_same_generator_pair", samplers._noncommuting_pair)
+    noncommuting = lambda B, r, k: np.stack([samplers._noncommuting_pair(B, r) for _ in range(k)], axis=1)
+    monkeypatch.setattr(samplers, "_same_generator_pair", noncommuting)
     with pytest.raises(SamplerViolation):
         OC_DRAW_CONSUMERS[consumer]()
 
