@@ -34,8 +34,9 @@ summands side by side on a sum.  ``_abelian_rows`` orders every row, and
 gap (a scalar spin summand gives a double node) is left to the
 one-element form, so each row of a stacked ``_exp_i`` (or of the stacked
 ``unitary._unitary_log``) takes the one-element computation, and a
-failing gate raises with the value of its first failing row.  A stacked
-``_exp_i`` also takes several exponents per row from one decomposition.
+failing gate raises with the value of its first failing row.  Exponents
+are an axis of ``_exp`` and ``_exp_i``: one decomposition serves a row's
+grid of them, each equal to its scalar-t call bit for bit.
 
 Every gate (a check whose value is read only when it fails) is a
 ``_gate`` of a Jordan predicate stated once as its defects, eps and
@@ -378,9 +379,13 @@ def exp_from_decomposition(A: AlgebraHandle, dec: SpectralDecomposition, t: floa
     return Element(A.id, _exp(dec.values, dec.idempotents, t))
 
 
-def _exp(nodes: np.ndarray, idems: np.ndarray, t: float) -> np.ndarray:
+def _exp(nodes: np.ndarray, idems: np.ndarray, t) -> np.ndarray:
     """Sum of exp(i t node) times idempotent, of one decomposition or of each
-    row of a stack of them."""
+    row of a stack of them.  A t array of shape (..., j) gives (..., j, dim),
+    each exponent's row the product its scalar t takes (so the same bits)."""
+    if isinstance(t, np.ndarray):  # np.ndim(t) would cost a µs a call
+        w = np.exp(1j * (t[..., :, None] * nodes[..., None, :]))
+        return (w[..., None, :] @ idems[..., None, :, :])[..., 0, :]
     w = np.exp(1j * t * nodes)
     return w @ idems if w.ndim == 1 else (w[:, None] @ idems)[:, 0]
 
@@ -399,19 +404,16 @@ def _exp_i(A: AlgebraHandle, x: np.ndarray, t) -> np.ndarray:
     stack of them, checked unitary row by row.  A stack goes through
     ``_decompose_rows``, and its rows with ``_near`` nodes through
     ``_decompose``, as one element does; a gate that fails raises with the
-    value of its first failing row.  For a stack, t may also be a (k, j)
-    array of j exponents per row: then the k j exponentials, each row's
-    in turn, come from that one decomposition."""
+    value of its first failing row.  t may also be a grid of j exponents,
+    (j,) or, for a stack, (k, j) per row: each row's j exponentials come
+    from its one decomposition, as a (j, dim) or (k, j, dim) array."""
     if x.ndim == 1:
         u = _exp(*_decompose(A, x), t)
     else:
         nodes, idems, clustered = _decompose_rows(A, x)
-        if np.ndim(t):  # every row, and its pieces, once per exponent
-            nodes, idems, clustered, x = (np.repeat(p, t.shape[1], axis=0) for p in (nodes, idems, clustered, x))
-            t = t.reshape(-1, 1)
         u = _exp(nodes, idems, t)
         for i in np.flatnonzero(clustered):
-            u[i] = _exp(*_decompose(A, x[i]), t if np.ndim(t) == 0 else t[i])
+            u[i] = _exp(*_decompose(A, x[i]), t[i] if np.ndim(t) == 2 else t)
     check = _gate(A, (A._prod(u, A._inv(u)) - A.unit.coords,), 1e-7, lambda: 1e-7 * (1.0 + A._norm(u)) ** 2)
     _require(check, VerificationFailed, "exp_i produced a non-unitary element (residual {:.3e})")
     return u

@@ -11,9 +11,10 @@ whole stack before any check uses it: one commutator bound over the rows,
 and the exact check only on a row the bound cannot decide
 (``calculus._commute_gate``).  It raises SamplerViolation, through
 ``calculus._require``, on the first pair that does not operator commute.
-Commuting projection pairs of a chunk share one ``_decompose_rows`` on the
-same stream too: a row whose nodes cluster winds the generator back and
-takes the one-element form.  Check bodies draw coordinate arrays from the
+Commuting projection pairs are draws of fixed length (normals, then rank
+bits for p and rank for q), so a chunk is drawn at once and shares one
+``_decompose_rows``; a row whose nodes cluster takes its merged pieces from
+the one-element form.  Check bodies draw coordinate arrays from the
 private forms; the public forms return ``Element``s.
 """
 
@@ -110,31 +111,19 @@ def _commuting_projection_pairs(A: AlgebraHandle, rng: np.random.Generator, size
     q = bits_q @ P, P the idempotents of a random self-adjoint element: a
     (2, j, dim) stack of the j draws, in draw order, with two nodes or more.
 
-    A draw takes its element's 2 dim normals, then m bits for p and m for
-    q, m its number of nodes.  Every row is first drawn with m = rank, as
-    every row whose nodes are apart has, and one ``_decompose_rows`` serves
-    the stack.  At its first clustered row the generator is wound back to
-    that row's normals, ``_decompose`` gives its own m and its bits, and
-    the rows after it are drawn again as a new stack.  So the generator is
-    consumed as ``size`` draws one at a time consume it."""
-    rank, pairs = A.rank, []
-    while size:
-        normals, states, bits = [], [], []
-        for _ in range(size):
-            normals.append(rng.standard_normal((2, A.dim)))
-            states.append(rng.bit_generator.state)
-            bits.append(_projection_bits(rng, rank))
-        x = _rows_from_normals(A, np.array(normals), "self_adjoint")
-        idems, clustered = _decompose_rows(A, x)[1:]
-        done = int(clustered.argmax()) if clustered.any() else size
-        rows = list(zip(bits[:done], idems))
-        if done < size:  # the first clustered row, from its own normals on
-            rng.bit_generator.state = states[done]
-            P = _decompose(A, x[done])[1]
-            rows.append((_projection_bits(rng, len(P)), P))
-            done += 1
-        pairs += [(bp @ P, bq @ P) for (bp, bq), P in rows if bp is not None]
-        size -= done
+    Every draw takes its element's 2 dim normals, then rank bits for p and
+    rank for q, whatever its number m of nodes, so the chunk is drawn
+    before any decomposition and one ``_decompose_rows`` serves it.  A row
+    whose nodes cluster takes its merged pieces from ``_decompose`` and the
+    first m of its bits; a row with one node is dropped."""
+    normals, bits = [], []
+    for _ in range(size):
+        normals.append(rng.standard_normal((2, A.dim)))
+        bits.append(_projection_bits(rng, A.rank))
+    x = _rows_from_normals(A, np.array(normals), "self_adjoint")
+    idems, clustered = _decompose_rows(A, x)[1:]
+    pieces = [_decompose(A, x[i])[1] if clustered[i] else idems[i] for i in range(size)]
+    pairs = [(bp[: len(P)] @ P, bq[: len(P)] @ P) for (bp, bq), P in zip(bits, pieces) if len(P) >= 2]
     return np.stack(pairs, axis=1) if pairs else np.zeros((2, 0, A.dim), dtype=complex)
 
 

@@ -11,7 +11,8 @@ every gate (those three, the log round trip, the symmetric-difference
 identity) is a ``calculus._gate``, raised by ``calculus._require``, and
 ``is_unitary`` is the predicate's exact check.  Each check folds its draws
 into a ``reports.WorstResidual``.  The log also takes a (k, dim) stack of
-unitaries, with one batched eigensolve, row by row as one element.
+unitaries, with one batched eigensolve, row by row as one element (one
+off-circle test for both).  ``oc_unitary_equivalences_check`` runs by chunk.
 """
 
 from __future__ import annotations
@@ -100,13 +101,25 @@ _NOT_UNITARY = "unitarity defect {:.3e} exceeds {:.3e}"
 _OFF_CIRCLE = "spectrum points leave the unit circle by {:.3e}"
 
 
+def _off_circle(nodes: np.ndarray) -> np.ndarray:
+    """How far circle-spectrum nodes leave the unit circle, of one element
+    or of each row of a (k, m) stack."""
+    return np.max(np.abs(np.abs(nodes) - 1.0), axis=-1)
+
+
+def _require_on_circle(off: np.ndarray) -> None:
+    """NotUnitary, with the first failing row's, unless each ``_off_circle``
+    is at most 1e-6 (a NaN fails)."""
+    on = off <= 1e-6
+    if not on.all():  # _require costs µs
+        _require(ResidualCheck(on, off, 1e-6), NotUnitary, _OFF_CIRCLE)
+
+
 def _unitary_decomposition(A: AlgebraHandle, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Circle-spectrum nodes and idempotents (rows) of a unitary element."""
     _require(_gate(A, *_unitary(A, x)), NotUnitary, _NOT_UNITARY)
     nodes, idems = _abelian_decomposition(A, x, real_nodes=False)
-    off = float(np.max(np.abs(np.abs(nodes) - 1.0)))
-    if off > 1e-6:
-        raise NotUnitary(_OFF_CIRCLE.format(off))
+    _require_on_circle(_off_circle(nodes))
     return nodes, idems
 
 
@@ -131,15 +144,13 @@ def _unitary_log(A: AlgebraHandle, x: np.ndarray):
     else:
         _require(_gate(A, *_unitary(A, x)), NotUnitary, _NOT_UNITARY)
         nodes, idems, clustered = _abelian_rows(A, x, False)
-        off = np.max(np.abs(np.abs(nodes) - 1.0), axis=-1)
+        off = _off_circle(nodes)
         h, ambiguous = _log(A, nodes, idems)
         for i in np.flatnonzero(clustered):
             nodes, idems = _abelian_decomposition(A, x[i], real_nodes=False)
-            off[i] = np.max(np.abs(np.abs(nodes) - 1.0))
+            off[i] = _off_circle(nodes)
             h[i], ambiguous[i] = _log(A, nodes, idems)
-        bad = off > 1e-6
-        if bad.any():
-            raise NotUnitary(_OFF_CIRCLE.format(off[bad.argmax()]))
+        _require_on_circle(off)
     check = _gate(A, (_exp_i(A, h, 1.0) - x,), 1e-6, lambda: 1e-6 * (1.0 + A._norm(x)))
     _require(check, VerificationFailed, "log round trip failed (residual {:.3e})")
     return (h, bool(ambiguous)) if x.ndim == 1 else (h, ambiguous)
@@ -189,36 +200,32 @@ def oc_unitary_equivalences_check(
     evaluated through the triple product {e^{ith}, e^{-2isk}, e^{ith}}.
     Adversarial trials confirm that non-commuting generators violate at
     least one of these identities by a factor >= 10 over tolerance.
+    Pairs are drawn by chunk, on the stream of one pair at a time; one
+    exponent-grid ``_exp_i`` (t and 2t) serves a chunk's h's, one its k's.
     """
     grid = (-1.0, -0.5, 0.5, 1.0)
     exponents = np.concatenate([grid, np.multiply(2.0, grid)])  # t, then 2t, for t in the grid
-
-    def table(x):
-        """exp(i t x) for every exponent t, as rows (one stacked product)."""
-        nodes, idems = _decompose(A, x)
-        return np.exp(1j * np.multiply.outer(exponents, nodes)) @ idems
-
     rng = np.random.default_rng(seed)
     acc = WorstResidual(1e-7)
-    for _ in range(trials):
-        h, k = _draw_oc_pair(A, rng, 1)[:, 0]
-        eh, ek = table(h), table(k)
+    for size in chunk_sizes(trials):
+        h, k = _draw_oc_pair(A, rng, size)
+        eh, ek = _exp_i(A, h, exponents), _exp_i(A, k, exponents)  # (size, 8, dim)
         # (a) + (b): commutation of exponentials, including with the star
-        pairs = [(u, w) for u, v in zip(eh[:4], ek[:4]) for w in (v, A._inv(v))]
-        residual = max(_operator_commutes(A, u, w).residual for u, w in pairs)
+        pairs = [(u, w) for e, f in zip(eh, ek) for u, v in zip(e[:4], f[:4]) for w in (v, A._inv(v))]
+        residuals = [np.reshape([_operator_commutes(A, u, w).residual for u, w in pairs], (size, 8)).max(axis=1)]
         # (c): associativity inside the generated subalgebra, all 16 words x, y
-        u1, v1 = eh[3], ek[3]
-        words = np.stack([u1, v1, A._prod(u1, v1), A._prod(u1, u1)])
-        x, y = words[:, None], words[None, :]
+        u1, v1 = eh[:, 3], ek[:, 3]
+        words = np.stack([u1, v1, A._prod(u1, v1), A._prod(u1, u1)], axis=1)
+        x, y, v1 = words[:, :, None], words[:, None, :], v1[:, None, None]
         defects = [A._prod(A._prod(x, y), v1) - A._prod(x, A._prod(y, v1))]
-        # (d): exchange identity for all 16 pairs (t on axis 0, s on axis 1),
+        # (d): exchange identity for all 16 pairs (t on axis 1, s on axis 2),
         # two evaluation paths for the left side; -2s runs over 2t reversed
-        uth = eh[:4, None]
-        lhs = _u_operator(A, uth, ek[None, 4:])
-        defects.append(lhs - _u_operator(A, ek[None, :4], eh[4:, None]))
-        defects.append(lhs - A._triple(uth, ek[None, :3:-1], uth))
-        residual = max(residual, *(np.max(A._norm(d)) for d in defects))
-        acc.add(residual, lambda i: {"h": h.tolist(), "k": k.tolist()})
+        uth = eh[:, :4, None]
+        lhs = _u_operator(A, uth, ek[:, None, 4:])
+        defects.append(lhs - _u_operator(A, ek[:, None, :4], eh[:, 4:, None]))
+        defects.append(lhs - A._triple(uth, ek[:, None, :3:-1], uth))
+        residuals += [A._norm(d).max(axis=(1, 2)) for d in defects]  # np.max keeps a NaN
+        acc.add(np.max(residuals, axis=0), lambda i: {"h": h[i].tolist(), "k": k[i].tolist()})
     rep = acc.report(f"oc-unitary-equivalences[{A.id}]", grid=list(grid))
     if adversarial:
         min_violation = math.inf
@@ -227,13 +234,10 @@ def oc_unitary_equivalences_check(
             pair = _noncommuting_pair(A, rng)
             if pair is None:
                 break
-            h, k = pair
             found += 1
-            u, v = _exp_i(A, h, 1.0), _exp_i(A, k, 1.0)
+            (u, u2), (v, v2) = _exp_i(A, np.stack(pair), np.array([1.0, 2.0]))
             oc = _operator_commutes(A, u, v)
-            exch = A._norm(
-                _u_operator(A, u, _exp_i(A, k, 2.0)) - _u_operator(A, v, _exp_i(A, h, 2.0))
-            )
+            exch = A._norm(_u_operator(A, u, v2) - _u_operator(A, v, u2))
             violation = max(oc.residual / oc.threshold, exch / oc.threshold)
             min_violation = min(min_violation, violation)
         rep.details["adversarial_found"] = found

@@ -9,7 +9,9 @@ that shares nothing with its type data, and
 matrices in the operator 2-norm instead of the Frobenius norm.
 ``generator_one_at_a_time`` runs the package's one-element exponential and
 log in turn, one element and one t at a time: it is the reference of the
-stacked generator.  ``random_one_at_a_time``,
+stacked generator.  ``oc_equivalences_one_at_a_time`` likewise runs the
+residuals of ``unitary.oc_unitary_equivalences_check`` one draw, one
+exponent and one identity at a time.  ``random_one_at_a_time``,
 ``same_generator_pair_one_at_a_time`` and
 ``commuting_projection_pair_one_at_a_time`` draw one element or one pair,
 call by call on the generator: they are the references of the stacked
@@ -323,6 +325,34 @@ def generator_one_at_a_time(m, x, t_small=1.0 / 16.0):
     return f1
 
 
+def oc_equivalences_one_at_a_time(A, trials, seed):
+    """(residual, h, k) of each draw of the oc-equivalences check, one pair
+    at a time on its stream: each exponential of h and of k by its own
+    scalar-t ``_exp_i``, the 8 commutation residuals, then the 16
+    associativity defects and the 16 pairs of exchange defects one by one."""
+    grid = (-1.0, -0.5, 0.5, 1.0)
+    exponents = grid + tuple(2.0 * t for t in grid)
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(trials):
+        h, k = same_generator_pair_one_at_a_time(A, rng)
+        eh, ek = ([calculus._exp_i(A, x, t) for t in exponents] for x in (h, k))
+        pairs = [(u, w) for u, v in zip(eh[:4], ek[:4]) for w in (v, A._inv(v))]
+        residuals = [calculus._operator_commutes(A, u, w).residual for u, w in pairs]
+        u1, v1 = eh[3], ek[3]
+        words = [u1, v1, A._prod(u1, v1), A._prod(u1, u1)]
+        for x in words:
+            for y in words:
+                residuals.append(A._norm(A._prod(A._prod(x, y), v1) - A._prod(x, A._prod(y, v1))))
+        for i in range(4):  # t = grid[i]; s = grid[j], and -2s = 2 grid[3 - j]
+            for j in range(4):
+                lhs = calculus._u_operator(A, eh[i], ek[4 + j])
+                residuals.append(A._norm(lhs - calculus._u_operator(A, ek[j], eh[4 + i])))
+                residuals.append(A._norm(lhs - A._triple(eh[i], ek[7 - j], eh[i])))
+        draws.append((np.max(residuals), h, k))
+    return draws
+
+
 def random_one_at_a_time(A, rng, flavor="general"):
     """A ``general`` or ``self_adjoint`` draw of one element: the real and
     then the imaginary part, dim normals each."""
@@ -343,14 +373,16 @@ def same_generator_pair_one_at_a_time(A, rng):
 
 def commuting_projection_pair_one_at_a_time(A, rng):
     """One commuting projection pair (bits_p @ P, bits_q @ P) over the m
-    idempotents P of a self-adjoint draw, or None when m < 2."""
-    P = calculus._decompose(A, random_one_at_a_time(A, rng, "self_adjoint"))[1]
+    idempotents P of a self-adjoint draw, or None when m < 2.  The draw
+    takes rank bits for p and rank for q (none when rank < 2) whatever m
+    is, and uses the first m of each."""
+    x = random_one_at_a_time(A, rng, "self_adjoint")
+    bits = [rng.integers(0, 2, size=A.rank) for _ in range(2 if A.rank >= 2 else 0)]
+    P = calculus._decompose(A, x)[1]
     m = P.shape[0]
     if m < 2:
         return None
-    bits_p = rng.integers(0, 2, size=m)
-    bits_q = rng.integers(0, 2, size=m)
-    return bits_p @ P, bits_q @ P
+    return bits[0][:m] @ P, bits[1][:m] @ P
 
 
 def weighted_merge(A, nodes, weights, raw):

@@ -29,7 +29,9 @@ from jbstar.errors import (
     SamplerViolation,
     VerificationFailed,
 )
-from jbstar.reports import CheckReport, ResidualCheck
+from jbstar.reports import CHUNK, CheckReport, ResidualCheck
+
+import oracles
 
 S4 = build_spin_factor(4)
 
@@ -234,6 +236,12 @@ def _site_exp_i_rows(A, mp):
     calculus._exp_i(A, np.stack([_random(A, rng, "self_adjoint") for _ in range(3)]), 1.0)
 
 
+def _site_exp_i_grid(A, mp):
+    mp.setattr(calculus, "_exp", _nan_from(calculus._exp))
+    rng = np.random.default_rng(3)
+    calculus._exp_i(A, np.stack([_random(A, rng, "self_adjoint") for _ in range(3)]), np.array([1.0, 0.5]))
+
+
 def _site_inverse(A, mp):
     mp.setattr(A, "_u_solve", _nan_from(A._u_solve))
     calculus.is_invertible(A, A.element(_random(A, np.random.default_rng(3), "self_adjoint") + 3.0 * A.unit.coords))
@@ -336,6 +344,7 @@ NAN_SITES = {
     "decompose_rows": (_site_decompose_rows, NotSelfAdjoint, "deviation from self-adjointness nan"),
     "exp_i": (_site_exp_i, VerificationFailed, "exp_i produced a non-unitary element (residual nan)"),
     "exp_i_rows": (_site_exp_i_rows, VerificationFailed, "exp_i produced a non-unitary element (residual nan)"),
+    "exp_i_grid": (_site_exp_i_grid, VerificationFailed, "exp_i produced a non-unitary element (residual nan)"),
     "inverse": (_site_inverse, VerificationFailed, "candidate inverse failed defining identities (residual nan)"),
     "unitary_decomposition": (_site_unitary_decomposition, NotUnitary, "unitarity defect nan exceeds nan"),
     "unitary_log": (_site_unitary_log, VerificationFailed, "log round trip failed (residual nan)"),
@@ -473,3 +482,58 @@ def test_the_structure_recovery_suite_keeps_a_nan_linearity_residual(monkeypatch
     monkeypatch.setattr(cli, "recover_structure", with_nan)
     (rep,) = cli._suite_structure_recovery(_identity(S4), 20, 0)
     assert np.isnan(rep.max_residual) and not rep.passed
+
+
+def _oc_equivalences(trials=3):
+    return unitary.oc_unitary_equivalences_check(S4, trials, 0)
+
+
+def test_oc_equivalences_keeps_a_nan_commutation_residual_after_a_finite_one(monkeypatch):
+    rep = _oc_equivalences()
+    assert rep.passed and math.isfinite(rep.max_residual)
+    # the first draw's second pair; an SVD would refuse a NaN element
+    commutes, calls = unitary._operator_commutes, []
+
+    def with_nan(B, x, y):
+        calls.append(1)
+        return ResidualCheck(False, math.nan, math.nan) if len(calls) == 2 else commutes(B, x, y)
+
+    monkeypatch.setattr(unitary, "_operator_commutes", with_nan)
+    rep = _oc_equivalences()
+    assert np.isnan(rep.max_residual) and not rep.passed
+
+
+def test_oc_equivalences_keeps_a_nan_exchange_defect_after_finite_ones(monkeypatch):
+    # the right side of the exchange identity, after the finite commutation
+    # and associativity residuals of its draw
+    monkeypatch.setattr(unitary, "_u_operator", _nan_from(unitary._u_operator, at=1))
+    rep = _oc_equivalences()
+    assert np.isnan(rep.max_residual) and not rep.passed
+
+
+def test_oc_equivalences_witnesses_the_draw_of_its_nan(monkeypatch):
+    # a NaN in the triple product of the second chunk's sixth draw only
+    trials, row = CHUNK + 8, 5
+    triple, calls = S4._triple, []
+
+    def with_nan(x, y, z):
+        calls.append(1)
+        out = triple(x, y, z)
+        if len(calls) == 2:
+            out[row, ..., 1] = np.nan
+        return out
+
+    monkeypatch.setattr(S4, "_triple", with_nan)
+    rep = _oc_equivalences(trials)
+    _, h, k = oracles.oc_equivalences_one_at_a_time(S4, trials, 0)[CHUNK + row]
+    assert np.isnan(rep.max_residual) and not rep.passed and rep.trials == trials
+    assert rep.witness == {"h": h.tolist(), "k": k.tolist()}
+
+
+def test_the_isomorphism_check_refuses_a_nan_multiplicativity_residual():
+    # theta's calls: the unit, then a, b, a al + b and a o b of the first chunk
+    m = _identity(S4)
+    m._eval = _nan_from(m._eval, at=4)
+    with pytest.raises(PreconditionFailed) as raised:
+        preservers.verify_jordan_star_isomorphism(m, trials=4)
+    assert str(raised.value) == "theta is not Jordan multiplicative (nan)"

@@ -15,6 +15,9 @@ in units of (1 + |recorded|), and writes nothing.
 ``python tests/test_golden_reports.py --trials N --out PATH`` writes the
 records of N-trial runs to PATH, for comparing two commits at a trial count
 that crosses a chunk boundary; only 20-trial records go to the golden file.
+``python tests/test_golden_reports.py --diff --against PATH [--trials N]``
+diffs the current N-trial records against such a file, for example one
+written by another commit's own ``--out``.
 """
 
 import argparse
@@ -121,19 +124,23 @@ def test_fixed_seed_reports_match_the_recorded_file():
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description="Rewrite the golden file, or diff against it.")
+    parser = argparse.ArgumentParser(description="Rewrite the golden file, or diff against it or another records file.")
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--diff", action="store_true", help="print what moved against the file; write nothing")
     mode.add_argument("--out", default=GOLDEN, help="write the records here (default: the golden file)")
+    parser.add_argument("--against", default=GOLDEN, help="the records --diff reads (default: the golden file)")
     parser.add_argument("--trials", type=int, default=TRIALS, help=f"trials per run (default {TRIALS})")
     args = parser.parse_args()
-    if args.trials != TRIALS and (args.diff or os.path.abspath(args.out) == GOLDEN):
-        parser.error(f"the golden file holds {TRIALS}-trial records: --trials {args.trials} needs another --out")
+    if args.against != GOLDEN and not args.diff:
+        parser.error("--against needs --diff")
+    target = os.path.abspath(args.against if args.diff else args.out)
+    if args.trials != TRIALS and target == GOLDEN:
+        parser.error(f"the golden file holds {TRIALS}-trial records: --trials {args.trials} needs another file")
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(GOLDEN)), "src"))
     if args.diff:
-        with open(GOLDEN, encoding="utf-8") as fh:
-            moved = _mismatches(record_all(), json.load(fh), tol=0.0)
-        print("\n".join(moved + [f"{len(moved)} values moved against {GOLDEN}"]))
+        with open(target, encoding="utf-8") as fh:
+            moved = _mismatches(record_all(args.trials), json.load(fh), tol=0.0)
+        print("\n".join(moved + [f"{len(moved)} values moved against {target}"]))
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(record_all(args.trials), fh, indent=1, sort_keys=True)

@@ -6,8 +6,9 @@ triple product against the generic one.
 stack.  Each must equal, bit for bit, the draws of ``oracles`` taken one at
 a time on a generator seeded alike, and leave that generator in the same
 state, across a chunk boundary.  A sum of M1 summands with a wide cluster
-gap makes many projection draws cluster, so their rows take the
-one-element fallback; the guards below pin how often
+gap makes many projection draws cluster, so their rows take their merged
+pieces from the one-element form, with the first bits of a draw of
+fixed length; the guards below pin how often
 ``_suite_symmetric_difference`` decomposes.
 """
 
@@ -96,7 +97,7 @@ def _counted(monkeypatch, name):
 @pytest.mark.parametrize("A", CLUSTERED, ids=["12 x M1", "2 x M1"])
 def test_clustered_projection_draws_take_the_one_element_form_on_the_same_stream(A, monkeypatch):
     # the 12-fold sum clusters in most draws; the 2-fold one in a few, and
-    # those have a single node, so they draw no bits and are dropped
+    # those have a single node, so they are dropped (after their bits)
     fallbacks = _counted(monkeypatch, "_decompose")
     rng, ref = _generators(18)
     draws = dropped = 0
@@ -112,7 +113,6 @@ def test_clustered_projection_draws_take_the_one_element_form_on_the_same_stream
 @pytest.mark.parametrize("A", [H(5), MODELS[-1], CLUSTERED[0]], ids=lambda A: A.id)
 def test_symmetric_difference_decomposes_each_chunk_once(A, monkeypatch):
     # one _decompose_rows per chunk, and _decompose only for a clustered row
-    # (after which the rest of its chunk is a new stack)
     stacked, single = _counted(monkeypatch, "_decompose_rows"), _counted(monkeypatch, "_decompose")
     trials = 2 * CHUNK + 3
     rng = np.random.default_rng(17)
@@ -120,13 +120,12 @@ def test_symmetric_difference_decomposes_each_chunk_once(A, monkeypatch):
     for _ in range(trials):  # the draws one at a time, counting the clustered ones
         m = _decompose(A, oracles.random_one_at_a_time(A, rng, "self_adjoint"))[0].size
         clustered += m < A.rank
-        for _ in range(2 if m >= 2 else 0):  # the bits of p, then of q
-            rng.integers(0, 2, size=m)
+        for _ in range(2):  # the bits of p, then of q
+            rng.integers(0, 2, size=A.rank)
     (rep,) = cli._suite_symmetric_difference(A, trials, 17)
     assert rep.passed and rep.trials == trials
     assert len(single) == clustered
-    chunks = len(chunk_sizes(trials))
-    assert len(stacked) == chunks if not clustered else chunks <= len(stacked) <= chunks + clustered
+    assert len(stacked) == len(chunk_sizes(trials))
     assert (clustered > 0) == (A.rank == 12)
 
 

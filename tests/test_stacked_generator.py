@@ -1,11 +1,13 @@
 """The stacked generator map and the stacked unitary log against their
 one-element forms.
 
-``preservers._generator`` takes a (k, dim) stack through one
-``_decompose_rows``, one map call and one stacked ``unitary._unitary_log``;
-each row must equal ``oracles.generator_one_at_a_time``, the one-element
-loop, bit for bit, and each row of the stacked log the one-element log.  A
-chunk with one bad row raises what that row raises alone.
+Each exponent of an ``_exp_i`` grid must equal its scalar call bit for
+bit.  ``preservers._generator`` takes a (k, dim) stack through one stacked
+``_exp_i`` over its (k, 2) grid of t and t/2, one map call and one stacked
+``unitary._unitary_log``; each row must equal
+``oracles.generator_one_at_a_time``, the one-element loop, bit for bit, and
+each row of the stacked log the one-element log.  A chunk with one bad row
+raises what that row raises alone.
 """
 
 import numpy as np
@@ -61,6 +63,21 @@ def test_the_stacked_log_equals_the_one_element_log_bit_for_bit(A):
     assert np.array_equal(h, np.stack([w[0] for w in want]))
     assert ambiguous.tolist() == [w[1] for w in want]
     assert ambiguous.tolist() == [False, False, False, False, True]
+
+
+@pytest.mark.parametrize("A", MODELS, ids=lambda A: A.id)
+def test_an_exponent_grid_equals_its_scalar_calls_bit_for_bit(A):
+    # one grid for every row, and one per row; the central row clusters
+    x = _self_adjoint_rows(A, 3)
+    grid = np.array([-1.0, -0.5, 0.5, 1.0, 2.0])
+    per_row = np.random.default_rng(3).uniform(-2.0, 2.0, size=(len(x), 3))
+    assert _abelian_rows(A, x, True)[2][4]
+    assert np.array_equal(_exp_i(A, x[0], grid), np.stack([_exp_i(A, x[0], t) for t in grid]))
+    for t in (grid, per_row):
+        got = _exp_i(A, x, t)
+        assert got.shape == (len(x), t.shape[-1], A.dim)
+        want = [[_exp_i(A, row, s) for s in ts] for row, ts in zip(x, np.broadcast_to(t, (len(x), t.shape[-1])))]
+        assert np.array_equal(got, np.array(want))
 
 
 @pytest.mark.parametrize("A", MODELS, ids=lambda A: A.id)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jbstar.algebras import (
+    build_direct_sum,
     build_hermitian_matrix_algebra,
     build_spin_factor,
     involution,
@@ -11,11 +12,14 @@ from jbstar.algebras import (
     jordan_product,
     random_element,
 )
-from jbstar.calculus import exp_i, operator_commutes, u_operator
+from jbstar.calculus import _abelian_rows, exp_i, operator_commutes, u_operator
 from jbstar.errors import NotProjection, NotUnitary
+from jbstar.kernel import Tolerance
+from jbstar.reports import CHUNK
 from jbstar.samplers import _noncommuting_pair
 from jbstar.unitary import (
     _unitary_decomposition,
+    _unitary_log,
     circle_inequality_check,
     is_symmetry,
     is_unitary,
@@ -201,3 +205,66 @@ def test_u_of_unitaries_stays_unitary():
             v = random_element(A, int(rng.integers(1 << 30)), "unitary")
             assert bool(is_unitary(A, u_operator(A, u, v)))
             assert bool(is_unitary(A, u_operator(A, u, involution(A, v))))
+
+
+@pytest.mark.parametrize(
+    "A",
+    [H3, build_spin_factor(4), build_direct_sum([H3, S3]), build_hermitian_matrix_algebra(6)],
+    ids=lambda A: A.id,
+)
+def test_oc_equivalences_equals_the_one_draw_at_a_time_loop(A):
+    # across a chunk boundary, bit for bit
+    trials = CHUNK + 5
+    rep = oc_unitary_equivalences_check(A, trials, 4)
+    draws = oracles.oc_equivalences_one_at_a_time(A, trials, 4)
+    assert rep.passed and rep.trials == trials and rep.witness is None
+    assert rep.max_residual == max(r for r, _, _ in draws)
+
+
+# -- the off-circle test: a loose unitarity gate passes a scaled unitary ---------
+
+LOOSE = Tolerance(abs_eps=1e-3)
+LOOSE_MODELS = [build_hermitian_matrix_algebra(3, LOOSE), build_spin_factor(4, LOOSE)]
+_OFF = "spectrum points leave the unit circle by {:.3e}"
+
+
+@pytest.mark.parametrize("A", LOOSE_MODELS, ids=lambda A: A.id)
+def test_a_scaled_unitary_passes_the_gate_and_leaves_the_circle(A):
+    u = (1.0 + 1e-5) * random_element(A, 3, "unitary").coords
+    assert is_unitary(A, A.element(u))
+    for call in (lambda: unitary_log(A, A.element(u)), lambda: _unitary_decomposition(A, u)):
+        with pytest.raises(NotUnitary) as raised:
+            call()
+        assert str(raised.value) == _OFF.format(1e-5)
+
+
+def _clustered_off_circle(A):
+    """A unitary scaled by 1 + 2e-5 with two nodes z and z (1 + 1e-7), within
+    the cluster gap: off the circle by 2.010e-5 before their merge, and by
+    2.005e-5 after it."""
+    z = np.exp(0.3j) * (1.0 + 2e-5)
+    if A.dim == 9:
+        return np.diag([z, z * (1.0 + 1e-7), np.exp(1.5j)]).ravel()
+    return np.array([z * (1.0 + 5e-8), z * 5e-8, 0.0, 0.0])  # z (1 + 5e-8) -/+ z 5e-8
+
+
+@pytest.mark.parametrize("A", LOOSE_MODELS, ids=lambda A: A.id)
+def test_the_stacked_log_refuses_its_first_row_off_the_circle(A):
+    # the clustered row takes the one-element decomposition, and its merged nodes
+    u = np.stack([random_element(A, seed, "unitary").coords for seed in (4, 5)])
+    clustered = _clustered_off_circle(A)
+    assert _abelian_rows(A, np.stack([u[0], clustered]), False)[2].tolist() == [False, True]
+    with pytest.raises(NotUnitary) as raised:
+        unitary_log(A, A.element(clustered))
+    assert str(raised.value) == _OFF.format(2.005e-5)
+    cases = [
+        ([u[0], (1.0 + 1e-5) * u[1], clustered], 1e-5),
+        ([u[0], clustered, (1.0 + 1e-5) * u[1]], 2.005e-5),
+        ([u[0], u[1], (1.0 + 1e-5) * u[1]], 1e-5),
+    ]
+    for rows, off in cases:
+        with pytest.raises(NotUnitary) as raised:
+            _unitary_log(A, np.stack(rows))
+        assert str(raised.value) == _OFF.format(off)
+    h, ambiguous = _unitary_log(A, u)
+    assert h.shape == (2, A.dim) and not ambiguous.any()
