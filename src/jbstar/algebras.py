@@ -13,7 +13,8 @@ trace, canonical projections, spectral pieces, centre, rank, Peirce-2 model
 and descriptor form.  Every element is a complex coordinate vector over the
 model's fixed basis, tagged with the algebra identity; ``_prod``, ``_inv``,
 ``_norm`` and ``_triple`` also take coordinates with leading batch axes,
-(..., dim), and broadcast a stack against one vector.  The triple product
+(..., dim), and broadcast a stack against one vector; ``_commutator_norm``
+takes a pair of such stacks, row by row.  The triple product
 is five Jordan products, but on M_n (x y* z + z y* x) / 2, four n x n
 products.  ``_random_rows`` draws k ``general`` or ``self_adjoint``
 elements from one block of normals, consuming the generator as k
@@ -204,8 +205,11 @@ class AlgebraHandle:
         lee = self._mult_matrix(self._prod(x, xs)) + me @ mes - mes @ me
         return lee, self._u_matrix(x) @ self._u_matrix(xs)
 
-    def _commutator_norm(self, x: np.ndarray, y: np.ndarray, slack: float) -> float:
-        """||[M_x, M_y]||; a closed form may differ from it by at most ``slack``."""
+    def _commutator_norm(self, x: np.ndarray, y: np.ndarray):
+        """||[M_x, M_y]||, by the SVD of M_x M_y - M_y M_x; an array of them
+        over the batch axes of stacks, row by row."""
+        if x.ndim > 1:
+            return np.array([self._commutator_norm(a, b) for a, b in zip(x, y)])
         mx, my = self._mult_matrix(x), self._mult_matrix(y)
         return operator_norm(mx @ my - my @ mx)
 
@@ -328,17 +332,22 @@ class HermitianMatrixAlgebra(AlgebraHandle):
         eye = np.eye(self.n, dtype=complex)
         return 0.5 * (_kron(p, eye) + _kron(eye, q.T)), _kron(p, q.T)
 
-    def _commutator_norm(self, x: np.ndarray, y: np.ndarray, slack: float) -> float:
+    def _commutator_norm(self, x: np.ndarray, y: np.ndarray):
         """[L_a, L_b] = ad_c / 4 with c = ab - ba.  For skew-hermitian c,
         ||ad_c|| is the spectral diameter of -ic, one n x n ``eigvalsh``; the
         hermitian part S of c moves ||ad_c|| by at most 2||S||, so that route
-        is taken only when 2||S||_F <= slack.  Otherwise (unitaries, general
-        elements) the commutator need not be normal: the generic SVD."""
+        is taken only when 2||S||_F <= 1e-6 abs_eps (1 + |x|_2/sqrt n)(1 + |y|_2/sqrt n),
+        1e-6 times the threshold of ``_operator_commutes`` or less, as
+        ||x|| >= |x|_2/sqrt n.  Otherwise (unitaries, general elements) the
+        commutator need not be normal: the generic SVD.  Stacks row by row."""
+        if x.ndim > 1:
+            return super()._commutator_norm(x, y)
         a, b = x.reshape(self.n, self.n), y.reshape(self.n, self.n)
         c = a @ b - b @ a
         ch = c.conj().T
-        if 2.0 * np.linalg.norm(0.5 * (c + ch)) > slack:
-            return super()._commutator_norm(x, y, slack)
+        limit = 1e-6 * self.tol.abs_eps * math.prod(1.0 + math.sqrt(np.vdot(v, v).real / self.n) for v in (x, y))
+        if 2.0 * np.linalg.norm(0.5 * (c + ch)) > limit:
+            return super()._commutator_norm(x, y)
         lam = np.linalg.eigvalsh(-0.5j * (c - ch))
         return float(0.25 * (lam[-1] - lam[0]))
 
@@ -589,8 +598,9 @@ class DirectSum(AlgebraHandle):
             lee[s, s], q2[s, s] = p._lqe(x[s])
         return lee, q2
 
-    def _commutator_norm(self, x: np.ndarray, y: np.ndarray, slack: float) -> float:
-        return max(p._commutator_norm(x[s], y[s], slack) for p, s in self.summands)
+    def _commutator_norm(self, x: np.ndarray, y: np.ndarray):
+        norms = np.max([p._commutator_norm(x[..., s], y[..., s]) for p, s in self.summands], axis=0)
+        return norms if x.ndim > 1 else float(norms)  # NaN in any summand, unlike max()
 
     def _commutator_bound(self, x: np.ndarray, y: np.ndarray):
         bounds = [p._commutator_bound(x[..., s], y[..., s]) for p, s in self.summands]

@@ -7,7 +7,9 @@ once; its private array form serves the other modules' check bodies.
 U-operator matrices, U-solves and commutator norms come from the model:
 closed forms on M_n (a kron a^T, a^-1 b a^-1 from one n x n inverse, and one
 n x n eigensolve for a skew-hermitian commutator) and blockwise on direct
-sums, products of multiplication matrices and a dense solve elsewhere.
+sums, products of multiplication matrices and a dense solve elsewhere.  The
+commutator norm is a model formula of the pair alone, on stacks row by row;
+``_operator_commutes`` adds the threshold, for the callers that read it.
 
 The spectral decomposition of a self-adjoint element or a unitary a lives
 in the associative subalgebra C(1, a) (powers of a single element are
@@ -212,15 +214,15 @@ def triple_product(A: AlgebraHandle, x: Element, y: Element, z: Element) -> Elem
 def operator_commutes(A: AlgebraHandle, a: Element, b: Element) -> ResidualCheck:
     """Whether M_a and M_b commute, with the commutator norm as residual.
 
-    The model's closed form may differ from the SVD of M_a M_b - M_b M_a by
-    at most 1e-6 times the threshold.
+    The model's closed form, on a route picked from a and b alone, may
+    differ from the SVD of M_a M_b - M_b M_a by at most 1e-6 of the threshold.
     """
     return _operator_commutes(A, _owned(A, a), _owned(A, b))
 
 
 def _operator_commutes(A: AlgebraHandle, x: np.ndarray, y: np.ndarray) -> ResidualCheck:
     threshold = A.tol.abs_eps * (1.0 + A._norm(x)) * (1.0 + A._norm(y))
-    residual = A._commutator_norm(x, y, 1e-6 * threshold)
+    residual = A._commutator_norm(x, y)
     return ResidualCheck(residual <= threshold, residual, threshold)
 
 

@@ -59,7 +59,7 @@ from .algebras import (
     _unitary_generator,
     element_from_json,
 )
-from .calculus import _exp_i, _gate, _operator_commutes, _require, _self_adjoint, _u_operator, is_invertible
+from .calculus import _exp_i, _gate, _require, _self_adjoint, _u_operator, is_invertible
 from .errors import (
     BranchAmbiguity,
     HypothesisFailed,
@@ -71,7 +71,7 @@ from .errors import (
 )
 from .kernel import Tolerance
 from .peirce import _is_tripotent, _peirce2_algebra, _tripotent
-from .reports import CheckReport, WorstResidual, chunk_sizes
+from .reports import CheckReport, ResidualCheck, WorstResidual, chunk_sizes
 from .samplers import _commuting_projection_pair, _draw_oc_pair
 from .unitary import _symmetry, _unitary, _unitary_log
 
@@ -257,8 +257,7 @@ def check_piecewise_hom_on_unitaries(
         images = np.stack([fu, fv], axis=1)  # in draw order: u, then v, of each pair
         _require(_gate(tgt, *_unitary(tgt, images)), NonUnitaryImage, _NOT_UNITARY_IMAGES)
         mult = tgt._norm(f(src._prod(u, v)) - tgt._prod(fu, fv))
-        occ = [_operator_commutes(tgt, a, b).residual for a, b in zip(fu, fv)]
-        r = np.maximum(mult, occ)
+        r = np.maximum(mult, tgt._commutator_norm(fu, fv))
         acc.add(r, lambda i: {"h": h[i].tolist(), "k": k[i].tolist(), "residual": float(r[i])})
     name = f"piecewise-hom-unitaries[{m.label}]"
     return acc.report(name, unit_residual=unit_residual, pass_tol=pass_tol)
@@ -307,10 +306,9 @@ def check_generator_properties(
         fa, fb, fab, fta = _generator(m, np.concatenate([a, b, a + b, tau * a])).reshape(4, size, -1)
         r_add = tgt._norm(fab - fa - fb)
         r_hom = tgt._norm(fta - tau * fa)
-        r_oc = [_operator_commutes(tgt, x, y).residual for x, y in zip(fa, fb)]
         na = src._norm(a)
         scale = 1.0 + na + src._norm(b)
-        r = np.maximum(np.maximum(r_add, r_hom), r_oc) / scale
+        r = np.maximum(np.maximum(r_add, r_hom), tgt._commutator_norm(fa, fb)) / scale
         acc.add(r, lambda i: {"a": a[i].tolist(), "b": b[i].tolist()})
         bound.add(tgt._norm(fa)[na > 1e-9] / na[na > 1e-9])
     name = f"generator-properties[{m.label}]"
@@ -353,12 +351,9 @@ def verify_jordan_star_isomorphism(
         ]
         if theta.inverse is not None:
             residuals.append(src._norm(theta._inverse(fa) - a))
-        residuals = np.array(residuals)
-        bad = ~(residuals <= pass_tol * scale)  # a NaN fails
-        if bad.any():  # the first failing draw, and its first failing check
-            i = int(bad.any(axis=0).argmax())
-            c = int(bad[:, i].argmax())
-            raise PreconditionFailed(_ISOMORPHISM_FAILURES[c].format(residuals[c, i]))
+        residuals, limit = np.transpose(residuals), pass_tol * scale[:, None]  # draw by draw
+        check = ResidualCheck(residuals <= limit, residuals, limit)  # a NaN fails
+        _require(check, PreconditionFailed, _ISOMORPHISM_FAILURES[: residuals.shape[1]])
         worst.add(residuals)
     return worst.worst
 
@@ -699,15 +694,16 @@ def check_central_preservation(
         # symmetry -> symmetry
         p = _random(src, rng, "projection")
         fs = f(one_s - 2.0 * p)
-        if not _gate(tgt, *_symmetry(tgt, fs)):
-            parts.append(tgt._norm(tgt._prod(fs, fs) - one_t))
+        symmetry = _symmetry(tgt, fs)
+        if not _gate(tgt, *symmetry):
+            parts += [tgt._norm(d) for d in symmetry[0]]
         # induced projection map preserves operator commutativity
         pq = _commuting_projection_pair(src, rng)
         if pq is not None:
             p1, q1 = pq
             psi_p = 0.5 * (one_t - f(one_s - 2.0 * p1))
             psi_q = 0.5 * (one_t - f(one_s - 2.0 * q1))
-            parts.append(_operator_commutes(tgt, psi_p, psi_q).residual)
+            parts.append(tgt._commutator_norm(psi_p, psi_q))
         acc.add(float(np.max(parts)), lambda i: {"z": z.tolist()})  # np.max keeps a NaN; max() drops a later one
     return acc.report(f"central-preservation[{m.label}]", pass_tol=pass_tol)
 

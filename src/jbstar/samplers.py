@@ -68,14 +68,14 @@ def _draw_oc_pair(A: AlgebraHandle, rng: np.random.Generator, size: int):
     return pairs
 
 
-def _noncommuting_pair(A: AlgebraHandle, rng: np.random.Generator, min_factor=10.0, attempts=200):
-    """Self-adjoint pair whose commutator residual clears the threshold by
-    min_factor; None when the model has no such pair (e.g. dimension 1)."""
-    for _ in range(attempts):
+def _noncommuting_pair(A: AlgebraHandle, rng: np.random.Generator):
+    """Self-adjoint pair whose commutator residual clears the threshold 10
+    times over, within 200 draws; None when there is none (e.g. dimension 1)."""
+    for _ in range(200):
         a = _random(A, rng, "self_adjoint")
         b = _random(A, rng, "self_adjoint")
         chk = _operator_commutes(A, a, b)
-        if chk.residual >= min_factor * chk.threshold:
+        if chk.residual >= 10.0 * chk.threshold:
             return a, b
     return None
 

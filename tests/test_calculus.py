@@ -199,9 +199,8 @@ def test_commutator_norm_matches_generic_route(A):
         a, b = (random_element(A, int(rng.integers(1 << 30)), "self_adjoint") for _ in range(2))
         c = jordan_product(A, a, a) - 0.5 * a  # commutes with a
         for y, commuting in ((b, False), (c, True)):
-            slack = 1e-6 * operator_commutes(A, a, y).threshold
-            got = A._commutator_norm(a.coords, y.coords, slack)
-            want = AlgebraHandle._commutator_norm(A, a.coords, y.coords, slack)
+            got = A._commutator_norm(a.coords, y.coords)
+            want = AlgebraHandle._commutator_norm(A, a.coords, y.coords)
             if commuting:
                 scale = (1 + jbstar_norm(A, a)) * (1 + jbstar_norm(A, y))
                 assert abs(got - want) <= 1e-13 * scale
@@ -216,9 +215,9 @@ def test_commutator_norm_route_follows_the_commutator(monkeypatch):
     route = AlgebraHandle._commutator_norm
     calls = []
 
-    def spy(A, x, y, slack):
+    def spy(A, x, y):
         calls.append(A.id)
-        return route(A, x, y, slack)
+        return route(A, x, y)
 
     pairs = {}
     for A in (H3, M6, build_direct_sum([H3, build_hermitian_matrix_algebra(4)])):
@@ -226,15 +225,14 @@ def test_commutator_norm_route_follows_the_commutator(monkeypatch):
             pairs[A, flavor] = [random_element(A, int(rng.integers(1 << 30)), flavor) for _ in range(2)]
     monkeypatch.setattr(AlgebraHandle, "_commutator_norm", spy)
     for (A, flavor), (x, y) in pairs.items():
-        slack = 1e-6 * operator_commutes(A, x, y).threshold
         calls.clear()
-        got = A._commutator_norm(x.coords, y.coords, slack)
+        got = A._commutator_norm(x.coords, y.coords)
         if flavor == "self_adjoint":
             assert calls == []
         else:
             assert len(calls) == len(A.summands)
             if len(A.summands) == 1:
-                assert got == route(A, x.coords, y.coords, slack)
+                assert got == route(A, x.coords, y.coords)
 
 
 U_MODELS = [build_hermitian_matrix_algebra(1), H2, H3, M6, S3, build_spin_factor(5), SUM]

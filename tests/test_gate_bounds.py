@@ -18,6 +18,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jbstar import calculus, measures, peirce, preservers, samplers, unitary
 from jbstar.algebras import (
@@ -119,10 +121,11 @@ COMMUTATOR_MODELS = [H(1), H(3), H(6), S(4), S(9), H3S3, build_direct_sum([H(3),
 
 @pytest.mark.parametrize("A", COMMUTATOR_MODELS, ids=lambda A: A.id)
 def test_commutator_bound_dominates_every_route(A):
-    # the routes of _commutator_norm: the SVD of M_x M_y - M_y M_x, and on
-    # M_n the eigvalsh route (slack infinite) and its fallback to the SVD
-    # (slack 0); a same-generator pair commutes, and there the routes and
-    # the bound differ only by rounding, far inside the gate's threshold
+    # the routes of _commutator_norm: the SVD of M_x M_y - M_y M_x, and the
+    # model's own, which on M_n takes the eigvalsh route for self-adjoint
+    # and commuting pairs; a same-generator pair commutes, and there the
+    # routes and the bound differ only by rounding, far inside the gate's
+    # threshold
     rng = np.random.default_rng(17)
     for flavor in ("self_adjoint", "unitary", "general", "commuting"):
         for _ in range(5):
@@ -132,8 +135,7 @@ def test_commutator_bound_dominates_every_route(A):
                 x, y = _random(A, rng, flavor), _random(A, rng, flavor)
             bound = A._commutator_bound(x, y)
             thr = calculus._operator_commutes(A, x, y).threshold
-            routes = [AlgebraHandle._commutator_norm(A, x, y, 0.0)]
-            routes += [A._commutator_norm(x, y, slack) for slack in (0.0, 1e-6 * thr, math.inf)]
+            routes = [AlgebraHandle._commutator_norm(A, x, y), A._commutator_norm(x, y)]
             if flavor == "commuting":
                 assert max(routes) <= bound + 1e-13 * thr / A.tol.abs_eps
             else:
@@ -170,6 +172,46 @@ def test_the_stacked_commutator_bound_is_the_bound_of_each_row(A):
     assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
 
+STACK_MODELS = [H(1), H(3), H(12), S(4), S(9), H3S3, NESTED, _peirce2_models()[0], ORACLE]
+
+
+@pytest.mark.parametrize("A", STACK_MODELS, ids=lambda A: A.id)
+def test_the_stacked_commutator_norm_is_the_norm_of_each_row(A):
+    # bit for bit on (k, dim) and (k, j, dim) stacks; self-adjoint and
+    # commuting rows take the eigvalsh route on M_n, the others the SVD
+    rng = np.random.default_rng(19)
+    rows = [(_random(A, rng, flavor), _random(A, rng, flavor)) for flavor in ("self_adjoint", "general", "unitary")]
+    rows += [(_random(A, rng, "self_adjoint"), A.unit.coords), (A.unit.coords, A.unit.coords)]
+    a = _random(A, rng, "self_adjoint")
+    rows.append((a, A._prod(a, a) - 0.5 * a))  # commutes with a
+    x, y = np.array(rows).swapaxes(0, 1)
+    want = np.array([A._commutator_norm(a, b) for a, b in zip(x, y)])
+    assert all(type(A._commutator_norm(a, b)) is float for a, b in zip(x, y))
+    got = A._commutator_norm(x, y)
+    assert got.shape == (6,) and np.array_equal(got, want)
+    got = A._commutator_norm(x.reshape(2, 3, -1), y.reshape(2, 3, -1))
+    assert got.shape == (2, 3) and np.array_equal(got, want.reshape(2, 3))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    n=st.integers(1, 12),
+    flavor=st.sampled_from(["self_adjoint", "unitary", "general"]),
+    scale=st.sampled_from([1e-3, 1e-1, 1.0, 1e1, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_matrix_commutator_route_stays_within_its_share_of_the_threshold(n, flavor, scale, seed):
+    # the route's own slack is at most 1e-6 times the threshold of
+    # _operator_commutes, so it stays that close to the SVD of the
+    # commutator of multiplication matrices; both routes also round, by
+    # about 1.5e-15 of the residual, which on self-adjoint pairs can take
+    # most of that margin
+    A, rng = H(n), np.random.default_rng(seed)
+    x, y = scale * _random(A, rng, flavor), scale * _random(A, rng, flavor)
+    thr = calculus._operator_commutes(A, x, y).threshold
+    assert abs(A._commutator_norm(x, y) - AlgebraHandle._commutator_norm(A, x, y)) <= 1e-6 * thr
+
+
 # -- every gated site against its exact gate ------------------------------------
 
 RATIOS = (1e-3, 0.1, 0.5, 0.99, 1.01, 2.0, 10.0)
@@ -193,7 +235,7 @@ def _run(A, call, exact):
     calls, norm, commutator_norm = [], A._norm, A._commutator_norm
     with pytest.MonkeyPatch.context() as m:
         m.setattr(A, "_norm", lambda x: calls.append(1) or norm(x))
-        m.setattr(A, "_commutator_norm", lambda x, y, s: calls.append(1) or commutator_norm(x, y, s))
+        m.setattr(A, "_commutator_norm", lambda x, y: calls.append(1) or commutator_norm(x, y))
         if exact:
             m.setattr(A, "_norm_per_coord", None)
             m.setattr(A, "_commutator_bound", lambda x, y: math.inf)
@@ -524,7 +566,7 @@ def test_symmetric_difference_branch(A):
         assert _same(out, _run(A, call, exact=True)[0])
         calls = []
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(A, "_commutator_norm", lambda x, y, s: calls.append(1) or commutator_norm(x, y, s))
+            m.setattr(A, "_commutator_norm", lambda x, y: calls.append(1) or commutator_norm(x, y))
             call()
         assert len(calls) <= 1 and (rho <= 1.0 or calls)
         paths.add(len(calls))

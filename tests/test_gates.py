@@ -459,8 +459,7 @@ def test_central_preservation_keeps_a_nan_symmetry_defect():
 
 
 def test_central_preservation_keeps_a_nan_commutation_residual(monkeypatch):
-    nan = ResidualCheck(False, math.nan, math.nan)
-    monkeypatch.setattr(preservers, "_operator_commutes", lambda B, x, y: nan)
+    monkeypatch.setattr(S4, "_commutator_norm", lambda x, y: math.nan)
     rep = _central_preservation()
     assert np.isnan(rep.max_residual) and not rep.passed
 
@@ -491,14 +490,19 @@ def _oc_equivalences(trials=3):
 def test_oc_equivalences_keeps_a_nan_commutation_residual_after_a_finite_one(monkeypatch):
     rep = _oc_equivalences()
     assert rep.passed and math.isfinite(rep.max_residual)
-    # the first draw's second pair; an SVD would refuse a NaN element
-    commutes, calls = unitary._operator_commutes, []
+    # the first draw's first pair (u, v*), in the second stacked call; an
+    # SVD would refuse a NaN element
+    commutator_norm, calls = S4._commutator_norm, []
 
-    def with_nan(B, x, y):
-        calls.append(1)
-        return ResidualCheck(False, math.nan, math.nan) if len(calls) == 2 else commutes(B, x, y)
+    def with_nan(x, y):
+        out = commutator_norm(x, y)
+        if x.ndim == 3:  # the chunk's call, not the rows it recurses into
+            calls.append(1)
+            if len(calls) == 2:
+                out[0, 0] = math.nan
+        return out
 
-    monkeypatch.setattr(unitary, "_operator_commutes", with_nan)
+    monkeypatch.setattr(S4, "_commutator_norm", with_nan)
     rep = _oc_equivalences()
     assert np.isnan(rep.max_residual) and not rep.passed
 

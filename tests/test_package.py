@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import math
 import pkgutil
 from collections import Counter
 from pathlib import Path
@@ -145,3 +146,64 @@ def test_every_gate_goes_through_the_one_gate():
                     callers.add((path.name, getattr(top, "name", None)))
     assert callers == {("calculus.py", "_gate")}
     assert not defined & {"_self_adjoint_defect", "_is_self_adjoint", "_unitary_defects"}
+
+
+def test_every_defaulted_parameter_of_a_private_function_is_set_somewhere():
+    # no linter is installed: a default that no call in src/ or tests/
+    # overrides, by keyword or by position, is a knob nobody turns and
+    # belongs in the body as a constant; a call through *args or **kwargs
+    # sets every parameter, and a method's self shifts positions by one
+    src = Path(jbstar.__file__).resolve().parent
+    tests = Path(__file__).resolve().parent
+    trees = {path: ast.parse(path.read_text()) for d in (src, tests) for path in sorted(d.glob("*.py"))}
+    calls = {}  # name -> list of (positional count, keywords)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                spread = any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords)
+                count = math.inf if spread else len(node.args)
+                calls.setdefault(name, []).append((count, {k.arg for k in node.keywords} | ({None} if spread else set())))
+    unset = []
+    for path, tree in trees.items():
+        if path.parent != src:
+            continue
+        methods = {id(f) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for f in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or not fn.name.startswith("_") or fn.name.startswith("__"):
+                continue
+            a, shift = fn.args, int(id(fn) in methods)
+            positional = a.posonlyargs + a.args
+            defaulted = [(i - shift, p.arg) for i, p in enumerate(positional) if i >= len(positional) - len(a.defaults)]
+            defaulted += [(math.inf, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            seen = calls.get(fn.name, [])
+            unset += [
+                f"{path.name}: {fn.name}({name})"
+                for i, name in defaulted
+                if not any(count > i or name in kws or None in kws for count, kws in seen)
+            ]
+    assert not unset, f"defaulted parameters that no call sets: {unset}"
+
+
+def test_residual_only_checks_take_the_commutator_norm_alone():
+    # these checks report ||[M_x, M_y]|| and read no threshold, so none runs
+    # _operator_commutes (two norms for its threshold) on its draws; the
+    # adversarial phase of oc-equivalences, after its main loop, reads one
+    src = Path(jbstar.__file__).resolve().parent
+    bodies = {
+        fn.name: fn
+        for module in ("unitary", "preservers")
+        for fn in ast.parse((src / f"{module}.py").read_text()).body
+        if isinstance(fn, ast.FunctionDef)
+    }
+    sites = [next(node for node in bodies["oc_unitary_equivalences_check"].body if isinstance(node, ast.For))]
+    sites += [bodies[name] for name in ("check_piecewise_hom_on_unitaries", "check_generator_properties")]
+    sites.append(bodies["check_central_preservation"])
+    called = [
+        getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for site in sites
+        for node in ast.walk(site)
+        if isinstance(node, ast.Call)
+    ]
+    assert "_operator_commutes" not in called
+    assert called.count("_commutator_norm") == 5  # two in oc-equivalences, one in each of the others

@@ -498,6 +498,20 @@ def test_check_central_preservation_negative():
     assert not rep.passed
 
 
+def test_check_central_preservation_refuses_a_symmetry_image_that_is_not_self_adjoint():
+    # x -> S x S^-1 preserves Jordan products and the unit but not the
+    # involution: it sends diag(1, -1, 1) to an involution (its square is 1)
+    # whose self-adjointness defect is about 1.49
+    s = np.array([[1.0, 0.7, 0.0], [0.0, 1.0, 0.4], [0.2, 0.0, 1.0]])
+    s_inv = np.linalg.inv(s)
+    similar = lambda p, q: lambda a: H3.element((p @ a.coords.reshape(3, 3) @ q).ravel())
+    m = MapUnderTest(H3, H3, similar(s, s_inv), label="similarity", inverse=similar(s_inv, s))
+    fs = m._eval(np.diag([1.0, -1.0, 1.0]).astype(complex).ravel())
+    assert H3._norm(H3._prod(fs, fs) - H3.unit.coords) < 1e-14 < 1.0 < H3._norm(H3._inv(fs) - fs)
+    rep = check_central_preservation(m, trials=20, seed=0)
+    assert not rep.passed and rep.max_residual > 0.1
+
+
 def test_check_i_unit_image():
     # complex-linear isomorphism: z = unit, trivially central
     theta = conjugation_map(H3, 38)
